@@ -22,7 +22,7 @@ import numpy as np
 
 from .budgets import Budgets, current_budgets
 from .cohomology2 import TwoCocycle, compute_h2
-from .errors import BudgetExceeded, ValidationError
+from .errors import BudgetExceeded, ValidationError, require_keys
 from .extension import (
     AbelianExtension,
     build_extension,
@@ -59,14 +59,16 @@ class CatalogEntry:
 
     def materialize(self, budget: Optional[Budgets] = None):
         """Build the underlying object; raw JSON payloads are validated here."""
+        if isinstance(self.data, (AbelianExtension, tuple)):
+            return self.data
+        payload = require_keys(self.data, (), "catalog entry")
         if self.kind == "extension":
-            if isinstance(self.data, AbelianExtension):
-                return self.data
-            payload = self.data
             if "extension" in payload:
                 return extension_from_json(payload["extension"], budget=budget)
             if "quadruple" in payload:
-                quad = payload["quadruple"]
+                quad = require_keys(payload["quadruple"],
+                                    ("quotient_group", "kernel_group", "action", "cocycle"),
+                                    "quadruple")
                 q_group = group_from_json(quad["quotient_group"])
                 n_group = group_from_json(quad["kernel_group"])
                 actions = enumerate_actions(q_group, n_group, budget=budget)
@@ -83,10 +85,8 @@ class CatalogEntry:
                 return extension_from_cocycle(coc, name=self.name, budget=budget)
             raise ValidationError("extension entry needs 'extension' or 'quadruple'")
         if self.kind == "ring":
-            if isinstance(self.data, tuple):
-                return self.data
-            payload = self.data
-            ring = ring_from_json(payload["ring"], budget=budget)
+            ring = ring_from_json(require_keys(payload, ("ring",), "ring entry")["ring"],
+                                  budget=budget)
             ideal = payload.get("ideal")
             return ring, ideal
         raise ValidationError(f"unknown catalog entry kind {self.kind!r}")
@@ -151,10 +151,13 @@ def catalog_from_json(data, budget: Optional[Budgets] = None) -> List[CatalogEnt
     """Load a catalog from a parsed JSON document (or a JSON text string)."""
     if isinstance(data, str):
         data = json.loads(data)
+    if not isinstance(data, dict) or not isinstance(data.get("entries", []), list):
+        raise ValidationError("catalog JSON must be an object with an 'entries' list")
     entries = []
     for row in data.get("entries", []):
-        name = row.get("name", f"entry {len(entries)}")
-        kind = row.get("kind", "extension")
+        fields = row if isinstance(row, dict) else {}
+        name = fields.get("name", f"entry {len(entries)}")
+        kind = fields.get("kind", "extension")
         entries.append(CatalogEntry(name, kind, row))
     return entries
 

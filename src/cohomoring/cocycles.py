@@ -10,14 +10,13 @@ additive and ring structure is only available over abelian targets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iter_product
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .budgets import Budgets, current_budgets
 from .errors import BudgetExceeded, ValidationError
-from .groups import ActionTable, FiniteGroup, GroupHom, _bfs_words
+from .groups import ActionTable, FiniteGroup, GroupHom, TableIndex, _search_generator_images
 from .rings import FiniteRing
 
 __all__ = [
@@ -151,30 +150,21 @@ def enumerate_z1(source: FiniteGroup, module: FiniteGroup, action: ActionTable,
                  budget: Optional[Budgets] = None) -> List[CrossedHom]:
     """All crossed homomorphisms, in a deterministic order.
 
-    Candidates are generated from generator images and propagated by the
-    twisted law, then each candidate is verified on every pair.  Falls back
-    to scanning all value tables when the group needs too many generators.
+    Candidates are generator images, propagated and certified by the twisted
+    law in `_search_generator_images`.  Falls back to scanning all value
+    tables when the group needs too many generators.
     """
     budget = budget or current_budgets()
     if action.actor is not source or action.module is not module:
         raise ValidationError("action must be of the source group on the module")
     s = source.order
     m = module.order
-    gens = list(source.generators)
-    count = m ** len(gens)
+    count = m ** len(source.generators)
     out: List[CrossedHom] = []
     if count <= budget.z1_generator_candidates:
-        bfs = _bfs_words(source, gens)
-        tm = module.table
-        act = action.table
-        for images in iter_product(range(m), repeat=len(gens)):
-            vals = np.zeros(s, dtype=np.int64)
-            for elem, parent, gi in bfs:
-                vals[elem] = tm[vals[parent], act[parent, images[gi]]]
-            moved = act[:, vals]
-            law = tm[vals[:, None], moved]
-            if (law == vals[source.table]).all():
-                out.append(CrossedHom(source, module, action, vals, validate=False))
+        cands = [np.arange(m)] * len(source.generators)
+        for vals in _search_generator_images(source, module, cands, action):
+            out.append(CrossedHom(source, module, action, vals, validate=False))
     elif m ** (s - 1) <= budget.z1_full_scan:
         total = m ** (s - 1)
         arr = np.arange(total, dtype=np.int64)
@@ -203,20 +193,21 @@ def enumerate_z1(source: FiniteGroup, module: FiniteGroup, action: ActionTable,
 class CocycleRing:
     """The ring of crossed homomorphisms under pointwise sum and composition.
 
-    elements[0] is the zero map; index maps a value table (as bytes) to its
-    position; ring is the explicit table ring over these elements.
+    elements[0] is the zero map; index finds the position of a value table
+    from its values on the source generators, confirmed on the full table;
+    ring is the explicit table ring over these elements.
     """
 
     ring: FiniteRing
     elements: Tuple[CrossedHom, ...]
-    index: Dict[bytes, int]
+    index: TableIndex
     embedding: GroupHom
 
     def locate(self, a: CrossedHom) -> int:
-        key = a.key()
-        if key not in self.index:
+        k = int(self.index.find(a.values))
+        if k < 0:
             raise ValidationError("crossed homomorphism is not in the enumerated ring")
-        return self.index[key]
+        return k
 
 
 def cocycle_ring(source: FiniteGroup, module: FiniteGroup, action: ActionTable,
@@ -227,25 +218,22 @@ def cocycle_ring(source: FiniteGroup, module: FiniteGroup, action: ActionTable,
         raise ValidationError("the crossed-homomorphism ring needs an abelian module")
     elements = enumerate_z1(source, module, action, budget=budget)
     n = len(elements)
-    index = {e.key(): k for k, e in enumerate(elements)}
+    stacked = np.stack([e.values for e in elements])
+    index = TableIndex(stacked, source.generators, module.order)
     if elements[0].values.any():
         raise ValidationError("zero map must sort first")
     add = np.zeros((n, n), dtype=np.int64)
     dia = np.zeros((n, n), dtype=np.int64)
     tm = module.table
-    emb = embedding.values
+    moved = embedding.values[stacked]
     for a in range(n):
-        va = elements[a].values
-        for b in range(n):
-            vb = elements[b].values
-            add_vals = tm[va, vb]
-            dia_vals = va[emb[vb]]
-            try:
-                add[a, b] = index[add_vals.tobytes()]
-                dia[a, b] = index[dia_vals.tobytes()]
-            except KeyError as exc:
-                raise ValidationError(
-                    f"crossed homomorphisms not closed under the ring operations at ({a}, {b})"
-                ) from exc
+        va = stacked[a]
+        add[a] = index.find(tm[va[None, :], stacked])
+        dia[a] = index.find(va[moved])
+        missing = (add[a] < 0) | (dia[a] < 0)
+        if missing.any():
+            raise ValidationError(
+                "crossed homomorphisms not closed under the ring operations at "
+                f"({a}, {int(np.argmax(missing))})")
     ring = FiniteRing(add, dia, one=None, name="Z1", budget=budget)
     return CocycleRing(ring=ring, elements=tuple(elements), index=index, embedding=embedding)

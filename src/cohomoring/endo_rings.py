@@ -14,8 +14,9 @@ endomorphisms of the quotient preserving the kernel action.  Both are tied to
 crossed homomorphisms into the centralizer layers by explicit bijections.
 """
 
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -27,17 +28,14 @@ from .groups import (
     ActionTable,
     FiniteGroup,
     GroupHom,
-    _bfs_words,
+    TableIndex,
     _is_hom,
-    _propagate,
+    _positions,
+    _search_generator_images,
     conjugation_action,
     enumerate_endos,
 )
 from .rings import FiniteRing, RingHom, check_ideal, is_square_zero_ideal, quasi_regular_group
-
-
-def _key(values: np.ndarray) -> bytes:
-    return np.ascontiguousarray(values, dtype=np.int64).tobytes()
 
 
 # ------------------------------------------------------- module endomorphisms
@@ -57,13 +55,13 @@ class ModuleEndoRing:
     action: ActionTable
     ring: FiniteRing
     elements: Tuple[np.ndarray, ...]
-    index: Dict[bytes, int]
+    index: TableIndex
 
     def locate(self, values) -> int:
-        key = _key(np.asarray(values, dtype=np.int64))
-        if key not in self.index:
+        k = int(self.index.find(values))
+        if k < 0:
             raise ValidationError("map is not an equivariant endomorphism of the module")
-        return self.index[key]
+        return k
 
 
 def equivariant_endo_ring(module: FiniteGroup, action: ActionTable,
@@ -80,27 +78,25 @@ def equivariant_endo_ring(module: FiniteGroup, action: ActionTable,
         v = h.values
         if (v[act] == act[:, v]).all():
             kept.append(v)
-    kept.sort(key=lambda v: tuple(v.tolist()))
     if not kept or kept[0].any():
         raise ValidationError("zero endomorphism missing: module enumeration is broken")
-    index = {_key(v): k for k, v in enumerate(kept)}
     size = len(kept)
+    stacked = np.stack(kept)
+    index = TableIndex(stacked, module.generators, module.order)
     tm = module.table
     add = np.zeros((size, size), dtype=np.int64)
     mul = np.zeros((size, size), dtype=np.int64)
     for a, va in enumerate(kept):
-        for b, vb in enumerate(kept):
-            skey = _key(tm[va, vb])
-            ckey = _key(va[vb])
-            if skey not in index or ckey not in index:
-                raise ValidationError(
-                    "equivariant endomorphisms are not closed under the ring operations",
-                    witness=(a, b),
-                )
-            add[a, b] = index[skey]
-            mul[a, b] = index[ckey]
-    one = index.get(_key(np.arange(module.order, dtype=np.int64)))
-    if one is None:
+        add[a] = index.find(tm[va[None, :], stacked])
+        mul[a] = index.find(va[stacked])
+        missing = (add[a] < 0) | (mul[a] < 0)
+        if missing.any():
+            raise ValidationError(
+                "equivariant endomorphisms are not closed under the ring operations",
+                witness=(a, int(np.argmax(missing))),
+            )
+    one = int(index.find(np.arange(module.order)))
+    if one < 0:
         raise ValidationError("identity map missing from the equivariant endomorphisms")
     labels = ["end%d" % k for k in range(size)]
     ring = FiniteRing(add, mul, one=one, labels=labels,
@@ -129,7 +125,7 @@ class FiberEndoRing:
     cocycles: CocycleRing
     ring: FiniteRing
     endos: Tuple[np.ndarray, ...]
-    index: Dict[bytes, int]
+    index: TableIndex
     ideal_indices: np.ndarray
     module_ring: ModuleEndoRing
     res: RingHom
@@ -146,10 +142,10 @@ class FiberEndoRing:
         return self.endos[k]
 
     def locate(self, values) -> int:
-        key = _key(np.asarray(values, dtype=np.int64))
-        if key not in self.index:
+        k = int(self.index.find(values))
+        if k < 0:
             raise ValidationError("map does not induce the identity on the quotient")
-        return self.index[key]
+        return k
 
     def restriction_values(self, k: int) -> np.ndarray:
         """The endomorphism of the kernel induced by member k (kernel positions)."""
@@ -161,30 +157,18 @@ class FiberEndoRing:
         return self.module_ring.locate(self.restriction_values(k))
 
 
-def _scan_fiber_endos(ext: AbelianExtension, budget: Budgets) -> Optional[List[bytes]]:
+def _scan_fiber_endos(ext: AbelianExtension, budget: Budgets) -> Optional[List[np.ndarray]]:
     """Independent generator-image search for quotient-identity endomorphisms.
 
     Candidates for each generator are confined to its own fiber.  Returns the
-    sorted value-table keys, or None when the search would exceed the budget.
+    value tables found, or None when the search would exceed the budget.
     """
     g = ext.g_group
-    gens = g.generators
-    cands = [ext.fiber(int(ext.p.values[s])).tolist() for s in gens]
-    total = 1
-    for c in cands:
-        total *= len(c)
-    if total > budget.endo_scan_candidates:
+    pv = ext.p.values
+    cands = [ext.fiber(int(pv[s])) for s in g.generators]
+    if math.prod(len(c) for c in cands) > budget.endo_scan_candidates:
         return None
-    bfs = _bfs_words(g, gens)
-    found: List[bytes] = []
-    import itertools
-
-    for images in itertools.product(*cands):
-        vals = _propagate(g, g, bfs, images)
-        if _is_hom(g, g, vals) and (ext.p.values[vals] == ext.p.values).all():
-            found.append(_key(vals))
-    found.sort()
-    return found
+    return [vals for vals in _search_generator_images(g, g, cands) if (pv[vals] == pv).all()]
 
 
 def fiber_endo_ring(ext: AbelianExtension, budget: Optional[Budgets] = None) -> FiberEndoRing:
@@ -220,34 +204,31 @@ def fiber_endo_ring(ext: AbelianExtension, budget: Optional[Budgets] = None) -> 
         if (back < 0).any() or not (back == psi.values).all():
             raise ValidationError("displacement round trip failed", witness=psi.values)
         endos.append(vals)
-    index = {_key(v): k for k, v in enumerate(endos)}
-    if len(index) != len(endos):
+    size = len(endos)
+    stacked = np.stack(endos)
+    if len(np.unique(stacked, axis=0)) != size:
         raise ValidationError("distinct displacements produced equal endomorphisms")
+    index = TableIndex(stacked, g.generators, g.order)
     if not (endos[0] == arange).all():
         raise ValidationError("zero displacement did not integrate to the identity map")
 
     scan = _scan_fiber_endos(ext, budget)
-    if scan is not None and scan != sorted(index):
+    if scan is not None and (
+            len(scan) != size or (np.sort(index.find(np.stack(scan))) != np.arange(size)).any()):
         raise ValidationError(
             "direct endomorphism scan disagrees with the crossed-homomorphism count",
             witness=(len(scan), len(endos)),
         )
 
-    # Re-derive both ring tables on raw endomorphism values.
-    size = len(endos)
-    stacked = np.stack(endos)
+    # Re-derive both ring tables on raw endomorphism values, one row at a time.
     add2 = np.zeros((size, size), dtype=np.int64)
     mul2 = np.zeros((size, size), dtype=np.int64)
     for a in range(size):
         base = tg[endos[a], ginv[arange]]
-        rows = tg[base[None, :], stacked]
-        for b in range(size):
-            add2[a, b] = index[_key(rows[b])]
+        add2[a] = index.find(tg[base[None, :], stacked])
     for b in range(size):
         moved = ivals[cring.elements[b].values]
-        rows = tg[tg[stacked[:, moved], ginv[moved][None, :]], arange[None, :]]
-        for a in range(size):
-            mul2[a, b] = index[_key(rows[a])]
+        mul2[:, b] = index.find(tg[tg[stacked[:, moved], ginv[moved][None, :]], arange[None, :]])
     if not (add2 == cring.ring.add_table).all():
         raise ValidationError("twisted sum disagrees with displacement sum")
     if not (mul2 == cring.ring.mul_table).all():
@@ -279,13 +260,14 @@ def fiber_endo_ring(ext: AbelianExtension, budget: Optional[Budgets] = None) -> 
             witness=(sorted(qr_indices.tolist()), sorted(aut.tolist())),
         )
     # Quasi-regular star must be plain composition of the endomorphisms.
+    qr_tables = stacked[qr_indices]
     for pa, ra in enumerate(qr_indices.tolist()):
-        for pb, rb in enumerate(qr_indices.tolist()):
-            comp = endos[ra][endos[rb]]
-            if index[_key(comp)] != int(qr_indices[qr_group.table[pa, pb]]):
-                raise ValidationError(
-                    "quasi-regular star differs from composition", witness=(ra, rb)
-                )
+        wrong = index.find(endos[ra][qr_tables]) != qr_indices[qr_group.table[pa]]
+        if wrong.any():
+            raise ValidationError(
+                "quasi-regular star differs from composition",
+                witness=(ra, int(qr_indices[np.argmax(wrong)])),
+            )
 
     return FiberEndoRing(ext, cring, cring.ring, tuple(endos), index, ideal,
                          module_ring, res, aut)
@@ -325,9 +307,7 @@ def centralizer_displacement(cd: CentralizerData, alpha_values) -> CrossedHom:
     alpha = np.asarray(alpha_values, dtype=np.int64)
     u = ext.section
     disp = g.table[alpha[u], g.inverse[u]]
-    pos = np.full(g.order, -1, dtype=np.int64)
-    pos[cd.c_sub.embedding.values] = np.arange(cd.c_sub.group.order, dtype=np.int64)
-    vals = pos[disp]
+    vals = _positions(g.order, cd.c_sub.embedding.values)[disp]
     if (vals < 0).any():
         q_bad = int(np.nonzero(vals < 0)[0][0])
         raise ValidationError(
@@ -379,9 +359,7 @@ def quotient_endo_displacement(cd: CentralizerData, phi_values) -> CrossedHom:
     q = ext.q_group
     phi = np.asarray(phi_values, dtype=np.int64)
     w = q.table[phi, q.inverse[np.arange(q.order, dtype=np.int64)]]
-    pos = np.full(q.order, -1, dtype=np.int64)
-    pos[cd.qbar_in_q.values] = np.arange(cd.qbar_group.order, dtype=np.int64)
-    vals = pos[w]
+    vals = _positions(q.order, cd.qbar_in_q.values)[w]
     if (vals < 0).any():
         bad = int(np.nonzero(vals < 0)[0][0])
         raise ValidationError(

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-__all__ = ["ValidationError", "BudgetExceeded"]
+__all__ = ["ValidationError", "BudgetExceeded", "require_keys"]
 
 
 class ValidationError(ValueError):
@@ -19,3 +19,13 @@ class ValidationError(ValueError):
 
 class BudgetExceeded(RuntimeError):
     """An enumeration would exceed the configured budget; nothing was computed."""
+
+
+def require_keys(data, keys, what: str) -> dict:
+    """`data` itself when it is a JSON object holding every key in `keys`."""
+    if not isinstance(data, dict):
+        raise ValidationError(f"{what} must be a JSON object")
+    missing = [k for k in keys if k not in data]
+    if missing:
+        raise ValidationError(f"{what} lacks {', '.join(missing)}")
+    return data

@@ -9,23 +9,22 @@ kernel.  Everything is validated exhaustively at construction time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import product as iter_product
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .budgets import Budgets, current_budgets
 from .cohomology2 import TwoCocycle
-from .errors import BudgetExceeded, ValidationError
+from .errors import BudgetExceeded, ValidationError, require_keys
 from .groups import (
     ActionTable,
     FiniteGroup,
     GroupHom,
     Subgroup,
-    _bfs_words,
-    _is_hom,
-    _propagate,
+    _positions,
+    _search_generator_images,
     centralizer,
     group_from_json,
     group_to_json,
@@ -61,10 +60,7 @@ class AbelianExtension:
         self.section = section
         self.action = action
         self.name = name or f"{n_group.name or n_group.order}-by-{q_group.name or q_group.order}"
-        pos = np.full(g_group.order, -1, dtype=np.int64)
-        for m in range(n_group.order):
-            pos[i.values[m]] = m
-        self._n_pos = pos
+        self._n_pos = _positions(g_group.order, i.values)
 
     def fiber(self, q: int) -> np.ndarray:
         return np.flatnonzero(self.p.values == q)
@@ -99,20 +95,13 @@ class AbelianExtension:
         """A homomorphic section of the surjection, or None if there is none."""
         budget = budget or current_budgets()
         qg = self.q_group
-        gens = list(qg.generators)
-        fibers = [self.fiber(g) for g in gens]
-        count = 1
-        for f in fibers:
-            count *= len(f)
+        fibers = [self.fiber(g) for g in qg.generators]
+        count = math.prod(len(f) for f in fibers)
         if count > budget.z1_generator_candidates:
             raise BudgetExceeded(
                 f"{count} candidate sections exceeds budget {budget.z1_generator_candidates}")
-        words = _bfs_words(qg, qg.generators)
         idx = np.arange(qg.order)
-        for choice in iter_product(*[[int(x) for x in f] for f in fibers]):
-            values = _propagate(qg, self.g_group, words, list(choice))
-            if not _is_hom(qg, self.g_group, values):
-                continue
+        for values in _search_generator_images(qg, self.g_group, fibers):
             if (self.p.values[values] == idx).all():
                 return GroupHom(qg, self.g_group, values)
         return None
@@ -156,9 +145,7 @@ def build_extension(i: GroupHom, p: GroupHom, name: str = "",
         section[p.values[g]] = g
     if section[0] != 0:
         raise ValidationError("section fails to pick the identity over the identity")
-    pos = np.full(g_group.order, -1, dtype=np.int64)
-    for m in range(n_group.order):
-        pos[i.values[m]] = m
+    pos = _positions(g_group.order, i.values)
     # conjugation action of the quotient, checked on every fiber element
     conj = np.zeros((g_group.order, n_group.order), dtype=np.int64)
     tg = g_group.table
@@ -248,9 +235,7 @@ def centralizer_extension(ext: AbelianExtension,
     c_sub = centralizer(g, kernel_indices)
     c_grp = c_sub.group
     c_emb = c_sub.embedding
-    pos_in_c = np.full(g.order, -1, dtype=np.int64)
-    for idx in range(c_grp.order):
-        pos_in_c[c_emb.values[idx]] = idx
+    pos_in_c = _positions(g.order, c_emb.values)
     n_in_c = GroupHom(n, c_grp, pos_in_c[ext.i.values])
     # kernel must be central in its centralizer
     rows = c_grp.table[n_in_c.values]
@@ -358,6 +343,8 @@ def extension_to_json(ext: AbelianExtension) -> dict:
 
 
 def extension_from_json(data: dict, budget: Optional[Budgets] = None) -> AbelianExtension:
+    require_keys(data, ("kernel", "group", "quotient", "kernel_map", "quotient_map"),
+                 "extension JSON")
     n_group = group_from_json(data["kernel"])
     g_group = group_from_json(data["group"])
     q_group = group_from_json(data["quotient"])

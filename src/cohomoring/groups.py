@@ -8,8 +8,8 @@ configured budgets.
 
 from __future__ import annotations
 
-import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -440,6 +440,13 @@ def inversion_action(c2: FiniteGroup, module: FiniteGroup) -> ActionTable:
 # ----------------------------------------------------------------- subgroups
 
 
+def _positions(n: int, members: np.ndarray) -> np.ndarray:
+    """pos[a] = k where members[k] == a, and -1 for every a outside members."""
+    pos = np.full(n, -1, dtype=np.int64)
+    pos[members] = np.arange(len(members), dtype=np.int64)
+    return pos
+
+
 def mulclose(g: FiniteGroup, seed: Iterable[int]) -> List[int]:
     """Sorted list of elements of the subgroup generated by `seed`."""
     seen = {0}
@@ -477,19 +484,17 @@ def subgroup_from_indices(g: FiniteGroup, indices: Iterable[int]) -> Subgroup:
     idx = sorted({int(a) for a in indices})
     if not idx or idx[0] != 0:
         raise ValidationError("a subgroup must contain the identity (element 0)")
-    pos = {a: k for k, a in enumerate(idx)}
     arr = np.asarray(idx, dtype=np.int64)
+    pos = _positions(g.order, arr)
     prod = g.table[np.ix_(arr, arr)]
-    for a in range(len(idx)):
-        for b in range(len(idx)):
-            if int(prod[a, b]) not in pos:
-                raise ValidationError(
-                    f"subset not closed: {idx[a]} * {idx[b]} = {int(prod[a, b])} escapes",
-                    witness=(idx[a], idx[b]),
-                )
-    table = np.vectorize(pos.__getitem__)(prod)
-    gens_ambient = _greedy_generators(g, idx)
-    gens = [pos[a] for a in gens_ambient]
+    table = pos[prod]
+    if (table < 0).any():
+        a, b = map(int, np.argwhere(table < 0)[0])
+        raise ValidationError(
+            f"subset not closed: {idx[a]} * {idx[b]} = {int(prod[a, b])} escapes",
+            witness=(idx[a], idx[b]),
+        )
+    gens = [int(pos[a]) for a in _greedy_generators(g, idx)]
     labels = [g.labels[a] for a in idx]
     sub = FiniteGroup(table, gens, labels=labels, name=f"sub{len(idx)}of{g.name or g.order}")
     emb = GroupHom(sub, g, arr)
@@ -581,25 +586,23 @@ def conjugation_action(g: FiniteGroup, n_embedding: GroupHom, on: str = "quotien
     if n_embedding.target is not g:
         raise ValidationError("embedding targets a different group")
     n_grp = n_embedding.source
-    idx = [int(a) for a in n_embedding.values]
-    pos = {a: k for k, a in enumerate(idx)}
-    arr = np.asarray(idx, dtype=np.int64)
+    arr = n_embedding.values
+    pos = _positions(g.order, arr)
 
     def conj_row(a: int) -> np.ndarray:
-        conj = g.table[g.table[a, arr], g.inverse[a]]
-        try:
-            return np.asarray([pos[int(c)] for c in conj], dtype=np.int64)
-        except KeyError as exc:
+        row = pos[g.table[g.table[a, arr], g.inverse[a]]]
+        if (row < 0).any():
             raise ValidationError(
                 f"subgroup is not normal: conjugation by {a} escapes", witness=a
-            ) from exc
+            )
+        return row
 
     if on == "group":
         table = np.stack([conj_row(a) for a in range(g.order)])
         return ActionTable(g, n_grp, table)
     if on != "quotient":
         raise ValidationError(f"unknown actor kind {on!r}")
-    q, proj = quotient(g, idx)
+    q, proj = quotient(g, arr.tolist())
     rows = np.zeros((q.order, n_grp.order), dtype=np.int64)
     seen = np.zeros(q.order, dtype=bool)
     for a in range(g.order):
@@ -616,6 +619,9 @@ def conjugation_action(g: FiniteGroup, n_embedding: GroupHom, on: str = "quotien
 
 
 # ----------------------------------------------------------------- hom search
+
+# Upper bound on candidates x |source| cells in one propagation block.
+_SEARCH_BLOCK_CELLS = 1 << 16
 
 
 def _bfs_words(g: FiniteGroup, gens: Sequence[int]) -> List[Tuple[int, int, int]]:
@@ -637,21 +643,87 @@ def _bfs_words(g: FiniteGroup, gens: Sequence[int]) -> List[Tuple[int, int, int]
     return out
 
 
-def _propagate(
+def _search_generator_images(
     source: FiniteGroup,
     target: FiniteGroup,
-    bfs: Sequence[Tuple[int, int, int]],
-    images: Sequence[int],
-) -> np.ndarray:
-    vals = np.zeros(source.order, dtype=np.int64)
-    t = target.table
-    for elem, parent, gi in bfs:
-        vals[elem] = t[vals[parent], images[gi]]
-    return vals
+    cands: Sequence[Sequence[int]],
+    action: Optional[ActionTable] = None,
+) -> Iterator[np.ndarray]:
+    """Value tables of the maps phi(xy) = phi(x) (x . phi(y)) with
+    phi(source.generators[i]) in cands[i]; x . m = m when action is None.
+
+    Candidate tuples run in itertools.product order, propagated along the BFS
+    words in blocks of at most _SEARCH_BLOCK_CELLS cells, each built only
+    when the caller asks for more.  A row is kept when phi(x s_i) =
+    phi(x) (x . phi(s_i)) for every x (x = e included) and every generator
+    s_i; induction on word length makes this prove the law on all pairs.
+    """
+    cands = [np.asarray(c, dtype=np.int64) for c in cands]
+    total = math.prod(len(c) for c in cands)
+    bfs = _bfs_words(source, source.generators)
+    tt = target.table
+    block = max(1, _SEARCH_BLOCK_CELLS // source.order)
+    start = 0
+    while start < total:
+        rows = min(block, total - start)
+        # mixed-radix digits of start .. start + rows - 1, last position fastest
+        carry = np.arange(rows, dtype=np.int64)
+        rest = start
+        imgs: List[np.ndarray] = []
+        for c in reversed(cands):
+            rest, digit = divmod(rest, len(c))
+            carry = carry + digit
+            imgs.append(c[carry % len(c)])
+            carry = carry // len(c)
+        imgs.reverse()
+        vals = np.zeros((rows, source.order), dtype=np.int64)
+        for elem, parent, gi in bfs:
+            step = imgs[gi] if action is None else action.table[parent, imgs[gi]]
+            vals[:, elem] = tt[vals[:, parent], step]
+        ok = np.ones(rows, dtype=bool)
+        for s, img in zip(source.generators, imgs):
+            step = img[:, None] if action is None else action.table[:, img].T
+            ok &= (vals[:, source.table[:, s]] == tt[vals, step]).all(axis=1)
+        yield from vals[ok]
+        start += rows
 
 
 def _is_hom(source: FiniteGroup, target: FiniteGroup, vals: np.ndarray) -> bool:
     return bool((vals[source.table] == target.table[vals[:, None], vals[None, :]]).all())
+
+
+class TableIndex:
+    """Positions of value tables that differ at `positions`, as maps fixed by
+    their values on generators do.
+
+    A table is keyed by the mixed-radix int64 code of its values (below
+    radix) at `positions`; a lookup finds the code by binary search and then
+    compares the full row, so agreeing at `positions` alone is not a hit.
+    """
+
+    def __init__(self, tables, positions: Sequence[int], radix: int):
+        self.tables = np.asarray(tables, dtype=np.int64)
+        self.positions = np.asarray(positions, dtype=np.int64)
+        if radix ** len(self.positions) > np.iinfo(np.int64).max:
+            raise BudgetExceeded(
+                f"codes of {len(self.positions)} values below {radix} do not fit in int64")
+        self.weights = radix ** np.arange(len(self.positions) - 1, -1, -1, dtype=np.int64)
+        codes = self.tables[:, self.positions] @ self.weights
+        self.order = np.argsort(codes, kind="stable")
+        self.codes = codes[self.order]
+        if (self.codes[1:] == self.codes[:-1]).any():
+            raise ValidationError("indexed tables agree on every key position")
+
+    def find(self, rows) -> np.ndarray:
+        """Member position of each table in `rows` (last axis), -1 where absent."""
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.shape[-1:] != self.tables.shape[1:]:
+            return np.full(rows.shape[:-1], -1, dtype=np.int64)
+        codes = rows[..., self.positions] @ self.weights
+        at = np.minimum(np.searchsorted(self.codes, codes), len(self.codes) - 1)
+        hit = self.order[at]
+        found = (self.codes[at] == codes) & (self.tables[hit] == rows).all(axis=-1)
+        return np.where(found, hit, -1)
 
 
 def hom_make(source: FiniteGroup, target: FiniteGroup, generator_images: Sequence[int]) -> GroupHom:
@@ -663,14 +735,12 @@ def hom_make(source: FiniteGroup, target: FiniteGroup, generator_images: Sequenc
         )
     if any(v < 0 or v >= target.order for v in images):
         raise ValidationError("generator image out of range")
-    bfs = _bfs_words(source, source.generators)
-    vals = _propagate(source, target, bfs, images)
-    if not _is_hom(source, target, vals):
-        raise ValidationError(
-            f"generator images {images} are inconsistent with the relations of the source",
-            witness=images,
-        )
-    return GroupHom(source, target, vals, validate=False)
+    for vals in _search_generator_images(source, target, [[v] for v in images]):
+        return GroupHom(source, target, vals, validate=False)
+    raise ValidationError(
+        f"generator images {images} are inconsistent with the relations of the source",
+        witness=images,
+    )
 
 
 def enumerate_homs(
@@ -678,26 +748,19 @@ def enumerate_homs(
 ) -> List[GroupHom]:
     """All homomorphisms source -> target, by generator-image search."""
     budget = budget or current_budgets()
-    gens = source.generators
     src_orders = source.element_orders()
     tgt_orders = target.element_orders()
     cands = [
         [h for h in range(target.order) if int(src_orders[s]) % int(tgt_orders[h]) == 0]
-        for s in gens
+        for s in source.generators
     ]
-    total = 1
-    for c in cands:
-        total *= len(c)
+    total = math.prod(len(c) for c in cands)
     if total > budget.endo_scan_candidates:
         raise BudgetExceeded(
             f"hom search needs {total} candidates, budget {budget.endo_scan_candidates}"
         )
-    bfs = _bfs_words(source, gens)
-    out = []
-    for images in itertools.product(*cands):
-        vals = _propagate(source, target, bfs, images)
-        if _is_hom(source, target, vals):
-            out.append(GroupHom(source, target, vals, validate=False))
+    out = [GroupHom(source, target, vals, validate=False)
+           for vals in _search_generator_images(source, target, cands)]
     out.sort(key=lambda h: tuple(h.values.tolist()))
     return out
 
@@ -717,15 +780,11 @@ def aut_group(g: FiniteGroup, budget: Optional[Budgets] = None) -> Tuple[FiniteG
     A.table is composition: (a*b)(x) = a(b(x)).  The identity sits at index 0.
     """
     auts = sorted(tuple(h.values.tolist()) for h in enumerate_automorphisms(g, budget=budget))
-    pos = {p: k for k, p in enumerate(auts)}
-    k = len(auts)
-    table = np.zeros((k, k), dtype=np.int64)
-    for a, pa in enumerate(auts):
-        arr_a = np.asarray(pa)
-        for b, pb in enumerate(auts):
-            table[a, b] = pos[tuple(arr_a[np.asarray(pb)].tolist())]
+    tables = np.asarray(auts, dtype=np.int64).reshape(len(auts), g.order)
+    index = TableIndex(tables, g.generators, g.order)
+    table = np.stack([index.find(row[tables]) for row in tables])
     grp = FiniteGroup(table, _greedy_generators_from_table(table),
-                      labels=[f"a{i}" for i in range(k)], name=f"Aut({g.name or g.order})")
+                      labels=[f"a{i}" for i in range(len(auts))], name=f"Aut({g.name or g.order})")
     return grp, auts
 
 
@@ -763,10 +822,8 @@ def find_isomorphism(
         [h for h in range(b.order) if int(orders_b[h]) == int(orders_a[s])]
         for s in a.generators
     ]
-    bfs = _bfs_words(a, a.generators)
-    for images in itertools.product(*cands):
-        vals = _propagate(a, b, bfs, images)
-        if len(set(vals.tolist())) == a.order and _is_hom(a, b, vals):
+    for vals in _search_generator_images(a, b, cands):
+        if np.unique(vals).size == a.order:
             return GroupHom(a, b, vals, validate=False)
     return None
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .budgets import Budgets, current_budgets
 from .errors import BudgetExceeded, ValidationError
-from .groups import FiniteGroup, _greedy_generators_from_table, subgroup_from_indices
+from .groups import FiniteGroup, _greedy_generators_from_table, _positions, subgroup_from_indices
 
 __all__ = [
     "FiniteRing",
@@ -153,19 +153,17 @@ def subring_from_indices(ring: FiniteRing, indices, name: str = "") -> Tuple[Fin
     idx = sorted({int(a) for a in indices})
     if not idx or idx[0] != 0:
         raise ValidationError("a subring must contain 0")
-    pos = {a: k for k, a in enumerate(idx)}
     arr = np.asarray(idx, dtype=np.int64)
-    sub_add = ring.add_table[np.ix_(arr, arr)]
-    sub_mul = ring.mul_table[np.ix_(arr, arr)]
+    pos = _positions(ring.order, arr)
+    sub_add = pos[ring.add_table[np.ix_(arr, arr)]]
+    sub_mul = pos[ring.mul_table[np.ix_(arr, arr)]]
     for t, what in ((sub_add, "addition"), (sub_mul, "multiplication")):
-        bad = ~np.isin(t, arr)
-        if bad.any():
-            a, b = map(int, np.argwhere(bad)[0])
+        if (t < 0).any():
+            a, b = map(int, np.argwhere(t < 0)[0])
             raise ValidationError(
                 f"subset not closed under {what}: {idx[a]}, {idx[b]}", witness=(idx[a], idx[b]))
-    remap = np.vectorize(pos.__getitem__)
-    one = pos.get(ring.one) if ring.one is not None and ring.one in pos else None
-    sub = FiniteRing(remap(sub_add), remap(sub_mul), one=one,
+    one = None if ring.one is None or pos[ring.one] < 0 else int(pos[ring.one])
+    sub = FiniteRing(sub_add, sub_mul, one=one,
                      labels=[ring.labels[a] for a in idx], name=name)
     return sub, arr
 
@@ -245,14 +243,12 @@ def quasi_regular_group(ring: FiniteRing, budget: Optional[Budgets] = None
     budget = budget or current_budgets()
     qr = quasi_regular_indices(ring)
     arr = np.asarray(qr, dtype=np.int64)
-    t = star_table(ring)[np.ix_(arr, arr)]
-    pos = {int(a): k for k, a in enumerate(arr)}
-    if not np.isin(t, arr).all():
-        a, b = map(int, np.argwhere(~np.isin(t, arr))[0])
+    table = _positions(ring.order, arr)[star_table(ring)[np.ix_(arr, arr)]]
+    if (table < 0).any():
+        a, b = map(int, np.argwhere(table < 0)[0])
         raise ValidationError(
             f"circle product of quasi-regular elements {int(arr[a])}, {int(arr[b])} "
             "is not quasi-regular")
-    table = np.vectorize(pos.__getitem__)(t)
     gens = _greedy_generators_from_table(table)
     group_budget = replace(budget, group_check_max_order=budget.ring_check_max_order)
     grp = FiniteGroup(table, gens, labels=[ring.labels[int(a)] for a in arr],
@@ -277,11 +273,9 @@ def unit_group(ring: FiniteRing, budget: Optional[Budgets] = None
     others = [int(r) for r in np.flatnonzero(is_unit) if int(r) != e]
     order_list = [e] + others
     arr = np.asarray(order_list, dtype=np.int64)
-    pos = {int(a): k for k, a in enumerate(arr)}
-    t = m[np.ix_(arr, arr)]
-    if not np.isin(t, arr).all():
+    table = _positions(ring.order, arr)[m[np.ix_(arr, arr)]]
+    if (table < 0).any():
         raise ValidationError("units are not closed under multiplication")
-    table = np.vectorize(pos.__getitem__)(t)
     gens = _greedy_generators_from_table(table)
     group_budget = replace(budget, group_check_max_order=budget.ring_check_max_order)
     grp = FiniteGroup(table, gens, labels=[ring.labels[int(a)] for a in arr],

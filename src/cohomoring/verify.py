@@ -56,7 +56,7 @@ from .endo_rings import (
 )
 from .errors import BudgetExceeded, ValidationError
 from .extension import AbelianExtension, CentralizerData, centralizer_extension
-from .groups import FiniteGroup
+from .groups import FiniteGroup, TableIndex, _positions
 from .rings import FiniteRing, RingHom, quasi_regular_indices, star_table, subring_from_indices
 
 
@@ -154,10 +154,6 @@ def _set_equal(report: ExactnessReport, position: str, kernel: set, image: set,
     diff = sorted(kernel.symmetric_difference(image), key=repr)
     report.add(position, not diff, len(kernel), len(image), detail,
                witness=diff[:3] if diff else None)
-
-
-def _key(values: np.ndarray) -> bytes:
-    return np.ascontiguousarray(values, dtype=np.int64).tobytes()
 
 
 def _instance_name(ext: AbelianExtension) -> str:
@@ -394,8 +390,7 @@ def verify_aut_five_term(ext: AbelianExtension, budget: Optional[Budgets] = None
     # the displacement restriction onto its image subring.
     image = sorted({int(v) for v in fe.res.values})
     sub, arr = subring_from_indices(mr.ring, image, name="restricted displacements")
-    pos = {int(a): k for k, a in enumerate(arr)}
-    proj = RingHom(fe.ring, sub, [pos[int(v)] for v in fe.res.values])
+    proj = RingHom(fe.ring, sub, _positions(mr.ring.order, arr)[fe.res.values])
     qr_report = verify_qr_sequence(fe.ring, fe.ideal_indices, proj,
                                    instance=_instance_name(ext))
     for c in qr_report.checks:
@@ -415,6 +410,32 @@ def _delta_class(ext: AbelianExtension, cd: CentralizerData, h2q: H2Group,
     return h2q.reduce(two)
 
 
+def _endo_index(members: List[np.ndarray], group: FiniteGroup) -> TableIndex:
+    return TableIndex(np.stack(members), group.generators, group.order)
+
+
+def _closure_witness(index: TableIndex) -> Optional[Tuple[list, list]]:
+    """First pair (x, y) of indexed endos whose composite x(y) is not indexed."""
+    members = index.tables
+    for x in members:
+        escapes = index.find(x[members]) < 0
+        if escapes.any():
+            return x.tolist(), members[int(np.argmax(escapes))].tolist()
+    return None
+
+
+def _descent_witness(ext: AbelianExtension, members: np.ndarray,
+                     induced: np.ndarray) -> Optional[Tuple[list, list]]:
+    """First pair (x, y) of endos whose composite x(y) descends to something
+    other than the composite of their descents; induced[k] descends members[k]."""
+    lifted = members[:, ext.section]
+    for k, x in enumerate(members):
+        bad = (ext.p.values[x[lifted]] != induced[k][induced]).any(axis=1)
+        if bad.any():
+            return x.tolist(), members[int(np.argmax(bad))].tolist()
+    return None
+
+
 def verify_centralizer_sequence(ext: AbelianExtension,
                                 budget: Optional[Budgets] = None,
                                 cd: Optional[CentralizerData] = None,
@@ -428,12 +449,13 @@ def verify_centralizer_sequence(ext: AbelianExtension,
     q = ext.q_group
     arange_q = np.arange(q.order, dtype=np.int64)
 
+    # Sets are indexed; set members below are their positions in b_set / c_set.
     b_set = kernel_fixing_endos(ext, budget=budget)
     pv = ext.p.values
-    a_set = [v for v in b_set if (pv[v] == pv).all()]
+    a_set = {k for k, v in enumerate(b_set) if (pv[v] == pv).all()}
     c_set = action_preserving_quotient_endos(ext, budget=budget)
-    a_keys = {_key(v) for v in a_set}
-    c_keys = {_key(v) for v in c_set}
+    b_index = _endo_index(b_set, ext.g_group)
+    c_index = _endo_index(c_set, q)
 
     report.nodes = [
         ("kernel-and-quotient-fixing endos", len(a_set)),
@@ -443,70 +465,45 @@ def verify_centralizer_sequence(ext: AbelianExtension,
     ]
 
     # Monoid structure: both sets are closed under composition and contain id.
-    b_keys = {_key(v) for v in b_set}
-    closed = True
-    wit = None
-    for x in b_set:
-        for y in b_set:
-            if _key(x[y]) not in b_keys:
-                closed, wit = False, (x.tolist(), y.tolist())
-                break
-        if not closed:
-            break
-    report.add("kernel-fixing endos form a monoid", closed, witness=wit)
+    wit = _closure_witness(b_index)
+    report.add("kernel-fixing endos form a monoid", wit is None, witness=wit)
 
-    induced = {}
-    for v in b_set:
-        induced[_key(v)] = induced_quotient_endo(ext, v)
-    landing = all(_key(w) in c_keys for w in induced.values())
-    report.add("descent lands in the action-preserving endos", landing)
-
-    hom_ok = True
-    wit = None
-    for x in b_set:
-        for y in b_set:
-            left = induced[_key(x[y])] if _key(x[y]) in induced else induced_quotient_endo(ext, x[y])
-            right = induced[_key(x)][induced[_key(y)]]
-            if not (left == right).all():
-                hom_ok, wit = False, (x.tolist(), y.tolist())
-                break
-        if not hom_ok:
-            break
-    report.add("descent is a monoid homomorphism", hom_ok, witness=wit)
+    induced = np.stack([induced_quotient_endo(ext, v) for v in b_set])
+    descent = c_index.find(induced)
+    report.add("descent lands in the action-preserving endos", bool((descent >= 0).all()))
+    wit = _descent_witness(ext, b_index.tables, induced)
+    report.add("descent is a monoid homomorphism", wit is None, witness=wit)
 
     # Displacement bijections against the crossed-homomorphism layers.
     z1c = enumerate_z1(q, cd.c_sub.group, cd.q_action_on_c, budget=budget)
     round_b = all(
         (endo_from_centralizer_displacement(cd, centralizer_displacement(cd, v)) == v).all()
         for v in b_set)
-    lifted = {_key(endo_from_centralizer_displacement(cd, phi)) for phi in z1c}
+    lifted = b_index.find(np.stack([endo_from_centralizer_displacement(cd, phi) for phi in z1c]))
     report.add("kernel-fixing endos match centralizer crossed homs",
-               round_b and lifted == {_key(v) for v in b_set},
+               round_b and set(lifted.tolist()) == set(range(len(b_set))),
                len(b_set), len(z1c))
     z1qbar = enumerate_z1(q, cd.qbar_group, cd.q_action_on_qbar, budget=budget)
     round_c = all(
         (quotient_endo_from_displacement(cd, quotient_endo_displacement(cd, v)) == v).all()
         for v in c_set)
-    lifted_c = {_key(quotient_endo_from_displacement(cd, tau)) for tau in z1qbar}
+    lifted_c = c_index.find(
+        np.stack([quotient_endo_from_displacement(cd, tau) for tau in z1qbar]))
     report.add("quotient endos match central-layer crossed homs",
-               round_c and lifted_c == c_keys,
+               round_c and set(lifted_c.tolist()) == set(range(len(c_set))),
                len(c_set), len(z1qbar))
 
     # Pointed exactness.
     report.add("kernel-and-quotient-fixing endos", True, 1, None,
                detail="inclusion is injective")
-    fiber_b = {_key(v) for v in b_set if (induced[_key(v)] == arange_q).all()}
-    _set_equal(report, "kernel-fixing endos", fiber_b, a_keys,
+    fiber_b = {k for k in range(len(b_set)) if (induced[k] == arange_q).all()}
+    _set_equal(report, "kernel-fixing endos", fiber_b, a_set,
                detail="fiber of descent over id vs included endos")
 
     zero_class = h2q.zero()
-    delta: Dict[bytes, Tuple[int, ...]] = {}
-    for v in c_set:
-        tau = quotient_endo_displacement(cd, v)
-        delta[_key(v)] = _delta_class(ext, cd, h2q, tau)
-    fiber_c = {k for k, cls in delta.items() if cls == zero_class}
-    im_descent = {_key(w) for w in induced.values()}
-    _set_equal(report, "action-preserving quotient endos", fiber_c, im_descent,
+    delta = [_delta_class(ext, cd, h2q, quotient_endo_displacement(cd, v)) for v in c_set]
+    fiber_c = {k for k, cls in enumerate(delta) if cls == zero_class}
+    _set_equal(report, "action-preserving quotient endos", fiber_c, set(descent.tolist()),
                detail="fiber of the connecting map over zero vs descended endos")
 
     # Lift independence of the connecting class: the class must not depend on
@@ -521,9 +518,8 @@ def verify_centralizer_sequence(ext: AbelianExtension,
         ]
         stable = True
         wit = None
-        for v in c_set:
+        for v, base in zip(c_set, delta):
             tau = quotient_endo_displacement(cd, v)
-            base = delta[_key(v)]
             for sec in itertools.product(*fibers):
                 if _delta_class(ext, cd, h2q, tau, lift=list(sec)) != base:
                     stable, wit = False, (v.tolist(), list(sec))
@@ -560,9 +556,9 @@ def verify_aut_centralizer_sequence(ext: AbelianExtension,
     aut_a = [v for v in aut_b if (pv[v] == pv).all()]
     c_all = action_preserving_quotient_endos(ext, budget=budget)
     aut_c = [v for v in c_all if np.unique(v).size == q.order]
-    a_keys = {_key(v) for v in aut_a}
-    b_keys = {_key(v) for v in aut_b}
-    c_keys = {_key(v) for v in aut_c}
+    a_index = _endo_index(aut_a, g)
+    b_index = _endo_index(aut_b, g)
+    c_index = _endo_index(aut_c, q)
 
     report.nodes = [
         ("invertible kernel-and-quotient-fixing endos", len(aut_a)),
@@ -571,53 +567,38 @@ def verify_aut_centralizer_sequence(ext: AbelianExtension,
         ("H2(Q,N)", h2q.order),
     ]
 
-    def is_group(members: List[np.ndarray], keys: set, order: int) -> Tuple[bool, Optional[object]]:
-        for x in members:
-            if _key(np.argsort(x)) not in keys:
-                return False, x.tolist()
-            for y in members:
-                if _key(x[y]) not in keys:
-                    return False, (x.tolist(), y.tolist())
-        if _key(np.arange(order, dtype=np.int64)) not in keys:
-            return False, "identity missing"
-        return True, None
+    for name, index in (
+            ("invertible kernel-and-quotient-fixing endos", a_index),
+            ("invertible kernel-fixing endos", b_index),
+            ("invertible action-preserving quotient endos", c_index)):
+        members = index.tables
+        no_inverse = index.find(np.argsort(members, axis=1)) < 0
+        wit = _closure_witness(index)
+        if no_inverse.any():
+            wit = members[int(np.argmax(no_inverse))].tolist()
+        elif wit is None and index.find(np.arange(members.shape[1])) < 0:
+            wit = "identity missing"
+        report.add(name + " form a group", wit is None, witness=wit)
 
-    for name, members, keys, order in (
-            ("invertible kernel-and-quotient-fixing endos", aut_a, a_keys, g.order),
-            ("invertible kernel-fixing endos", aut_b, b_keys, g.order),
-            ("invertible action-preserving quotient endos", aut_c, c_keys, q.order)):
-        ok, wit = is_group(members, keys, order)
-        report.add(name + " form a group", ok, witness=wit)
-
-    induced = {_key(v): induced_quotient_endo(ext, v) for v in aut_b}
-    landing = all(_key(w) in c_keys for w in induced.values())
-    report.add("descent maps invertibles to invertibles", landing)
-    hom_ok = True
-    wit = None
-    for x in aut_b:
-        for y in aut_b:
-            if not (induced[_key(x[y])] == induced[_key(x)][induced[_key(y)]]).all():
-                hom_ok, wit = False, (x.tolist(), y.tolist())
-                break
-        if not hom_ok:
-            break
-    report.add("descent is a group homomorphism", hom_ok, witness=wit)
+    # Set members below are positions in aut_b / aut_c.
+    induced = np.stack([induced_quotient_endo(ext, v) for v in aut_b])
+    descent = c_index.find(induced)
+    report.add("descent maps invertibles to invertibles", bool((descent >= 0).all()))
+    wit = _descent_witness(ext, b_index.tables, induced)
+    report.add("descent is a group homomorphism", wit is None, witness=wit)
 
     report.add("invertible kernel-and-quotient-fixing endos", True, 1, None,
                detail="inclusion is injective")
-    fiber_b = {k for k, w in induced.items() if (w == arange_q).all()}
-    _set_equal(report, "invertible kernel-fixing endos", fiber_b, a_keys,
+    fiber_b = {k for k in range(len(aut_b)) if (induced[k] == arange_q).all()}
+    in_a = set(b_index.find(a_index.tables).tolist())
+    _set_equal(report, "invertible kernel-fixing endos", fiber_b, in_a,
                detail="kernel of descent vs included automorphisms")
 
     zero_class = h2q.zero()
-    fiber_c = set()
-    for v in aut_c:
-        tau = quotient_endo_displacement(cd, v)
-        if _delta_class(ext, cd, h2q, tau) == zero_class:
-            fiber_c.add(_key(v))
-    im_descent = {_key(w) for w in induced.values()}
+    fiber_c = {k for k, v in enumerate(aut_c)
+               if _delta_class(ext, cd, h2q, quotient_endo_displacement(cd, v)) == zero_class}
     _set_equal(report, "invertible action-preserving quotient endos",
-               fiber_c, im_descent,
+               fiber_c, set(descent.tolist()),
                detail="fiber of the connecting map over zero vs descended automorphisms")
     return report
 
@@ -649,7 +630,7 @@ def verify_crossed_hom_sequence(ext: AbelianExtension,
         ("H2(Q,N)", h2q.order),
     ]
 
-    emb = {_key(post_compose(psi, cd.n_in_c, cd.q_action_on_c).values) for psi in z1n}
+    emb = {post_compose(psi, cd.n_in_c, cd.q_action_on_c).key() for psi in z1n}
     report.add("crossed homs into the kernel", len(emb) == len(z1n), 1, len(emb),
                detail="embedding is injective")
 

@@ -1,14 +1,17 @@
 """Acceptance gate: one test per acceptance criterion, each with its own
 pass line and, where stated, a wall-clock bound."""
 
+import itertools
 import time
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
-from cohomoring import current_budgets
+from cohomoring import BudgetExceeded, ValidationError, current_budgets
+from cohomoring import groups
 from cohomoring.catalog import default_catalog, dihedral_extension
-from cohomoring.cocycles import cocycle_ring, enumerate_z1
+from cohomoring.cocycles import CrossedHom, cocycle_ring, enumerate_z1
 from cohomoring.cohomology2 import compute_h2, connecting_cocycle, inflation, pushforward
 from cohomoring.endo_rings import fiber_endo_ring
 from cohomoring.examples import dihedral_model_ring, dihedral_report, ring432_construct, ring432_report
@@ -18,9 +21,12 @@ from cohomoring.extension import (
     extension_from_cocycle,
 )
 from cohomoring.groups import (
+    FiniteGroup,
+    TableIndex,
     conjugation_action,
     enumerate_actions,
     make_cyclic,
+    make_dihedral,
     make_direct_product,
     trivial_action,
 )
@@ -46,6 +52,31 @@ from cohomoring.verify import (
 
 def _extensions():
     return [e.materialize() for e in default_catalog() if e.kind == "extension"]
+
+
+def _brute_force_images(source, target, action=None):
+    """Every generator-image tuple, in itertools.product order, whose table
+    propagated along the BFS words sends each generator to its image and
+    obeys the full pairwise law."""
+    bfs = groups._bfs_words(source, source.generators)
+    out = []
+    for imgs in itertools.product(range(target.order), repeat=len(source.generators)):
+        vals = np.zeros(source.order, dtype=np.int64)
+        for elem, parent, gi in bfs:
+            step = imgs[gi] if action is None else action.table[parent, imgs[gi]]
+            vals[elem] = target.table[vals[parent], step]
+        if vals[list(source.generators)].tolist() != list(imgs):
+            continue
+        if action is None:
+            if groups._is_hom(source, target, vals):
+                out.append(vals)
+            continue
+        try:
+            CrossedHom(source, target, action, vals)
+        except ValidationError:
+            continue
+        out.append(vals)
+    return out
 
 
 def _product_parts(a, b):
@@ -194,7 +225,7 @@ def test_criterion_6_remaining_sequences_exhaustive():
           f"{len(exts)} extensions")
 
 
-def test_criterion_7_dual_route_oracles():
+def test_criterion_7_dual_route_oracles(monkeypatch):
     budget = current_budgets()
     # second cohomology: the linear route against the enumerative route
     h2_pairs = 0
@@ -240,6 +271,42 @@ def test_criterion_7_dual_route_oracles():
         fast = enumerate_z1(source, module, action)
         slow = enumerate_z1(source, module, action, budget=scan_budget)
         assert [z.key() for z in fast] == [z.key() for z in slow]
+
+    # the generator-image search against the pairwise laws on every candidate
+    # tuple, with the default block size and with blocks of a row or two
+    c1, c4 = make_cyclic(1), make_cyclic(4)
+    search_cases = z1_cases + [(make_dihedral(3), make_dihedral(3), None),
+                     (make_dihedral(4), make_dihedral(4), None),
+                     (make_cyclic(2), c4, None),
+                     (FiniteGroup(c4.table, [1, 1]), c4, None),
+                     (c1, c4, None),
+                     (c1, c4, trivial_action(c1, c4))]
+    for cells in (groups._SEARCH_BLOCK_CELLS, 7):
+        monkeypatch.setattr(groups, "_SEARCH_BLOCK_CELLS", cells)
+        for source, target, action in search_cases:
+            cands = [range(target.order)] * len(source.generators)
+            found = groups._search_generator_images(source, target, cands, action)
+            want = _brute_force_images(source, target, action)
+            assert [v.tolist() for v in found] == [v.tolist() for v in want]
+    monkeypatch.undo()
+
+    # value-table lookups confirm the full row, not just the generator values
+    fe = fiber_endo_ring(dihedral_extension(3))
+    g, n = fe.ext.g_group, fe.ext.n_group
+    for locate, member, source, target in (
+            (fe.locate, fe.endos[1], g, g),
+            (fe.module_ring.locate, fe.module_ring.elements[1], n, n),
+            (lambda v: fe.cocycles.locate(CrossedHom(
+                g, n, fe.cocycles.elements[0].action, v, validate=False)),
+             fe.displacement(1).values, g, n)):
+        assert locate(member) == 1
+        off = max(set(range(source.order)) - set(source.generators))
+        forged = member.copy()
+        forged[off] = (forged[off] + 1) % target.order
+        with pytest.raises(ValidationError):
+            locate(forged)
+    with pytest.raises(BudgetExceeded):
+        TableIndex(np.zeros((1, 40), dtype=np.int64), range(40), 3)
 
     # the obstruction map: class independent of the chosen lift
     lift_runs = 0

@@ -1,5 +1,6 @@
 """Command line interface: verbs, exit codes, JSON output, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -195,6 +196,18 @@ def test_verify_corrupted_catalog_exits_one(tmp_path, capsys):
     assert "[FAIL] broken D3" in out
     assert "error:" in out
 
+    # entries missing a required part are failed rows too, never a traceback
+    quad = {"kernel_group": group_to_json(make_cyclic(2)), "action": [[0, 1]],
+            "cocycle": [[0]]}
+    del data["group"]
+    doc = {"entries": [{"name": "no quotient group", "quadruple": quad},
+                       {"name": "no middle group", "extension": data}]}
+    path.write_text(json.dumps(doc))
+    code, out, _ = _run(capsys, "verify", "--catalog", str(path))
+    assert code == 1
+    assert "[FAIL] no quotient group\n       error: quadruple lacks quotient_group" in out
+    assert "[FAIL] no middle group\n       error: extension JSON lacks group" in out
+
 
 def test_verify_malformed_catalog_file(tmp_path, capsys):
     path = tmp_path / "catalog.json"
@@ -202,6 +215,11 @@ def test_verify_malformed_catalog_file(tmp_path, capsys):
     code, _, err = _run(capsys, "verify", "--catalog", str(path))
     assert code == 2
     assert "malformed JSON" in err
+
+    path.write_text("[]")
+    code, _, err = _run(capsys, "verify", "--catalog", str(path))
+    assert code == 2
+    assert err == "error: catalog JSON must be an object with an 'entries' list\n"
 
 
 def test_examples_dihedral(capsys):
@@ -232,15 +250,24 @@ def test_missing_file_exits_two(capsys):
 
 
 def test_output_is_deterministic(capsys):
-    for argv in (
-        ["group", "--dihedral", "5", "--json"],
-        ["extension", "--dihedral", "5", "--json"],
-        ["z1", "--dihedral", "5", "--json"],
-        ["h2", "--dihedral", "5", "--json"],
-        ["endo", "--dihedral", "5", "--json"],
-        ["ring", "--zn", "9", "--json"],
-        ["examples", "dihedral", "5"],
+    # sha256 of each output as first recorded; a refactor must not move a byte
+    for argv, digest in (
+        (["group", "--dihedral", "5", "--json"],
+         "b3037f6179111c4eccc443d03538db5142d576a19e4908818c09b1f7769d9f9c"),
+        (["extension", "--dihedral", "5", "--json"],
+         "91b787fda32d8735685870ce57c9df3f5096e14fc77600338b856ed9c58924ad"),
+        (["z1", "--dihedral", "5", "--json"],
+         "3a2dee6b8f7fe04c5f41cd80693a73c6faf55202fa5606fe8b2ae4421ebf0a3b"),
+        (["h2", "--dihedral", "5", "--json"],
+         "b5c9d80b2b6cd98a89f5e953736c988c257abf7fc756ff06935f4f552e6e4181"),
+        (["endo", "--dihedral", "5", "--json"],
+         "221a932e5a81fdd7cbcb1865da4cc25d1c7e485c17c680189959c828a31a3d14"),
+        (["ring", "--zn", "9", "--json"],
+         "0a97dba0c928818091f9a652660d408d176d775c3bf4f5d8173ebd7a89e3a65f"),
+        (["examples", "dihedral", "5"],
+         "33b83d89189d0acc4708c19eee777fd82f1da66f6b19808faa8f372a4eb6720d"),
     ):
         _, first, _ = _run(capsys, *argv)
         _, second, _ = _run(capsys, *argv)
         assert first == second, argv
+        assert hashlib.sha256(first.encode()).hexdigest() == digest, argv

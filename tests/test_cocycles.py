@@ -53,6 +53,9 @@ def test_trivial_action_crossed_homs_are_homs():
     zs = enumerate_z1(c2, c4, trivial_action(c2, c4))
     assert len(zs) == 2
     assert sorted(tuple(z.values.tolist()) for z in zs) == [(0, 0), (0, 2)]
+    # the trivial group has one crossed hom, whatever its generator 0 is sent to
+    c1 = make_cyclic(1)
+    assert len(enumerate_z1(c1, c4, trivial_action(c1, c4))) == 1
 
 
 def test_inversion_action_count():
@@ -75,6 +78,8 @@ def test_generator_route_matches_full_scan():
     c3 = make_cyclic(3)
     c6 = make_cyclic(6)
     cases.append((c3, c6, trivial_action(c3, c6)))
+    c1 = make_cyclic(1)
+    cases.append((c1, c6, trivial_action(c1, c6)))
     scan_budget = replace(current_budgets(), z1_generator_candidates=0)
     for source, module, action in cases:
         fast = enumerate_z1(source, module, action)

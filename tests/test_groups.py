@@ -159,6 +159,11 @@ def test_enumerate_homs_and_endos_counts():
     assert len(enumerate_endos(c4)) == 4
     assert len(enumerate_automorphisms(c4)) == 2
     assert len(enumerate_endos(make_dihedral(3))) == 10
+    # a repeated generator's image must still be checked
+    assert len(enumerate_endos(FiniteGroup(c4.table, [1, 1]))) == 4
+    # so must the trivial group's generator 0, which no BFS word reads
+    with pytest.raises(ValidationError):
+        hom_make(make_cyclic(1), c4, [3])
 
 
 def test_aut_group_sizes():
