@@ -15,8 +15,7 @@ __all__ = ["Budgets", "current_budgets", "DEFAULTS"]
 
 @dataclass(frozen=True)
 class Budgets:
-    # full associativity / table scans on construction
-    group_check_max_order: int = 512
+    # largest ring whose tables are built and checked
     ring_check_max_order: int = 4096
     # crossed-homomorphism enumeration
     z1_generator_candidates: int = 1_000_000  # |module|^#generators, closure strategy

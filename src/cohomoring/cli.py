@@ -312,7 +312,7 @@ def cmd_ring(args) -> int:
     commutative = bool((ring.mul_table == ring.mul_table.T).all())
     units = None
     if ring.one is not None:
-        units = unit_group(ring, budget=budget)[0].order
+        units = unit_group(ring)[0].order
     data = {
         "name": ring.name,
         "order": ring.order,

@@ -272,7 +272,7 @@ def dihedral_report(n: int, budget: Optional[Budgets] = None) -> ExampleReport:
 # ------------------------------------------------------------- 432-ring
 
 
-def _even_pair_group(modulus: int, budget: Budgets) -> Tuple[FiniteGroup, np.ndarray, np.ndarray]:
+def _even_pair_group(modulus: int) -> Tuple[FiniteGroup, np.ndarray, np.ndarray]:
     """Pairs mod `modulus` with even coordinate sum, under componentwise sum."""
     pairs = [(m, u) for m in range(modulus) for u in range(modulus)
              if (m + u) % 2 == 0]
@@ -285,8 +285,7 @@ def _even_pair_group(modulus: int, budget: Budgets) -> Tuple[FiniteGroup, np.nda
                 (arr[:, None, 1] + arr[None, :, 1]) % modulus]
     labels = [f"{m},{u}" for m, u in pairs]
     gens = [int(pos[1, 1]), int(pos[0, 2])]
-    g = FiniteGroup(table, gens, labels=labels,
-                    name=f"even-sum pairs mod {modulus}", budget=budget)
+    g = FiniteGroup(table, gens, labels=labels, name=f"even-sum pairs mod {modulus}")
     return g, arr, pos
 
 
@@ -300,7 +299,7 @@ def ring432_construct(budget: Optional[Budgets] = None) -> Tuple[SemidirectRing,
     z12 = zn_ring(12)
     rring, rvals = subring_from_indices(z12, [0, 2, 4, 6, 8, 10],
                                         name="even residues mod 12")
-    sgroup, pairs, pos = _even_pair_group(12, budget)
+    sgroup, pairs, pos = _even_pair_group(12)
     left = pos[(rvals[:, None] * pairs[None, :, 0]) % 12,
                (rvals[:, None] * pairs[None, :, 1]) % 12]
     right = np.zeros((sgroup.order, rring.order), dtype=np.int64)

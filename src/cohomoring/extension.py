@@ -189,8 +189,7 @@ def extension_from_cocycle(cocycle: TwoCocycle, name: str = "",
     ]
     gens = [g * qn for g in n_group.generators] + [int(h) for h in q_group.generators]
     g_group = FiniteGroup(table, gens, labels=labels,
-                          name=name or f"twisted-{n_group.name}-{q_group.name}",
-                          budget=budget)
+                          name=name or f"twisted-{n_group.name}-{q_group.name}")
     i = GroupHom(n_group, g_group, np.arange(nn) * qn)
     p = GroupHom(g_group, q_group, np.tile(np.arange(qn), nn))
     ext = build_extension(i, p, name=name, budget=budget)

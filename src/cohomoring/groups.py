@@ -2,8 +2,10 @@
 
 Elements of a group of order n are the indices 0..n-1 and index 0 is always
 the identity.  Every structural claim (associativity, homomorphism laws,
-action laws) is checked exhaustively at construction time, within the
-configured budgets.
+action laws) is proved at construction time for all elements, by
+certificates that check the law against a generating set only: Light's
+associativity test for groups, the action law and the automorphism law on
+generators for actions (k n^2 work for k generators instead of n^3).
 """
 
 from __future__ import annotations
@@ -54,8 +56,16 @@ __all__ = [
 ]
 
 
+def _as_int_array(data, what: str) -> np.ndarray:
+    """`data` as an int64 array; ragged or non-numeric input is a ValidationError."""
+    try:
+        return np.asarray(data, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{what} must be a rectangular array of integers") from exc
+
+
 def _as_table(table, what: str) -> np.ndarray:
-    arr = np.asarray(table, dtype=np.int64)
+    arr = _as_int_array(table, what)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"{what} must be a square table, got shape {arr.shape}")
     return arr
@@ -65,20 +75,23 @@ class FiniteGroup:
     """A finite group given by its full multiplication table.
 
     table[a, b] is the index of a*b.  Index 0 must be the identity.
+    generators=None picks a small generating set greedily, an element of
+    largest order first.  `core_generators` is the greedy subset of the
+    generators, in their order, that still generates; the certificates check
+    their laws against it.
     """
 
     def __init__(
         self,
         table,
-        generators: Sequence[int],
+        generators: Optional[Sequence[int]],
         labels: Optional[Sequence[str]] = None,
         name: str = "",
-        budget: Optional[Budgets] = None,
     ):
-        budget = budget or current_budgets()
         self.table = _as_table(table, "group table")
         self.order = int(self.table.shape[0])
         self.name = name
+        self._orders: Optional[np.ndarray] = None
         n = self.order
         if n == 0:
             raise ValidationError("group must be nonempty")
@@ -98,22 +111,25 @@ class FiniteGroup:
         if not (np.sort(self.table, axis=0) == idx[:, None]).all():
             raise ValidationError("some column of the group table is not a permutation")
         self.inverse = np.argmin(self.table, axis=1).astype(np.int64)
-        for a in range(n):
-            b = int(self.inverse[a])
-            if self.table[a, b] != 0 or self.table[b, a] != 0:
-                raise ValidationError(f"element {a} has no two-sided inverse", witness=a)
-        if n <= budget.group_check_max_order:
-            self._check_associativity()
-        gens = tuple(int(g) for g in generators)
+        bad = np.flatnonzero(self.table[self.inverse, idx] != 0)
+        if bad.size:
+            a = int(bad[0])
+            raise ValidationError(f"element {a} has no two-sided inverse", witness=a)
+        if generators is None:
+            gens = tuple(_greedy_generators(self, range(n)))
+        else:
+            gens = tuple(int(g) for g in generators)
         if not gens:
             raise ValidationError("generator list must be nonempty")
         if any(g < 0 or g >= n for g in gens):
             raise ValidationError(f"generator out of range: {gens}")
-        closure = mulclose(self, gens)
-        if len(closure) != n:
+        core, reached = _greedy_span(self.table, gens)
+        if not reached.all():
             raise ValidationError(
-                f"generators {gens} generate only {len(closure)} of {n} elements"
+                f"generators {gens} generate only {int(reached.sum())} of {n} elements"
             )
+        self.core_generators = tuple(core)
+        self._check_associativity()
         self.generators = gens
         if labels is None:
             labels = tuple(str(i) for i in range(n))
@@ -124,19 +140,19 @@ class FiniteGroup:
         if len(set(labels)) != n:
             raise ValidationError("labels must be unique")
         self.labels = labels
-        self._orders: Optional[np.ndarray] = None
 
     def _check_associativity(self) -> None:
+        """Light's test: (x s) z = x (s z) for all x, z and each core generator s.
+
+        The s passing it contain the identity and are closed under products,
+        and the core generators generate, so it proves every triple.
+        """
         t = self.table
-        for a in range(self.order):
-            lhs = t[t[a]]  # [b,c] -> (a*b)*c
-            rhs = t[a][t]  # [b,c] -> a*(b*c)
-            if not (lhs == rhs).all():
-                b, c = np.argwhere(lhs != rhs)[0]
-                raise ValidationError(
-                    f"associativity fails at ({a},{int(b)},{int(c)})",
-                    witness=(a, int(b), int(c)),
-                )
+        for s in self.core_generators:
+            bad = t[t[:, s]] != t[:, t[s]]  # [x, z]: (x s) z against x (s z)
+            if bad.any():
+                a, c = map(int, np.argwhere(bad)[0])
+                raise ValidationError(f"associativity fails at ({a},{s},{c})", witness=(a, s, c))
 
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
@@ -161,13 +177,13 @@ class FiniteGroup:
 
     def element_orders(self) -> np.ndarray:
         if self._orders is None:
-            orders = np.zeros(self.order, dtype=np.int64)
-            for a in range(self.order):
-                x, k = a, 1
-                while x != 0:
-                    x = int(self.table[x, a])
-                    k += 1
-                orders[a] = k
+            orders = np.ones(self.order, dtype=np.int64)
+            power = np.arange(self.order, dtype=np.int64)
+            live = np.flatnonzero(power)
+            while live.size:
+                power[live] = self.table[power[live], live]
+                orders[live] += 1
+                live = live[power[live] != 0]
             self._orders = orders
         return self._orders
 
@@ -279,7 +295,7 @@ class ActionTable:
     def __init__(self, actor: FiniteGroup, module: FiniteGroup, table, validate: bool = True):
         self.actor = actor
         self.module = module
-        self.table = np.asarray(table, dtype=np.int64)
+        self.table = _as_int_array(table, "action table")
         if self.table.shape != (actor.order, module.order):
             raise ValidationError(
                 f"action table must be {actor.order}x{module.order}, got {self.table.shape}"
@@ -296,24 +312,28 @@ class ActionTable:
             raise ValidationError("identity must act trivially")
         if not (np.sort(t, axis=1) == np.arange(m)).all():
             raise ValidationError("some actor element does not act bijectively")
-        # compatibility with the actor's multiplication
-        for a in range(self.actor.order):
-            lhs = t[self.actor.table[a]]  # [b, m] -> t[a*b, m]
-            rhs = t[a][t]  # [b, m] -> t[a, t[b, m]]
-            if not (lhs == rhs).all():
-                b, x = np.argwhere(lhs != rhs)[0]
+        # The action law t[a s] = t[a] o t[s] for each core generator s of the
+        # actor: the s passing it are closed under products, so it holds for
+        # every pair.
+        at = self.actor.table
+        for s in self.actor.core_generators:
+            bad = t[at[:, s]] != t[:, t[s]]
+            if bad.any():
+                a, x = map(int, np.argwhere(bad)[0])
                 raise ValidationError(
-                    f"action law fails at actor pair ({a},{int(b)}) on {int(x)}",
-                    witness=(a, int(b), int(x)),
+                    f"action law fails at actor pair ({a},{s}) on {x}", witness=(a, s, x)
                 )
-        # each actor element acts by a module automorphism
+        # Each generator row is multiplicative against the module's core
+        # generators, hence a homomorphism; every row is a composite of
+        # generator rows and a bijection, hence an automorphism.
         mt = self.module.table
-        for a in range(self.actor.order):
-            row = t[a]
-            if not (row[mt] == mt[row[:, None], row[None, :]]).all():
-                raise ValidationError(
-                    f"actor element {a} does not act by an automorphism", witness=a
-                )
+        for s in self.actor.core_generators:
+            row = t[s]
+            for h in self.module.core_generators:
+                if not (row[mt[:, h]] == mt[row, row[h]]).all():
+                    raise ValidationError(
+                        f"actor element {s} does not act by an automorphism", witness=s
+                    )
 
     def act(self, a: int, m: int) -> int:
         return int(self.table[a, m])
@@ -447,37 +467,47 @@ def _positions(n: int, members: np.ndarray) -> np.ndarray:
     return pos
 
 
+def _closure(table: np.ndarray, seeds: Iterable[int]) -> np.ndarray:
+    """Mask of the elements reached from the identity by multiplying by seeds
+    on either side, one numpy frontier per step."""
+    seeds = np.unique(np.fromiter(seeds, dtype=np.int64))
+    reached = np.zeros(table.shape[0], dtype=bool)
+    reached[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        nxt = np.concatenate((table[np.ix_(frontier, seeds)].ravel(),
+                              table[np.ix_(seeds, frontier)].ravel()))
+        frontier = np.unique(nxt[~reached[nxt]])
+        reached[frontier] = True
+    return reached
+
+
+def _greedy_span(table: np.ndarray, candidates: Iterable[int],
+                 start: Sequence[int] = ()) -> Tuple[List[int], np.ndarray]:
+    """`start` plus each candidate, in order, that lies outside the closure of
+    those kept before it; returns the kept list and its closure mask."""
+    kept = [int(a) for a in start]
+    reached = _closure(table, kept)
+    for a in candidates:
+        if not reached[a]:
+            kept.append(int(a))
+            reached = _closure(table, kept)
+    return kept, reached
+
+
 def mulclose(g: FiniteGroup, seed: Iterable[int]) -> List[int]:
     """Sorted list of elements of the subgroup generated by `seed`."""
-    seen = {0}
-    frontier = [0]
-    seeds = sorted({int(s) for s in seed})
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for s in seeds:
-                for b in (int(g.table[a, s]), int(g.table[s, a])):
-                    if b not in seen:
-                        seen.add(b)
-                        nxt.append(b)
-        frontier = nxt
-    return sorted(seen)
+    return np.flatnonzero(_closure(g.table, (int(s) for s in seed))).tolist()
 
 
-def _greedy_generators(g: FiniteGroup, members: Sequence[int]) -> List[int]:
+def _greedy_generators(g: FiniteGroup, members: Iterable[int]) -> List[int]:
     """Small deterministic generating set for the subgroup on `members`."""
-    members = sorted(members)
+    members = sorted(int(m) for m in members)
     if members == [0]:
         return [0]
     orders = g.element_orders()
     best = max((int(orders[m]), -m) for m in members if m != 0)
-    gens = [-best[1]]
-    closure = set(mulclose(g, gens))
-    for m in members:
-        if m not in closure:
-            gens.append(m)
-            closure = set(mulclose(g, gens))
-    return gens
+    return _greedy_span(g.table, members, start=[-best[1]])[0]
 
 
 def subgroup_from_indices(g: FiniteGroup, indices: Iterable[int]) -> Subgroup:
@@ -545,15 +575,9 @@ def quotient(g: FiniteGroup, sub) -> Tuple[FiniteGroup, GroupHom]:
     for a in range(k):
         table[a] = coset_of[g.table[reps[a], reps]]
     labels = [f"[{g.labels[r]}]" for r in reps]
-    q = FiniteGroup(table, _greedy_generators_from_table(table), labels=labels,
-                    name=f"{g.name or g.order}/{len(idx)}")
+    q = FiniteGroup(table, None, labels=labels, name=f"{g.name or g.order}/{len(idx)}")
     proj = GroupHom(g, q, coset_of)
     return q, proj
-
-
-def _greedy_generators_from_table(table: np.ndarray) -> List[int]:
-    tmp = FiniteGroup(table, [int(a) for a in range(table.shape[0])])
-    return _greedy_generators(tmp, list(range(tmp.order)))
 
 
 def _subgroup_indices(g: FiniteGroup, sub) -> List[int]:
@@ -783,8 +807,8 @@ def aut_group(g: FiniteGroup, budget: Optional[Budgets] = None) -> Tuple[FiniteG
     tables = np.asarray(auts, dtype=np.int64).reshape(len(auts), g.order)
     index = TableIndex(tables, g.generators, g.order)
     table = np.stack([index.find(row[tables]) for row in tables])
-    grp = FiniteGroup(table, _greedy_generators_from_table(table),
-                      labels=[f"a{i}" for i in range(len(auts))], name=f"Aut({g.name or g.order})")
+    grp = FiniteGroup(table, None, labels=[f"a{i}" for i in range(len(auts))],
+                      name=f"Aut({g.name or g.order})")
     return grp, auts
 
 

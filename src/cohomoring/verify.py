@@ -439,8 +439,14 @@ def _descent_witness(ext: AbelianExtension, members: np.ndarray,
 def verify_centralizer_sequence(ext: AbelianExtension,
                                 budget: Optional[Budgets] = None,
                                 cd: Optional[CentralizerData] = None,
-                                h2q: Optional[H2Group] = None) -> ExactnessReport:
-    """Verify the pointed endomorphism sequence through the kernel centralizer."""
+                                h2q: Optional[H2Group] = None,
+                                b_all: Optional[List[np.ndarray]] = None,
+                                c_all: Optional[List[np.ndarray]] = None) -> ExactnessReport:
+    """Verify the pointed endomorphism sequence through the kernel centralizer.
+
+    b_all and c_all, when given, are kernel_fixing_endos(ext) and
+    action_preserving_quotient_endos(ext).
+    """
     budget = budget or current_budgets()
     cd = cd or centralizer_extension(ext, budget=budget)
     h2q = h2q or compute_h2(ext.q_group, ext.n_group, ext.action, budget=budget)
@@ -450,10 +456,10 @@ def verify_centralizer_sequence(ext: AbelianExtension,
     arange_q = np.arange(q.order, dtype=np.int64)
 
     # Sets are indexed; set members below are their positions in b_set / c_set.
-    b_set = kernel_fixing_endos(ext, budget=budget)
+    b_set = kernel_fixing_endos(ext, budget=budget) if b_all is None else b_all
     pv = ext.p.values
     a_set = {k for k, v in enumerate(b_set) if (pv[v] == pv).all()}
-    c_set = action_preserving_quotient_endos(ext, budget=budget)
+    c_set = action_preserving_quotient_endos(ext, budget=budget) if c_all is None else c_all
     b_index = _endo_index(b_set, ext.g_group)
     c_index = _endo_index(c_set, q)
 
@@ -537,10 +543,14 @@ def verify_centralizer_sequence(ext: AbelianExtension,
 def verify_aut_centralizer_sequence(ext: AbelianExtension,
                                     budget: Optional[Budgets] = None,
                                     cd: Optional[CentralizerData] = None,
-                                    h2q: Optional[H2Group] = None) -> ExactnessReport:
+                                    h2q: Optional[H2Group] = None,
+                                    b_all: Optional[List[np.ndarray]] = None,
+                                    c_all: Optional[List[np.ndarray]] = None
+                                    ) -> ExactnessReport:
     """Verify the invertible-member version of the centralizer sequence,
     where every node is a group and every map but the connecting one is a
-    group homomorphism."""
+    group homomorphism.  b_all and c_all are as in
+    verify_centralizer_sequence."""
     budget = budget or current_budgets()
     cd = cd or centralizer_extension(ext, budget=budget)
     h2q = h2q or compute_h2(ext.q_group, ext.n_group, ext.action, budget=budget)
@@ -551,10 +561,12 @@ def verify_aut_centralizer_sequence(ext: AbelianExtension,
     arange_q = np.arange(q.order, dtype=np.int64)
     pv = ext.p.values
 
-    b_all = kernel_fixing_endos(ext, budget=budget)
+    if b_all is None:
+        b_all = kernel_fixing_endos(ext, budget=budget)
     aut_b = [v for v in b_all if np.unique(v).size == g.order]
     aut_a = [v for v in aut_b if (pv[v] == pv).all()]
-    c_all = action_preserving_quotient_endos(ext, budget=budget)
+    if c_all is None:
+        c_all = action_preserving_quotient_endos(ext, budget=budget)
     aut_c = [v for v in c_all if np.unique(v).size == q.order]
     a_index = _endo_index(aut_a, g)
     b_index = _endo_index(aut_b, g)
@@ -658,10 +670,14 @@ def verify_all(ext: AbelianExtension, budget: Optional[Budgets] = None,
     fe = fiber_endo_ring(ext, budget=budget)
     h2q = compute_h2(ext.q_group, ext.n_group, ext.action, budget=budget)
     cd = centralizer_extension(ext, budget=budget)
-    return [
+    reports = [
         verify_five_term(ext, budget=budget, fe=fe, h2q=h2q, check_h2g=check_h2g),
         verify_aut_five_term(ext, budget=budget, fe=fe, h2q=h2q),
-        verify_centralizer_sequence(ext, budget=budget, cd=cd, h2q=h2q),
-        verify_aut_centralizer_sequence(ext, budget=budget, cd=cd, h2q=h2q),
+    ]
+    endos = dict(b_all=kernel_fixing_endos(ext, budget=budget),
+                 c_all=action_preserving_quotient_endos(ext, budget=budget))
+    return reports + [
+        verify_centralizer_sequence(ext, budget=budget, cd=cd, h2q=h2q, **endos),
+        verify_aut_centralizer_sequence(ext, budget=budget, cd=cd, h2q=h2q, **endos),
         verify_crossed_hom_sequence(ext, budget=budget, cd=cd, h2q=h2q),
     ]

@@ -2,11 +2,14 @@
 pass line and, where stated, a wall-clock bound."""
 
 import itertools
+import math
 import time
 from dataclasses import replace
+from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cohomoring import BudgetExceeded, ValidationError, current_budgets
 from cohomoring import groups
@@ -21,22 +24,26 @@ from cohomoring.extension import (
     extension_from_cocycle,
 )
 from cohomoring.groups import (
+    ActionTable,
     FiniteGroup,
     TableIndex,
     conjugation_action,
     enumerate_actions,
+    inversion_action,
     make_cyclic,
     make_dihedral,
     make_direct_product,
     trivial_action,
 )
 from cohomoring.rings import (
+    FiniteRing,
     check_ideal,
     is_square_zero_ideal,
     quasi_regular_group,
     quasi_regular_indices,
     quotient_ring,
     star_table,
+    subring_from_indices,
     unit_group,
     zn_ring,
 )
@@ -77,6 +84,217 @@ def _brute_force_images(source, target, action=None):
             continue
         out.append(vals)
     return out
+
+
+# ------------------------------------------------------------ cubic oracles
+# The exhaustive n^3 sweeps that the construction-time certificates replace,
+# kept here to judge the same tables by a second route.
+
+
+def _sweep_group_ok(table, gens) -> bool:
+    """Identity at 0, latin rows and columns, every triple associative, and
+    `gens` reaching every element."""
+    t = np.asarray(table, dtype=np.int64)
+    idx = np.arange(len(t))
+    if not ((t[0] == idx).all() and (t[:, 0] == idx).all()):
+        return False
+    if not ((np.sort(t, axis=1) == idx).all() and (np.sort(t, axis=0) == idx[:, None]).all()):
+        return False
+    if not all((t[t[a]] == t[a][t]).all() for a in idx):
+        return False
+    reached, frontier = {0}, [0]
+    while frontier:
+        frontier = [int(t[a, s]) for a in frontier for s in gens if int(t[a, s]) not in reached]
+        reached.update(frontier)
+    return len(reached) == len(t)
+
+
+def _sweep_ring_ok(add, mul, one=None) -> bool:
+    """An abelian group under `add`, zero annihilating, and associativity and
+    both distributive laws on every triple."""
+    add, mul = np.asarray(add, dtype=np.int64), np.asarray(mul, dtype=np.int64)
+    n = len(add)
+    if not _sweep_group_ok(add, range(n)) or not (add == add.T).all():
+        return False
+    if mul.min() < 0 or mul.max() >= n or mul[0].any() or mul[:, 0].any():
+        return False
+    for a in range(n):
+        if not (mul[mul[a]] == mul[a][mul]).all():
+            return False
+        if not (mul[a][add] == add[np.ix_(mul[a], mul[a])]).all():
+            return False
+        if not (mul[add[a]] == add[mul[a][None, :], mul]).all():
+            return False
+    idx = np.arange(n)
+    return one is None or bool((mul[one] == idx).all() and (mul[:, one] == idx).all())
+
+
+def _sweep_action_ok(actor, module, t) -> bool:
+    """Identity acts trivially, and every row is a module automorphism
+    composing with the actor's multiplication on every pair."""
+    idx = np.arange(module.order)
+    if t.min() < 0 or t.max() >= module.order or not (t[0] == idx).all():
+        return False
+    if not (np.sort(t, axis=1) == idx).all():
+        return False
+    mt = module.table
+    for a in range(actor.order):
+        if not (t[actor.table[a]] == t[a][t]).all():
+            return False
+        if not (t[a][mt] == mt[t[a][:, None], t[a][None, :]]).all():
+            return False
+    return True
+
+
+def _certificate_verdict(build):
+    """(accepted, error) of a constructor run, error None when accepted."""
+    try:
+        build()
+    except ValidationError as exc:
+        return False, exc
+    return True, None
+
+
+def _abelian_tables(moduli):
+    """Addition table and coordinates of Z/m1 x ... x Z/mk, last factor fastest."""
+    coords = np.array(list(itertools.product(*(range(m) for m in moduli))), dtype=np.int64)
+    m = np.asarray(moduli, dtype=np.int64)
+    weights = np.array([math.prod(moduli[i + 1:]) for i in range(len(moduli))], dtype=np.int64)
+    add = ((coords[:, None, :] + coords[None, :, :]) % m) @ weights
+    return add, coords, weights
+
+
+def _cyclic_product(*orders):
+    g = make_cyclic(orders[0])
+    for k in orders[1:]:
+        g = make_direct_product(g, make_cyclic(k))[0]
+    return g
+
+
+_C2, _C2XC4 = make_cyclic(2), _cyclic_product(2, 4)
+_SMALL_GROUPS = [make_cyclic(n) for n in (1, 2, 3, 4, 5, 6, 8)] + \
+    [make_dihedral(3), make_dihedral(4), _C2XC4] + \
+    [_cyclic_product(*orders) for orders in ((2, 2), (3, 3), (2, 2, 2))]
+_SMALL_RINGS = [zn_ring(n) for n in range(2, 10)] + \
+    [subring_from_indices(zn_ring(12), [0, 2, 4, 6, 8, 10])[0],
+     dihedral_model_ring(3).ring]
+_SMALL_ACTIONS = [inversion_action(_C2, make_cyclic(n)) for n in (3, 4, 5, 6)] + \
+    [conjugation_action(g, groups.identity_hom(g), on="group")
+     for g in (make_dihedral(3), make_dihedral(4))] + \
+    enumerate_actions(make_cyclic(3), _cyclic_product(2, 2)) + enumerate_actions(_C2, _C2XC4)
+_ORACLE_SETTINGS = settings(derandomize=True, database=None, max_examples=150,
+                            deadline=timedelta(seconds=2))
+
+
+@_ORACLE_SETTINGS
+@given(st.data())
+def _group_certificate_matches_sweep(data):
+    g = data.draw(st.sampled_from(_SMALL_GROUPS))
+    t = g.table.copy()
+    n = g.order
+    switches = [(r1, r2, c1, c2) for r1, r2 in itertools.combinations(range(1, n), 2)
+                for c1, c2 in itertools.combinations(range(1, n), 2)
+                if t[r1, c1] == t[r2, c2] and t[r1, c2] == t[r2, c1]]
+    if switches and data.draw(st.integers(0, 3)):
+        # swap two entries in each of two rows: an intercalate switch keeps
+        # the table latin with identity 0, so only associativity can fail
+        r1, r2, c1, c2 = data.draw(st.sampled_from(switches))
+        t[[r1, r2], c1], t[[r1, r2], c2] = t[[r1, r2], c2].copy(), t[[r1, r2], c1].copy()
+    else:
+        a1, b1, a2, b2 = (data.draw(st.integers(min(1, n - 1), n - 1)) for _ in range(4))
+        t[a1, b1], t[a2, b2] = t[a2, b2], t[a1, b1]
+    gens = list(range(n)) if data.draw(st.booleans()) else list(g.generators)
+    accepted, exc = _certificate_verdict(lambda: FiniteGroup(t, gens))
+    assert accepted == _sweep_group_ok(t, gens)
+    if exc is not None and str(exc).startswith("associativity fails"):
+        a, b, c = exc.witness
+        assert t[t[a, b], c] != t[a, t[b, c]]
+
+
+def _check_ring_verdict(add, mul, one=None):
+    accepted, exc = _certificate_verdict(lambda: FiniteRing(add, mul, one=one))
+    assert accepted == _sweep_ring_ok(add, mul, one)
+    if exc is None or exc.witness is None:
+        return accepted
+    a, b, c = exc.witness
+    message = str(exc)
+    if message.startswith("left distributivity"):
+        assert mul[a, add[b, c]] != add[mul[a, b], mul[a, c]]
+    elif message.startswith("right distributivity"):
+        assert mul[add[a, b], c] != add[mul[a, c], mul[b, c]]
+    else:
+        assert message.startswith("multiplication not associative")
+        assert mul[mul[a, b], c] != mul[a, mul[b, c]]
+    return accepted
+
+
+@_ORACLE_SETTINGS
+@given(st.sampled_from([(2,), (3,), (4,), (6,), (2, 2), (2, 4), (4, 2), (3, 3), (2, 2, 2)]),
+       st.sampled_from(["both", "left", "right"]), st.integers(0, 2 ** 32 - 1))
+def _product_certificate_matches_sweep(moduli, additive_in, seed):
+    """Products on Z/m1 x ... x Z/mk from random structure constants: additive
+    in both arguments (bilinear), or in the left or the right one only."""
+    rng = np.random.default_rng(seed)
+    add, coords, weights = _abelian_tables(moduli)
+    m = np.asarray(moduli, dtype=np.int64)
+    k, n = len(moduli), len(add)
+
+    def killed_by(orders, count):
+        """count random elements per order o, each with o * v = 0, about a
+        quarter of them zero."""
+        step = (m // np.gcd(m, np.asarray(orders)[:, None]))[:, None, :]
+        vals = rng.integers(0, m, size=(len(orders), count, k)) * step % m
+        return vals * (rng.random((len(orders), count, 1)) < 0.75)
+
+    if additive_in == "both":
+        consts = killed_by([math.gcd(a, b) for a in moduli for b in moduli], 1)
+        prod = np.einsum("xi,yj,ijl->xyl", coords, coords, consts.reshape(k, k, k))
+    else:
+        # row j holds the image of generator j, as a function of the other side
+        images = killed_by(moduli, n)
+        images[:, 0] = 0
+        spec = "yj,jxl->xyl" if additive_in == "right" else "xi,iyl->xyl"
+        prod = np.einsum(spec, coords, images)
+    _check_ring_verdict(add, (prod % m) @ weights)
+
+
+@_ORACLE_SETTINGS
+@given(st.data())
+def _perturbed_ring_certificate_matches_sweep(data):
+    ring = data.draw(st.sampled_from(_SMALL_RINGS))
+    n = ring.order
+    mul = ring.mul_table.copy()
+    a, b = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    mul[a, b] = (mul[a, b] + data.draw(st.integers(1, n - 1))) % n
+    _check_ring_verdict(ring.add_table, mul, ring.one)
+
+
+@_ORACLE_SETTINGS
+@given(st.data())
+def _action_certificate_matches_sweep(data):
+    if data.draw(st.booleans()):
+        action = data.draw(st.sampled_from(_SMALL_ACTIONS))
+        actor, module = action.actor, action.module
+        t = action.table.copy()
+        row = data.draw(st.integers(0, actor.order - 1))
+        x, y = (data.draw(st.integers(0, module.order - 1)) for _ in range(2))
+        t[row, x], t[row, y] = t[row, y], t[row, x]
+    else:
+        # C2 acting on C2 x C4 by an involution (u, v) -> (u + f(v), g(v)):
+        # additive along (1, 0), an automorphism only when f and g are additive
+        actor, module = _C2, _C2XC4
+        g = data.draw(st.sampled_from([[0, 1, 2, 3], [0, 2, 1, 3], [0, 3, 2, 1], [0, 1, 3, 2]]))
+        f = [0] + [data.draw(st.integers(0, 1)) for _ in range(3)]
+        f = [f[min(v, g[v])] for v in range(4)]
+        t = np.array([range(8), [(u + f[v]) % 2 * 4 + g[v] for u in range(2) for v in range(4)]])
+    accepted, exc = _certificate_verdict(lambda: ActionTable(actor, module, t))
+    assert accepted == _sweep_action_ok(actor, module, t)
+    if exc is not None and str(exc).startswith("action law fails"):
+        a, s, m = exc.witness
+        assert t[actor.table[a, s], m] != t[a, t[s, m]]
+    elif exc is not None and "automorphism" in str(exc):
+        r = t[exc.witness]
+        assert (r[module.table] != module.table[r[:, None], r[None, :]]).any()
 
 
 def _product_parts(a, b):
@@ -135,11 +353,11 @@ def test_criterion_4_ring_axioms_bijection_star():
         fe = fiber_endo_ring(ext)
         if fe.ring.order > 256:
             continue
-        fe.ring._validate()  # all triples rechecked explicitly
+        assert _sweep_ring_ok(fe.ring.add_table, fe.ring.mul_table)  # every triple
         g = ext.g_group
         act_g = conjugation_action(g, ext.i, on="group")
         zr = cocycle_ring(g, ext.n_group, act_g, ext.i)
-        zr.ring._validate()  # the crossed-homomorphism ring too
+        assert _sweep_ring_ok(zr.ring.add_table, zr.ring.mul_table)  # that ring too
         # the displacement bijection intertwines both structures elementwise
         to_z1 = np.array([zr.locate(fe.displacement(k)) for k in range(fe.size)])
         assert len(set(to_z1.tolist())) == fe.size == zr.ring.order
@@ -308,6 +526,13 @@ def test_criterion_7_dual_route_oracles(monkeypatch):
     with pytest.raises(BudgetExceeded):
         TableIndex(np.zeros((1, 40), dtype=np.int64), range(40), 3)
 
+    # table certificates against the cubic sweeps: same verdict on random
+    # small tables, and every reported witness is a real failing triple
+    _group_certificate_matches_sweep()
+    _product_certificate_matches_sweep()
+    _perturbed_ring_certificate_matches_sweep()
+    _action_certificate_matches_sweep()
+
     # the obstruction map: class independent of the chosen lift
     lift_runs = 0
     for make in ((lambda: build_extension(*_product_parts(3, 4))),
@@ -339,8 +564,8 @@ def test_criterion_7_dual_route_oracles(monkeypatch):
                 lift_runs += 1
     assert lift_runs >= 30
     print(f"[PASS] criterion 7: dual-route agreement on {h2_pairs} cohomology "
-          f"instances, {len(z1_cases)} crossed-homomorphism instances, and "
-          f"{lift_runs} obstruction lifts")
+          f"instances, {len(z1_cases)} crossed-homomorphism instances, "
+          f"{lift_runs} obstruction lifts, and random group, ring and action tables")
 
 
 def test_criterion_8_minimal_transgression_story():

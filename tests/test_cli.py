@@ -208,6 +208,28 @@ def test_verify_corrupted_catalog_exits_one(tmp_path, capsys):
     assert "[FAIL] no quotient group\n       error: quadruple lacks quotient_group" in out
     assert "[FAIL] no middle group\n       error: extension JSON lacks group" in out
 
+    # an ideal index outside the ring, and non-numeric or ragged tables, fail
+    # their own row while the other entries still run
+    bad_ideal = {"add_table": [[0, 1], [1, 0]], "mul_table": [[0, 0], [0, 1]]}
+    text_kernel = extension_to_json(dihedral_extension(3))
+    text_kernel["kernel"]["table"] = "x"
+    ragged_kernel = extension_to_json(dihedral_extension(3))
+    ragged_kernel["kernel"]["table"] = [[0, 1], [1]]
+    doc = {"entries": [{"name": "ideal out of range", "kind": "ring", "ring": bad_ideal,
+                        "ideal": [0, 5]},
+                       {"name": "text table", "kind": "extension", "extension": text_kernel},
+                       {"name": "ragged table", "kind": "extension",
+                        "extension": ragged_kernel},
+                       {"name": "Z4", "kind": "ring", "ring": ring_to_json(zn_ring(4)),
+                        "ideal": [0, 2]}]}
+    path.write_text(json.dumps(doc))
+    code, out, _ = _run(capsys, "verify", "--catalog", str(path))
+    assert code == 1
+    assert "[FAIL] ideal out of range\n       error: ideal index 5 outside the ring of order 2" in out
+    assert "[FAIL] text table\n       error: group table must be a rectangular array" in out
+    assert "[FAIL] ragged table\n       error: group table must be a rectangular array" in out
+    assert "[ ok ] Z4" in out
+
 
 def test_verify_malformed_catalog_file(tmp_path, capsys):
     path = tmp_path / "catalog.json"

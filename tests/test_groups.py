@@ -86,7 +86,7 @@ def test_labels_must_be_unique():
         FiniteGroup([[0, 1], [1, 0]], [1], labels=["e", "e"])
 
 
-def test_associativity_rejected():
+def test_associativity_rejected(monkeypatch):
     # row/column permutations with identity but a*(b*c) != (a*b)*c somewhere
     table = [
         [0, 1, 2, 3, 4],
@@ -97,6 +97,12 @@ def test_associativity_rejected():
     ]
     with pytest.raises(ValidationError):
         FiniteGroup(table, [1, 2])
+    # no budget, however small, switches the check off
+    monkeypatch.setenv("COHOMORING_BUDGET", "0.005")
+    with pytest.raises(ValidationError, match="associativity fails") as info:
+        FiniteGroup(table, [1, 2])
+    a, b, c = info.value.witness
+    assert table[table[a][b]][c] != table[a][table[b][c]]
 
 
 def test_dihedral_structure():
