@@ -1,8 +1,10 @@
 """Enumeration budgets.
 
-Every exhaustive search in the package is gated by one of these counts.  The
-environment variable COHOMORING_BUDGET, when set to a positive float, scales
-all of them uniformly (2.0 doubles every budget, 0.5 halves them).
+Every exhaustive search in the package is gated by one of these counts.  Each
+gate reads `current_budgets()` when it runs, so the environment variable
+COHOMORING_BUDGET, when set to a positive float, scales all of them uniformly
+(2.0 doubles every budget, 0.5 halves them); a value that is not a positive
+number raises ValueError at the first gate reached.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ class Budgets:
     h2_linear_size: int = 4096  # |Q|^2 * (number of cyclic factors of N)
     h2g_max_group_order: int = 16  # gate for the H^2(G,N) node in sequence checks
     # endomorphism enumeration
-    endo_carrier_cap: int = 100_000  # size cap for End^Q_N(G) carriers
     endo_scan_candidates: int = 1_000_000  # generator-image products in direct scans
     # misc sweeps
     delta_lift_scan: int = 10_000  # set-lift independence checks

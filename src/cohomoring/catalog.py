@@ -16,11 +16,8 @@ exception.
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-import numpy as np
-
-from .budgets import Budgets, current_budgets
 from .cohomology2 import TwoCocycle, compute_h2
 from .errors import BudgetExceeded, ValidationError, require_keys
 from .extension import (
@@ -31,6 +28,7 @@ from .extension import (
 )
 from .groups import (
     GroupHom,
+    _as_int_array,
     enumerate_actions,
     group_from_json,
     make_cyclic,
@@ -57,58 +55,56 @@ class CatalogEntry:
     kind: str  # "extension" or "ring"
     data: object
 
-    def materialize(self, budget: Optional[Budgets] = None):
+    def materialize(self):
         """Build the underlying object; raw JSON payloads are validated here."""
         if isinstance(self.data, (AbelianExtension, tuple)):
             return self.data
         payload = require_keys(self.data, (), "catalog entry")
         if self.kind == "extension":
             if "extension" in payload:
-                return extension_from_json(payload["extension"], budget=budget)
+                return extension_from_json(payload["extension"])
             if "quadruple" in payload:
                 quad = require_keys(payload["quadruple"],
                                     ("quotient_group", "kernel_group", "action", "cocycle"),
                                     "quadruple")
                 q_group = group_from_json(quad["quotient_group"])
                 n_group = group_from_json(quad["kernel_group"])
-                actions = enumerate_actions(q_group, n_group, budget=budget)
-                table = np.asarray(quad["action"], dtype=np.int64)
+                actions = enumerate_actions(q_group, n_group)
+                table = _as_int_array(quad["action"], "quadruple action")
                 match = None
                 for act in actions:
-                    if (act.table == table).all():
+                    if act.table.shape == table.shape and (act.table == table).all():
                         match = act
                         break
                 if match is None:
                     raise ValidationError("quadruple action is not an action")
                 coc = TwoCocycle(q_group, n_group, match,
-                                 np.asarray(quad["cocycle"], dtype=np.int64))
-                return extension_from_cocycle(coc, name=self.name, budget=budget)
+                                 _as_int_array(quad["cocycle"], "quadruple cocycle"))
+                return extension_from_cocycle(coc, name=self.name)
             raise ValidationError("extension entry needs 'extension' or 'quadruple'")
         if self.kind == "ring":
-            ring = ring_from_json(require_keys(payload, ("ring",), "ring entry")["ring"],
-                                  budget=budget)
+            ring = ring_from_json(require_keys(payload, ("ring",), "ring entry")["ring"])
             ideal = payload.get("ideal")
             return ring, ideal
         raise ValidationError(f"unknown catalog entry kind {self.kind!r}")
 
 
-def dihedral_extension(n: int, budget: Optional[Budgets] = None) -> AbelianExtension:
+def dihedral_extension(n: int) -> AbelianExtension:
     """The dihedral group of order 2n over its rotation subgroup."""
     d = make_dihedral(n)
     cn = make_cyclic(n, name=f"C{n}")
     c2 = make_cyclic(2, name="C2")
     i = GroupHom(cn, d, [2 * j for j in range(n)])
     p = GroupHom(d, c2, [j % 2 for j in range(2 * n)])
-    return build_extension(i, p, name=f"D{n} over rotations", budget=budget)
+    return build_extension(i, p, name=f"D{n} over rotations")
 
 
-def default_catalog(budget: Optional[Budgets] = None) -> List[CatalogEntry]:
+def default_catalog() -> List[CatalogEntry]:
     """The standing instance family used by the acceptance run."""
-    budget = budget or current_budgets()
     entries: List[CatalogEntry] = []
 
     for n in range(3, 13):
-        ext = dihedral_extension(n, budget=budget)
+        ext = dihedral_extension(n)
         entries.append(CatalogEntry(ext.name, "extension", ext))
 
     # Every extension of a small cyclic kernel by a small cyclic quotient,
@@ -117,22 +113,22 @@ def default_catalog(budget: Optional[Budgets] = None) -> List[CatalogEntry]:
         for q_ord in (2, 3):
             n_group = make_cyclic(n_ord, name=f"C{n_ord}")
             q_group = make_cyclic(q_ord, name=f"C{q_ord}q")
-            for ai, action in enumerate(enumerate_actions(q_group, n_group, budget=budget)):
-                h2 = compute_h2(q_group, n_group, action, budget=budget)
+            for ai, action in enumerate(enumerate_actions(q_group, n_group)):
+                h2 = compute_h2(q_group, n_group, action)
                 for coeffs, rep in h2.classes():
                     name = (f"C{n_ord} by C{q_ord}, action {ai}, "
                             f"class {tuple(int(c) for c in coeffs)}")
-                    ext = extension_from_cocycle(rep, name=name, budget=budget)
+                    ext = extension_from_cocycle(rep, name=name)
                     entries.append(CatalogEntry(name, "extension", ext))
 
     # Two-element kernel under the rank-two elementary quotient.
     c2 = make_cyclic(2, name="C2")
     v4, _, _ = make_direct_product(make_cyclic(2), make_cyclic(2), name="C2xC2")
     act = trivial_action(v4, c2)
-    h2 = compute_h2(v4, c2, act, budget=budget)
+    h2 = compute_h2(v4, c2, act)
     for coeffs, rep in h2.classes():
         name = f"C2 by C2xC2, class {tuple(int(c) for c in coeffs)}"
-        ext = extension_from_cocycle(rep, name=name, budget=budget)
+        ext = extension_from_cocycle(rep, name=name)
         entries.append(CatalogEntry(name, "extension", ext))
 
     # Direct products, including a nonabelian quotient.
@@ -141,13 +137,13 @@ def default_catalog(budget: Optional[Budgets] = None) -> List[CatalogEntry]:
             (make_cyclic(6, name="C6"), make_cyclic(2, name="C2"), "C6xC2 product"),
             (make_cyclic(2, name="C2"), make_dihedral(3), "C2xD3 product")):
         g, i_a, p_b = make_direct_product(a, b, name=label)
-        ext = build_extension(i_a, p_b, name=label, budget=budget)
+        ext = build_extension(i_a, p_b, name=label)
         entries.append(CatalogEntry(label, "extension", ext))
 
     return entries
 
 
-def catalog_from_json(data, budget: Optional[Budgets] = None) -> List[CatalogEntry]:
+def catalog_from_json(data) -> List[CatalogEntry]:
     """Load a catalog from a parsed JSON document (or a JSON text string)."""
     if isinstance(data, str):
         data = json.loads(data)
@@ -165,8 +161,7 @@ def catalog_from_json(data, budget: Optional[Budgets] = None) -> List[CatalogEnt
 # ---------------------------------------------------------------------- sweep
 
 
-def _verify_ring_entry(name: str, ring: FiniteRing, ideal,
-                       budget: Budgets) -> List[ExactnessReport]:
+def _verify_ring_entry(name: str, ring: FiniteRing, ideal) -> List[ExactnessReport]:
     """Checks for a raw ring entry: quasi-regular group, and the quasi-regular
     sequence over the quotient when a square-zero ideal is supplied."""
     quasi_regular_group(ring)
@@ -184,21 +179,19 @@ def _verify_ring_entry(name: str, ring: FiniteRing, ideal,
     return [verify_qr_sequence(ring, arr, proj, instance=name)]
 
 
-def sweep(entries: List[CatalogEntry], budget: Optional[Budgets] = None,
-          check_h2g: Optional[bool] = None) -> Dict:
+def sweep(entries: List[CatalogEntry], check_h2g: Optional[bool] = None) -> Dict:
     """Run every verifier on every entry; failures become summary rows."""
-    budget = budget or current_budgets()
     rows = []
     failed = 0
     for entry in entries:
         row: Dict = {"name": entry.name, "kind": entry.kind}
         try:
-            obj = entry.materialize(budget=budget)
+            obj = entry.materialize()
             if entry.kind == "extension":
-                reports = verify_all(obj, budget=budget, check_h2g=check_h2g)
+                reports = verify_all(obj, check_h2g=check_h2g)
             else:
                 ring, ideal = obj
-                reports = _verify_ring_entry(entry.name, ring, ideal, budget)
+                reports = _verify_ring_entry(entry.name, ring, ideal)
             row["ok"] = all(r.ok for r in reports)
             row["reports"] = [r.to_json() for r in reports]
         except (ValidationError, BudgetExceeded) as exc:

@@ -21,7 +21,6 @@ import json
 import sys
 from typing import List, Optional
 
-from .budgets import Budgets, current_budgets
 from .catalog import catalog_from_json, default_catalog, dihedral_extension, sweep
 from .cocycles import enumerate_z1
 from .cohomology2 import compute_h2
@@ -72,10 +71,10 @@ def _add_extension_source(p: argparse.ArgumentParser) -> None:
                      help="extension JSON file (kernel/group/quotient plus both maps)")
 
 
-def _resolve_extension(args, budget: Budgets) -> AbelianExtension:
+def _resolve_extension(args) -> AbelianExtension:
     if args.dihedral is not None:
-        return dihedral_extension(args.dihedral, budget=budget)
-    return extension_from_json(_load_json_file(args.load), budget=budget)
+        return dihedral_extension(args.dihedral)
+    return extension_from_json(_load_json_file(args.load))
 
 
 def _product_group(spec: str) -> FiniteGroup:
@@ -131,13 +130,12 @@ def cmd_group(args) -> int:
 
 
 def cmd_extension(args) -> int:
-    budget = current_budgets()
-    ext = _resolve_extension(args, budget)
+    ext = _resolve_extension(args)
     desc = ext.describe()
     split: Optional[bool]
     split_note = ""
     try:
-        split = ext.is_split(budget)
+        split = ext.is_split()
     except BudgetExceeded as exc:
         split = None
         split_note = f"not determined ({exc})"
@@ -145,7 +143,7 @@ def cmd_extension(args) -> int:
     factors = None
     h2_note = ""
     try:
-        h2 = compute_h2(ext.q_group, ext.n_group, ext.action, budget=budget)
+        h2 = compute_h2(ext.q_group, ext.n_group, ext.action)
         factors = h2.invariant_factors
         klass = h2.reduce(ext.classifying_cocycle())
     except BudgetExceeded as exc:
@@ -179,15 +177,13 @@ def cmd_extension(args) -> int:
 
 
 def cmd_z1(args) -> int:
-    budget = current_budgets()
-    ext = _resolve_extension(args, budget)
+    ext = _resolve_extension(args)
     if args.layer == "quotient":
         source, module, action = ext.q_group, ext.n_group, ext.action
     else:
         source, module = ext.g_group, ext.n_group
         action = conjugation_action(ext.g_group, ext.i, on="group")
-    zs = sorted(enumerate_z1(source, module, action, budget=budget),
-                key=lambda z: z.key())
+    zs = sorted(enumerate_z1(source, module, action), key=lambda z: z.key())
     listed = [z.values.tolist() for z in zs[:_LIST_CAP]]
     if args.json:
         _emit_json({
@@ -214,9 +210,8 @@ def cmd_z1(args) -> int:
 
 
 def cmd_h2(args) -> int:
-    budget = current_budgets()
     if args.dihedral is not None or args.load is not None:
-        ext = _resolve_extension(args, budget)
+        ext = _resolve_extension(args)
         qg, ng, action = ext.q_group, ext.n_group, ext.action
         action_count = None
         instance = ext.name
@@ -226,14 +221,14 @@ def cmd_h2(args) -> int:
                 "h2 needs either an extension source or both --quotient-cyclic and --kernel-cyclic")
         qg = make_cyclic(args.quotient_cyclic)
         ng = make_cyclic(args.kernel_cyclic)
-        actions = enumerate_actions(qg, ng, budget=budget)
+        actions = enumerate_actions(qg, ng)
         action_count = len(actions)
         if not 0 <= args.action_index < len(actions):
             raise ValidationError(
                 f"action index {args.action_index} out of range, {len(actions)} actions exist")
         action = actions[args.action_index]
         instance = f"C{args.quotient_cyclic} acting on C{args.kernel_cyclic}, action {args.action_index}"
-    h2 = compute_h2(qg, ng, action, budget=budget, method=args.method)
+    h2 = compute_h2(qg, ng, action, method=args.method)
     small = h2.order <= _LIST_CAP
     reps = []
     if small:
@@ -267,12 +262,11 @@ def cmd_h2(args) -> int:
 
 
 def cmd_endo(args) -> int:
-    budget = current_budgets()
-    ext = _resolve_extension(args, budget)
-    fe = fiber_endo_ring(ext, budget=budget)
+    ext = _resolve_extension(args)
+    fe = fiber_endo_ring(ext)
     res_image = len(set(int(v) for v in fe.res.values))
-    kf = kernel_fixing_endos(ext, budget=budget)
-    ap = action_preserving_quotient_endos(ext, budget=budget)
+    kf = kernel_fixing_endos(ext)
+    ap = action_preserving_quotient_endos(ext)
     data = {
         "instance": ext.name,
         "quotient_identity_endos": fe.ring.order,
@@ -301,13 +295,12 @@ def cmd_endo(args) -> int:
 
 
 def cmd_ring(args) -> int:
-    budget = current_budgets()
     if args.zn is not None:
         ring = zn_ring(args.zn)
     elif args.ring432:
-        ring = ring432_construct(budget)[0].ring
+        ring = ring432_construct()[0].ring
     else:
-        ring = ring_from_json(_load_json_file(args.load), budget=budget)
+        ring = ring_from_json(_load_json_file(args.load))
     qr = quasi_regular_indices(ring)
     commutative = bool((ring.mul_table == ring.mul_table.T).all())
     units = None
@@ -347,13 +340,12 @@ def cmd_ring(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    budget = current_budgets()
     if args.catalog:
-        entries = catalog_from_json(_load_json_file(args.catalog), budget=budget)
+        entries = catalog_from_json(_load_json_file(args.catalog))
     else:
-        entries = default_catalog(budget)
+        entries = default_catalog()
     check_h2g = False if args.skip_h2g else None
-    summary = sweep(entries, budget=budget, check_h2g=check_h2g)
+    summary = sweep(entries, check_h2g=check_h2g)
     if args.json:
         _emit_json(summary)
         return 0 if summary["failed"] == 0 else 1
@@ -383,11 +375,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_examples(args) -> int:
-    budget = current_budgets()
     if args.which == "dihedral":
-        report = dihedral_report(args.n, budget=budget)
+        report = dihedral_report(args.n)
     else:
-        report = ring432_report(budget=budget)
+        report = ring432_report()
     if args.json:
         _emit_json(report.to_json())
     else:

@@ -10,11 +10,11 @@ additive and ring structure is only available over abelian targets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from .budgets import Budgets, current_budgets
+from .budgets import current_budgets
 from .errors import BudgetExceeded, ValidationError
 from .groups import ActionTable, FiniteGroup, GroupHom, TableIndex, _search_generator_images
 from .rings import FiniteRing
@@ -146,47 +146,56 @@ def inflate(a: CrossedHom, proj: GroupHom, source_action: ActionTable) -> Crosse
     return CrossedHom(proj.source, a.module, source_action, a.values[proj.values])
 
 
-def enumerate_z1(source: FiniteGroup, module: FiniteGroup, action: ActionTable,
-                 budget: Optional[Budgets] = None) -> List[CrossedHom]:
+def enumerate_z1(source: FiniteGroup, module: FiniteGroup,
+                 action: ActionTable) -> List[CrossedHom]:
     """All crossed homomorphisms, in a deterministic order.
 
     Candidates are generator images, propagated and certified by the twisted
-    law in `_search_generator_images`.  Falls back to scanning all value
-    tables when the group needs too many generators.
+    law in `_search_generator_images`.  Falls back to `_z1_full_scan` when the
+    group needs too many generators.
     """
-    budget = budget or current_budgets()
+    budget = current_budgets()
     if action.actor is not source or action.module is not module:
         raise ValidationError("action must be of the source group on the module")
-    s = source.order
     m = module.order
     count = m ** len(source.generators)
-    out: List[CrossedHom] = []
     if count <= budget.z1_generator_candidates:
         cands = [np.arange(m)] * len(source.generators)
-        for vals in _search_generator_images(source, module, cands, action):
-            out.append(CrossedHom(source, module, action, vals, validate=False))
-    elif m ** (s - 1) <= budget.z1_full_scan:
-        total = m ** (s - 1)
-        arr = np.arange(total, dtype=np.int64)
-        vals = np.zeros((total, s), dtype=np.int64)
-        for x in range(1, s):
-            vals[:, x] = arr % m
-            arr = arr // m
-        mask = np.ones(total, dtype=bool)
-        tm = module.table
-        act = action.table
-        ts = source.table
-        for x in range(1, s):
-            for y in range(1, s):
-                law = tm[vals[:, x], act[x, vals[:, y]]]
-                mask &= law == vals[:, ts[x, y]]
-        for row in vals[mask]:
-            out.append(CrossedHom(source, module, action, row, validate=False))
+        out = [CrossedHom(source, module, action, vals, validate=False)
+               for vals in _search_generator_images(source, module, cands, action)]
+    elif m ** (source.order - 1) <= budget.z1_full_scan:
+        out = _z1_full_scan(source, module, action)
     else:
         raise BudgetExceeded(
             f"{count} generator candidates and full scan both exceed budgets")
     out.sort(key=lambda c: tuple(int(v) for v in c.values))
     return out
+
+
+def _z1_full_scan(source: FiniteGroup, module: FiniteGroup,
+                  action: ActionTable) -> List[CrossedHom]:
+    """Crossed homomorphisms by testing the law on every normalized value table.
+
+    |module|^(|source|-1) candidates; `enumerate_z1` gates the count, and the
+    tests use this as the oracle for the generator route.
+    """
+    s = source.order
+    m = module.order
+    total = m ** (s - 1)
+    arr = np.arange(total, dtype=np.int64)
+    vals = np.zeros((total, s), dtype=np.int64)
+    for x in range(1, s):
+        vals[:, x] = arr % m
+        arr = arr // m
+    mask = np.ones(total, dtype=bool)
+    tm = module.table
+    act = action.table
+    ts = source.table
+    for x in range(1, s):
+        for y in range(1, s):
+            law = tm[vals[:, x], act[x, vals[:, y]]]
+            mask &= law == vals[:, ts[x, y]]
+    return [CrossedHom(source, module, action, row, validate=False) for row in vals[mask]]
 
 
 @dataclass
@@ -211,12 +220,11 @@ class CocycleRing:
 
 
 def cocycle_ring(source: FiniteGroup, module: FiniteGroup, action: ActionTable,
-                 embedding: GroupHom, budget: Optional[Budgets] = None) -> CocycleRing:
+                 embedding: GroupHom) -> CocycleRing:
     """Build the crossed-homomorphism ring for an embedded abelian module."""
-    budget = budget or current_budgets()
     if not module.is_abelian():
         raise ValidationError("the crossed-homomorphism ring needs an abelian module")
-    elements = enumerate_z1(source, module, action, budget=budget)
+    elements = enumerate_z1(source, module, action)
     n = len(elements)
     stacked = np.stack([e.values for e in elements])
     index = TableIndex(stacked, source.generators, module.order)
@@ -235,5 +243,5 @@ def cocycle_ring(source: FiniteGroup, module: FiniteGroup, action: ActionTable,
             raise ValidationError(
                 "crossed homomorphisms not closed under the ring operations at "
                 f"({a}, {int(np.argmax(missing))})")
-    ring = FiniteRing(add, dia, one=None, name="Z1", budget=budget)
+    ring = FiniteRing(add, dia, one=None, name="Z1")
     return CocycleRing(ring=ring, elements=tuple(elements), index=index, embedding=embedding)

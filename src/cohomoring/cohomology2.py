@@ -13,7 +13,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .budgets import Budgets, current_budgets
+from .budgets import current_budgets
 from .errors import BudgetExceeded, ValidationError
 from .groups import ActionTable, FiniteGroup, GroupHom
 from .linalg import (
@@ -210,13 +210,12 @@ class H2Group:
     """
 
     def __init__(self, q_group: FiniteGroup, n_group: FiniteGroup, action: ActionTable,
-                 invariant_factors: Tuple[int, ...], method: str, budget: Budgets):
+                 invariant_factors: Tuple[int, ...], method: str):
         self.q_group = q_group
         self.n_group = n_group
         self.action = action
         self.invariant_factors = invariant_factors
         self.method = method
-        self.budget = budget
         order = 1
         for f in invariant_factors:
             order *= f
@@ -228,13 +227,11 @@ class H2Group:
         self._qf: Optional[QuotientForm] = None
         self._kept: Optional[List[int]] = None
         self._w_cols: Optional[np.ndarray] = None
-        self._n_chain_cols = 0
         # brute internals
         self._canon: Optional[dict] = None
         self._delta_table: Optional[np.ndarray] = None
         self._chain_table: Optional[np.ndarray] = None
         self._class_dec: Optional[AbelianDecomposition] = None
-        self._class_rep_values: Optional[np.ndarray] = None
 
     # -- shared helpers
 
@@ -438,16 +435,16 @@ def _build_coboundary_columns(q_group: FiniteGroup, dec: AbelianDecomposition,
     return d
 
 
-def _h2_linear(q_group: FiniteGroup, n_group: FiniteGroup, action: ActionTable,
-               budget: Budgets) -> H2Group:
+def _h2_linear(q_group: FiniteGroup, n_group: FiniteGroup, action: ActionTable) -> H2Group:
+    limit = current_budgets().h2_linear_size
     dec = abelian_decomposition(n_group)
     q = q_group.order
     c = len(dec.factors)
     a = _variable_layout(q, c)
-    if a > budget.h2_linear_size:
-        raise BudgetExceeded(f"{a} cocycle variables exceeds budget {budget.h2_linear_size}")
+    if a > limit:
+        raise BudgetExceeded(f"{a} cocycle variables exceeds budget {limit}")
     if c == 0 or q == 1:
-        h2 = H2Group(q_group, n_group, action, (), "linear", budget)
+        h2 = H2Group(q_group, n_group, action, (), "linear")
         h2._dec = dec
         h2._kern = kernel_mod(np.zeros((0, a), dtype=np.int64), a, 1)
         h2._qf = quotient_snf(np.zeros((a, 0), dtype=np.int64), a, 1)
@@ -468,13 +465,12 @@ def _h2_linear(q_group: FiniteGroup, n_group: FiniteGroup, action: ActionTable,
     qf = quotient_snf(x, a, L)
     kept = [t for t in range(a) if int(qf.diag[t]) > 1]
     factors = tuple(int(qf.diag[t]) for t in kept)
-    h2 = H2Group(q_group, n_group, action, factors, "linear", budget)
+    h2 = H2Group(q_group, n_group, action, factors, "linear")
     h2._dec = dec
     h2._kern = kern
     h2._qf = qf
     h2._kept = kept
     h2._w_cols = w_cols
-    h2._n_chain_cols = dmat.shape[1]
     reps = []
     for t in kept:
         vec = kern.vector(qf.representative(t))
@@ -498,15 +494,15 @@ def _enumerate_chains(n: int, q: int) -> np.ndarray:
     return chains
 
 
-def _h2_bruteforce(q_group: FiniteGroup, n_group: FiniteGroup, action: ActionTable,
-                   budget: Budgets) -> H2Group:
+def _h2_bruteforce(q_group: FiniteGroup, n_group: FiniteGroup,
+                   action: ActionTable) -> H2Group:
+    limit = current_budgets().h2_brute_candidates
     q = q_group.order
     n = n_group.order
     s = (q - 1) * (q - 1)
     total = n ** s
-    if total > budget.h2_brute_candidates:
-        raise BudgetExceeded(
-            f"{total} candidate tables exceeds budget {budget.h2_brute_candidates}")
+    if total > limit:
+        raise BudgetExceeded(f"{total} candidate tables exceeds budget {limit}")
     add = n_group.table
     tq = q_group.table
     act = action.table
@@ -564,12 +560,11 @@ def _h2_bruteforce(q_group: FiniteGroup, n_group: FiniteGroup, action: ActionTab
     gens = list(range(h))
     class_group = FiniteGroup(table, gens, name="classes")
     class_dec = abelian_decomposition(class_group)
-    h2 = H2Group(q_group, n_group, action, class_dec.factors, "bruteforce", budget)
+    h2 = H2Group(q_group, n_group, action, class_dec.factors, "bruteforce")
     h2._canon = canon
     h2._delta_table = uniq
     h2._chain_table = chains
     h2._class_dec = class_dec
-    h2._class_rep_values = np.stack(reps) if reps else np.zeros((0, q, q), dtype=np.int64)
     h2.class_reps = tuple(
         TwoCocycle(q_group, n_group, action, reps[b]) for b in class_dec.basis
     )
@@ -577,27 +572,27 @@ def _h2_bruteforce(q_group: FiniteGroup, n_group: FiniteGroup, action: ActionTab
 
 
 def compute_h2(q_group: FiniteGroup, n_group: FiniteGroup, action: ActionTable,
-               budget: Optional[Budgets] = None, method: str = "auto") -> H2Group:
+               method: str = "auto") -> H2Group:
     """Group of 2-cocycle classes for the action of q_group on abelian n_group.
 
     method is "linear", "bruteforce", or "auto" (linear when it fits in
     budget, otherwise enumeration when that fits).
     """
-    budget = budget or current_budgets()
     if action.actor is not q_group or action.module is not n_group:
         raise ValidationError("action must be of the pair group on the module")
     if not n_group.is_abelian():
         raise ValidationError("module must be abelian")
     if method == "linear":
-        return _h2_linear(q_group, n_group, action, budget)
+        return _h2_linear(q_group, n_group, action)
     if method == "bruteforce":
-        return _h2_bruteforce(q_group, n_group, action, budget)
+        return _h2_bruteforce(q_group, n_group, action)
     if method != "auto":
         raise ValueError(f"unknown method {method!r}")
+    budget = current_budgets()
     dec_size = _variable_layout(q_group.order, len(abelian_decomposition(n_group).factors))
     if dec_size <= budget.h2_linear_size:
-        return _h2_linear(q_group, n_group, action, budget)
+        return _h2_linear(q_group, n_group, action)
     total = n_group.order ** ((q_group.order - 1) ** 2)
     if total <= budget.h2_brute_candidates:
-        return _h2_bruteforce(q_group, n_group, action, budget)
+        return _h2_bruteforce(q_group, n_group, action)
     raise BudgetExceeded("no cohomology method fits the current budget")

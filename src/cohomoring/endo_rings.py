@@ -20,7 +20,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .budgets import Budgets, current_budgets
+from .budgets import current_budgets
 from .cocycles import CocycleRing, CrossedHom, cocycle_ring
 from .errors import ValidationError
 from .extension import AbelianExtension, CentralizerData
@@ -64,17 +64,15 @@ class ModuleEndoRing:
         return k
 
 
-def equivariant_endo_ring(module: FiniteGroup, action: ActionTable,
-                          budget: Optional[Budgets] = None) -> ModuleEndoRing:
+def equivariant_endo_ring(module: FiniteGroup, action: ActionTable) -> ModuleEndoRing:
     """Build the ring of action-compatible endomorphisms of an abelian group."""
-    budget = budget or current_budgets()
     if action.module is not module:
         raise ValidationError("action is not an action on the given module")
     if not module.is_abelian():
         raise ValidationError("equivariant endomorphism ring needs an abelian module")
     act = action.table
     kept: List[np.ndarray] = []
-    for h in enumerate_endos(module, budget=budget):
+    for h in enumerate_endos(module):
         v = h.values
         if (v[act] == act[:, v]).all():
             kept.append(v)
@@ -100,7 +98,7 @@ def equivariant_endo_ring(module: FiniteGroup, action: ActionTable,
         raise ValidationError("identity map missing from the equivariant endomorphisms")
     labels = ["end%d" % k for k in range(size)]
     ring = FiniteRing(add, mul, one=one, labels=labels,
-                      name="EquivEnd(%s)" % (module.name or module.order), budget=budget)
+                      name="EquivEnd(%s)" % (module.name or module.order))
     return ModuleEndoRing(module, action, ring, tuple(kept), index)
 
 
@@ -157,21 +155,22 @@ class FiberEndoRing:
         return self.module_ring.locate(self.restriction_values(k))
 
 
-def _scan_fiber_endos(ext: AbelianExtension, budget: Budgets) -> Optional[List[np.ndarray]]:
+def _scan_fiber_endos(ext: AbelianExtension) -> Optional[List[np.ndarray]]:
     """Independent generator-image search for quotient-identity endomorphisms.
 
     Candidates for each generator are confined to its own fiber.  Returns the
     value tables found, or None when the search would exceed the budget.
     """
+    limit = current_budgets().endo_scan_candidates
     g = ext.g_group
     pv = ext.p.values
     cands = [ext.fiber(int(pv[s])) for s in g.generators]
-    if math.prod(len(c) for c in cands) > budget.endo_scan_candidates:
+    if math.prod(len(c) for c in cands) > limit:
         return None
     return [vals for vals in _search_generator_images(g, g, cands) if (pv[vals] == pv).all()]
 
 
-def fiber_endo_ring(ext: AbelianExtension, budget: Optional[Budgets] = None) -> FiberEndoRing:
+def fiber_endo_ring(ext: AbelianExtension) -> FiberEndoRing:
     """Build the twisted endomorphism ring of an extension, with cross-checks.
 
     The construction transports the crossed-homomorphism ring of the middle
@@ -179,12 +178,11 @@ def fiber_endo_ring(ext: AbelianExtension, budget: Optional[Budgets] = None) -> 
     then recomputes both ring tables directly on endomorphism values and
     requires exact agreement.
     """
-    budget = budget or current_budgets()
     g = ext.g_group
     n = ext.n_group
     arange = np.arange(g.order, dtype=np.int64)
     act_g = conjugation_action(g, ext.i, on="group")
-    cring = cocycle_ring(g, n, act_g, ext.i, budget=budget)
+    cring = cocycle_ring(g, n, act_g, ext.i)
 
     tg = g.table
     ginv = g.inverse
@@ -212,7 +210,7 @@ def fiber_endo_ring(ext: AbelianExtension, budget: Optional[Budgets] = None) -> 
     if not (endos[0] == arange).all():
         raise ValidationError("zero displacement did not integrate to the identity map")
 
-    scan = _scan_fiber_endos(ext, budget)
+    scan = _scan_fiber_endos(ext)
     if scan is not None and (
             len(scan) != size or (np.sort(index.find(np.stack(scan))) != np.arange(size)).any()):
         raise ValidationError(
@@ -242,7 +240,7 @@ def fiber_endo_ring(ext: AbelianExtension, budget: Optional[Budgets] = None) -> 
     if not is_square_zero_ideal(cring.ring, ideal):
         raise ValidationError("kernel-fixing members do not form a square-zero ideal")
 
-    module_ring = equivariant_endo_ring(n, ext.action, budget=budget)
+    module_ring = equivariant_endo_ring(n, ext.action)
     res_values = np.asarray(
         [module_ring.locate(psi.values[ivals]) for psi in cring.elements],
         dtype=np.int64,
@@ -276,22 +274,18 @@ def fiber_endo_ring(ext: AbelianExtension, budget: Optional[Budgets] = None) -> 
 # --------------------------------------------------- pointed endomorphism sets
 
 
-def kernel_fixing_endos(ext: AbelianExtension,
-                        budget: Optional[Budgets] = None) -> List[np.ndarray]:
+def kernel_fixing_endos(ext: AbelianExtension) -> List[np.ndarray]:
     """All endomorphisms of the middle group fixing the embedded kernel pointwise."""
-    budget = budget or current_budgets()
     em = ext.i.values
-    out = [h.values for h in enumerate_endos(ext.g_group, budget=budget)
+    out = [h.values for h in enumerate_endos(ext.g_group)
            if (h.values[em] == em).all()]
     return out
 
 
-def action_preserving_quotient_endos(ext: AbelianExtension,
-                                     budget: Optional[Budgets] = None) -> List[np.ndarray]:
+def action_preserving_quotient_endos(ext: AbelianExtension) -> List[np.ndarray]:
     """Endomorphisms of the quotient group that leave the kernel action unchanged."""
-    budget = budget or current_budgets()
     act = ext.action.table
-    out = [h.values for h in enumerate_endos(ext.q_group, budget=budget)
+    out = [h.values for h in enumerate_endos(ext.q_group)
            if (act[h.values] == act).all()]
     return out
 

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .budgets import Budgets, current_budgets
+from .budgets import current_budgets
 from .cohomology2 import TwoCocycle
 from .errors import BudgetExceeded, ValidationError, require_keys
 from .groups import (
@@ -23,6 +23,7 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
+    _as_int_array,
     _positions,
     _search_generator_images,
     centralizer,
@@ -91,23 +92,22 @@ class AbelianExtension:
             raise ValidationError("section defect escaped the kernel")
         return TwoCocycle(self.q_group, self.n_group, self.action, vals)
 
-    def find_splitting(self, budget: Optional[Budgets] = None) -> Optional[GroupHom]:
+    def find_splitting(self) -> Optional[GroupHom]:
         """A homomorphic section of the surjection, or None if there is none."""
-        budget = budget or current_budgets()
+        limit = current_budgets().z1_generator_candidates
         qg = self.q_group
         fibers = [self.fiber(g) for g in qg.generators]
         count = math.prod(len(f) for f in fibers)
-        if count > budget.z1_generator_candidates:
-            raise BudgetExceeded(
-                f"{count} candidate sections exceeds budget {budget.z1_generator_candidates}")
+        if count > limit:
+            raise BudgetExceeded(f"{count} candidate sections exceeds budget {limit}")
         idx = np.arange(qg.order)
         for values in _search_generator_images(qg, self.g_group, fibers):
             if (self.p.values[values] == idx).all():
                 return GroupHom(qg, self.g_group, values)
         return None
 
-    def is_split(self, budget: Optional[Budgets] = None) -> bool:
-        return self.find_splitting(budget) is not None
+    def is_split(self) -> bool:
+        return self.find_splitting() is not None
 
     def describe(self) -> dict:
         return {
@@ -119,8 +119,7 @@ class AbelianExtension:
         }
 
 
-def build_extension(i: GroupHom, p: GroupHom, name: str = "",
-                    budget: Optional[Budgets] = None) -> AbelianExtension:
+def build_extension(i: GroupHom, p: GroupHom, name: str = "") -> AbelianExtension:
     """Validate a short exact sequence and derive its section and action."""
     n_group = i.source
     g_group = i.target
@@ -167,8 +166,7 @@ def build_extension(i: GroupHom, p: GroupHom, name: str = "",
     return AbelianExtension(n_group, g_group, q_group, i, p, section, action, name=name)
 
 
-def extension_from_cocycle(cocycle: TwoCocycle, name: str = "",
-                           budget: Optional[Budgets] = None) -> AbelianExtension:
+def extension_from_cocycle(cocycle: TwoCocycle, name: str = "") -> AbelianExtension:
     """The extension built on kernel x quotient pairs twisted by a cocycle."""
     n_group = cocycle.n_group
     q_group = cocycle.q_group
@@ -192,7 +190,7 @@ def extension_from_cocycle(cocycle: TwoCocycle, name: str = "",
                           name=name or f"twisted-{n_group.name}-{q_group.name}")
     i = GroupHom(n_group, g_group, np.arange(nn) * qn)
     p = GroupHom(g_group, q_group, np.tile(np.arange(qn), nn))
-    ext = build_extension(i, p, name=name, budget=budget)
+    ext = build_extension(i, p, name=name)
     if not (ext.action.table == action.table).all():
         raise ValidationError("twisted product action disagrees with the given action")
     if not ext.classifying_cocycle().same_values(cocycle):
@@ -224,8 +222,7 @@ class CentralizerData:
     q_action_on_qbar: ActionTable
 
 
-def centralizer_extension(ext: AbelianExtension,
-                          budget: Optional[Budgets] = None) -> CentralizerData:
+def centralizer_extension(ext: AbelianExtension) -> CentralizerData:
     """Build and validate the centralizer extension and its quotient actions."""
     g = ext.g_group
     n = ext.n_group
@@ -265,7 +262,7 @@ def centralizer_extension(ext: AbelianExtension,
             f"embedded quotient differs from the action kernel at {diff[:4]}",
             witness=diff[:4],
         )
-    central_ext = build_extension(n_in_c, pi, name=f"{ext.name}-centralizer", budget=budget)
+    central_ext = build_extension(n_in_c, pi, name=f"{ext.name}-centralizer")
     if not central_ext.action.is_trivial():
         raise ValidationError("centralizer extension action is not trivial")
     # action of the quotient on the centralizer, one row per quotient element,
@@ -341,12 +338,12 @@ def extension_to_json(ext: AbelianExtension) -> dict:
     }
 
 
-def extension_from_json(data: dict, budget: Optional[Budgets] = None) -> AbelianExtension:
+def extension_from_json(data: dict) -> AbelianExtension:
     require_keys(data, ("kernel", "group", "quotient", "kernel_map", "quotient_map"),
                  "extension JSON")
     n_group = group_from_json(data["kernel"])
     g_group = group_from_json(data["group"])
     q_group = group_from_json(data["quotient"])
-    i = GroupHom(n_group, g_group, np.asarray(data["kernel_map"], dtype=np.int64))
-    p = GroupHom(g_group, q_group, np.asarray(data["quotient_map"], dtype=np.int64))
-    return build_extension(i, p, name=data.get("name", ""), budget=budget)
+    i = GroupHom(n_group, g_group, _as_int_array(data["kernel_map"], "kernel map"))
+    p = GroupHom(g_group, q_group, _as_int_array(data["quotient_map"], "quotient map"))
+    return build_extension(i, p, name=data.get("name", ""))

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tup
 
 import numpy as np
 
-from .budgets import Budgets, current_budgets
+from .budgets import current_budgets
 from .errors import BudgetExceeded, ValidationError
 
 __all__ = [
@@ -62,6 +62,14 @@ def _as_int_array(data, what: str) -> np.ndarray:
         return np.asarray(data, dtype=np.int64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{what} must be a rectangular array of integers") from exc
+
+
+def _as_int(value, what: str) -> int:
+    """`value` as an int; a non-numeric value is a ValidationError."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{what} must be an integer, got {value!r}") from exc
 
 
 def _as_table(table, what: str) -> np.ndarray:
@@ -767,11 +775,9 @@ def hom_make(source: FiniteGroup, target: FiniteGroup, generator_images: Sequenc
     )
 
 
-def enumerate_homs(
-    source: FiniteGroup, target: FiniteGroup, budget: Optional[Budgets] = None
-) -> List[GroupHom]:
+def enumerate_homs(source: FiniteGroup, target: FiniteGroup) -> List[GroupHom]:
     """All homomorphisms source -> target, by generator-image search."""
-    budget = budget or current_budgets()
+    limit = current_budgets().endo_scan_candidates
     src_orders = source.element_orders()
     tgt_orders = target.element_orders()
     cands = [
@@ -779,31 +785,29 @@ def enumerate_homs(
         for s in source.generators
     ]
     total = math.prod(len(c) for c in cands)
-    if total > budget.endo_scan_candidates:
-        raise BudgetExceeded(
-            f"hom search needs {total} candidates, budget {budget.endo_scan_candidates}"
-        )
+    if total > limit:
+        raise BudgetExceeded(f"hom search needs {total} candidates, budget {limit}")
     out = [GroupHom(source, target, vals, validate=False)
            for vals in _search_generator_images(source, target, cands)]
     out.sort(key=lambda h: tuple(h.values.tolist()))
     return out
 
 
-def enumerate_endos(g: FiniteGroup, budget: Optional[Budgets] = None) -> List[GroupHom]:
-    return enumerate_homs(g, g, budget=budget)
+def enumerate_endos(g: FiniteGroup) -> List[GroupHom]:
+    return enumerate_homs(g, g)
 
 
-def enumerate_automorphisms(g: FiniteGroup, budget: Optional[Budgets] = None) -> List[GroupHom]:
-    return [h for h in enumerate_homs(g, g, budget=budget) if h.is_bijective()]
+def enumerate_automorphisms(g: FiniteGroup) -> List[GroupHom]:
+    return [h for h in enumerate_homs(g, g) if h.is_bijective()]
 
 
-def aut_group(g: FiniteGroup, budget: Optional[Budgets] = None) -> Tuple[FiniteGroup, List[Tuple[int, ...]]]:
+def aut_group(g: FiniteGroup) -> Tuple[FiniteGroup, List[Tuple[int, ...]]]:
     """The automorphism group as a table group.
 
     Returns (A, perms) where perms[k] is the value tuple of automorphism k and
     A.table is composition: (a*b)(x) = a(b(x)).  The identity sits at index 0.
     """
-    auts = sorted(tuple(h.values.tolist()) for h in enumerate_automorphisms(g, budget=budget))
+    auts = sorted(tuple(h.values.tolist()) for h in enumerate_automorphisms(g))
     tables = np.asarray(auts, dtype=np.int64).reshape(len(auts), g.order)
     index = TableIndex(tables, g.generators, g.order)
     table = np.stack([index.find(row[tables]) for row in tables])
@@ -818,24 +822,18 @@ def action_from_hom(actor: FiniteGroup, module: FiniteGroup, hom_to_aut: GroupHo
     return ActionTable(actor, module, table)
 
 
-def enumerate_actions(
-    actor: FiniteGroup, module: FiniteGroup, budget: Optional[Budgets] = None
-) -> List[ActionTable]:
+def enumerate_actions(actor: FiniteGroup, module: FiniteGroup) -> List[ActionTable]:
     """All actions of `actor` on `module`, i.e. all homs actor -> Aut(module)."""
-    aut, perms = aut_group(module, budget=budget)
-    homs = enumerate_homs(actor, aut, budget=budget)
+    aut, perms = aut_group(module)
+    homs = enumerate_homs(actor, aut)
     return [action_from_hom(actor, module, h, perms) for h in homs]
 
 
-def find_isomorphism(
-    a: FiniteGroup, b: FiniteGroup, budget: Optional[Budgets] = None
-) -> Optional[GroupHom]:
+def find_isomorphism(a: FiniteGroup, b: FiniteGroup) -> Optional[GroupHom]:
     """Brute-force isomorphism search by generator images; None if not isomorphic."""
-    budget = budget or current_budgets()
-    if max(a.order, b.order) > budget.iso_search_max_order:
-        raise BudgetExceeded(
-            f"isomorphism search capped at order {budget.iso_search_max_order}"
-        )
+    cap = current_budgets().iso_search_max_order
+    if max(a.order, b.order) > cap:
+        raise BudgetExceeded(f"isomorphism search capped at order {cap}")
     if a.order != b.order or a.is_abelian() != b.is_abelian():
         return None
     if sorted(a.element_orders().tolist()) != sorted(b.element_orders().tolist()):
@@ -872,7 +870,7 @@ def group_from_json(data: dict, name: str = "") -> FiniteGroup:
         raise ValidationError(f"group JSON needs 'table' and 'generators': {exc}") from exc
     labels = data.get("labels")
     g = FiniteGroup(table, generators, labels=labels, name=name or str(data.get("name", "")))
-    if "order" in data and int(data["order"]) != g.order:
+    if "order" in data and _as_int(data["order"], "declared order") != g.order:
         raise ValidationError(f"declared order {data['order']} != table order {g.order}")
     return g
 

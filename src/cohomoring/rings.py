@@ -13,9 +13,16 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .budgets import Budgets, current_budgets
+from .budgets import current_budgets
 from .errors import BudgetExceeded, ValidationError
-from .groups import FiniteGroup, _as_int_array, _as_table, _positions, subgroup_from_indices
+from .groups import (
+    FiniteGroup,
+    _as_int,
+    _as_int_array,
+    _as_table,
+    _positions,
+    subgroup_from_indices,
+)
 
 __all__ = [
     "FiniteRing",
@@ -42,16 +49,15 @@ class FiniteRing:
 
     def __init__(self, add_table, mul_table, one: Optional[int] = None,
                  labels: Optional[Sequence[str]] = None, name: str = "",
-                 budget: Optional[Budgets] = None, validate: bool = True):
-        budget = budget or current_budgets()
+                 validate: bool = True):
+        cap = current_budgets().ring_check_max_order
         self.add_table = _as_table(add_table, "ring addition table")
         self.mul_table = _as_int_array(mul_table, "ring multiplication table")
         self.order = self.add_table.shape[0]
-        self.one = None if one is None else int(one)
+        self.one = None if one is None else _as_int(one, "ring identity index")
         self.name = name
-        if self.order > budget.ring_check_max_order:
-            raise BudgetExceeded(
-                f"ring order {self.order} exceeds check budget {budget.ring_check_max_order}")
+        if self.order > cap:
+            raise BudgetExceeded(f"ring order {self.order} exceeds check budget {cap}")
         self.add_group = FiniteGroup(self.add_table, None, labels=labels,
                                      name=f"{name}+" if name else "")
         self.labels = self.add_group.labels
@@ -98,6 +104,8 @@ class FiniteRing:
                 f"multiplication not associative at ({a}, {b}, {c})", witness=(a, b, c))
         if self.one is not None:
             e = self.one
+            if not 0 <= e < n:
+                raise ValidationError(f"declared identity {e} outside the ring of order {n}")
             if not (mul[e] == np.arange(n)).all() or not (mul[:, e] == np.arange(n)).all():
                 raise ValidationError(f"declared identity {e} is not two-sided")
 
@@ -180,7 +188,7 @@ def subring_from_indices(ring: FiniteRing, indices, name: str = "") -> Tuple[Fin
 
 def check_ideal(ring: FiniteRing, indices) -> np.ndarray:
     """Validate a two-sided ideal given by element indices; returns the sorted array."""
-    idx = sorted({int(a) for a in indices})
+    idx = sorted(set(_as_int_array(indices, "ideal").ravel().tolist()))
     outside = [a for a in idx if not 0 <= a < ring.order]
     if outside:
         raise ValidationError(
@@ -351,8 +359,7 @@ class SemidirectRing:
         return int(s * self.action.r_ring.order + r)
 
 
-def semidirect_ring(action: BimoduleAction, name: str = "",
-                    budget: Optional[Budgets] = None) -> SemidirectRing:
+def semidirect_ring(action: BimoduleAction, name: str = "") -> SemidirectRing:
     """Ring on pairs (s, r): products multiply in the ring and act on the carrier.
 
     (s1, r1)(s2, r2) = (r1.s2 + s1.r2, r1 r2); the carrier embeds as the
@@ -362,8 +369,11 @@ def semidirect_ring(action: BimoduleAction, name: str = "",
     sg = action.s_group
     nr, ns = rr.order, sg.order
     order = ns * nr
-    s1, r1, s2, r2 = np.meshgrid(np.arange(ns), np.arange(nr), np.arange(ns), np.arange(nr),
-                                 indexing="ij")
+    # index axes [s1, r1, s2, r2], broadcast so that no order^2 index grid is built
+    s1 = np.arange(ns)[:, None, None, None]
+    r1 = np.arange(nr)[None, :, None, None]
+    s2 = np.arange(ns)[None, None, :, None]
+    r2 = np.arange(nr)[None, None, None, :]
     add_s, add_r = sg.table, rr.add_table
     s_out = add_s[s1, s2]
     r_out = add_r[r1, r2]
@@ -373,7 +383,7 @@ def semidirect_ring(action: BimoduleAction, name: str = "",
     mul_table = (sm_out * nr + rm_out).reshape(order, order)
     labels = [f"({sg.labels[s]};{rr.labels[r]})" for s in range(ns) for r in range(nr)]
     ring = FiniteRing(add_table, mul_table, one=None, labels=labels,
-                      name=name or "semidirect", budget=budget)
+                      name=name or "semidirect")
     s_idx = np.arange(ns, dtype=np.int64) * nr
     r_idx = np.arange(nr, dtype=np.int64)
     return SemidirectRing(ring=ring, action=action, s_indices=s_idx, r_indices=r_idx)
@@ -395,14 +405,13 @@ def ring_to_json(ring: FiniteRing) -> dict:
     return data
 
 
-def ring_from_json(data: dict, budget: Optional[Budgets] = None) -> FiniteRing:
+def ring_from_json(data: dict) -> FiniteRing:
     try:
         add = data["add_table"]
         mul = data["mul_table"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"ring JSON needs 'add_table' and 'mul_table': {exc}") from exc
-    ring = FiniteRing(add, mul, one=data.get("one"), name=str(data.get("name", "")),
-                      budget=budget)
-    if "order" in data and int(data["order"]) != ring.order:
+    ring = FiniteRing(add, mul, one=data.get("one"), name=str(data.get("name", "")))
+    if "order" in data and _as_int(data["order"], "declared order") != ring.order:
         raise ValidationError(f"declared order {data['order']} != table order {ring.order}")
     return ring

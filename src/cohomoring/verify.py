@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .budgets import Budgets, current_budgets
+from .budgets import current_budgets
 from .cocycles import CrossedHom, enumerate_z1, post_compose
 from .cohomology2 import (
     H2Group,
@@ -177,8 +177,7 @@ def _eta_coefficients(fe: FiberEndoRing, h2q: H2Group,
     return out
 
 
-def verify_five_term(ext: AbelianExtension, budget: Optional[Budgets] = None,
-                     fe: Optional[FiberEndoRing] = None,
+def verify_five_term(ext: AbelianExtension, fe: Optional[FiberEndoRing] = None,
                      h2q: Optional[H2Group] = None,
                      check_h2g: Optional[bool] = None) -> ExactnessReport:
     """Verify the five-term ring sequence of the extension.
@@ -186,9 +185,8 @@ def verify_five_term(ext: AbelianExtension, budget: Optional[Budgets] = None,
     check_h2g controls the last node: None checks it whenever the middle
     group is within budget, True forces it (raising on budget), False skips.
     """
-    budget = budget or current_budgets()
-    fe = fe or fiber_endo_ring(ext, budget=budget)
-    h2q = h2q or compute_h2(ext.q_group, ext.n_group, ext.action, budget=budget)
+    fe = fe or fiber_endo_ring(ext)
+    h2q = h2q or compute_h2(ext.q_group, ext.n_group, ext.action)
     report = ExactnessReport("five-term endomorphism ring sequence", _instance_name(ext))
 
     mr = fe.module_ring
@@ -198,11 +196,11 @@ def verify_five_term(ext: AbelianExtension, budget: Optional[Budgets] = None,
     zero_class = h2q.zero()
 
     if check_h2g is None:
-        check_h2g = ext.g_group.order <= budget.h2g_max_group_order
+        check_h2g = ext.g_group.order <= current_budgets().h2g_max_group_order
     act_g = fe.cocycles.elements[0].action
     h2g: Optional[H2Group] = None
     if check_h2g:
-        h2g = compute_h2(ext.g_group, ext.n_group, act_g, budget=budget)
+        h2g = compute_h2(ext.g_group, ext.n_group, act_g)
 
     report.nodes = [
         ("kernel-and-quotient-fixing endos", len(ideal)),
@@ -315,14 +313,12 @@ def verify_qr_sequence(ring: FiniteRing, ideal_indices, proj: RingHom,
     return report
 
 
-def verify_aut_five_term(ext: AbelianExtension, budget: Optional[Budgets] = None,
-                         fe: Optional[FiberEndoRing] = None,
+def verify_aut_five_term(ext: AbelianExtension, fe: Optional[FiberEndoRing] = None,
                          h2q: Optional[H2Group] = None) -> ExactnessReport:
     """Verify the restriction of the five-term sequence to invertible members,
     and cross-check it against the quasi-regular route through the ideal."""
-    budget = budget or current_budgets()
-    fe = fe or fiber_endo_ring(ext, budget=budget)
-    h2q = h2q or compute_h2(ext.q_group, ext.n_group, ext.action, budget=budget)
+    fe = fe or fiber_endo_ring(ext)
+    h2q = h2q or compute_h2(ext.q_group, ext.n_group, ext.action)
     report = ExactnessReport("five-term automorphism sequence", _instance_name(ext))
 
     mr = fe.module_ring
@@ -437,7 +433,6 @@ def _descent_witness(ext: AbelianExtension, members: np.ndarray,
 
 
 def verify_centralizer_sequence(ext: AbelianExtension,
-                                budget: Optional[Budgets] = None,
                                 cd: Optional[CentralizerData] = None,
                                 h2q: Optional[H2Group] = None,
                                 b_all: Optional[List[np.ndarray]] = None,
@@ -447,19 +442,18 @@ def verify_centralizer_sequence(ext: AbelianExtension,
     b_all and c_all, when given, are kernel_fixing_endos(ext) and
     action_preserving_quotient_endos(ext).
     """
-    budget = budget or current_budgets()
-    cd = cd or centralizer_extension(ext, budget=budget)
-    h2q = h2q or compute_h2(ext.q_group, ext.n_group, ext.action, budget=budget)
+    cd = cd or centralizer_extension(ext)
+    h2q = h2q or compute_h2(ext.q_group, ext.n_group, ext.action)
     report = ExactnessReport("pointed endomorphism sequence of the centralizer layer",
                              _instance_name(ext))
     q = ext.q_group
     arange_q = np.arange(q.order, dtype=np.int64)
 
     # Sets are indexed; set members below are their positions in b_set / c_set.
-    b_set = kernel_fixing_endos(ext, budget=budget) if b_all is None else b_all
+    b_set = kernel_fixing_endos(ext) if b_all is None else b_all
     pv = ext.p.values
     a_set = {k for k, v in enumerate(b_set) if (pv[v] == pv).all()}
-    c_set = action_preserving_quotient_endos(ext, budget=budget) if c_all is None else c_all
+    c_set = action_preserving_quotient_endos(ext) if c_all is None else c_all
     b_index = _endo_index(b_set, ext.g_group)
     c_index = _endo_index(c_set, q)
 
@@ -481,7 +475,7 @@ def verify_centralizer_sequence(ext: AbelianExtension,
     report.add("descent is a monoid homomorphism", wit is None, witness=wit)
 
     # Displacement bijections against the crossed-homomorphism layers.
-    z1c = enumerate_z1(q, cd.c_sub.group, cd.q_action_on_c, budget=budget)
+    z1c = enumerate_z1(q, cd.c_sub.group, cd.q_action_on_c)
     round_b = all(
         (endo_from_centralizer_displacement(cd, centralizer_displacement(cd, v)) == v).all()
         for v in b_set)
@@ -489,7 +483,7 @@ def verify_centralizer_sequence(ext: AbelianExtension,
     report.add("kernel-fixing endos match centralizer crossed homs",
                round_b and set(lifted.tolist()) == set(range(len(b_set))),
                len(b_set), len(z1c))
-    z1qbar = enumerate_z1(q, cd.qbar_group, cd.q_action_on_qbar, budget=budget)
+    z1qbar = enumerate_z1(q, cd.qbar_group, cd.q_action_on_qbar)
     round_c = all(
         (quotient_endo_from_displacement(cd, quotient_endo_displacement(cd, v)) == v).all()
         for v in c_set)
@@ -517,7 +511,7 @@ def verify_centralizer_sequence(ext: AbelianExtension,
     n_order = ext.n_group.order
     qbar_ord = cd.qbar_group.order
     sections = n_order ** max(qbar_ord - 1, 0)
-    if sections * max(len(c_set), 1) <= budget.delta_lift_scan:
+    if sections * max(len(c_set), 1) <= current_budgets().delta_lift_scan:
         fibers = [[0]] + [
             [c for c in range(cd.c_sub.group.order) if int(cd.pi.values[c]) == b]
             for b in range(1, qbar_ord)
@@ -541,7 +535,6 @@ def verify_centralizer_sequence(ext: AbelianExtension,
 
 
 def verify_aut_centralizer_sequence(ext: AbelianExtension,
-                                    budget: Optional[Budgets] = None,
                                     cd: Optional[CentralizerData] = None,
                                     h2q: Optional[H2Group] = None,
                                     b_all: Optional[List[np.ndarray]] = None,
@@ -551,9 +544,8 @@ def verify_aut_centralizer_sequence(ext: AbelianExtension,
     where every node is a group and every map but the connecting one is a
     group homomorphism.  b_all and c_all are as in
     verify_centralizer_sequence."""
-    budget = budget or current_budgets()
-    cd = cd or centralizer_extension(ext, budget=budget)
-    h2q = h2q or compute_h2(ext.q_group, ext.n_group, ext.action, budget=budget)
+    cd = cd or centralizer_extension(ext)
+    h2q = h2q or compute_h2(ext.q_group, ext.n_group, ext.action)
     report = ExactnessReport("automorphism sequence of the centralizer layer",
                              _instance_name(ext))
     g = ext.g_group
@@ -562,11 +554,11 @@ def verify_aut_centralizer_sequence(ext: AbelianExtension,
     pv = ext.p.values
 
     if b_all is None:
-        b_all = kernel_fixing_endos(ext, budget=budget)
+        b_all = kernel_fixing_endos(ext)
     aut_b = [v for v in b_all if np.unique(v).size == g.order]
     aut_a = [v for v in aut_b if (pv[v] == pv).all()]
     if c_all is None:
-        c_all = action_preserving_quotient_endos(ext, budget=budget)
+        c_all = action_preserving_quotient_endos(ext)
     aut_c = [v for v in c_all if np.unique(v).size == q.order]
     a_index = _endo_index(aut_a, g)
     b_index = _endo_index(aut_b, g)
@@ -619,21 +611,19 @@ def verify_aut_centralizer_sequence(ext: AbelianExtension,
 
 
 def verify_crossed_hom_sequence(ext: AbelianExtension,
-                                budget: Optional[Budgets] = None,
                                 cd: Optional[CentralizerData] = None,
                                 h2q: Optional[H2Group] = None) -> ExactnessReport:
     """Verify the pointed crossed-homomorphism sequence of the central layer
     kernel -> centralizer -> central quotient, ending in H2(Q,N)."""
-    budget = budget or current_budgets()
-    cd = cd or centralizer_extension(ext, budget=budget)
-    h2q = h2q or compute_h2(ext.q_group, ext.n_group, ext.action, budget=budget)
+    cd = cd or centralizer_extension(ext)
+    h2q = h2q or compute_h2(ext.q_group, ext.n_group, ext.action)
     report = ExactnessReport("crossed-homomorphism sequence of the central layer",
                              _instance_name(ext))
     q = ext.q_group
 
-    z1n = enumerate_z1(q, ext.n_group, ext.action, budget=budget)
-    z1c = enumerate_z1(q, cd.c_sub.group, cd.q_action_on_c, budget=budget)
-    z1qbar = enumerate_z1(q, cd.qbar_group, cd.q_action_on_qbar, budget=budget)
+    z1n = enumerate_z1(q, ext.n_group, ext.action)
+    z1c = enumerate_z1(q, cd.c_sub.group, cd.q_action_on_c)
+    z1qbar = enumerate_z1(q, cd.qbar_group, cd.q_action_on_qbar)
 
     report.nodes = [
         ("crossed homs into the kernel", len(z1n)),
@@ -663,21 +653,20 @@ def verify_crossed_hom_sequence(ext: AbelianExtension,
 # --------------------------------------------------------------------- driver
 
 
-def verify_all(ext: AbelianExtension, budget: Optional[Budgets] = None,
+def verify_all(ext: AbelianExtension,
                check_h2g: Optional[bool] = None) -> List[ExactnessReport]:
     """Run every sequence verifier on one extension, sharing the heavy parts."""
-    budget = budget or current_budgets()
-    fe = fiber_endo_ring(ext, budget=budget)
-    h2q = compute_h2(ext.q_group, ext.n_group, ext.action, budget=budget)
-    cd = centralizer_extension(ext, budget=budget)
+    fe = fiber_endo_ring(ext)
+    h2q = compute_h2(ext.q_group, ext.n_group, ext.action)
+    cd = centralizer_extension(ext)
     reports = [
-        verify_five_term(ext, budget=budget, fe=fe, h2q=h2q, check_h2g=check_h2g),
-        verify_aut_five_term(ext, budget=budget, fe=fe, h2q=h2q),
+        verify_five_term(ext, fe=fe, h2q=h2q, check_h2g=check_h2g),
+        verify_aut_five_term(ext, fe=fe, h2q=h2q),
     ]
-    endos = dict(b_all=kernel_fixing_endos(ext, budget=budget),
-                 c_all=action_preserving_quotient_endos(ext, budget=budget))
+    endos = dict(b_all=kernel_fixing_endos(ext),
+                 c_all=action_preserving_quotient_endos(ext))
     return reports + [
-        verify_centralizer_sequence(ext, budget=budget, cd=cd, h2q=h2q, **endos),
-        verify_aut_centralizer_sequence(ext, budget=budget, cd=cd, h2q=h2q, **endos),
-        verify_crossed_hom_sequence(ext, budget=budget, cd=cd, h2q=h2q),
+        verify_centralizer_sequence(ext, cd=cd, h2q=h2q, **endos),
+        verify_aut_centralizer_sequence(ext, cd=cd, h2q=h2q, **endos),
+        verify_crossed_hom_sequence(ext, cd=cd, h2q=h2q),
     ]

@@ -230,6 +230,39 @@ def test_verify_corrupted_catalog_exits_one(tmp_path, capsys):
     assert "[FAIL] ragged table\n       error: group table must be a rectangular array" in out
     assert "[ ok ] Z4" in out
 
+    # non-numeric values outside the group tables, a mis-shaped action and an
+    # identity outside the ring fail their own row too
+    c2 = group_to_json(make_cyclic(2))
+    quad = {"quotient_group": c2, "kernel_group": c2, "action": [[0, 1], [0, 1]],
+            "cocycle": [[0, 0], [0, 0]]}
+    z4 = ring_to_json(zn_ring(4))
+    text_map = extension_to_json(dihedral_extension(3))
+    text_map["kernel_map"] = "x"
+    rows = (("text cocycle", {"quadruple": dict(quad, cocycle="x")},
+             "quadruple cocycle must be a rectangular array of integers"),
+            ("text action", {"quadruple": dict(quad, action="x")},
+             "quadruple action must be a rectangular array of integers"),
+            ("short action", {"quadruple": dict(quad, action=[[0, 1, 1]])},
+             "quadruple action is not an action"),
+            ("text ideal", {"kind": "ring", "ring": z4, "ideal": ["x"]},
+             "ideal must be a rectangular array of integers"),
+            ("text one", {"kind": "ring", "ring": dict(z4, one="x")},
+             "ring identity index must be an integer, got 'x'"),
+            ("one outside", {"kind": "ring", "ring": dict(z4, one=9)},
+             "declared identity 9 outside the ring of order 4"),
+            ("text order", {"kind": "ring", "ring": dict(z4, order="x")},
+             "declared order must be an integer, got 'x'"),
+            ("text kernel map", {"extension": text_map},
+             "kernel map must be a rectangular array of integers"))
+    doc = {"entries": [dict(entry, name=name) for name, entry, _ in rows]
+           + [{"name": "C2 by C2", "quadruple": quad}]}
+    path.write_text(json.dumps(doc))
+    code, out, _ = _run(capsys, "verify", "--catalog", str(path))
+    assert code == 1
+    for name, _, error in rows:
+        assert f"[FAIL] {name}\n       error: {error}\n" in out
+    assert "[ ok ] C2 by C2" in out
+
 
 def test_verify_malformed_catalog_file(tmp_path, capsys):
     path = tmp_path / "catalog.json"
@@ -271,7 +304,7 @@ def test_missing_file_exits_two(capsys):
     assert "error:" in err
 
 
-def test_output_is_deterministic(capsys):
+def test_output_is_deterministic(capsys, monkeypatch):
     # sha256 of each output as first recorded; a refactor must not move a byte
     for argv, digest in (
         (["group", "--dihedral", "5", "--json"],
@@ -293,3 +326,25 @@ def test_output_is_deterministic(capsys):
         _, second, _ = _run(capsys, *argv)
         assert first == second, argv
         assert hashlib.sha256(first.encode()).hexdigest() == digest, argv
+
+    # a tiny budget reaches the ring-order, H^2(G,N) group-order, lifted-class
+    # and "no cohomology method fits" gates
+    monkeypatch.setenv("COHOMORING_BUDGET", "0.001")
+    code, out, _ = _run(capsys, "verify", "--json")
+    assert code == 1
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "2fd49187de9a75395c422eaddaec9f2e254430643c34ad9381184fdd65d00946")
+
+
+def test_malformed_budget_exits_two(capsys, monkeypatch):
+    monkeypatch.setenv("COHOMORING_BUDGET", "abc")
+    for argv in (["verify"], ["examples", "dihedral", "3"], ["z1", "--dihedral", "4"],
+                 ["h2", "--dihedral", "4"], ["endo", "--dihedral", "4"],
+                 ["extension", "--dihedral", "4"], ["ring", "--zn", "12"]):
+        code, out, err = _run(capsys, *argv)
+        assert code == 2 and not out, argv
+        assert err == "error: COHOMORING_BUDGET must be a number, got 'abc'\n", argv
+    # building a group spends no budget
+    code, out, err = _run(capsys, "group", "--dihedral", "4")
+    assert code == 0 and not err
+    assert "order: 8" in out
