@@ -34,7 +34,6 @@ from .examples import dihedral_report, ring432_construct, ring432_report
 from .extension import AbelianExtension, extension_from_json, extension_to_json
 from .groups import (
     FiniteGroup,
-    conjugation_action,
     enumerate_actions,
     group_from_json,
     group_to_json,
@@ -181,8 +180,7 @@ def cmd_z1(args) -> int:
     if args.layer == "quotient":
         source, module, action = ext.q_group, ext.n_group, ext.action
     else:
-        source, module = ext.g_group, ext.n_group
-        action = conjugation_action(ext.g_group, ext.i, on="group")
+        source, module, action = ext.g_group, ext.n_group, ext.g_action
     zs = sorted(enumerate_z1(source, module, action), key=lambda z: z.key())
     listed = [z.values.tolist() for z in zs[:_LIST_CAP]]
     if args.json:

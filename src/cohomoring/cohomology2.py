@@ -15,7 +15,7 @@ import numpy as np
 
 from .budgets import current_budgets
 from .errors import BudgetExceeded, ValidationError
-from .groups import ActionTable, FiniteGroup, GroupHom
+from .groups import ActionTable, FiniteGroup, GroupHom, _descend, _positions
 from .linalg import (
     AbelianDecomposition,
     KernelBasis,
@@ -47,13 +47,12 @@ class TwoCocycle:
     """
 
     def __init__(self, q_group: FiniteGroup, n_group: FiniteGroup, action: ActionTable,
-                 values: np.ndarray, validate: bool = True):
+                 values: np.ndarray):
         self.q_group = q_group
         self.n_group = n_group
         self.action = action
         self.values = np.asarray(values, dtype=np.int64)
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self) -> None:
         q = self.q_group.order
@@ -167,24 +166,19 @@ def connecting_cocycle(q_group: FiniteGroup, tau_values: Sequence[int],
     if tau.shape != (q,) or tau[0] != 0:
         raise ValidationError("crossed homomorphism must send identity to identity")
     if lift is None:
-        sec = np.full(pi.target.order, -1, dtype=np.int64)
-        for cc in range(c_group.order - 1, -1, -1):
-            sec[pi.values[cc]] = cc
-    else:
-        sec = np.asarray(lift, dtype=np.int64)
-        if sec.shape != (pi.target.order,):
-            raise ValidationError("lift must choose one element per quotient element")
-        if not (pi.values[sec] == np.arange(pi.target.order)).all():
-            raise ValidationError("lift is not a section of the quotient map")
+        lift = _descend(pi.values, pi.values)[0]  # the least element of each fiber
+    sec = np.asarray(lift, dtype=np.int64)
+    if sec.shape != (pi.target.order,):
+        raise ValidationError("lift must choose one element per quotient element")
+    if not (pi.values[sec] == np.arange(pi.target.order)).all():
+        raise ValidationError("lift is not a section of the quotient map")
     if sec[0] != 0:
         raise ValidationError("lift must send identity to identity")
     g = sec[tau]  # g[x] in C lifting tau(x)
     mulc = c_group.table
     invc = c_group.inverse
     n = n_in_c.source
-    n_pos = np.full(c_group.order, -1, dtype=np.int64)
-    for m in range(n.order):
-        n_pos[n_in_c.values[m]] = m
+    n_pos = _positions(c_group.order, n_in_c.values)
     tq = q_group.table
     prod = mulc[g[:, None], q_action_on_c.table[np.arange(q)[:, None], g[None, :]]]
     word = mulc[prod, invc[g[tq]]]
@@ -266,11 +260,8 @@ class H2Group:
             out = out.add(rep.scaled(int(k)))
         return out
 
-    def classes(self, max_count: Optional[int] = None) -> Iterator[Tuple[Tuple[int, ...], TwoCocycle]]:
+    def classes(self) -> Iterator[Tuple[Tuple[int, ...], TwoCocycle]]:
         """All classes as (coefficients, representative cocycle)."""
-        cap = max_count if max_count is not None else self.order
-        if self.order > cap:
-            raise BudgetExceeded(f"{self.order} classes exceeds cap {cap}")
         for idx in np.ndindex(*self.invariant_factors):
             coeffs = tuple(int(i) for i in idx)
             yield coeffs, self.rep_from_coeffs(coeffs)

@@ -27,12 +27,11 @@ from .extension import AbelianExtension, CentralizerData
 from .groups import (
     ActionTable,
     FiniteGroup,
-    GroupHom,
     TableIndex,
+    _descend,
     _is_hom,
     _positions,
     _search_generator_images,
-    conjugation_action,
     enumerate_endos,
 )
 from .rings import FiniteRing, RingHom, check_ideal, is_square_zero_ideal, quasi_regular_group
@@ -181,8 +180,7 @@ def fiber_endo_ring(ext: AbelianExtension) -> FiberEndoRing:
     g = ext.g_group
     n = ext.n_group
     arange = np.arange(g.order, dtype=np.int64)
-    act_g = conjugation_action(g, ext.i, on="group")
-    cring = cocycle_ring(g, n, act_g, ext.i)
+    cring = cocycle_ring(g, n, ext.g_action, ext.i)
 
     tg = g.table
     ginv = g.inverse
@@ -334,10 +332,10 @@ def induced_quotient_endo(ext: AbelianExtension, alpha_values) -> np.ndarray:
     """Push a kernel-preserving endomorphism of the middle group to the quotient."""
     alpha = np.asarray(alpha_values, dtype=np.int64)
     pv = ext.p.values
-    cand = pv[alpha[ext.section]]
-    if not (pv[alpha] == cand[pv]).all():
-        bad = int(np.nonzero(pv[alpha] != cand[pv])[0][0])
-        raise ValidationError("endomorphism does not descend to the quotient", witness=bad)
+    _, cand, bad = _descend(pv, pv[alpha])
+    if bad.any():
+        raise ValidationError("endomorphism does not descend to the quotient",
+                              witness=int(np.argmax(bad)))
     if not _is_hom(ext.q_group, ext.q_group, cand):
         raise ValidationError("descended map is not an endomorphism")
     return cand

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .catalog import dihedral_extension
-from .endo_rings import FiberEndoRing, fiber_endo_ring
+from .endo_rings import fiber_endo_ring
 from .errors import ValidationError
 from .groups import FiniteGroup, make_cyclic
 from .rings import (

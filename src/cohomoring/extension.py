@@ -3,15 +3,18 @@
 An extension here is a short exact sequence of table groups: an injective map
 from an abelian kernel, a surjection onto a quotient, matching image and
 kernel in the middle, together with the canonical minimal-index section of
-the surjection and the induced conjugation action of the quotient on the
-kernel.  Everything is validated exhaustively at construction time.
+the surjection, the conjugation action of the middle group on the kernel and
+the action of the quotient it descends to.  Conjugation tables come from
+`groups._conjugation_rows` and fiber representatives and descent checks
+from `groups._descend`.  Everything is validated exhaustively at
+construction time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -24,6 +27,8 @@ from .groups import (
     GroupHom,
     Subgroup,
     _as_int_array,
+    _conjugation_rows,
+    _descend,
     _positions,
     _search_generator_images,
     centralizer,
@@ -46,13 +51,15 @@ __all__ = [
 class AbelianExtension:
     """A validated short exact sequence with abelian kernel.
 
+    `section[q]` is the least element of G over q, `g_action` the conjugation
+    action of G on the kernel and `action` the action of Q it descends to.
     Construct through `build_extension`; the constructor only stores fields
     that the builder has already checked.
     """
 
     def __init__(self, n_group: FiniteGroup, g_group: FiniteGroup, q_group: FiniteGroup,
                  i: GroupHom, p: GroupHom, section: np.ndarray, action: ActionTable,
-                 name: str = ""):
+                 g_action: ActionTable, name: str = ""):
         self.n_group = n_group
         self.g_group = g_group
         self.q_group = q_group
@@ -60,6 +67,7 @@ class AbelianExtension:
         self.p = p
         self.section = section
         self.action = action
+        self.g_action = g_action
         self.name = name or f"{n_group.name or n_group.order}-by-{q_group.name or q_group.order}"
         self._n_pos = _positions(g_group.order, i.values)
 
@@ -120,7 +128,7 @@ class AbelianExtension:
 
 
 def build_extension(i: GroupHom, p: GroupHom, name: str = "") -> AbelianExtension:
-    """Validate a short exact sequence and derive its section and action."""
+    """Validate a short exact sequence and derive its section and both actions."""
     n_group = i.source
     g_group = i.target
     q_group = p.target
@@ -138,32 +146,26 @@ def build_extension(i: GroupHom, p: GroupHom, name: str = "") -> AbelianExtensio
         extra = sorted(image - kernel) + sorted(kernel - image)
         raise ValidationError(
             f"kernel image and surjection kernel differ at {extra[:4]}", witness=extra[:4])
-    # canonical section: least group index in each fiber
-    section = np.full(q_group.order, -1, dtype=np.int64)
-    for g in range(g_group.order - 1, -1, -1):
-        section[p.values[g]] = g
+    # canonical section: least group index in each fiber; conjugation by each
+    # element of G, which must descend to the quotient
+    conj = _conjugation_rows(g_group, i.values)
+    section, act, mismatch = _descend(p.values, conj)
     if section[0] != 0:
         raise ValidationError("section fails to pick the identity over the identity")
-    pos = _positions(g_group.order, i.values)
-    # conjugation action of the quotient, checked on every fiber element
-    conj = np.zeros((g_group.order, n_group.order), dtype=np.int64)
-    tg = g_group.table
-    inv = g_group.inverse
-    for g in range(g_group.order):
-        conj[g] = pos[tg[tg[g, i.values], inv[g]]]
-    if (conj < 0).any():
-        g = int(np.argwhere((conj < 0).any(axis=1))[0][0])
+    escapes = (conj < 0).any(axis=1)
+    if escapes.any():
+        g = int(np.argmax(escapes))
         raise ValidationError(f"conjugation by {g} leaves the kernel", witness=g)
-    act = conj[section]
-    mismatch = conj != act[p.values]
     if mismatch.any():
         g, m = map(int, np.argwhere(mismatch)[0])
         raise ValidationError(
             f"conjugation by fiber element {g} disagrees with its coset on kernel element {m}",
             witness=(g, m),
         )
+    g_action = ActionTable(g_group, n_group, conj)
     action = ActionTable(q_group, n_group, act)
-    return AbelianExtension(n_group, g_group, q_group, i, p, section, action, name=name)
+    return AbelianExtension(n_group, g_group, q_group, i, p, section, action, g_action,
+                            name=name)
 
 
 def extension_from_cocycle(cocycle: TwoCocycle, name: str = "") -> AbelianExtension:
@@ -175,8 +177,11 @@ def extension_from_cocycle(cocycle: TwoCocycle, name: str = "") -> AbelianExtens
     order = nn * qn
     f = cocycle.values
     tn, tq = n_group.table, q_group.table
-    n1, q1, n2, q2 = np.meshgrid(
-        np.arange(nn), np.arange(qn), np.arange(nn), np.arange(qn), indexing="ij")
+    # index axes [n1, q1, n2, q2], broadcast so that no order^2 index grid is built
+    n1 = np.arange(nn)[:, None, None, None]
+    q1 = np.arange(qn)[None, :, None, None]
+    n2 = np.arange(nn)[None, None, :, None]
+    q2 = np.arange(qn)[None, None, None, :]
     moved = action.table[q1, n2]
     n_out = tn[tn[n1, moved], f[q1, q2]]
     q_out = tq[q1, q2]
@@ -239,22 +244,16 @@ def centralizer_extension(ext: AbelianExtension) -> CentralizerData:
         raise ValidationError("kernel is not central in its centralizer")
     qbar_group, pi = quotient(c_grp, Subgroup(n, n_in_c))
     # embed the centralizer quotient into the extension quotient
-    vals = np.full(qbar_group.order, -1, dtype=np.int64)
-    for c in range(c_grp.order):
-        target = int(ext.p.values[c_emb.values[c]])
-        bar = int(pi.values[c])
-        if vals[bar] == -1:
-            vals[bar] = target
-        elif vals[bar] != target:
-            raise ValidationError(f"coset {bar} maps ambiguously into the quotient")
+    _, vals, ambiguous = _descend(pi.values, ext.p.values[c_emb.values])
+    if ambiguous.any():
+        bar = int(pi.values[np.argmax(ambiguous)])
+        raise ValidationError(f"coset {bar} maps ambiguously into the quotient")
     qbar_in_q = GroupHom(qbar_group, q, vals)
     if not qbar_in_q.is_injective():
         raise ValidationError("centralizer quotient fails to embed")
     # image of the embedding = elements of the quotient acting trivially
-    idn = np.arange(n.order)
-    trivial_rows = set(
-        int(qq) for qq in range(q.order) if (ext.action.table[qq] == idn).all()
-    )
+    trivial_rows = set(np.flatnonzero(
+        (ext.action.table == np.arange(n.order)).all(axis=1)).tolist())
     embedded = set(int(v) for v in qbar_in_q.values)
     if embedded != trivial_rows:
         diff = sorted(embedded ^ trivial_rows)
@@ -265,52 +264,39 @@ def centralizer_extension(ext: AbelianExtension) -> CentralizerData:
     central_ext = build_extension(n_in_c, pi, name=f"{ext.name}-centralizer")
     if not central_ext.action.is_trivial():
         raise ValidationError("centralizer extension action is not trivial")
-    # action of the quotient on the centralizer, one row per quotient element,
-    # then checked against conjugation by every fiber element
-    tg = g.table
-    ginv = g.inverse
-    act_c = np.zeros((q.order, c_grp.order), dtype=np.int64)
-    for qq in range(q.order):
-        u = int(ext.section[qq])
-        moved = pos_in_c[tg[tg[u, c_emb.values], ginv[u]]]
-        if (moved < 0).any():
-            raise ValidationError(f"conjugation by section element {qq} leaves the centralizer")
-        act_c[qq] = moved
-    for gg in range(g.order):
-        moved = pos_in_c[tg[tg[gg, c_emb.values], ginv[gg]]]
-        if not (moved == act_c[ext.p.values[gg]]).all():
-            raise ValidationError(
-                f"conjugation by fiber element {gg} disagrees with its coset on the centralizer",
-                witness=gg,
-            )
+    # action of the quotient on the centralizer, read at the section, then
+    # checked against conjugation by every fiber element
+    conj = _conjugation_rows(g, c_emb.values)
+    _, act_c, mismatch = _descend(ext.p.values, conj)
+    escapes = (act_c < 0).any(axis=1)
+    if escapes.any():
+        raise ValidationError(
+            f"conjugation by section element {int(np.argmax(escapes))} leaves the centralizer")
+    disagrees = mismatch.any(axis=1)
+    if disagrees.any():
+        gg = int(np.argmax(disagrees))
+        raise ValidationError(
+            f"conjugation by fiber element {gg} disagrees with its coset on the centralizer",
+            witness=gg,
+        )
     q_action_on_c = ActionTable(q, c_grp, act_c)
     # induced action on the centralizer quotient, checked rep-independent
-    act_qbar = np.zeros((q.order, qbar_group.order), dtype=np.int64)
-    for qq in range(q.order):
-        row = np.full(qbar_group.order, -1, dtype=np.int64)
-        projected = pi.values[act_c[qq]]
-        for c in range(c_grp.order):
-            bar = int(pi.values[c])
-            if row[bar] == -1:
-                row[bar] = projected[c]
-            elif row[bar] != projected[c]:
-                raise ValidationError(
-                    f"action of {qq} on the centralizer quotient is not well defined")
-        act_qbar[qq] = row
+    _, act_qbar, mismatch = _descend(pi.values, pi.values[act_c].T)
+    act_qbar = act_qbar.T
+    ill_defined = mismatch.any(axis=0)
+    if ill_defined.any():
+        raise ValidationError(f"action of {int(np.argmax(ill_defined))} on the centralizer "
+                              "quotient is not well defined")
     q_action_on_qbar = ActionTable(q, qbar_group, act_qbar)
     # the quotient action must match conjugation transported along the embedding
-    for qq in range(q.order):
-        lhs = qbar_in_q.values[act_qbar[qq]]
-        rhs = q.table[q.table[qq, qbar_in_q.values], q.inverse[qq]]
-        if not (lhs == rhs).all():
-            raise ValidationError(
-                f"quotient action of {qq} disagrees with conjugation in the quotient group")
+    differs = (act_qbar != _conjugation_rows(q, qbar_in_q.values)).any(axis=1)
+    if differs.any():
+        raise ValidationError(f"quotient action of {int(np.argmax(differs))} disagrees with "
+                              "conjugation in the quotient group")
     # kernel embedding is equivariant for the two actions
-    for qq in range(q.order):
-        lhs = act_c[qq, n_in_c.values]
-        rhs = n_in_c.values[ext.action.table[qq]]
-        if not (lhs == rhs).all():
-            raise ValidationError(f"kernel embedding is not equivariant at {qq}")
+    unequal = (act_c[:, n_in_c.values] != n_in_c.values[ext.action.table]).any(axis=1)
+    if unequal.any():
+        raise ValidationError(f"kernel embedding is not equivariant at {int(np.argmax(unequal))}")
     return CentralizerData(
         ext=ext,
         c_sub=c_sub,

@@ -6,13 +6,17 @@ action laws) is proved at construction time for all elements, by
 certificates that check the law against a generating set only: Light's
 associativity test for groups, the action law and the automorphism law on
 generators for actions (k n^2 work for k generators instead of n^3).
+
+Two private primitives serve every derived action, section and coset:
+`_conjugation_rows` builds the table a m a^-1 over a member list in one
+gather, and `_descend` picks the least element of each fiber of a
+surjection and reports where a table fails to be constant on fibers.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -167,10 +171,6 @@ class FiniteGroup:
 
     def inv(self, a: int) -> int:
         return int(self.inverse[a])
-
-    def conj(self, g: int, a: int) -> int:
-        """g * a * g^-1."""
-        return int(self.table[self.table[g, a], self.inverse[g]])
 
     def power(self, a: int, k: int) -> int:
         if k < 0:
@@ -547,29 +547,35 @@ def image(h: GroupHom) -> Subgroup:
     return subgroup_from_indices(h.target, h.image_indices())
 
 
+def _conjugation_rows(g: FiniteGroup, members) -> np.ndarray:
+    """[a, k] is the position of a * members[k] * a^-1 in `members`, -1 outside."""
+    members = np.asarray(members, dtype=np.int64)
+    return _positions(g.order, members)[g.table[g.table[:, members], g.inverse[:, None]]]
+
+
+def _descend(fiber_of: np.ndarray, table: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Descend `table`, whose rows belong to the elements x of the source of
+    the surjection x -> fiber_of[x] onto 0..k-1, to one row per fiber.
+
+    Returns (reps, down, bad): reps[c] is the least x in fiber c, down is
+    table[reps], and bad marks the entries of `table` that differ from the
+    row of their fiber, so the table descends exactly when bad is all False.
+    """
+    reps = np.unique(fiber_of, return_index=True)[1]
+    down = table[reps]
+    return reps, down, table != down[fiber_of]
+
+
 def is_normal(g: FiniteGroup, indices: Iterable[int]) -> bool:
     idx = sorted({int(a) for a in indices})
-    members = set(idx)
-    arr = np.asarray(idx, dtype=np.int64)
-    for a in range(g.order):
-        conj = g.table[g.table[a, arr], g.inverse[a]]
-        if any(int(c) not in members for c in conj):
-            return False
-    return True
+    return bool((_conjugation_rows(g, idx) >= 0).all())
 
 
 def _coset_partition(g: FiniteGroup, idx: Sequence[int]) -> Tuple[np.ndarray, List[int]]:
     """coset index per element (numbered by ascending minimal representative)."""
-    arr = np.asarray(sorted(idx), dtype=np.int64)
-    coset_of = np.full(g.order, -1, dtype=np.int64)
-    reps: List[int] = []
-    for a in range(g.order):
-        if coset_of[a] >= 0:
-            continue
-        members = np.unique(g.table[a, arr])
-        coset_of[members] = len(reps)
-        reps.append(int(members.min()))
-    return coset_of, reps
+    reps, coset_of = np.unique(g.table[:, np.asarray(idx, dtype=np.int64)].min(axis=1),
+                               return_inverse=True)
+    return coset_of.astype(np.int64), reps.tolist()
 
 
 def quotient(g: FiniteGroup, sub) -> Tuple[FiniteGroup, GroupHom]:
@@ -578,10 +584,7 @@ def quotient(g: FiniteGroup, sub) -> Tuple[FiniteGroup, GroupHom]:
     if not is_normal(g, idx):
         raise ValidationError(f"subgroup {idx} is not normal", witness=idx)
     coset_of, reps = _coset_partition(g, idx)
-    k = len(reps)
-    table = np.zeros((k, k), dtype=np.int64)
-    for a in range(k):
-        table[a] = coset_of[g.table[reps[a], reps]]
+    table = coset_of[g.table[np.ix_(reps, reps)]]
     labels = [f"[{g.labels[r]}]" for r in reps]
     q = FiniteGroup(table, None, labels=labels, name=f"{g.name or g.order}/{len(idx)}")
     proj = GroupHom(g, q, coset_of)
@@ -600,54 +603,29 @@ def _subgroup_indices(g: FiniteGroup, sub) -> List[int]:
 
 def centralizer(g: FiniteGroup, indices: Iterable[int]) -> Subgroup:
     idx = sorted({int(a) for a in indices})
-    arr = np.asarray(idx, dtype=np.int64)
-    members = [a for a in range(g.order) if (g.table[a, arr] == g.table[arr, a]).all()]
-    return subgroup_from_indices(g, members)
+    fixed = (_conjugation_rows(g, idx) == np.arange(len(idx))).all(axis=1)
+    return subgroup_from_indices(g, np.flatnonzero(fixed).tolist())
 
 
 def center(g: FiniteGroup) -> Subgroup:
     return centralizer(g, range(g.order))
 
 
-def conjugation_action(g: FiniteGroup, n_embedding: GroupHom, on: str = "quotient") -> ActionTable:
-    """Conjugation action on a normal (abelian or not) subgroup N.
+def conjugation_action(g: FiniteGroup, n_embedding: GroupHom) -> ActionTable:
+    """The conjugation action of G on a normal (abelian or not) subgroup N.
 
-    on="group": the action of G itself; on="quotient": the induced action of
-    G/N (checked to be well defined fiber by fiber).
+    The induced action of G/N on an abelian N is `build_extension(...).action`.
     """
     if n_embedding.target is not g:
         raise ValidationError("embedding targets a different group")
-    n_grp = n_embedding.source
-    arr = n_embedding.values
-    pos = _positions(g.order, arr)
-
-    def conj_row(a: int) -> np.ndarray:
-        row = pos[g.table[g.table[a, arr], g.inverse[a]]]
-        if (row < 0).any():
-            raise ValidationError(
-                f"subgroup is not normal: conjugation by {a} escapes", witness=a
-            )
-        return row
-
-    if on == "group":
-        table = np.stack([conj_row(a) for a in range(g.order)])
-        return ActionTable(g, n_grp, table)
-    if on != "quotient":
-        raise ValidationError(f"unknown actor kind {on!r}")
-    q, proj = quotient(g, arr.tolist())
-    rows = np.zeros((q.order, n_grp.order), dtype=np.int64)
-    seen = np.zeros(q.order, dtype=bool)
-    for a in range(g.order):
-        row = conj_row(a)
-        c = int(proj.values[a])
-        if not seen[c]:
-            rows[c] = row
-            seen[c] = True
-        elif not (rows[c] == row).all():
-            raise ValidationError(
-                f"conjugation action not well defined on coset {c}", witness=(c, a)
-            )
-    return ActionTable(q, n_grp, rows)
+    rows = _conjugation_rows(g, n_embedding.values)
+    escapes = (rows < 0).any(axis=1)
+    if escapes.any():
+        a = int(np.argmax(escapes))
+        raise ValidationError(
+            f"subgroup is not normal: conjugation by {a} escapes", witness=a
+        )
+    return ActionTable(g, n_embedding.source, rows)
 
 
 # ----------------------------------------------------------------- hom search
@@ -868,7 +846,14 @@ def group_from_json(data: dict, name: str = "") -> FiniteGroup:
         generators = data["generators"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"group JSON needs 'table' and 'generators': {exc}") from exc
+    if generators is not None:
+        generators = _as_int_array(generators, "group generators")
+        if generators.ndim != 1:
+            raise ValidationError(
+                f"group generators must be a list of integers, got {data['generators']!r}")
     labels = data.get("labels")
+    if labels is not None and not isinstance(labels, list):
+        raise ValidationError(f"group labels must be a list, got {labels!r}")
     g = FiniteGroup(table, generators, labels=labels, name=name or str(data.get("name", "")))
     if "order" in data and _as_int(data["order"], "declared order") != g.order:
         raise ValidationError(f"declared order {data['order']} != table order {g.order}")

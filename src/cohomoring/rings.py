@@ -48,8 +48,7 @@ class FiniteRing:
     """A finite ring given by full addition and multiplication tables."""
 
     def __init__(self, add_table, mul_table, one: Optional[int] = None,
-                 labels: Optional[Sequence[str]] = None, name: str = "",
-                 validate: bool = True):
+                 labels: Optional[Sequence[str]] = None, name: str = ""):
         cap = current_budgets().ring_check_max_order
         self.add_table = _as_table(add_table, "ring addition table")
         self.mul_table = _as_int_array(mul_table, "ring multiplication table")
@@ -61,8 +60,7 @@ class FiniteRing:
         self.add_group = FiniteGroup(self.add_table, None, labels=labels,
                                      name=f"{name}+" if name else "")
         self.labels = self.add_group.labels
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self) -> None:
         """Prove the ring axioms for all elements from the additive generators.
@@ -132,20 +130,18 @@ class FiniteRing:
 class RingHom:
     """A map of rings preserving both operations (not required to send 1 to 1)."""
 
-    def __init__(self, source: FiniteRing, target: FiniteRing, values, validate: bool = True):
+    def __init__(self, source: FiniteRing, target: FiniteRing, values):
         self.source = source
         self.target = target
-        self.values = np.asarray(values, dtype=np.int64)
-        if validate:
-            v = self.values
-            if v.shape != (source.order,):
-                raise ValidationError("ring map needs one value per source element")
-            if v.min() < 0 or v.max() >= target.order:
-                raise ValidationError("ring map value out of range")
-            if not (v[source.add_table] == target.add_table[v[:, None], v[None, :]]).all():
-                raise ValidationError("ring map is not additive")
-            if not (v[source.mul_table] == target.mul_table[v[:, None], v[None, :]]).all():
-                raise ValidationError("ring map is not multiplicative")
+        self.values = v = np.asarray(values, dtype=np.int64)
+        if v.shape != (source.order,):
+            raise ValidationError("ring map needs one value per source element")
+        if v.min() < 0 or v.max() >= target.order:
+            raise ValidationError("ring map value out of range")
+        if not (v[source.add_table] == target.add_table[v[:, None], v[None, :]]).all():
+            raise ValidationError("ring map is not additive")
+        if not (v[source.mul_table] == target.mul_table[v[:, None], v[None, :]]).all():
+            raise ValidationError("ring map is not multiplicative")
 
     def __call__(self, a: int) -> int:
         return int(self.values[a])
@@ -159,6 +155,8 @@ class RingHom:
 
 def zn_ring(n: int, name: str = "") -> FiniteRing:
     """The ring of integers mod n."""
+    if n < 1:
+        raise ValidationError(f"ring of integers mod n needs n >= 1, got {n}")
     idx = np.arange(n, dtype=np.int64)
     add = (idx[:, None] + idx[None, :]) % n
     mul = (idx[:, None] * idx[None, :]) % n

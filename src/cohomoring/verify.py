@@ -54,7 +54,6 @@ from .endo_rings import (
     quotient_endo_displacement,
     quotient_endo_from_displacement,
 )
-from .errors import BudgetExceeded, ValidationError
 from .extension import AbelianExtension, CentralizerData, centralizer_extension
 from .groups import FiniteGroup, TableIndex, _positions
 from .rings import FiniteRing, RingHom, quasi_regular_indices, star_table, subring_from_indices
@@ -197,10 +196,9 @@ def verify_five_term(ext: AbelianExtension, fe: Optional[FiberEndoRing] = None,
 
     if check_h2g is None:
         check_h2g = ext.g_group.order <= current_budgets().h2g_max_group_order
-    act_g = fe.cocycles.elements[0].action
     h2g: Optional[H2Group] = None
     if check_h2g:
-        h2g = compute_h2(ext.g_group, ext.n_group, act_g)
+        h2g = compute_h2(ext.g_group, ext.n_group, ext.g_action)
 
     report.nodes = [
         ("kernel-and-quotient-fixing endos", len(ideal)),
@@ -253,7 +251,7 @@ def verify_five_term(ext: AbelianExtension, fe: Optional[FiberEndoRing] = None,
         im_eta = {tuple(e) for e in eta}
         ker_inf = set()
         for coeffs, rep in h2q.classes():
-            if h2g.is_coboundary(inflation(rep, ext.p, act_g)):
+            if h2g.is_coboundary(inflation(rep, ext.p, ext.g_action)):
                 ker_inf.add(tuple(int(c) for c in coeffs))
         _set_equal(report, "H2(Q,N)", ker_inf, im_eta,
                    detail="classes killed by inflation vs transgression image")

@@ -178,7 +178,7 @@ _SMALL_RINGS = [zn_ring(n) for n in range(2, 10)] + \
     [subring_from_indices(zn_ring(12), [0, 2, 4, 6, 8, 10])[0],
      dihedral_model_ring(3).ring]
 _SMALL_ACTIONS = [inversion_action(_C2, make_cyclic(n)) for n in (3, 4, 5, 6)] + \
-    [conjugation_action(g, groups.identity_hom(g), on="group")
+    [conjugation_action(g, groups.identity_hom(g))
      for g in (make_dihedral(3), make_dihedral(4))] + \
     enumerate_actions(make_cyclic(3), _cyclic_product(2, 2)) + enumerate_actions(_C2, _C2XC4)
 _ORACLE_SETTINGS = settings(derandomize=True, database=None, max_examples=150,
@@ -354,7 +354,7 @@ def test_criterion_4_ring_axioms_bijection_star():
             continue
         assert _sweep_ring_ok(fe.ring.add_table, fe.ring.mul_table)  # every triple
         g = ext.g_group
-        act_g = conjugation_action(g, ext.i, on="group")
+        act_g = conjugation_action(g, ext.i)
         zr = cocycle_ring(g, ext.n_group, act_g, ext.i)
         assert _sweep_ring_ok(zr.ring.add_table, zr.ring.mul_table)  # that ring too
         # the displacement bijection intertwines both structures elementwise
@@ -479,7 +479,7 @@ def test_criterion_7_dual_route_oracles(monkeypatch):
     for n in (3, 4):
         ext = dihedral_extension(n)
         z1_cases.append((ext.g_group, ext.n_group,
-                         conjugation_action(ext.g_group, ext.i, on="group")))
+                         conjugation_action(ext.g_group, ext.i)))
     prod, i_a, p_b = make_direct_product(make_cyclic(3), make_cyclic(4), name="C3xC4")
     pext = build_extension(i_a, p_b)
     z1_cases.append((pext.q_group, pext.n_group, pext.action))
@@ -595,7 +595,7 @@ def test_criterion_8_minimal_transgression_story():
     assert len(set(eta_classes)) == len(eta_classes)
 
     # inflation kills every class of the pair group here
-    act_g = conjugation_action(ext.g_group, ext.i, on="group")
+    act_g = conjugation_action(ext.g_group, ext.i)
     h2g = compute_h2(ext.g_group, ext.n_group, act_g)
     for coeffs, rep in h2.classes():
         assert h2g.is_coboundary(inflation(rep, ext.p, act_g))

@@ -140,6 +140,10 @@ def test_ring_zn(capsys):
     assert "quasi-regular members: 4" in out
     assert "units: 4" in out
     assert "quasi-regular indices: 0 4 6 10" in out
+    for n in ("0", "-3"):
+        code, out, err = _run(capsys, "ring", "--zn", n)
+        assert code == 2
+        assert err == f"error: ring of integers mod n needs n >= 1, got {n}\n"
 
 
 def test_ring_432(capsys):
@@ -253,7 +257,14 @@ def test_verify_corrupted_catalog_exits_one(tmp_path, capsys):
             ("text order", {"kind": "ring", "ring": dict(z4, order="x")},
              "declared order must be an integer, got 'x'"),
             ("text kernel map", {"extension": text_map},
-             "kernel map must be a rectangular array of integers"))
+             "kernel map must be a rectangular array of integers"),
+            ("number generators", {"quadruple": dict(quad, kernel_group=dict(c2, generators=7))},
+             "group generators must be a list of integers, got 7"),
+            ("text generators",
+             {"quadruple": dict(quad, kernel_group=dict(c2, generators=["x"]))},
+             "group generators must be a rectangular array of integers"),
+            ("number labels", {"quadruple": dict(quad, quotient_group=dict(c2, labels=5))},
+             "group labels must be a list, got 5"))
     doc = {"entries": [dict(entry, name=name) for name, entry, _ in rows]
            + [{"name": "C2 by C2", "quadruple": quad}]}
     path.write_text(json.dumps(doc))

@@ -30,7 +30,7 @@ from cohomoring.groups import (
 def _dihedral_layer(n):
     """Whole-group layer of the dihedral extension: G acts on its rotations."""
     ext = dihedral_extension(n)
-    action = conjugation_action(ext.g_group, ext.i, on="group")
+    action = conjugation_action(ext.g_group, ext.i)
     return ext, action
 
 
@@ -147,7 +147,7 @@ def test_post_compose_requires_equivariance():
 
 def test_inflate_through_projection():
     ext = dihedral_extension(5)
-    g_action = conjugation_action(ext.g_group, ext.i, on="group")
+    g_action = conjugation_action(ext.g_group, ext.i)
     for z in enumerate_z1(ext.q_group, ext.n_group, ext.action):
         up = inflate(z, ext.p, g_action)
         assert (up.values == z.values[ext.p.values]).all()

@@ -3,6 +3,7 @@
 import pytest
 
 from cohomoring import ValidationError
+from cohomoring.extension import build_extension
 from cohomoring.groups import (
     FiniteGroup,
     GroupHom,
@@ -234,15 +235,16 @@ def test_conjugation_action_layers():
     d = make_dihedral(4)
     rot = mulclose(d, [2])
     sub = subgroup_from_indices(d, rot)
-    act_g = conjugation_action(d, sub.embedding, on="group")
+    act_g = conjugation_action(d, sub.embedding)
     assert act_g.actor is d and act_g.module is sub.group
     # a reflection conjugates the rotation to its inverse
     assert act_g.table[1, 1] == 3
-    q_act = conjugation_action(d, sub.embedding, on="quotient")
-    assert q_act.actor.order == 2
+    ext = build_extension(sub.embedding, quotient(d, sub)[1])
+    assert ext.action.actor.order == 2
+    assert (ext.g_action.table == act_g.table).all()
     refl = subgroup_from_indices(d, mulclose(d, [1]))
     with pytest.raises(ValidationError):
-        conjugation_action(d, refl.embedding, on="group")
+        conjugation_action(d, refl.embedding)
 
 
 def test_trivial_action_flag():

@@ -1,7 +1,10 @@
 """Sequence verifiers: every report passes on honest data and fails on broken data."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cohomoring import ValidationError
 from cohomoring.catalog import (
@@ -18,6 +21,7 @@ from cohomoring.extension import (
     extension_to_json,
 )
 from cohomoring.groups import (
+    FiniteGroup,
     GroupHom,
     enumerate_actions,
     make_cyclic,
@@ -252,3 +256,44 @@ def test_five_term_exactness_across_action_classes():
                 ext = extension_from_cocycle(rep_coc)
                 rep = verify_five_term(ext)
                 assert rep.ok, (q_ord, coeffs)
+
+
+@lru_cache(maxsize=None)
+def _relabel_case(k):
+    """(extension, its verify_all node sizes, its H2(Q,N) data) for case k."""
+    if k < 2:
+        ext = dihedral_extension(3 + k)
+    else:
+        c2 = make_cyclic(2, name="C2")
+        v4, _, _ = make_direct_product(make_cyclic(2), make_cyclic(2), name="C2xC2")
+        rep = compute_h2(v4, c2, trivial_action(v4, c2)).rep_from_coeffs((0, 1, 1))
+        ext = extension_from_cocycle(rep, name="C2 by C2xC2, class (0, 1, 1)")
+    reports = verify_all(ext)
+    assert all(r.ok for r in reports)
+    h2q = compute_h2(ext.q_group, ext.n_group, ext.action)
+    return ext, [r.nodes for r in reports], h2q, h2q.reduce(ext.classifying_cocycle())
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(st.data())
+def test_relabelling_the_middle_group_changes_no_invariant(data):
+    """Rename the non-identity elements of G by a permutation sigma and
+    rebuild: the section and every fiber representative move, the invariants
+    do not."""
+    ext, nodes, h2q, klass = _relabel_case(data.draw(st.integers(0, 2)))
+    g = ext.g_group
+    sigma = np.asarray([0] + data.draw(st.permutations(range(1, g.order))))
+    back = np.argsort(sigma)
+    table = np.empty_like(g.table)
+    table[np.ix_(sigma, sigma)] = sigma[g.table]
+    g2 = FiniteGroup(table, sigma[list(g.generators)], labels=[g.labels[x] for x in back])
+    ext2 = build_extension(GroupHom(ext.n_group, g2, sigma[ext.i.values]),
+                           GroupHom(g2, ext.q_group, ext.p.values[back]), name=ext.name)
+    assert (ext2.action.table == ext.action.table).all()
+    assert (ext2.g_action.table[sigma] == ext.g_action.table).all()
+    reports = verify_all(ext2)
+    assert all(r.ok for r in reports)
+    assert [r.nodes for r in reports] == nodes
+    h2q2 = compute_h2(ext2.q_group, ext2.n_group, ext2.action)
+    assert h2q2.invariant_factors == h2q.invariant_factors
+    assert h2q.reduce(ext2.classifying_cocycle()) == klass
