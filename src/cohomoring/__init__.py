@@ -26,8 +26,10 @@ from .cohomology2 import (
     H2Group,
     TwoCocycle,
     coboundary_cocycle,
+    coboundary_preimage,
     compute_h2,
     connecting_cocycle,
+    h2_order,
     inflation,
     pushforward,
 )
@@ -39,7 +41,7 @@ from .endo_rings import (
     fiber_endo_ring,
     kernel_fixing_endos,
 )
-from .errors import BudgetExceeded, ValidationError
+from .errors import BudgetExceeded, GuardExceeded, ValidationError
 from .examples import ExampleReport, dihedral_report, ring432_construct, ring432_report
 from .extension import (
     AbelianExtension,

@@ -25,7 +25,7 @@ class Budgets:
     # second cohomology
     h2_brute_candidates: int = 1_000_000  # |N|^((|Q|-1)^2)
     h2_linear_size: int = 4096  # |Q|^2 * (number of cyclic factors of N)
-    h2g_max_group_order: int = 16  # gate for the H^2(G,N) node in sequence checks
+    h2g_max_group_order: int = 16  # largest |G| whose H^2(G,N) node size is reported
     # endomorphism enumeration
     endo_scan_candidates: int = 1_000_000  # generator-image products in direct scans
     # misc sweeps

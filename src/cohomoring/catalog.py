@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from .cohomology2 import TwoCocycle, compute_h2
-from .errors import BudgetExceeded, ValidationError, require_keys
+from .errors import BudgetExceeded, GuardExceeded, ValidationError, require_keys
 from .extension import (
     AbelianExtension,
     build_extension,
@@ -194,7 +194,7 @@ def sweep(entries: List[CatalogEntry], check_h2g: Optional[bool] = None) -> Dict
                 reports = _verify_ring_entry(entry.name, ring, ideal)
             row["ok"] = all(r.ok for r in reports)
             row["reports"] = [r.to_json() for r in reports]
-        except (ValidationError, BudgetExceeded) as exc:
+        except (ValidationError, BudgetExceeded, GuardExceeded) as exc:
             row["ok"] = False
             row["error"] = str(exc)
             witness = getattr(exc, "witness", None)

@@ -29,7 +29,7 @@ from .endo_rings import (
     fiber_endo_ring,
     kernel_fixing_endos,
 )
-from .errors import BudgetExceeded, ValidationError
+from .errors import BudgetExceeded, GuardExceeded, ValidationError
 from .examples import dihedral_report, ring432_construct, ring432_report
 from .extension import AbelianExtension, extension_from_json, extension_to_json
 from .groups import (
@@ -465,7 +465,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, BudgetExceeded) as exc:
+    except (ValidationError, BudgetExceeded, GuardExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:

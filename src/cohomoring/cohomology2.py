@@ -9,13 +9,22 @@ interface and are cross-checked in the test suite.
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .budgets import current_budgets
 from .errors import BudgetExceeded, ValidationError
-from .groups import ActionTable, FiniteGroup, GroupHom, _descend, _positions
+from .groups import (
+    ActionTable,
+    FiniteGroup,
+    GroupHom,
+    _bfs_words,
+    _descend,
+    _positions,
+    _search_generator_images,
+)
 from .linalg import (
     AbelianDecomposition,
     KernelBasis,
@@ -35,6 +44,8 @@ __all__ = [
     "connecting_cocycle",
     "H2Group",
     "compute_h2",
+    "h2_order",
+    "coboundary_preimage",
 ]
 
 
@@ -68,20 +79,24 @@ class TwoCocycle:
             raise ValidationError("action must be of the pair group on the module")
         if (v[0] != 0).any() or (v[:, 0] != 0).any():
             raise ValidationError("cocycle is not normalized at the identity")
+        # Light's test on the product (a, x)(b, y) = (a + x.b + f(x, y), xy) of
+        # N x Q, which is associative exactly when f is a cocycle.  The middles
+        # passing it are closed under products and include every (n, e), since
+        # f is normalized and Q acts additively; with the (0, s) of the core
+        # generators they generate, so the identity at (x, s, z) proves it at
+        # every (x, y, z).
         add = self.n_group.table
         tq = self.q_group.table
-        t1 = self.action.table[:, v]        # [x, y, z] = x . f(y, z)
-        t2 = v[tq]                          # [x, y, z] = f(xy, z)
-        t3 = v[:, tq]                       # [x, y, z] = f(x, yz)
-        t4 = v[:, :, None]                  # [x, y, z] = f(x, y)
-        lhs = add[t1, t3]
-        rhs = add[t2, t4]
-        if not (lhs == rhs).all():
-            x, y, z = map(int, np.argwhere(lhs != rhs)[0])
-            raise ValidationError(
-                f"cocycle identity fails at ({x}, {y}, {z})",
-                witness=(x, y, z),
-            )
+        act = self.action.table
+        for s in self.q_group.core_generators:
+            lhs = add[act[:, v[s]], v[:, tq[s]]]      # [x, z] = x . f(s, z) + f(x, sz)
+            rhs = add[v[:, s][:, None], v[tq[:, s]]]  # [x, z] = f(x, s) + f(xs, z)
+            if not (lhs == rhs).all():
+                x, z = map(int, np.argwhere(lhs != rhs)[0])
+                raise ValidationError(
+                    f"cocycle identity fails at ({x}, {s}, {z})",
+                    witness=(x, s, z),
+                )
 
     def add(self, other: "TwoCocycle") -> "TwoCocycle":
         if other.q_group is not self.q_group or other.n_group is not self.n_group:
@@ -505,8 +520,8 @@ def _h2_bruteforce(q_group: FiniteGroup, n_group: FiniteGroup,
             values[:, x, yv] = arr % n
             arr = arr // n
     mask = np.ones(m, dtype=bool)
-    for x in range(1, q):
-        for yv in range(1, q):
+    for yv in q_group.core_generators:  # Light's test, as in TwoCocycle._validate
+        for x in range(1, q):
             xy = int(tq[x, yv])
             for z in range(1, q):
                 yz = int(tq[yv, z])
@@ -587,3 +602,81 @@ def compute_h2(q_group: FiniteGroup, n_group: FiniteGroup, action: ActionTable,
     if total <= budget.h2_brute_candidates:
         return _h2_bruteforce(q_group, n_group, action)
     raise BudgetExceeded("no cohomology method fits the current budget")
+
+
+# ------------------------------------------------------------ generator data
+
+
+def coboundary_preimage(f: TwoCocycle) -> Optional[np.ndarray]:
+    """A normalized 1-cochain c whose coboundary is f, or None when f is no
+    coboundary.
+
+    The values of c on the generators run over all |N|^k choices, and
+    `_search_generator_images` propagates c(xs) = c(x) + x.c(s) - f(x, s) and
+    certifies it for every x and generator s: the coboundary of c agrees with
+    f on G x S.  Both are normalized cocycles, and
+    f(x, ws) = f(x, w) + f(xw, s) - x.f(w, s) fixes a normalized cocycle from
+    its values on G x S, so they agree everywhere.  The count |N|^k is gated
+    by `z1_generator_candidates`, as in `enumerate_z1`.
+    """
+    g, n = f.q_group, f.n_group
+    limit = current_budgets().z1_generator_candidates
+    count = n.order ** len(g.generators)
+    if count > limit:
+        raise BudgetExceeded(f"{count} coboundary candidates exceeds budget {limit}")
+    cands = [np.arange(n.order)] * len(g.generators)
+    return next(_search_generator_images(g, n, cands, f.action, offset=f.values), None)
+
+
+def h2_order(g_group: FiniteGroup, n_group: FiniteGroup, action: ActionTable,
+             z1_order: int) -> int:
+    """|H^2| of g_group acting on abelian n_group, from cocycle values on G x S.
+
+    S is the core generators.  The unknowns are F(x, s) for x != e and s in
+    S; F(x, ws) = F(x, w) + F(xw, s) - x.F(w, s) along the BFS words gives
+    every F(x, y) as a form in them, and Light's equations
+    x.F(s, z) + F(x, sz) = F(x, s) + F(xs, z) for all x, z and s in S (the
+    test of `TwoCocycle._validate`) cut out Z^2.  The normalized 1-cochains
+    map onto B^2 with kernel Z^1, so |H^2| = |Z^2| |Z^1| / |N|^(|G|-1);
+    z1_order is |Z^1| for this action.
+    """
+    if action.actor is not g_group or action.module is not n_group:
+        raise ValidationError("action must be of the pair group on the module")
+    dec = abelian_decomposition(n_group)
+    m = g_group.order
+    gens = g_group.core_generators
+    c = len(dec.factors)
+    a = (m - 1) * len(gens) * c
+    limit = current_budgets().h2_linear_size
+    if a > limit:
+        raise BudgetExceeded(f"{a} cocycle variables exceeds budget {limit}")
+    z2_index = 1  # [Z^a : lattice of cocycle coordinates]
+    if a:
+        L = dec.exponent
+        factors = np.asarray(dec.factors, dtype=np.int64)
+        mats = np.stack(action_matrices(action, dec))  # [x] acts on coordinates
+        tg = g_group.table
+        # forms[x, y] is the c x a matrix giving F(x, y) from the unknowns
+        forms = np.zeros((m, m, c, a), dtype=np.int64)
+        unknown = np.arange(a).reshape(m - 1, len(gens), c)
+        rest = np.arange(1, m)[:, None]
+        for i, s in enumerate(gens):
+            forms[rest, s, np.arange(c), unknown[:, i]] = 1
+        for ws, w, i in _bfs_words(g_group, gens):
+            s = gens[i]
+            moved = np.einsum("xjl,la->xja", mats, forms[w, s])
+            forms[:, ws] = (forms[:, w] + forms[tg[:, w], s] - moved) % L
+        blocks = []
+        for s in gens:
+            moved = np.einsum("xjl,zla->xzja", mats, forms[s])
+            eq = moved + forms[:, tg[s]] - forms[:, s][:, None] - forms[tg[:, s]]
+            blocks.append((eq * (L // factors)[:, None] % L).reshape(-1, a))
+        eqs = np.concatenate(blocks)
+        if (eqs * np.tile(factors, a // c) % L).any():
+            raise ValidationError("cocycle equations are not defined on module coordinates")
+        z2_index = math.prod(int(u) for u in kernel_mod(eqs, a, L).mu)
+    z2 = n_group.order ** ((m - 1) * len(gens)) // z2_index
+    order, left = divmod(z2 * int(z1_order), n_group.order ** (m - 1))
+    if left:
+        raise ValidationError("|Z^2| |Z^1| is not a multiple of |N|^(|G|-1)")
+    return order

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-__all__ = ["ValidationError", "BudgetExceeded", "require_keys"]
+__all__ = ["ValidationError", "BudgetExceeded", "GuardExceeded", "require_keys"]
 
 
 class ValidationError(ValueError):
@@ -19,6 +19,11 @@ class ValidationError(ValueError):
 
 class BudgetExceeded(RuntimeError):
     """An enumeration would exceed the configured budget; nothing was computed."""
+
+
+class GuardExceeded(ArithmeticError):
+    """Integer transform entries left the range where int64 arithmetic is
+    exact; the computation stopped and nothing was returned."""
 
 
 def require_keys(data, keys, what: str) -> dict:

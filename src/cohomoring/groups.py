@@ -658,20 +658,28 @@ def _search_generator_images(
     target: FiniteGroup,
     cands: Sequence[Sequence[int]],
     action: Optional[ActionTable] = None,
+    offset: Optional[np.ndarray] = None,
 ) -> Iterator[np.ndarray]:
-    """Value tables of the maps phi(xy) = phi(x) (x . phi(y)) with
-    phi(source.generators[i]) in cands[i]; x . m = m when action is None.
+    """Value tables of the maps phi(xy) = phi(x) (x . phi(y)) offset(x, y)^-1
+    with phi(source.generators[i]) in cands[i]; x . m = m when action is None,
+    and the offset (a source x source table of target elements) is the
+    identity when None.
 
     Candidate tuples run in itertools.product order, propagated along the BFS
     words in blocks of at most _SEARCH_BLOCK_CELLS cells, each built only
-    when the caller asks for more.  A row is kept when phi(x s_i) =
-    phi(x) (x . phi(s_i)) for every x (x = e included) and every generator
-    s_i; induction on word length makes this prove the law on all pairs.
+    when the caller asks for more.  A row is kept when the law holds at
+    (x, s_i) for every x (x = e included) and every generator s_i.  Without
+    an offset, induction on word length makes this prove the law on all
+    pairs; with one, it is the law on source x generators only (for a
+    2-cocycle offset into an abelian target that is enough; see
+    `cohomology2.coboundary_preimage`).
     """
     cands = [np.asarray(c, dtype=np.int64) for c in cands]
     total = math.prod(len(c) for c in cands)
     bfs = _bfs_words(source, source.generators)
     tt = target.table
+    # [x, i] = offset(x, s_i)^-1, applied after each propagation step
+    undo = None if offset is None else target.inverse[offset[:, list(source.generators)]]
     block = max(1, _SEARCH_BLOCK_CELLS // source.order)
     start = 0
     while start < total:
@@ -690,10 +698,15 @@ def _search_generator_images(
         for elem, parent, gi in bfs:
             step = imgs[gi] if action is None else action.table[parent, imgs[gi]]
             vals[:, elem] = tt[vals[:, parent], step]
+            if undo is not None:
+                vals[:, elem] = tt[vals[:, elem], undo[parent, gi]]
         ok = np.ones(rows, dtype=bool)
-        for s, img in zip(source.generators, imgs):
+        for gi, (s, img) in enumerate(zip(source.generators, imgs)):
             step = img[:, None] if action is None else action.table[:, img].T
-            ok &= (vals[:, source.table[:, s]] == tt[vals, step]).all(axis=1)
+            law = tt[vals, step]
+            if undo is not None:
+                law = tt[law, undo[:, gi]]
+            ok &= (vals[:, source.table[:, s]] == law).all(axis=1)
         yield from vals[ok]
         start += rows
 

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import GuardExceeded, ValidationError
 
 __all__ = [
     "snf_small",
@@ -179,7 +179,7 @@ def lattice_solve(cols: Sequence[Sequence[int]], target: Sequence[int]) -> Optio
 def _check_guard(*mats: np.ndarray) -> None:
     for m in mats:
         if m.size and int(np.abs(m).max()) > _GUARD:
-            raise RuntimeError("transform coefficients exceeded the int64 safety guard")
+            raise GuardExceeded("transform coefficients exceeded the int64 safety guard")
 
 
 @dataclass

@@ -14,7 +14,14 @@ from cohomoring import BudgetExceeded, ValidationError, current_budgets
 from cohomoring import groups
 from cohomoring.catalog import default_catalog, dihedral_extension
 from cohomoring.cocycles import CrossedHom, _z1_full_scan, cocycle_ring, enumerate_z1
-from cohomoring.cohomology2 import compute_h2, connecting_cocycle, inflation, pushforward
+from cohomoring.cohomology2 import (
+    TwoCocycle,
+    coboundary_cocycle,
+    compute_h2,
+    connecting_cocycle,
+    inflation,
+    pushforward,
+)
 from cohomoring.endo_rings import fiber_endo_ring
 from cohomoring.examples import dihedral_model_ring, dihedral_report, ring432_construct, ring432_report
 from cohomoring.extension import (
@@ -141,6 +148,19 @@ def _sweep_action_ok(actor, module, t) -> bool:
         if not (t[actor.table[a]] == t[a][t]).all():
             return False
         if not (t[a][mt] == mt[t[a][:, None], t[a][None, :]]).all():
+            return False
+    return True
+
+
+def _sweep_cocycle_ok(q_group, n_group, action, v) -> bool:
+    """Normalized, and x.f(y, z) + f(x, yz) = f(x, y) + f(xy, z) on every triple."""
+    if v[0].any() or v[:, 0].any():
+        return False
+    add, tq = n_group.table, q_group.table
+    for y in range(q_group.order):
+        lhs = add[action.table[:, v[y]], v[:, tq[y]]]
+        rhs = add[v[:, y][:, None], v[tq[:, y]]]
+        if not (lhs == rhs).all():
             return False
     return True
 
@@ -294,6 +314,37 @@ def _action_certificate_matches_sweep(data):
     elif exc is not None and "automorphism" in str(exc):
         r = t[exc.witness]
         assert (r[module.table] != module.table[r[:, None], r[None, :]]).any()
+
+
+_COCYCLE_CASES = [compute_h2(q, n, act) for q, n in ((make_cyclic(4), make_cyclic(2)),
+                                                      (make_cyclic(3), make_cyclic(3)),
+                                                      (make_dihedral(3), make_cyclic(2)),
+                                                      (make_cyclic(3), _cyclic_product(2, 2)),
+                                                      (_cyclic_product(2, 2), make_cyclic(4)),
+                                                      (_C2, _C2XC4))
+                  for act in enumerate_actions(q, n)]
+
+
+@_ORACLE_SETTINGS
+@given(st.data())
+def _cocycle_certificate_matches_sweep(data):
+    """A class representative plus a random coboundary, with one entry moved
+    (away from the identity row and column, or onto it)."""
+    h2 = data.draw(st.sampled_from(_COCYCLE_CASES))
+    q, n, action = h2.q_group, h2.n_group, h2.action
+    coeffs = [data.draw(st.integers(0, f - 1)) for f in h2.invariant_factors]
+    chain = [0] + [data.draw(st.integers(0, n.order - 1)) for _ in range(q.order - 1)]
+    v = h2.rep_from_coeffs(coeffs).add(coboundary_cocycle(q, n, action, chain)).values.copy()
+    if data.draw(st.integers(0, 3)):
+        low = 0 if data.draw(st.integers(0, 4)) == 0 else 1
+        x, y = (data.draw(st.integers(low, q.order - 1)) for _ in range(2))
+        v[x, y] = n.table[v[x, y], data.draw(st.integers(1, n.order - 1))]
+    accepted, exc = _certificate_verdict(lambda: TwoCocycle(q, n, action, v))
+    assert accepted == _sweep_cocycle_ok(q, n, action, v)
+    if exc is not None and str(exc).startswith("cocycle identity fails"):
+        x, s, z = exc.witness
+        assert (n.table[action.table[x, v[s, z]], v[x, q.table[s, z]]]
+                != n.table[v[x, s], v[q.table[x, s], z]])
 
 
 def _product_parts(a, b):
@@ -530,6 +581,7 @@ def test_criterion_7_dual_route_oracles(monkeypatch):
     _product_certificate_matches_sweep()
     _perturbed_ring_certificate_matches_sweep()
     _action_certificate_matches_sweep()
+    _cocycle_certificate_matches_sweep()
 
     # the obstruction map: class independent of the chosen lift
     lift_runs = 0

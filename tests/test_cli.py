@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from cohomoring.catalog import dihedral_extension
+from cohomoring import linalg
+from cohomoring.catalog import CatalogEntry, dihedral_extension, sweep
 from cohomoring.cli import main
 from cohomoring.extension import extension_to_json
 from cohomoring.groups import group_to_json, make_cyclic
@@ -180,6 +181,27 @@ def test_verify_default_catalog(capsys):
     assert "[FAIL]" not in out
 
 
+def test_verify_json_skips_no_check(capsys):
+    code, out, _ = _run(capsys, "verify", "--json")
+    assert code == 0
+    statuses = [check["status"] for entry in json.loads(out)["entries"]
+                for rep in entry["reports"] for check in rep["checks"]]
+    assert len(statuses) > 1000
+    assert "skipped" not in statuses
+    assert set(statuses) == {"pass"}
+
+
+def test_int64_guard_is_a_failed_row_and_exit_two(capsys, monkeypatch):
+    monkeypatch.setattr(linalg, "_GUARD", 0)
+    summary = sweep([CatalogEntry("D4", "extension", dihedral_extension(4))])
+    assert summary["failed"] == 1
+    message = "transform coefficients exceeded the int64 safety guard"
+    assert summary["entries"][0]["error"] == message
+    code, out, err = _run(capsys, "h2", "--quotient-cyclic", "4", "--kernel-cyclic", "4")
+    assert code == 2 and not out
+    assert err == f"error: {message}\n"
+
+
 def test_verify_skip_h2g_json(capsys):
     code, out, _ = _run(capsys, "verify", "--skip-h2g", "--json")
     assert code == 0
@@ -338,13 +360,13 @@ def test_output_is_deterministic(capsys, monkeypatch):
         assert first == second, argv
         assert hashlib.sha256(first.encode()).hexdigest() == digest, argv
 
-    # a tiny budget reaches the ring-order, H^2(G,N) group-order, lifted-class
-    # and "no cohomology method fits" gates
+    # a tiny budget reaches the ring-order, H^2(G,N) node, lifted-class and
+    # "no cohomology method fits" gates
     monkeypatch.setenv("COHOMORING_BUDGET", "0.001")
     code, out, _ = _run(capsys, "verify", "--json")
     assert code == 1
     assert (hashlib.sha256(out.encode()).hexdigest()
-            == "2fd49187de9a75395c422eaddaec9f2e254430643c34ad9381184fdd65d00946")
+            == "c951f52746b01789d8d3ba9cd63e4ace419c050ee6a79989b07b532fcc1a067d")
 
 
 def test_malformed_budget_exits_two(capsys, monkeypatch):

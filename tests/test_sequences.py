@@ -14,7 +14,14 @@ from cohomoring.catalog import (
     dihedral_extension,
     sweep,
 )
-from cohomoring.cohomology2 import compute_h2
+from cohomoring.cocycles import enumerate_z1
+from cohomoring.cohomology2 import (
+    coboundary_cocycle,
+    coboundary_preimage,
+    compute_h2,
+    h2_order,
+    inflation,
+)
 from cohomoring.extension import (
     build_extension,
     extension_from_cocycle,
@@ -26,6 +33,7 @@ from cohomoring.groups import (
     enumerate_actions,
     make_cyclic,
     make_direct_product,
+    make_semidirect_group,
     trivial_action,
 )
 from cohomoring.rings import check_ideal, quotient_ring, zn_ring
@@ -68,6 +76,81 @@ def test_five_term_skip_marker():
     assert rep.nodes[-1] == ("H2(G,N)", None)
     assert any(c.status == "skipped" for c in rep.checks)
     assert "not checked" in "\n".join(rep.lines())
+
+
+def test_five_term_checks_inflation_above_the_node_gate():
+    # |G| = 18 is above h2g_max_group_order: the node stays hidden, the
+    # exactness check at H2(Q,N) still runs
+    rep = verify_five_term(dihedral_extension(9))
+    assert rep.ok
+    assert rep.nodes[-1] == ("H2(G,N)", None)
+    assert {c.status for c in rep.checks} == {"pass"}
+    assert "H2(Q,N)" in {c.position for c in rep.checks}
+    for n, order in ((9, 9), (10, 40)):
+        rep = verify_five_term(dihedral_extension(n), check_h2g=True)
+        assert rep.ok
+        assert rep.nodes[-1] == ("H2(G,N)", order)
+
+
+@lru_cache(maxsize=None)
+def _inflation_case(k):
+    """An extension, its H^2(G,N) in full and the classes of H^2(Q,N)."""
+    v4 = make_direct_product(make_cyclic(2), make_cyclic(2))[0]
+    if k < 2:
+        ext = dihedral_extension(3 + k)
+    elif k < 4:
+        name = ("C4 by C2, action 1, class (1,)", "C2 by C2xC2, class (1, 1, 1)")[k - 2]
+        ext = next(e for e in default_catalog() if e.name == name).materialize()
+    elif k == 4:
+        c3 = make_cyclic(3)
+        action = [a for a in enumerate_actions(c3, v4) if not a.is_trivial()][0]
+        _, i, p = make_semidirect_group(v4, c3, action, name="A4")
+        ext = build_extension(i, p, name="A4 over V4")
+    else:
+        c2 = make_cyclic(2)
+        h2 = compute_h2(c2, v4, trivial_action(c2, v4))
+        ext = extension_from_cocycle(h2.class_reps[0], name="C2xC2 by C2, nonsplit")
+    h2q = compute_h2(ext.q_group, ext.n_group, ext.action)
+    full = compute_h2(ext.g_group, ext.n_group, ext.g_action)
+    return ext, full, [klass for _, klass in h2q.classes()]
+
+
+def test_generator_routes_match_full_middle_cohomology():
+    """h2_order and coboundary_preimage against compute_h2 on G itself:
+    every catalog extension with |G| <= 12, and two with kernel C2xC2."""
+    exts = [e.materialize() for e in default_catalog() if e.kind == "extension"]
+    cases = [(e, compute_h2(e.g_group, e.n_group, e.g_action))
+             for e in exts if e.g_group.order <= 12]
+    cases += [_inflation_case(k)[:2] for k in (4, 5)]
+    assert len(cases) >= 25
+    for ext, full in cases:
+        rep = verify_five_term(ext)
+        assert rep.ok
+        assert rep.nodes[-1] == ("H2(G,N)", full.order), ext.name
+        z1 = len(enumerate_z1(ext.g_group, ext.n_group, ext.g_action))
+        assert h2_order(ext.g_group, ext.n_group, ext.g_action, z1) == full.order
+        h2q = compute_h2(ext.q_group, ext.n_group, ext.action)
+        for _, klass in h2q.classes():
+            up = inflation(klass, ext.p, ext.g_action)
+            assert (coboundary_preimage(up) is not None) == full.is_coboundary(up), ext.name
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.data())
+def test_coboundary_search_decides_like_full_cohomology(data):
+    """delta(c) for a random normalized 1-cochain c is found to be a
+    coboundary, and delta(c) + inf(f) is one exactly when the full H^2(G,N)
+    says so; every preimage found is checked."""
+    ext, full, classes = _inflation_case(data.draw(st.integers(0, 5)))
+    g, n, act = ext.g_group, ext.n_group, ext.g_action
+    chain = [0] + [data.draw(st.integers(0, n.order - 1)) for _ in range(g.order - 1)]
+    delta = coboundary_cocycle(g, n, act, chain)
+    f = delta.add(inflation(data.draw(st.sampled_from(classes)), ext.p, act))
+    for cocycle, want in ((delta, True), (f, full.is_coboundary(f))):
+        found = coboundary_preimage(cocycle)
+        assert (found is not None) == want
+        if found is not None:
+            assert coboundary_cocycle(g, n, act, found).same_values(cocycle)
 
 
 def test_five_term_nonsplit_transgression_is_nontrivial():
