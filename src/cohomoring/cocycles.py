@@ -150,26 +150,27 @@ def enumerate_z1(source: FiniteGroup, module: FiniteGroup,
                  action: ActionTable) -> List[CrossedHom]:
     """All crossed homomorphisms, in a deterministic order.
 
-    Candidates are generator images, propagated and certified by the twisted
-    law in `_search_generator_images`.  Falls back to `_z1_full_scan` when the
-    group needs too many generators.
+    Candidates are images of the core generators, propagated and certified by
+    the twisted law in `_search_generator_images`.  Falls back to
+    `_z1_full_scan` when the group needs too many generators.
     """
     budget = current_budgets()
     if action.actor is not source or action.module is not module:
         raise ValidationError("action must be of the source group on the module")
     m = module.order
-    count = m ** len(source.generators)
+    gens = source.core_generators
+    count = m ** len(gens)
     if count <= budget.z1_generator_candidates:
-        cands = [np.arange(m)] * len(source.generators)
+        cands = [np.arange(m)] * len(gens)
         out = [CrossedHom(source, module, action, vals, validate=False)
-               for vals in _search_generator_images(source, module, cands, action)]
+               for vals in _search_generator_images(source, module, cands, action, gens=gens)]
     elif m ** (source.order - 1) <= budget.z1_full_scan:
         out = _z1_full_scan(source, module, action)
     else:
         raise BudgetExceeded(
             f"{count} generator candidates and full scan both exceed budgets")
-    out.sort(key=lambda c: tuple(int(v) for v in c.values))
-    return out
+    # lexicographic order of the value tables: lexsort keys on its last row first
+    return [out[k] for k in np.lexsort(np.stack([c.values for c in out]).T[::-1])]
 
 
 def _z1_full_scan(source: FiniteGroup, module: FiniteGroup,
@@ -202,9 +203,10 @@ def _z1_full_scan(source: FiniteGroup, module: FiniteGroup,
 class CocycleRing:
     """The ring of crossed homomorphisms under pointwise sum and composition.
 
-    elements[0] is the zero map; index finds the position of a value table
-    from its values on the source generators, confirmed on the full table;
-    ring is the explicit table ring over these elements.
+    elements[0] is the zero map; index keys each value table by its values on
+    the core generators of the source, which fix a crossed homomorphism, and
+    `locate` confirms a hit on the full table; ring is the explicit table
+    ring over these elements.
     """
 
     ring: FiniteRing
@@ -219,29 +221,62 @@ class CocycleRing:
         return k
 
 
+def _equivariant_endo_rows(maps: np.ndarray, module: FiniteGroup,
+                           action: ActionTable) -> np.ndarray:
+    """Mask of the rows of `maps` ([k, m] = image of module element m) that
+    are additive and commute with the action.
+
+    Additivity is checked against the core generators of the module and
+    equivariance against those of the actor: the elements passing either law
+    are closed under the group operation, so they are the whole group.
+    """
+    tm, act = module.table, action.table
+    ok = np.ones(len(maps), dtype=bool)
+    for h in module.core_generators:
+        ok &= (maps[:, tm[:, h]] == tm[maps, maps[:, h][:, None]]).all(axis=1)
+    for s in action.actor.core_generators:
+        ok &= (maps[:, act[s]] == act[s][maps]).all(axis=1)
+    return ok
+
+
 def cocycle_ring(source: FiniteGroup, module: FiniteGroup, action: ActionTable,
                  embedding: GroupHom) -> CocycleRing:
-    """Build the crossed-homomorphism ring for an embedded abelian module."""
+    """Build the crossed-homomorphism ring for an embedded abelian module.
+
+    Every sum and product is located by its values on the core generators,
+    which is sound because each is proved crossed and `enumerate_z1` lists
+    every crossed homomorphism.  A sum is crossed because the module is
+    abelian and the action is by automorphisms.  A product x -> a(i(b(x))) is
+    crossed when a o i is an additive equivariant endomorphism of the module,
+    which `_equivariant_endo_rows` certifies per member; a member failing it
+    is refused.  For the conjugation action on a normal subgroup, as in
+    `fiber_endo_ring`, every member passes.
+    """
     if not module.is_abelian():
         raise ValidationError("the crossed-homomorphism ring needs an abelian module")
     elements = enumerate_z1(source, module, action)
-    n = len(elements)
     stacked = np.stack([e.values for e in elements])
-    index = TableIndex(stacked, source.generators, module.order)
+    index = TableIndex(stacked, source.core_generators, module.order)
     if elements[0].values.any():
         raise ValidationError("zero map must sort first")
-    add = np.zeros((n, n), dtype=np.int64)
-    dia = np.zeros((n, n), dtype=np.int64)
     tm = module.table
-    moved = embedding.values[stacked]
-    for a in range(n):
-        va = stacked[a]
-        add[a] = index.find(tm[va[None, :], stacked])
-        dia[a] = index.find(va[moved])
-        missing = (add[a] < 0) | (dia[a] < 0)
-        if missing.any():
-            raise ValidationError(
-                "crossed homomorphisms not closed under the ring operations at "
-                f"({a}, {int(np.argmax(missing))})")
+    keys = index.keys
+    # a + b is crossed: the module is abelian, the action by automorphisms
+    add = index.find_pairs(lambda rows: tm[keys[rows, None, :], keys[None, :, :]])
+    restricted = stacked[:, embedding.values]  # [a, m] = a(i(m))
+    uncertified = np.flatnonzero(~_equivariant_endo_rows(restricted, module, action))
+    if uncertified.size:
+        raise ValidationError(
+            "crossed homomorphisms not closed under the ring operations: member "
+            f"{int(uncertified[0])} composed with the embedding is not an "
+            "equivariant endomorphism of the module")
+    # a o i is an equivariant endomorphism, so a(i(b(x))) is crossed
+    dia = index.find_pairs(lambda rows: restricted[rows][:, keys])
+    missing = (add < 0) | (dia < 0)
+    if missing.any():
+        a = int(np.argmax(missing.any(axis=1)))
+        raise ValidationError(
+            "crossed homomorphisms not closed under the ring operations at "
+            f"({a}, {int(np.argmax(missing[a]))})")
     ring = FiniteRing(add, dia, one=None, name="Z1")
     return CocycleRing(ring=ring, elements=tuple(elements), index=index, embedding=embedding)

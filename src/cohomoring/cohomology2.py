@@ -611,21 +611,23 @@ def coboundary_preimage(f: TwoCocycle) -> Optional[np.ndarray]:
     """A normalized 1-cochain c whose coboundary is f, or None when f is no
     coboundary.
 
-    The values of c on the generators run over all |N|^k choices, and
-    `_search_generator_images` propagates c(xs) = c(x) + x.c(s) - f(x, s) and
-    certifies it for every x and generator s: the coboundary of c agrees with
+    The values of c on the k core generators S run over all |N|^k choices,
+    and `_search_generator_images` propagates c(xs) = c(x) + x.c(s) - f(x, s)
+    and certifies it for every x and s in S: the coboundary of c agrees with
     f on G x S.  Both are normalized cocycles, and
     f(x, ws) = f(x, w) + f(xw, s) - x.f(w, s) fixes a normalized cocycle from
     its values on G x S, so they agree everywhere.  The count |N|^k is gated
     by `z1_generator_candidates`, as in `enumerate_z1`.
     """
     g, n = f.q_group, f.n_group
+    gens = g.core_generators
     limit = current_budgets().z1_generator_candidates
-    count = n.order ** len(g.generators)
+    count = n.order ** len(gens)
     if count > limit:
         raise BudgetExceeded(f"{count} coboundary candidates exceeds budget {limit}")
-    cands = [np.arange(n.order)] * len(g.generators)
-    return next(_search_generator_images(g, n, cands, f.action, offset=f.values), None)
+    cands = [np.arange(n.order)] * len(gens)
+    return next(_search_generator_images(g, n, cands, f.action, offset=f.values, gens=gens),
+                None)
 
 
 def h2_order(g_group: FiniteGroup, n_group: FiniteGroup, action: ActionTable,

@@ -7,6 +7,9 @@ the whole set inherits the twisted ring structure of the crossed homs: the
 twisted sum has the identity map as zero, and the twisted product composes
 displacements.  This module builds that ring twice (once through crossed
 homs, once directly on endomorphism tables) and insists the answers agree.
+Both routes locate every sum and product by its values on the core
+generators, which fix a homomorphism, under a short proof that it is a
+member.
 
 Alongside it live the two pointed endomorphism sets of the kernel-centralizer
 sequence: endomorphisms of the middle group fixing the kernel pointwise, and
@@ -34,7 +37,7 @@ from .groups import (
     _search_generator_images,
     enumerate_endos,
 )
-from .rings import FiniteRing, RingHom, check_ideal, is_square_zero_ideal, quasi_regular_group
+from .rings import FiniteRing, RingHom, check_ideal, is_square_zero_ideal, quasi_regular_indices
 
 
 # ------------------------------------------------------- module endomorphisms
@@ -77,25 +80,25 @@ def equivariant_endo_ring(module: FiniteGroup, action: ActionTable) -> ModuleEnd
             kept.append(v)
     if not kept or kept[0].any():
         raise ValidationError("zero endomorphism missing: module enumeration is broken")
-    size = len(kept)
     stacked = np.stack(kept)
-    index = TableIndex(stacked, module.generators, module.order)
+    index = TableIndex(stacked, module.core_generators, module.order)
+    # sums and composites of equivariant endomorphisms of an abelian group are
+    # equivariant endomorphisms, and `kept` holds them all: members by key
     tm = module.table
-    add = np.zeros((size, size), dtype=np.int64)
-    mul = np.zeros((size, size), dtype=np.int64)
-    for a, va in enumerate(kept):
-        add[a] = index.find(tm[va[None, :], stacked])
-        mul[a] = index.find(va[stacked])
-        missing = (add[a] < 0) | (mul[a] < 0)
-        if missing.any():
-            raise ValidationError(
-                "equivariant endomorphisms are not closed under the ring operations",
-                witness=(a, int(np.argmax(missing))),
-            )
+    keys = index.keys
+    add = index.find_pairs(lambda rows: tm[keys[rows, None, :], keys[None, :, :]])
+    mul = index.find_pairs(lambda rows: stacked[rows][:, keys])
+    missing = (add < 0) | (mul < 0)
+    if missing.any():
+        a = int(np.argmax(missing.any(axis=1)))
+        raise ValidationError(
+            "equivariant endomorphisms are not closed under the ring operations",
+            witness=(a, int(np.argmax(missing[a]))),
+        )
     one = int(index.find(np.arange(module.order)))
     if one < 0:
         raise ValidationError("identity map missing from the equivariant endomorphisms")
-    labels = ["end%d" % k for k in range(size)]
+    labels = ["end%d" % k for k in range(len(kept))]
     ring = FiniteRing(add, mul, one=one, labels=labels,
                       name="EquivEnd(%s)" % (module.name or module.order))
     return ModuleEndoRing(module, action, ring, tuple(kept), index)
@@ -163,10 +166,12 @@ def _scan_fiber_endos(ext: AbelianExtension) -> Optional[List[np.ndarray]]:
     limit = current_budgets().endo_scan_candidates
     g = ext.g_group
     pv = ext.p.values
-    cands = [ext.fiber(int(pv[s])) for s in g.generators]
+    gens = g.core_generators
+    cands = [ext.fiber(int(pv[s])) for s in gens]
     if math.prod(len(c) for c in cands) > limit:
         return None
-    return [vals for vals in _search_generator_images(g, g, cands) if (pv[vals] == pv).all()]
+    return [vals for vals in _search_generator_images(g, g, cands, gens=gens)
+            if (pv[vals] == pv).all()]
 
 
 def fiber_endo_ring(ext: AbelianExtension) -> FiberEndoRing:
@@ -174,8 +179,13 @@ def fiber_endo_ring(ext: AbelianExtension) -> FiberEndoRing:
 
     The construction transports the crossed-homomorphism ring of the middle
     group (conjugation action on the kernel) through alpha(x) = i(psi(x)) x,
-    then recomputes both ring tables directly on endomorphism values and
-    requires exact agreement.
+    then re-derives both operations on the endomorphism tables and requires
+    exact agreement.  The composite of two members is a quotient-identity
+    endomorphism, hence a member, located by its values on the core
+    generators; it must be the circle product a + b + ab, which fixes the
+    product table once the sums agree.  The twisted sum alpha(x) x^-1 beta(x)
+    integrates the pointwise sum of two crossed homs, so it too is a member
+    located by its values on the core generators.
     """
     g = ext.g_group
     n = ext.n_group
@@ -204,7 +214,7 @@ def fiber_endo_ring(ext: AbelianExtension) -> FiberEndoRing:
     stacked = np.stack(endos)
     if len(np.unique(stacked, axis=0)) != size:
         raise ValidationError("distinct displacements produced equal endomorphisms")
-    index = TableIndex(stacked, g.generators, g.order)
+    index = TableIndex(stacked, g.core_generators, g.order)
     if not (endos[0] == arange).all():
         raise ValidationError("zero displacement did not integrate to the identity map")
 
@@ -216,26 +226,28 @@ def fiber_endo_ring(ext: AbelianExtension) -> FiberEndoRing:
             witness=(len(scan), len(endos)),
         )
 
-    # Re-derive both ring tables on raw endomorphism values, one row at a time.
-    add2 = np.zeros((size, size), dtype=np.int64)
-    mul2 = np.zeros((size, size), dtype=np.int64)
-    for a in range(size):
-        base = tg[endos[a], ginv[arange]]
-        add2[a] = index.find(tg[base[None, :], stacked])
-    for b in range(size):
-        moved = ivals[cring.elements[b].values]
-        mul2[:, b] = index.find(tg[tg[stacked[:, moved], ginv[moved][None, :]], arange[None, :]])
-    if not (add2 == cring.ring.add_table).all():
+    # alpha_a(x) x^-1 alpha_b(x) = i(psi_a(x) + psi_b(x)) x integrates a
+    # crossed hom (N is abelian), so the twisted sum is a member.
+    ring = cring.ring
+    keys = index.keys
+    gens = list(g.core_generators)
+    disp = tg[stacked[:, gens], ginv[gens]]  # [a, s] = alpha_a(s) s^-1
+    add2 = index.find_pairs(lambda rows: tg[disp[rows][:, None, :], keys[None, :, :]])
+    if not (add2 == ring.add_table).all():
         raise ValidationError("twisted sum disagrees with displacement sum")
-    if not (mul2 == cring.ring.mul_table).all():
+    # alpha_a o alpha_b is a quotient-identity endomorphism, hence a member.
+    comp = index.find_pairs(lambda rows: stacked[rows][:, keys])
+    members = np.arange(size)
+    circle = ring.add_table[ring.add_table[ring.mul_table, members[:, None]], members]
+    if not (comp == circle).all():
         raise ValidationError("twisted product disagrees with displacement composition")
 
     ideal = np.asarray(
         [k for k, psi in enumerate(cring.elements) if not psi.values[ivals].any()],
         dtype=np.int64,
     )
-    check_ideal(cring.ring, ideal)
-    if not is_square_zero_ideal(cring.ring, ideal):
+    check_ideal(ring, ideal)
+    if not is_square_zero_ideal(ring, ideal):
         raise ValidationError("kernel-fixing members do not form a square-zero ideal")
 
     module_ring = equivariant_endo_ring(n, ext.action)
@@ -243,29 +255,18 @@ def fiber_endo_ring(ext: AbelianExtension) -> FiberEndoRing:
         [module_ring.locate(psi.values[ivals]) for psi in cring.elements],
         dtype=np.int64,
     )
-    res = RingHom(cring.ring, module_ring.ring, res_values)
+    res = RingHom(ring, module_ring.ring, res_values)
 
-    aut = np.asarray(
-        [k for k in range(size) if np.unique(endos[k]).size == g.order],
-        dtype=np.int64,
-    )
-    qr_group, qr_indices = quasi_regular_group(cring.ring)
-    if set(qr_indices.tolist()) != set(aut.tolist()):
+    aut = np.flatnonzero((np.diff(np.sort(stacked, axis=1), axis=1) != 0).all(axis=1))
+    qr_indices = quasi_regular_indices(ring)
+    if set(qr_indices) != set(aut.tolist()):
         raise ValidationError(
             "invertible members differ from the quasi-regular elements",
-            witness=(sorted(qr_indices.tolist()), sorted(aut.tolist())),
+            witness=(sorted(qr_indices), sorted(aut.tolist())),
         )
-    # Quasi-regular star must be plain composition of the endomorphisms.
-    qr_tables = stacked[qr_indices]
-    for pa, ra in enumerate(qr_indices.tolist()):
-        wrong = index.find(endos[ra][qr_tables]) != qr_indices[qr_group.table[pa]]
-        if wrong.any():
-            raise ValidationError(
-                "quasi-regular star differs from composition",
-                witness=(ra, int(qr_indices[np.argmax(wrong)])),
-            )
+    # The circle check above already makes the quasi-regular star composition.
 
-    return FiberEndoRing(ext, cring, cring.ring, tuple(endos), index, ideal,
+    return FiberEndoRing(ext, cring, ring, tuple(endos), index, ideal,
                          module_ring, res, aut)
 
 

@@ -659,27 +659,30 @@ def _search_generator_images(
     cands: Sequence[Sequence[int]],
     action: Optional[ActionTable] = None,
     offset: Optional[np.ndarray] = None,
+    gens: Optional[Sequence[int]] = None,
 ) -> Iterator[np.ndarray]:
     """Value tables of the maps phi(xy) = phi(x) (x . phi(y)) offset(x, y)^-1
-    with phi(source.generators[i]) in cands[i]; x . m = m when action is None,
-    and the offset (a source x source table of target elements) is the
-    identity when None.
+    with phi(gens[i]) in cands[i]; gens is a generating tuple of the source,
+    source.generators when None; x . m = m when action is None, and the
+    offset (a source x source table of target elements) is the identity when
+    None.
 
     Candidate tuples run in itertools.product order, propagated along the BFS
-    words in blocks of at most _SEARCH_BLOCK_CELLS cells, each built only
-    when the caller asks for more.  A row is kept when the law holds at
-    (x, s_i) for every x (x = e included) and every generator s_i.  Without
-    an offset, induction on word length makes this prove the law on all
-    pairs; with one, it is the law on source x generators only (for a
-    2-cocycle offset into an abelian target that is enough; see
+    words in the generators of `gens`, in blocks of at most
+    _SEARCH_BLOCK_CELLS cells, each built only when the caller asks for more.
+    A row is kept when the law holds at (x, s_i) for every x (x = e included)
+    and every s_i in gens.  Without an offset, induction on word length makes
+    this prove the law on all pairs; with one, it is the law on source x gens
+    only (for a 2-cocycle offset into an abelian target that is enough; see
     `cohomology2.coboundary_preimage`).
     """
+    gens = tuple(source.generators if gens is None else gens)
     cands = [np.asarray(c, dtype=np.int64) for c in cands]
     total = math.prod(len(c) for c in cands)
-    bfs = _bfs_words(source, source.generators)
+    bfs = _bfs_words(source, gens)
     tt = target.table
     # [x, i] = offset(x, s_i)^-1, applied after each propagation step
-    undo = None if offset is None else target.inverse[offset[:, list(source.generators)]]
+    undo = None if offset is None else target.inverse[offset[:, list(gens)]]
     block = max(1, _SEARCH_BLOCK_CELLS // source.order)
     start = 0
     while start < total:
@@ -701,7 +704,7 @@ def _search_generator_images(
             if undo is not None:
                 vals[:, elem] = tt[vals[:, elem], undo[parent, gi]]
         ok = np.ones(rows, dtype=bool)
-        for gi, (s, img) in enumerate(zip(source.generators, imgs)):
+        for gi, (s, img) in enumerate(zip(gens, imgs)):
             step = img[:, None] if action is None else action.table[:, img].T
             law = tt[vals, step]
             if undo is not None:
@@ -720,8 +723,10 @@ class TableIndex:
     their values on generators do.
 
     A table is keyed by the mixed-radix int64 code of its values (below
-    radix) at `positions`; a lookup finds the code by binary search and then
-    compares the full row, so agreeing at `positions` alone is not a hit.
+    radix) at `positions`.  `find` looks the code up and then compares the
+    full row, so agreeing at `positions` alone is not a hit.  `find_keys`
+    looks up the code alone; a caller may use it only where it has proved
+    that the table behind each key is a member, for then the key names it.
     """
 
     def __init__(self, tables, positions: Sequence[int], radix: int):
@@ -731,22 +736,41 @@ class TableIndex:
             raise BudgetExceeded(
                 f"codes of {len(self.positions)} values below {radix} do not fit in int64")
         self.weights = radix ** np.arange(len(self.positions) - 1, -1, -1, dtype=np.int64)
-        codes = self.tables[:, self.positions] @ self.weights
+        self.keys = self.tables[:, self.positions]
+        codes = self.keys @ self.weights
         self.order = np.argsort(codes, kind="stable")
         self.codes = codes[self.order]
         if (self.codes[1:] == self.codes[:-1]).any():
             raise ValidationError("indexed tables agree on every key position")
+
+    def find_keys(self, keys) -> np.ndarray:
+        """Member position of each key (last axis: the values at `positions`),
+        -1 where no member has that key."""
+        codes = np.asarray(keys, dtype=np.int64) @ self.weights
+        at = np.minimum(np.searchsorted(self.codes, codes), len(self.codes) - 1)
+        return np.where(self.codes[at] == codes, self.order[at], -1)
 
     def find(self, rows) -> np.ndarray:
         """Member position of each table in `rows` (last axis), -1 where absent."""
         rows = np.asarray(rows, dtype=np.int64)
         if rows.shape[-1:] != self.tables.shape[1:]:
             return np.full(rows.shape[:-1], -1, dtype=np.int64)
-        codes = rows[..., self.positions] @ self.weights
-        at = np.minimum(np.searchsorted(self.codes, codes), len(self.codes) - 1)
-        hit = self.order[at]
-        found = (self.codes[at] == codes) & (self.tables[hit] == rows).all(axis=-1)
-        return np.where(found, hit, -1)
+        hit = self.find_keys(rows[..., self.positions])
+        return np.where((hit >= 0) & (self.tables[hit] == rows).all(axis=-1), hit, -1)
+
+    def find_pairs(self, pair_keys) -> np.ndarray:
+        """The member table [a, b] = find_keys(key of the pair (a, b)), under
+        the proof obligation of `find_keys`.  pair_keys(rows) returns the keys
+        of the pairs whose a lies in the slice `rows`, shaped [len(rows),
+        members, len(positions)]; the blocks of rows keep each key array
+        within _SEARCH_BLOCK_CELLS cells."""
+        n = len(self.tables)
+        out = np.empty((n, n), dtype=np.int64)
+        step = max(1, _SEARCH_BLOCK_CELLS // max(1, n * len(self.positions)))
+        for start in range(0, n, step):
+            rows = slice(start, start + step)
+            out[rows] = self.find_keys(pair_keys(rows))
+        return out
 
 
 def hom_make(source: FiniteGroup, target: FiniteGroup, generator_images: Sequence[int]) -> GroupHom:
@@ -767,19 +791,21 @@ def hom_make(source: FiniteGroup, target: FiniteGroup, generator_images: Sequenc
 
 
 def enumerate_homs(source: FiniteGroup, target: FiniteGroup) -> List[GroupHom]:
-    """All homomorphisms source -> target, by generator-image search."""
+    """All homomorphisms source -> target, by search over the images of the
+    core generators."""
     limit = current_budgets().endo_scan_candidates
     src_orders = source.element_orders()
     tgt_orders = target.element_orders()
+    gens = source.core_generators
     cands = [
         [h for h in range(target.order) if int(src_orders[s]) % int(tgt_orders[h]) == 0]
-        for s in source.generators
+        for s in gens
     ]
     total = math.prod(len(c) for c in cands)
     if total > limit:
         raise BudgetExceeded(f"hom search needs {total} candidates, budget {limit}")
     out = [GroupHom(source, target, vals, validate=False)
-           for vals in _search_generator_images(source, target, cands)]
+           for vals in _search_generator_images(source, target, cands, gens=gens)]
     out.sort(key=lambda h: tuple(h.values.tolist()))
     return out
 
@@ -800,7 +826,7 @@ def aut_group(g: FiniteGroup) -> Tuple[FiniteGroup, List[Tuple[int, ...]]]:
     """
     auts = sorted(tuple(h.values.tolist()) for h in enumerate_automorphisms(g))
     tables = np.asarray(auts, dtype=np.int64).reshape(len(auts), g.order)
-    index = TableIndex(tables, g.generators, g.order)
+    index = TableIndex(tables, g.core_generators, g.order)
     table = np.stack([index.find(row[tables]) for row in tables])
     grp = FiniteGroup(table, None, labels=[f"a{i}" for i in range(len(auts))],
                       name=f"Aut({g.name or g.order})")

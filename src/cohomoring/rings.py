@@ -245,23 +245,22 @@ def star_table(ring: FiniteRing) -> np.ndarray:
     return ring.add_table[ring.add_table, ring.mul_table]
 
 
+def _quasi_regular(star: np.ndarray) -> np.ndarray:
+    """Indices with a two-sided inverse under the circle table `star`."""
+    zero = star == 0
+    return np.flatnonzero((zero & zero.T).any(axis=1))
+
+
 def quasi_regular_indices(ring: FiniteRing) -> List[int]:
     """Elements with a two-sided inverse under the circle operation."""
-    t = star_table(ring)
-    left_zero = t == 0
-    out = []
-    for r in range(ring.order):
-        partners = np.flatnonzero(left_zero[r] & left_zero[:, r])
-        if partners.size:
-            out.append(r)
-    return out
+    return _quasi_regular(star_table(ring)).tolist()
 
 
 def quasi_regular_group(ring: FiniteRing) -> Tuple[FiniteGroup, np.ndarray]:
     """The group of quasi-regular elements under the circle operation."""
-    qr = quasi_regular_indices(ring)
-    arr = np.asarray(qr, dtype=np.int64)
-    table = _positions(ring.order, arr)[star_table(ring)[np.ix_(arr, arr)]]
+    star = star_table(ring)
+    arr = _quasi_regular(star).astype(np.int64)
+    table = _positions(ring.order, arr)[star[np.ix_(arr, arr)]]
     if (table < 0).any():
         a, b = map(int, np.argwhere(table < 0)[0])
         raise ValidationError(

@@ -411,7 +411,7 @@ def _delta_class(ext: AbelianExtension, cd: CentralizerData, h2q: H2Group,
 
 
 def _endo_index(members: List[np.ndarray], group: FiniteGroup) -> TableIndex:
-    return TableIndex(np.stack(members), group.generators, group.order)
+    return TableIndex(np.stack(members), group.core_generators, group.order)
 
 
 def _closure_witness(index: TableIndex) -> Optional[Tuple[list, list]]:

@@ -669,6 +669,16 @@ def test_criterion_8_minimal_transgression_story():
           f"and zero transgression on {split_checked} split extensions")
 
 
+def test_criterion_9_dihedral_48():
+    start = time.monotonic()
+    report = dihedral_report(48)
+    assert report.ok, "\n".join(report.lines())
+    elapsed = time.monotonic() - start
+    assert elapsed < 60.0, f"dihedral instance n=48 took {elapsed:.2f}s, bound is 60s"
+    print(f"[PASS] criterion 9: dihedral instance n=48, ring of 2304 members, "
+          f"{elapsed:.2f}s < 60s")
+
+
 def test_supplementary_structure_facts():
     # the dihedral instance of order 24: invertible members and the
     # kernel-and-quotient-fixing line

@@ -297,6 +297,20 @@ def test_verify_corrupted_catalog_exits_one(tmp_path, capsys):
     assert "[ ok ] C2 by C2" in out
 
 
+def test_verify_catalog_with_redundant_generators(tmp_path, capsys):
+    # searches and keys run over the core generators: listing every element
+    # of D8 as a generator asks for no more candidates than its two do
+    data = extension_to_json(dihedral_extension(8))
+    data["group"]["generators"] = list(range(16))
+    doc = {"entries": [{"name": "D8, every element a generator", "kind": "extension",
+                        "extension": data}]}
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = _run(capsys, "verify", "--catalog", str(path))
+    assert code == 0, out
+    assert "[ ok ] D8, every element a generator" in out
+
+
 def test_verify_malformed_catalog_file(tmp_path, capsys):
     path = tmp_path / "catalog.json"
     path.write_text("{ not json")

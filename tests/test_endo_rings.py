@@ -5,8 +5,9 @@ from math import gcd
 import numpy as np
 import pytest
 
-from cohomoring import ValidationError
-from cohomoring.catalog import dihedral_extension
+from cohomoring import ValidationError, endo_rings
+from cohomoring.catalog import default_catalog, dihedral_extension
+from cohomoring.cocycles import CocycleRing, cocycle_ring, enumerate_z1
 from cohomoring.endo_rings import (
     action_preserving_quotient_endos,
     centralizer_displacement,
@@ -21,12 +22,16 @@ from cohomoring.endo_rings import (
 from cohomoring.extension import build_extension, centralizer_extension
 from cohomoring.groups import (
     GroupHom,
+    enumerate_actions,
+    enumerate_homs,
     inversion_action,
     make_cyclic,
     make_direct_product,
     trivial_action,
 )
-from cohomoring.rings import quasi_regular_indices
+from cohomoring.rings import FiniteRing, quasi_regular_indices
+from cohomoring.verify import verify_all
+from ring_oracles import assert_ring_tables_match_full_rows, full_row_cocycle_outcome
 
 
 def _product_extension():
@@ -234,3 +239,106 @@ def test_displacement_escape_is_detected():
     alpha[ext.section[1]] = 2
     with pytest.raises(ValidationError):
         centralizer_displacement(cd, alpha)
+
+
+# ------------------------------------------------- full-row dual-route oracles
+
+
+def test_ring_tables_match_full_row_oracles():
+    """Generator-keyed sums and products equal the full-row route on every
+    default-catalog extension and on D3-D12."""
+    exts = [e.materialize() for e in default_catalog() if e.kind == "extension"]
+    exts += [dihedral_extension(n) for n in range(3, 13)]
+    for ext in exts:
+        assert_ring_tables_match_full_rows(ext)
+
+
+def _first_uncertified_member(elements, module, action, embedding):
+    """First a with a o i no equivariant endomorphism of the module, checked
+    on every pair, or None."""
+    tm, act = module.table, action.table
+    for k, z in enumerate(elements):
+        f = z.values[embedding.values]
+        if not ((f[tm] == tm[f[:, None], f[None, :]]).all()
+                and (f[act] == act[:, f]).all()):
+            return k
+    return None
+
+
+def test_cocycle_ring_refuses_members_it_cannot_certify():
+    """Embeddings under which a o i is no additive equivariant endomorphism
+    for some member a: its products need not be crossed, so the ring is
+    refused at the first such member; every other case has the tables of the
+    full-row route."""
+    c4 = make_cyclic(4)
+    v4, _, _ = make_direct_product(make_cyclic(2), make_cyclic(2), name="V4")
+    trivial = trivial_action(c4, c4)
+    families = (
+        # not equivariant: C4 acting on V4, embedded by homomorphisms
+        [(c4, v4, act, emb) for act in enumerate_actions(c4, v4)
+         for emb in enumerate_homs(v4, c4)],
+        # not additive: C4 on itself, trivially, through maps that are no homomorphism
+        [(c4, c4, trivial, GroupHom(c4, c4, [0, x, y, z], validate=False))
+         for x in range(4) for y in range(4) for z in range(4)],
+    )
+    for cases in families:
+        refused = built = 0
+        for source, module, action, emb in cases:
+            elements = enumerate_z1(source, module, action)
+            bad = _first_uncertified_member(elements, module, action, emb)
+            if bad is None:
+                cr = cocycle_ring(source, module, action, emb)
+                want = full_row_cocycle_outcome(elements, source, module, emb)
+                assert (cr.ring.add_table.tolist(), cr.ring.mul_table.tolist()) == want
+                built += 1
+            else:
+                with pytest.raises(ValidationError, match=(
+                        f"not closed under the ring operations: member {bad} ")):
+                    cocycle_ring(source, module, action, emb)
+                refused += 1
+        assert refused >= 4 and built >= 4
+
+
+def test_trivial_groups_give_one_element_rings():
+    """A trivial kernel, module or source leaves no key positions or no
+    additive generators; each ring still has its one element."""
+    c1, c2, c4 = make_cyclic(1), make_cyclic(2), make_cyclic(4)
+    ext = build_extension(GroupHom(c1, c2, [0]), GroupHom(c2, c2, [0, 1]), name="C1 by C2")
+    fe = assert_ring_tables_match_full_rows(ext)
+    assert fe.ring.order == fe.module_ring.ring.order == 1
+    assert all(r.ok for r in verify_all(ext))
+    assert equivariant_endo_ring(c1, trivial_action(c4, c1)).ring.order == 1
+    assert equivariant_endo_ring(c1, trivial_action(c1, c1)).ring.order == 1
+    assert cocycle_ring(c1, c4, trivial_action(c1, c4), GroupHom(c4, c1, [0] * 4)).ring.order == 1
+    assert cocycle_ring(c1, c1, trivial_action(c1, c1), GroupHom(c1, c1, [0])).ring.order == 1
+
+
+def _tampered_cocycle_ring(tamper):
+    def build(source, module, action, embedding):
+        cr = cocycle_ring(source, module, action, embedding)
+        add, mul = tamper(cr.ring.add_table, cr.ring.mul_table)
+        return CocycleRing(FiniteRing(add, mul, one=None, name="Z1"), cr.elements,
+                           cr.index, cr.embedding)
+    return build
+
+
+def _swap_labels(add, mul):
+    """The same ring with two elements of different additive order renamed."""
+    orders = FiniteRing(add, mul).add_group.element_orders()
+    u = 1
+    v = int(np.flatnonzero(orders != orders[u])[-1])
+    perm = np.arange(len(add))
+    perm[[u, v]] = perm[[v, u]]
+    return perm[add[np.ix_(perm, perm)]], perm[mul[np.ix_(perm, perm)]]
+
+
+def test_fiber_endo_ring_rejects_a_displacement_ring_it_does_not_rederive(monkeypatch):
+    """The endomorphism-table route is independent of the displacement ring:
+    a valid ring on the same elements with other tables is refused."""
+    ext = dihedral_extension(4)
+    for tamper, error in ((_swap_labels, "twisted sum disagrees with displacement sum"),
+                          (lambda add, mul: (add, mul.T),
+                           "twisted product disagrees with displacement composition")):
+        monkeypatch.setattr(endo_rings, "cocycle_ring", _tampered_cocycle_ring(tamper))
+        with pytest.raises(ValidationError, match=error):
+            fiber_endo_ring(ext)

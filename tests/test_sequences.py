@@ -46,6 +46,7 @@ from cohomoring.verify import (
     verify_five_term,
     verify_qr_sequence,
 )
+from ring_oracles import assert_ring_tables_match_full_rows
 
 
 def _c4_over_c2():
@@ -377,6 +378,7 @@ def test_relabelling_the_middle_group_changes_no_invariant(data):
     reports = verify_all(ext2)
     assert all(r.ok for r in reports)
     assert [r.nodes for r in reports] == nodes
+    assert_ring_tables_match_full_rows(ext2)
     h2q2 = compute_h2(ext2.q_group, ext2.n_group, ext2.action)
     assert h2q2.invariant_factors == h2q.invariant_factors
     assert h2q.reduce(ext2.classifying_cocycle()) == klass
