@@ -15,6 +15,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .budgets import current_budgets
+from . import groups
 from .errors import BudgetExceeded, ValidationError
 from .groups import (
     ActionTable,
@@ -42,6 +43,8 @@ __all__ = [
     "pushforward",
     "inflation",
     "connecting_cocycle",
+    "connecting_values",
+    "pushforward_values",
     "H2Group",
     "compute_h2",
     "h2_order",
@@ -66,37 +69,7 @@ class TwoCocycle:
         self._validate()
 
     def _validate(self) -> None:
-        q = self.q_group.order
-        n = self.n_group.order
-        v = self.values
-        if v.shape != (q, q):
-            raise ValidationError(f"value table must be {q}x{q}, got {v.shape}")
-        if v.min() < 0 or v.max() >= n:
-            raise ValidationError("cocycle values out of module range")
-        if not self.n_group.is_abelian():
-            raise ValidationError("cocycle module must be abelian")
-        if self.action.actor is not self.q_group or self.action.module is not self.n_group:
-            raise ValidationError("action must be of the pair group on the module")
-        if (v[0] != 0).any() or (v[:, 0] != 0).any():
-            raise ValidationError("cocycle is not normalized at the identity")
-        # Light's test on the product (a, x)(b, y) = (a + x.b + f(x, y), xy) of
-        # N x Q, which is associative exactly when f is a cocycle.  The middles
-        # passing it are closed under products and include every (n, e), since
-        # f is normalized and Q acts additively; with the (0, s) of the core
-        # generators they generate, so the identity at (x, s, z) proves it at
-        # every (x, y, z).
-        add = self.n_group.table
-        tq = self.q_group.table
-        act = self.action.table
-        for s in self.q_group.core_generators:
-            lhs = add[act[:, v[s]], v[:, tq[s]]]      # [x, z] = x . f(s, z) + f(x, sz)
-            rhs = add[v[:, s][:, None], v[tq[:, s]]]  # [x, z] = f(x, s) + f(xs, z)
-            if not (lhs == rhs).all():
-                x, z = map(int, np.argwhere(lhs != rhs)[0])
-                raise ValidationError(
-                    f"cocycle identity fails at ({x}, {s}, {z})",
-                    witness=(x, s, z),
-                )
+        _check_cocycles(self.q_group, self.n_group, self.action, self.values[None])
 
     def add(self, other: "TwoCocycle") -> "TwoCocycle":
         if other.q_group is not self.q_group or other.n_group is not self.n_group:
@@ -126,6 +99,75 @@ class TwoCocycle:
         return self.values.tobytes()
 
 
+def _cocycle_defects(q_group: FiniteGroup, n_group: FiniteGroup, action: ActionTable,
+                     values: np.ndarray) -> np.ndarray:
+    """[b, i, x, z]: Light's identity x.f(s, z) + f(x, sz) = f(x, s) + f(xs, z)
+    fails for f = values[b] and s the i-th core generator.
+
+    It is the associativity of (a, x)(b, y) = (a + x.b + f(x, y), xy) on
+    N x Q with (0, s) in the middle.  The middles passing it are closed under
+    products and include every (n, e), since f is normalized and Q acts
+    additively; with the (0, s) of the core generators they generate, so a
+    normalized f free of defects is a cocycle at every (x, y, z).
+    """
+    add = n_group.table
+    tq = q_group.table
+    act = action.table
+    gens = q_group.core_generators
+    q = q_group.order
+    out = np.empty((len(values), len(gens), q, q), dtype=bool)
+    for i, s in enumerate(gens):
+        moved = act[:, values[:, s]].transpose(1, 0, 2)  # [b, x, z] = x . f(s, z)
+        lhs = add[moved, values[:, :, tq[s]]]
+        rhs = add[values[:, :, s, None], values[:, tq[:, s]]]
+        np.not_equal(lhs, rhs, out=out[:, i])
+    return out
+
+
+def _check_cocycles(q_group: FiniteGroup, n_group: FiniteGroup, action: ActionTable,
+                    values: np.ndarray) -> None:
+    """Certify each values[b] as a normalized 2-cocycle of q_group in n_group.
+
+    Raises the error of the first member that fails, with the text and the
+    witness `TwoCocycle` gives it: its values in range, the data, the
+    normalization and then Light's test (`_cocycle_defects`) in core
+    generator order, x before z.
+    """
+    q = q_group.order
+    n = n_group.order
+    if values.shape[1:] != (q, q):
+        raise ValidationError(f"value table must be {q}x{q}, got {values.shape[1:]}")
+    if not len(values):
+        return
+    out_of_range = None
+    if values.min() < 0 or values.max() >= n:
+        flat = values.reshape(len(values), -1)
+        out_of_range = ((flat < 0) | (flat >= n)).any(axis=1)
+        if out_of_range[0]:
+            raise ValidationError("cocycle values out of module range")
+    if not n_group.is_abelian():
+        raise ValidationError("cocycle module must be abelian")
+    if action.actor is not q_group or action.module is not n_group:
+        raise ValidationError("action must be of the pair group on the module")
+    in_range = values if out_of_range is None else np.clip(values, 0, n - 1)
+    defects = _cocycle_defects(q_group, n_group, action, in_range)
+    if out_of_range is None and not (values[:, 0].any() or values[:, :, 0].any()
+                                     or defects.any()):
+        return
+    unnormalized = (values[:, 0] != 0).any(axis=1) | (values[:, :, 0] != 0).any(axis=1)
+    failing = unnormalized | defects.reshape(len(values), -1).any(axis=1)
+    if out_of_range is not None:
+        failing |= out_of_range
+    b = int(np.argmax(failing))
+    if out_of_range is not None and out_of_range[b]:
+        raise ValidationError("cocycle values out of module range")
+    if unnormalized[b]:
+        raise ValidationError("cocycle is not normalized at the identity")
+    i, x, z = map(int, np.argwhere(defects[b])[0])
+    s = q_group.core_generators[i]
+    raise ValidationError(f"cocycle identity fails at ({x}, {s}, {z})", witness=(x, s, z))
+
+
 def coboundary_cocycle(q_group: FiniteGroup, n_group: FiniteGroup, action: ActionTable,
                        chain: np.ndarray) -> TwoCocycle:
     """The 2-cocycle (x, y) -> x.c(y) - c(xy) + c(x) of a normalized 1-cochain c."""
@@ -140,15 +182,30 @@ def coboundary_cocycle(q_group: FiniteGroup, n_group: FiniteGroup, action: Actio
     return TwoCocycle(q_group, n_group, action, add[add[t1, t2], t3])
 
 
-def pushforward(cocycle: TwoCocycle, endo_values: Sequence[int]) -> TwoCocycle:
-    """Compose the cocycle with an equivariant additive map of the module."""
-    vals = np.asarray(endo_values, dtype=np.int64)
+def pushforward_values(cocycle: TwoCocycle, endos) -> np.ndarray:
+    """Value tables [b, x, y] of the cocycle composed with each endos[b], an
+    equivariant additive map of the module; each is certified a cocycle.
+
+    The maps are checked in order, each additive and then equivariant, so
+    the first bad map raises the error `pushforward` gives it.
+    """
     n = cocycle.n_group
-    GroupHom(n, n, vals)  # additivity
     act = cocycle.action.table
-    if not (act[:, vals] == vals[act]).all():
-        raise ValidationError("module map does not commute with the pair-group action")
-    return TwoCocycle(cocycle.q_group, n, cocycle.action, vals[cocycle.values])
+    maps = np.asarray(endos, dtype=np.int64)
+    for vals in maps:
+        GroupHom(n, n, vals)  # additivity
+        if not (act[:, vals] == vals[act]).all():
+            raise ValidationError("module map does not commute with the pair-group action")
+    out = maps.reshape(len(maps), n.order)[:, cocycle.values]
+    _check_cocycles(cocycle.q_group, n, cocycle.action, out)
+    return out
+
+
+def pushforward(cocycle: TwoCocycle, endo_values: Sequence[int]) -> TwoCocycle:
+    """Compose the cocycle with an equivariant additive map of the module;
+    the one-map call of `pushforward_values`."""
+    return TwoCocycle(cocycle.q_group, cocycle.n_group, cocycle.action,
+                      pushforward_values(cocycle, np.asarray(endo_values)[None])[0])
 
 
 def inflation(cocycle: TwoCocycle, proj: GroupHom, g_action: ActionTable) -> TwoCocycle:
@@ -166,45 +223,75 @@ def inflation(cocycle: TwoCocycle, proj: GroupHom, g_action: ActionTable) -> Two
     return TwoCocycle(proj.source, cocycle.n_group, g_action, vals)
 
 
-def connecting_cocycle(q_group: FiniteGroup, tau_values: Sequence[int],
-                       c_group: FiniteGroup, pi: GroupHom, n_in_c: GroupHom,
-                       q_action_on_c: ActionTable, module_action: ActionTable,
-                       lift: Optional[Sequence[int]] = None) -> TwoCocycle:
-    """Obstruction cocycle of a crossed homomorphism into a central quotient.
+def connecting_values(q_group: FiniteGroup, taus, c_group: FiniteGroup, pi: GroupHom,
+                      n_in_c: GroupHom, q_action_on_c: ActionTable,
+                      module_action: ActionTable, lifts=None) -> np.ndarray:
+    """Obstruction cocycles [b, x, y] of crossed homomorphisms taus[b] into a
+    central quotient, each lifted along the section lifts[b].
 
-    tau maps the pair group into the quotient of `c_group` by the embedded
-    module (along `pi`).  Each value is lifted through `pi` and the failure of
-    the lift to be a crossed homomorphism is measured inside the module.
+    taus[b] maps the pair group into the quotient of `c_group` by the
+    embedded module (along `pi`).  lifts[b] picks one element of `c_group`
+    per quotient element (the least element of each fiber for every member
+    when lifts is None); with g = lifts[b][taus[b]], the value at (x, y) is
+    g(x) (x.g(y)) g(xy)^-1, read as an element of the module, so it measures
+    the failure of the lift to be a crossed homomorphism.  Every member is
+    certified a cocycle by `_check_cocycles`.  The first member that fails
+    raises its first error, in the order: tau sends e to e, the lift has one
+    value per quotient element, is a section and sends e to e, and every
+    value lands in the module (witness: the first such (x, y)).
     """
-    tau = np.asarray(tau_values, dtype=np.int64)
+    taus = np.asarray(taus, dtype=np.int64)
     q = q_group.order
-    if tau.shape != (q,) or tau[0] != 0:
+    m = pi.target.order
+    if taus.ndim != 2 or taus.shape[1] != q:
         raise ValidationError("crossed homomorphism must send identity to identity")
-    if lift is None:
-        lift = _descend(pi.values, pi.values)[0]  # the least element of each fiber
-    sec = np.asarray(lift, dtype=np.int64)
-    if sec.shape != (pi.target.order,):
+    moved_tau = taus[:, 0] != 0
+    if lifts is None:
+        lifts = np.broadcast_to(_descend(pi.values, pi.values)[0], (len(taus), m))
+    secs = np.asarray(lifts, dtype=np.int64)
+    if secs.shape != (len(taus), m):
+        if len(taus) and moved_tau[0]:
+            raise ValidationError("crossed homomorphism must send identity to identity")
         raise ValidationError("lift must choose one element per quotient element")
-    if not (pi.values[sec] == np.arange(pi.target.order)).all():
-        raise ValidationError("lift is not a section of the quotient map")
-    if sec[0] != 0:
-        raise ValidationError("lift must send identity to identity")
-    g = sec[tau]  # g[x] in C lifting tau(x)
+    g = np.take_along_axis(secs, taus, axis=1)  # g[b, x] in C lifting taus[b, x]
     mulc = c_group.table
-    invc = c_group.inverse
-    n = n_in_c.source
-    n_pos = _positions(c_group.order, n_in_c.values)
-    tq = q_group.table
-    prod = mulc[g[:, None], q_action_on_c.table[np.arange(q)[:, None], g[None, :]]]
-    word = mulc[prod, invc[g[tq]]]
-    vals = n_pos[word]
-    if (vals < 0).any():
-        x, y = map(int, np.argwhere(vals < 0)[0])
+    prod = mulc[g[:, :, None], q_action_on_c.table[np.arange(q)[:, None], g[:, None, :]]]
+    word = mulc[prod, c_group.inverse[g[:, q_group.table]]]
+    vals = _positions(c_group.order, n_in_c.values)[word]
+    lost = vals < 0
+    kinds = (moved_tau,
+             (pi.values[secs] != np.arange(m)).any(axis=1),
+             secs[:, 0] != 0,
+             lost.reshape(len(taus), -1).any(axis=1))
+    failing = np.logical_or.reduce(kinds)
+    if failing.any():
+        b = int(np.argmax(failing))
+        if kinds[0][b]:
+            raise ValidationError("crossed homomorphism must send identity to identity")
+        if kinds[1][b]:
+            raise ValidationError("lift is not a section of the quotient map")
+        if kinds[2][b]:
+            raise ValidationError("lift must send identity to identity")
+        x, y = map(int, np.argwhere(lost[b])[0])
         raise ValidationError(
             f"obstruction at ({x}, {y}) does not land in the embedded module",
             witness=(x, y),
         )
-    return TwoCocycle(q_group, n, module_action, vals)
+    _check_cocycles(q_group, n_in_c.source, module_action, vals)
+    return vals
+
+
+def connecting_cocycle(q_group: FiniteGroup, tau_values: Sequence[int],
+                       c_group: FiniteGroup, pi: GroupHom, n_in_c: GroupHom,
+                       q_action_on_c: ActionTable, module_action: ActionTable,
+                       lift: Optional[Sequence[int]] = None) -> TwoCocycle:
+    """Obstruction cocycle of a crossed homomorphism into a central quotient:
+    the one-member call of `connecting_values`, with the least element of
+    each fiber as the lift when lift is None."""
+    lifts = None if lift is None else np.asarray(lift, dtype=np.int64)[None]
+    vals = connecting_values(q_group, np.asarray(tau_values, dtype=np.int64)[None], c_group,
+                             pi, n_in_c, q_action_on_c, module_action, lifts)
+    return TwoCocycle(q_group, n_in_c.source, module_action, vals[0])
 
 
 # --------------------------------------------------------------------- H2
@@ -234,7 +321,7 @@ class H2Group:
         self._dec: Optional[AbelianDecomposition] = None
         self._kern: Optional[KernelBasis] = None
         self._qf: Optional[QuotientForm] = None
-        self._kept: Optional[List[int]] = None
+        self._kept: Optional[np.ndarray] = None
         self._w_cols: Optional[np.ndarray] = None
         # brute internals
         self._canon: Optional[dict] = None
@@ -252,17 +339,43 @@ class H2Group:
     def zero(self) -> Tuple[int, ...]:
         return tuple(0 for _ in self.invariant_factors)
 
-    def _check_cocycle(self, f: TwoCocycle) -> None:
-        if f.q_group is not self.q_group or f.n_group is not self.n_group:
+    def check_data(self, q_group: FiniteGroup, n_group: FiniteGroup,
+                   action: ActionTable) -> None:
+        """Raise unless cocycles of this pair group, module and action reduce here."""
+        if q_group is not self.q_group or n_group is not self.n_group:
             raise ValidationError("cocycle belongs to different data")
-        if not (f.action.table == self.action.table).all():
+        if not (action.table == self.action.table).all():
             raise ValidationError("cocycle action differs")
 
     def reduce(self, f: TwoCocycle) -> Tuple[int, ...]:
-        self._check_cocycle(f)
-        if self.method == "linear":
-            return self._reduce_linear(f)
-        return self._reduce_brute(f)
+        """Coefficient tuple of f; the one-row call of `reduce_values`."""
+        self.check_data(f.q_group, f.n_group, f.action)
+        return tuple(int(c) for c in self.reduce_values(f.values[None])[0])
+
+    def reduce_values(self, values: np.ndarray) -> np.ndarray:
+        """Coefficients [b, r] of the cocycles values[b, x, y] of this data
+        with respect to class_reps.
+
+        The caller vouches that the tables are cocycles of this data (as
+        `TwoCocycle`, `connecting_values` and `pushforward_values` certify
+        them); each is still tested for membership in the cocycle lattice.
+        Linear route: the coordinates V, then T = V vinv^T, which is in the
+        lattice exactly when mu divides every column, then (T/mu) U^T mod the
+        invariant factors on the kept columns.  Enumerative route: one
+        canonical-form lookup per table.
+        """
+        values = np.asarray(values, dtype=np.int64)
+        r = len(self.invariant_factors)
+        if self.method != "linear":
+            coeffs = [self._reduce_brute(v) for v in values]
+            return np.asarray(coeffs, dtype=np.int64).reshape(len(values), r)
+        if not r:
+            return np.zeros((len(values), 0), dtype=np.int64)
+        kern, qf = self._kern, self._qf
+        t = self._var_vectors(values) @ kern.vinv.T
+        if (t % kern.mu).any():
+            raise ValidationError("value table is not a cocycle for this data")
+        return ((t // kern.mu) @ qf.u.T % qf.diag)[:, self._kept]
 
     def is_coboundary(self, f: TwoCocycle) -> bool:
         return self.reduce(f) == self.zero()
@@ -283,9 +396,9 @@ class H2Group:
 
     # -- linear path
 
-    def _var_vector(self, f: TwoCocycle) -> np.ndarray:
-        coords = self._dec._coord_table[f.values[1:, 1:]]
-        return coords.reshape(-1).astype(np.int64)
+    def _var_vectors(self, values: np.ndarray) -> np.ndarray:
+        coords = self._dec._coord_table[values[:, 1:, 1:]]
+        return coords.reshape(len(values), -1).astype(np.int64)
 
     def _values_from_vector(self, v: np.ndarray) -> np.ndarray:
         dec = self._dec
@@ -299,23 +412,13 @@ class H2Group:
                 vals[x + 1, y + 1] = dec.element(coords[x, y])
         return vals
 
-    def _reduce_linear(self, f: TwoCocycle) -> Tuple[int, ...]:
-        if not self.invariant_factors:
-            return ()
-        v = self._var_vector(f)
-        t = self._kern.coords(v)
-        if t is None:
-            raise ValidationError("value table is not a cocycle for this data")
-        y = self._qf.coefficients(t)
-        return tuple(int(y[k]) for k in self._kept)
-
     def coboundary_witness(self, f: TwoCocycle) -> Optional[np.ndarray]:
         """A normalized 1-cochain whose coboundary is f, or None.
 
         Exact integer solving; only available within the witness budget on the
         linear path, and by direct scan on the enumerative path.
         """
-        self._check_cocycle(f)
+        self.check_data(f.q_group, f.n_group, f.action)
         if self.method == "bruteforce":
             return self._witness_brute(f)
         if not self.is_coboundary(f):
@@ -323,7 +426,7 @@ class H2Group:
         a = self._w_cols.shape[0]
         if a > 64:
             raise BudgetExceeded("witness solving gated to at most 64 variables")
-        v = self._var_vector(f)
+        v = self._var_vectors(f.values[None])[0]
         cols = [self._w_cols[:, j].tolist() for j in range(self._w_cols.shape[1])]
         y = lattice_solve(cols, v.tolist())
         if y is None:
@@ -350,9 +453,8 @@ class H2Group:
         best = min(flat[i].tobytes() for i in range(flat.shape[0]))
         return best
 
-    def _reduce_brute(self, f: TwoCocycle) -> Tuple[int, ...]:
-        key = self._canonical(f.values)
-        cid = self._canon.get(key)
+    def _reduce_brute(self, values: np.ndarray) -> Tuple[int, ...]:
+        cid = self._canon.get(self._canonical(values))
         if cid is None:
             raise ValidationError("value table is not a cocycle for this data")
         return self._class_dec.coords(cid)
@@ -475,18 +577,16 @@ def _h2_linear(q_group: FiniteGroup, n_group: FiniteGroup, action: ActionTable) 
     h2._dec = dec
     h2._kern = kern
     h2._qf = qf
-    h2._kept = kept
+    h2._kept = np.asarray(kept, dtype=np.int64)
     h2._w_cols = w_cols
     reps = []
     for t in kept:
         vec = kern.vector(qf.representative(t))
         reps.append(TwoCocycle(q_group, n_group, action, h2._values_from_vector(vec)))
     h2.class_reps = tuple(reps)
-    for i, rep in enumerate(reps):
-        got = h2._reduce_linear(rep)
-        want = tuple(1 if j == i else 0 for j in range(len(kept)))
-        if got != want:
-            raise ValidationError("class representative does not reduce to a unit coefficient")
+    got = h2.reduce_values(np.array([rep.values for rep in reps]).reshape(len(reps), q, q))
+    if not (got == np.eye(len(kept), dtype=np.int64)).all():
+        raise ValidationError("class representative does not reduce to a unit coefficient")
     return h2
 
 
@@ -520,14 +620,11 @@ def _h2_bruteforce(q_group: FiniteGroup, n_group: FiniteGroup,
             values[:, x, yv] = arr % n
             arr = arr // n
     mask = np.ones(m, dtype=bool)
-    for yv in q_group.core_generators:  # Light's test, as in TwoCocycle._validate
-        for x in range(1, q):
-            xy = int(tq[x, yv])
-            for z in range(1, q):
-                yz = int(tq[yv, z])
-                lhs = add[act[x, values[:, yv, z]], values[:, x, yz]]
-                rhs = add[values[:, xy, z], values[:, x, yv]]
-                mask &= lhs == rhs
+    step = max(1, groups._SEARCH_BLOCK_CELLS // (q * q))
+    for start in range(0, m, step):  # Light's test, as in TwoCocycle._validate
+        block = values[start:start + step]
+        mask[start:start + step] = ~_cocycle_defects(
+            q_group, n_group, action, block).reshape(len(block), -1).any(axis=1)
     cocycles = values[mask]
     chains = _enumerate_chains(n, q)
     inv = n_group.inverse

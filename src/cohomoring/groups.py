@@ -61,19 +61,24 @@ __all__ = [
 
 
 def _as_int_array(data, what: str) -> np.ndarray:
-    """`data` as an int64 array; ragged or non-numeric input is a ValidationError."""
+    """`data` as an int64 array.  Ragged input, and non-empty input whose own
+    dtype is not an integer dtype that int64 holds (floats, booleans, text),
+    is a ValidationError, so that 1.5 or true is never read as 1."""
     try:
-        return np.asarray(data, dtype=np.int64)
+        arr = np.asarray(data)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{what} must be a rectangular array of integers") from exc
+    if arr.size and not (arr.dtype.kind in "iu" and np.can_cast(arr.dtype, np.int64)):
+        raise ValidationError(f"{what} must be a rectangular array of integers")
+    return arr.astype(np.int64, copy=False)
 
 
 def _as_int(value, what: str) -> int:
-    """`value` as an int; a non-numeric value is a ValidationError."""
-    try:
+    """`value` as an int; anything but an integer (a bool, a float, text) is
+    a ValidationError."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{what} must be an integer, got {value!r}") from exc
+    raise ValidationError(f"{what} must be an integer, got {value!r}")
 
 
 def _as_table(table, what: str) -> np.ndarray:

@@ -27,23 +27,23 @@ and quotient Q:
   of finite rings with square-zero kernel.
 """
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from . import groups
 from .budgets import current_budgets
-from .cocycles import CrossedHom, enumerate_z1, post_compose
+from .cocycles import enumerate_z1, post_compose
 from .cohomology2 import (
     H2Group,
     TwoCocycle,
     coboundary_preimage,
     compute_h2,
-    connecting_cocycle,
+    connecting_values,
     h2_order,
     inflation,
-    pushforward,
+    pushforward_values,
 )
 from .endo_rings import (
     FiberEndoRing,
@@ -157,6 +157,14 @@ def _set_equal(report: ExactnessReport, position: str, kernel: set, image: set,
                witness=diff[:3] if diff else None)
 
 
+def _row_blocks(count: int, cells: int) -> Iterator[slice]:
+    """Consecutive slices of range(count) whose rows, of `cells` cells each,
+    stay within groups._SEARCH_BLOCK_CELLS cells per slice."""
+    step = max(1, groups._SEARCH_BLOCK_CELLS // max(1, cells))
+    for start in range(0, count, step):
+        yield slice(start, min(start + step, count))
+
+
 def _instance_name(ext: AbelianExtension) -> str:
     if ext.name:
         return ext.name
@@ -171,10 +179,14 @@ def _instance_name(ext: AbelianExtension) -> str:
 def _eta_coefficients(fe: FiberEndoRing, h2q: H2Group,
                       f_ext: TwoCocycle) -> List[Tuple[int, ...]]:
     """Class coefficients of the pushforward of the classifying cocycle along
-    every equivariant kernel endomorphism."""
-    out = []
-    for values in fe.module_ring.elements:
-        out.append(h2q.reduce(pushforward(f_ext, values)))
+    every equivariant kernel endomorphism, built, certified and reduced in
+    blocks of stacked value tables."""
+    h2q.check_data(f_ext.q_group, f_ext.n_group, f_ext.action)
+    endos = np.asarray(fe.module_ring.elements, dtype=np.int64)
+    out: List[Tuple[int, ...]] = []
+    for rows in _row_blocks(len(endos), f_ext.q_group.order ** 2):
+        classes = h2q.reduce_values(pushforward_values(f_ext, endos[rows]))
+        out.extend(tuple(c) for c in classes.tolist())
     return out
 
 
@@ -403,11 +415,75 @@ def verify_aut_five_term(ext: AbelianExtension, fe: Optional[FiberEndoRing] = No
 # ------------------------------------------------- centralizer layer (pointed)
 
 
-def _delta_class(ext: AbelianExtension, cd: CentralizerData, h2q: H2Group,
-                 tau: CrossedHom, lift: Optional[Sequence[int]] = None) -> Tuple[int, ...]:
-    two = connecting_cocycle(ext.q_group, tau.values, cd.c_sub.group, cd.pi,
-                             cd.n_in_c, cd.q_action_on_c, ext.action, lift=lift)
-    return h2q.reduce(two)
+def _connecting_classes(ext: AbelianExtension, cd: CentralizerData, h2q: H2Group,
+                        count: int, members: Callable[[slice], tuple]
+                        ) -> Iterator[Tuple[slice, np.ndarray]]:
+    """Class coefficients of `count` connecting cocycles, one block at a time.
+
+    members(rows) gives (taus, lifts) for the slice `rows` of range(count):
+    crossed homs into the central quotient and the sections lifting them
+    (None for the least element of each fiber).  Each block of at most
+    groups._SEARCH_BLOCK_CELLS cells of values is built and certified by
+    `connecting_values` and reduced before the next one is built; the
+    generator yields (rows, classes[len(rows), r]).
+    """
+    q = ext.q_group
+    h2q.check_data(q, cd.n_in_c.source, ext.action)
+    for rows in _row_blocks(count, q.order ** 2):
+        taus, lifts = members(rows)
+        vals = connecting_values(q, taus, cd.c_sub.group, cd.pi, cd.n_in_c,
+                                 cd.q_action_on_c, ext.action, lifts)
+        yield rows, h2q.reduce_values(vals)
+
+
+def _base_classes(ext: AbelianExtension, cd: CentralizerData, h2q: H2Group,
+                  taus: np.ndarray) -> np.ndarray:
+    """[b, r] class coefficients of the connecting cocycles of taus[b] at the
+    least lift."""
+    out = np.empty((len(taus), len(h2q.invariant_factors)), dtype=np.int64)
+    for rows, classes in _connecting_classes(ext, cd, h2q, len(taus),
+                                             lambda rows: (taus[rows], None)):
+        out[rows] = classes
+    return out
+
+
+def _displacements(cd: CentralizerData, endos: List[np.ndarray]) -> np.ndarray:
+    """[b, x]: the displacement of the action-preserving quotient endo endos[b]."""
+    q = cd.ext.q_group
+    return np.array([quotient_endo_displacement(cd, v).values for v in endos],
+                    dtype=np.int64).reshape(len(endos), q.order)
+
+
+def _lift_scan_witness(ext: AbelianExtension, cd: CentralizerData, h2q: H2Group,
+                       c_set: List[np.ndarray], taus: np.ndarray,
+                       base: np.ndarray) -> Optional[Tuple[list, list]]:
+    """The first (endo, section) whose connecting class differs from its class
+    at the least lift, or None; endos outer and sections in itertools.product
+    order of the fibers of the central quotient map (identity fixed at 0)."""
+    pi = cd.pi.values
+    m = cd.qbar_group.order
+    fibers = np.split(np.argsort(pi, kind="stable"),
+                      np.cumsum(np.bincount(pi, minlength=m))[:-1])
+    fibers[0] = np.zeros(1, dtype=np.int64)
+    sections = int(np.prod([len(f) for f in fibers]))
+
+    def members(rows: slice) -> tuple:
+        index = np.arange(rows.start, rows.stop)
+        rest = index % sections
+        lifts = np.empty((len(index), m), dtype=np.int64)
+        for j in range(m - 1, -1, -1):  # last fiber fastest
+            rest, digit = np.divmod(rest, len(fibers[j]))
+            lifts[:, j] = fibers[j][digit]
+        return taus[index // sections], lifts
+
+    for rows, classes in _connecting_classes(ext, cd, h2q, len(c_set) * sections, members):
+        owner = np.arange(rows.start, rows.stop) // sections
+        moved = (classes != base[owner]).any(axis=1)
+        if moved.any():
+            k = int(np.argmax(moved))
+            lift = members(slice(rows.start + k, rows.start + k + 1))[1][0]
+            return c_set[owner[k]].tolist(), lift.tolist()
+    return None
 
 
 def _endo_index(members: List[np.ndarray], group: FiniteGroup) -> TableIndex:
@@ -444,7 +520,12 @@ def verify_centralizer_sequence(ext: AbelianExtension,
     """Verify the pointed endomorphism sequence through the kernel centralizer.
 
     b_all and c_all, when given, are kernel_fixing_endos(ext) and
-    action_preserving_quotient_endos(ext).
+    action_preserving_quotient_endos(ext).  The connecting classes of all of
+    c_set at the least lift are built, certified and reduced as stacks.  The
+    lift scan (within `delta_lift_scan`) compares the class of every member
+    under every section with its class at the least lift, block by block,
+    and reports the first member and section in itertools.product order
+    whose class differs.
     """
     cd = cd or centralizer_extension(ext)
     h2q = h2q or compute_h2(ext.q_group, ext.n_group, ext.action)
@@ -504,33 +585,18 @@ def verify_centralizer_sequence(ext: AbelianExtension,
     _set_equal(report, "kernel-fixing endos", fiber_b, a_set,
                detail="fiber of descent over id vs included endos")
 
-    zero_class = h2q.zero()
-    delta = [_delta_class(ext, cd, h2q, quotient_endo_displacement(cd, v)) for v in c_set]
-    fiber_c = {k for k, cls in enumerate(delta) if cls == zero_class}
+    taus = _displacements(cd, c_set)
+    delta = _base_classes(ext, cd, h2q, taus)
+    fiber_c = set(np.flatnonzero(~delta.any(axis=1)).tolist())
     _set_equal(report, "action-preserving quotient endos", fiber_c, set(descent.tolist()),
                detail="fiber of the connecting map over zero vs descended endos")
 
     # Lift independence of the connecting class: the class must not depend on
     # which section of the centralizer quotient lifts the displacement.
-    n_order = ext.n_group.order
-    qbar_ord = cd.qbar_group.order
-    sections = n_order ** max(qbar_ord - 1, 0)
+    sections = ext.n_group.order ** max(cd.qbar_group.order - 1, 0)
     if sections * max(len(c_set), 1) <= current_budgets().delta_lift_scan:
-        fibers = [[0]] + [
-            [c for c in range(cd.c_sub.group.order) if int(cd.pi.values[c]) == b]
-            for b in range(1, qbar_ord)
-        ]
-        stable = True
-        wit = None
-        for v, base in zip(c_set, delta):
-            tau = quotient_endo_displacement(cd, v)
-            for sec in itertools.product(*fibers):
-                if _delta_class(ext, cd, h2q, tau, lift=list(sec)) != base:
-                    stable, wit = False, (v.tolist(), list(sec))
-                    break
-            if not stable:
-                break
-        report.add("connecting class is lift independent", stable,
+        wit = _lift_scan_witness(ext, cd, h2q, c_set, taus, delta)
+        report.add("connecting class is lift independent", wit is None,
                    detail=f"{sections} sections per endo", witness=wit)
     else:
         report.skip("connecting class is lift independent",
@@ -602,9 +668,8 @@ def verify_aut_centralizer_sequence(ext: AbelianExtension,
     _set_equal(report, "invertible kernel-fixing endos", fiber_b, in_a,
                detail="kernel of descent vs included automorphisms")
 
-    zero_class = h2q.zero()
-    fiber_c = {k for k, v in enumerate(aut_c)
-               if _delta_class(ext, cd, h2q, quotient_endo_displacement(cd, v)) == zero_class}
+    delta = _base_classes(ext, cd, h2q, _displacements(cd, aut_c))
+    fiber_c = set(np.flatnonzero(~delta.any(axis=1)).tolist())
     _set_equal(report, "invertible action-preserving quotient endos",
                fiber_c, set(descent.tolist()),
                detail="fiber of the connecting map over zero vs descended automorphisms")
@@ -645,9 +710,9 @@ def verify_crossed_hom_sequence(ext: AbelianExtension,
     _set_equal(report, "crossed homs into the centralizer", ker_proj, emb,
                detail="kernel of projection vs embedded crossed homs")
 
-    zero_class = h2q.zero()
-    ker_delta = {tau.key() for tau in z1qbar
-                 if _delta_class(ext, cd, h2q, tau) == zero_class}
+    taus = np.array([tau.values for tau in z1qbar], dtype=np.int64).reshape(len(z1qbar), q.order)
+    delta = _base_classes(ext, cd, h2q, taus)
+    ker_delta = {tau.key() for tau, cls in zip(z1qbar, delta) if not cls.any()}
     im_proj = {img.key() for img in proj.values()}
     _set_equal(report, "crossed homs into the central quotient", ker_delta, im_proj,
                detail="fiber of the connecting map over zero vs projected crossed homs")

@@ -286,7 +286,16 @@ def test_verify_corrupted_catalog_exits_one(tmp_path, capsys):
              {"quadruple": dict(quad, kernel_group=dict(c2, generators=["x"]))},
              "group generators must be a rectangular array of integers"),
             ("number labels", {"quadruple": dict(quad, quotient_group=dict(c2, labels=5))},
-             "group labels must be a list, got 5"))
+             "group labels must be a list, got 5"),
+            # numbers that are not integers are refused, never truncated
+            ("float cocycle", {"quadruple": dict(quad, cocycle=[[0, 0], [0, 1.5]])},
+             "quadruple cocycle must be a rectangular array of integers"),
+            ("boolean table",
+             {"quadruple": dict(quad, kernel_group=dict(c2, table=[[False, True],
+                                                                   [True, False]]))},
+             "group table must be a rectangular array of integers"),
+            ("fractional one", {"kind": "ring", "ring": dict(z4, one=1.5)},
+             "ring identity index must be an integer, got 1.5"))
     doc = {"entries": [dict(entry, name=name) for name, entry, _ in rows]
            + [{"name": "C2 by C2", "quadruple": quad}]}
     path.write_text(json.dumps(doc))
@@ -368,6 +377,12 @@ def test_output_is_deterministic(capsys, monkeypatch):
          "0a97dba0c928818091f9a652660d408d176d775c3bf4f5d8173ebd7a89e3a65f"),
         (["examples", "dihedral", "5"],
          "33b83d89189d0acc4708c19eee777fd82f1da66f6b19808faa8f372a4eb6720d"),
+        # the default-budget sweep: every connecting class and pushforward of
+        # the catalog, as text and as JSON
+        (["verify", "--json"],
+         "3f163786c9ed8878ee26b51b14bbb964fae0b06ba9be289d222bd4cbd53ece01"),
+        (["verify"],
+         "d30fea6ecc34b4aa4cbb5ff0a36d572ad711c313f77d1a7b5df4d8275b459d99"),
     ):
         _, first, _ = _run(capsys, *argv)
         _, second, _ = _run(capsys, *argv)
