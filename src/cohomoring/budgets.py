@@ -21,7 +21,6 @@ class Budgets:
     ring_check_max_order: int = 4096
     # crossed-homomorphism enumeration
     z1_generator_candidates: int = 1_000_000  # |module|^#generators, closure strategy
-    z1_full_scan: int = 1_000_000  # |module|^|G| fallback
     # second cohomology
     h2_brute_candidates: int = 1_000_000  # |N|^((|Q|-1)^2)
     h2_linear_size: int = 4096  # |Q|^2 * (number of cyclic factors of N)

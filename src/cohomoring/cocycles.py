@@ -150,53 +150,28 @@ def enumerate_z1(source: FiniteGroup, module: FiniteGroup,
                  action: ActionTable) -> List[CrossedHom]:
     """All crossed homomorphisms, in a deterministic order.
 
-    Candidates are images of the core generators, propagated and certified by
-    the twisted law in `_search_generator_images`.  Falls back to
-    `_z1_full_scan` when the group needs too many generators.
+    Candidates are the |module|^k images of the k core generators,
+    propagated and certified by the twisted law in
+    `_search_generator_images`; the count is gated by
+    `z1_generator_candidates`.  A crossed homomorphism is fixed by its
+    values on generators, so nothing is missed.
     """
-    budget = current_budgets()
+    limit = current_budgets().z1_generator_candidates
     if action.actor is not source or action.module is not module:
         raise ValidationError("action must be of the source group on the module")
     m = module.order
     gens = source.core_generators
     count = m ** len(gens)
-    if count <= budget.z1_generator_candidates:
-        cands = [np.arange(m)] * len(gens)
-        out = [CrossedHom(source, module, action, vals, validate=False)
-               for vals in _search_generator_images(source, module, cands, action, gens=gens)]
-    elif m ** (source.order - 1) <= budget.z1_full_scan:
-        out = _z1_full_scan(source, module, action)
-    else:
+    if count > limit:
+        # a scan of all |module|^(|source|-1) value tables is no cheaper:
+        # the core generators are distinct non-identity elements
         raise BudgetExceeded(
             f"{count} generator candidates and full scan both exceed budgets")
+    cands = [np.arange(m)] * len(gens)
+    out = [CrossedHom(source, module, action, vals, validate=False)
+           for vals in _search_generator_images(source, module, cands, action, gens=gens)]
     # lexicographic order of the value tables: lexsort keys on its last row first
     return [out[k] for k in np.lexsort(np.stack([c.values for c in out]).T[::-1])]
-
-
-def _z1_full_scan(source: FiniteGroup, module: FiniteGroup,
-                  action: ActionTable) -> List[CrossedHom]:
-    """Crossed homomorphisms by testing the law on every normalized value table.
-
-    |module|^(|source|-1) candidates; `enumerate_z1` gates the count, and the
-    tests use this as the oracle for the generator route.
-    """
-    s = source.order
-    m = module.order
-    total = m ** (s - 1)
-    arr = np.arange(total, dtype=np.int64)
-    vals = np.zeros((total, s), dtype=np.int64)
-    for x in range(1, s):
-        vals[:, x] = arr % m
-        arr = arr // m
-    mask = np.ones(total, dtype=bool)
-    tm = module.table
-    act = action.table
-    ts = source.table
-    for x in range(1, s):
-        for y in range(1, s):
-            law = tm[vals[:, x], act[x, vals[:, y]]]
-            mask &= law == vals[:, ts[x, y]]
-    return [CrossedHom(source, module, action, row, validate=False) for row in vals[mask]]
 
 
 @dataclass

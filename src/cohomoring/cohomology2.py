@@ -4,7 +4,9 @@ A 2-cocycle is stored as a full value table over pairs, normalized so that
 every pair involving the identity maps to the identity.  The group of classes
 is computed either by integer linear algebra (Smith forms over the module
 exponent) or by exhaustive enumeration of cochains; both produce the same
-interface and are cross-checked in the test suite.
+interface and are cross-checked in the test suite.  A 1-cochain whose
+coboundary is a given cocycle comes from one route, the generator search of
+`coboundary_preimage`.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .linalg import (
     abelian_decomposition,
     action_matrices,
     kernel_mod,
-    lattice_solve,
     quotient_snf,
 )
 
@@ -322,19 +323,12 @@ class H2Group:
         self._kern: Optional[KernelBasis] = None
         self._qf: Optional[QuotientForm] = None
         self._kept: Optional[np.ndarray] = None
-        self._w_cols: Optional[np.ndarray] = None
         # brute internals
         self._canon: Optional[dict] = None
         self._delta_table: Optional[np.ndarray] = None
-        self._chain_table: Optional[np.ndarray] = None
         self._class_dec: Optional[AbelianDecomposition] = None
 
     # -- shared helpers
-
-    def zero_cocycle(self) -> TwoCocycle:
-        q = self.q_group.order
-        return TwoCocycle(self.q_group, self.n_group, self.action,
-                          np.zeros((q, q), dtype=np.int64))
 
     def zero(self) -> Tuple[int, ...]:
         return tuple(0 for _ in self.invariant_factors)
@@ -381,12 +375,18 @@ class H2Group:
         return self.reduce(f) == self.zero()
 
     def rep_from_coeffs(self, coeffs: Sequence[int]) -> TwoCocycle:
+        """The sum of coeffs[r] times class_reps[r], accumulated on the value
+        tables with the module's add table and certified once."""
         if len(coeffs) != len(self.invariant_factors):
             raise ValidationError("coefficient count mismatch")
-        out = self.zero_cocycle()
+        add = self.n_group.table
+        q = self.q_group.order
+        out = np.zeros((q, q), dtype=np.int64)
         for k, rep in zip(coeffs, self.class_reps):
-            out = out.add(rep.scaled(int(k)))
-        return out
+            step = rep.values if k >= 0 else self.n_group.inverse[rep.values]
+            for _ in range(abs(int(k))):
+                out = add[out, step]
+        return TwoCocycle(self.q_group, self.n_group, self.action, out)
 
     def classes(self) -> Iterator[Tuple[Tuple[int, ...], TwoCocycle]]:
         """All classes as (coefficients, representative cocycle)."""
@@ -412,37 +412,6 @@ class H2Group:
                 vals[x + 1, y + 1] = dec.element(coords[x, y])
         return vals
 
-    def coboundary_witness(self, f: TwoCocycle) -> Optional[np.ndarray]:
-        """A normalized 1-cochain whose coboundary is f, or None.
-
-        Exact integer solving; only available within the witness budget on the
-        linear path, and by direct scan on the enumerative path.
-        """
-        self.check_data(f.q_group, f.n_group, f.action)
-        if self.method == "bruteforce":
-            return self._witness_brute(f)
-        if not self.is_coboundary(f):
-            return None
-        a = self._w_cols.shape[0]
-        if a > 64:
-            raise BudgetExceeded("witness solving gated to at most 64 variables")
-        v = self._var_vectors(f.values[None])[0]
-        cols = [self._w_cols[:, j].tolist() for j in range(self._w_cols.shape[1])]
-        y = lattice_solve(cols, v.tolist())
-        if y is None:
-            raise ValidationError("class reduction and witness solver disagree")
-        dec = self._dec
-        c = len(dec.factors)
-        q = self.q_group.order
-        chain = np.zeros(q, dtype=np.int64)
-        for w in range(1, q):
-            coeffs = [int(y[(w - 1) * c + j]) % dec.factors[j] for j in range(c)]
-            chain[w] = dec.element(coeffs)
-        check = coboundary_cocycle(self.q_group, self.n_group, self.action, chain)
-        if not check.same_values(f):
-            raise ValidationError("witness verification failed")
-        return chain
-
     # -- enumerative path
 
     def _canonical(self, values: np.ndarray) -> bytes:
@@ -458,17 +427,6 @@ class H2Group:
         if cid is None:
             raise ValidationError("value table is not a cocycle for this data")
         return self._class_dec.coords(cid)
-
-    def _witness_brute(self, f: TwoCocycle) -> Optional[np.ndarray]:
-        if self.reduce(f) != self.zero():
-            return None
-        target = f.values.tobytes()
-        chains = self._chain_table
-        for i in range(chains.shape[0]):
-            d = coboundary_cocycle(self.q_group, self.n_group, self.action, chains[i])
-            if d.values.tobytes() == target:
-                return chains[i].copy()
-        raise ValidationError("class reduction and witness scan disagree")
 
 
 def _variable_layout(q: int, c: int) -> int:
@@ -557,7 +515,6 @@ def _h2_linear(q_group: FiniteGroup, n_group: FiniteGroup, action: ActionTable) 
         h2._kern = kernel_mod(np.zeros((0, a), dtype=np.int64), a, 1)
         h2._qf = quotient_snf(np.zeros((a, 0), dtype=np.int64), a, 1)
         h2._kept = []
-        h2._w_cols = np.zeros((a, 0), dtype=np.int64)
         return h2
     mats = action_matrices(action, dec)
     L = dec.exponent
@@ -578,7 +535,6 @@ def _h2_linear(q_group: FiniteGroup, n_group: FiniteGroup, action: ActionTable) 
     h2._kern = kern
     h2._qf = qf
     h2._kept = np.asarray(kept, dtype=np.int64)
-    h2._w_cols = w_cols
     reps = []
     for t in kept:
         vec = kern.vector(qf.representative(t))
@@ -666,7 +622,6 @@ def _h2_bruteforce(q_group: FiniteGroup, n_group: FiniteGroup,
     h2 = H2Group(q_group, n_group, action, class_dec.factors, "bruteforce")
     h2._canon = canon
     h2._delta_table = uniq
-    h2._chain_table = chains
     h2._class_dec = class_dec
     h2.class_reps = tuple(
         TwoCocycle(q_group, n_group, action, reps[b]) for b in class_dec.basis

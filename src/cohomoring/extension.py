@@ -12,15 +12,13 @@ construction time.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .budgets import current_budgets
-from .cohomology2 import TwoCocycle
-from .errors import BudgetExceeded, ValidationError, require_keys
+from .cohomology2 import TwoCocycle, coboundary_preimage
+from .errors import ValidationError, require_keys
 from .groups import (
     ActionTable,
     FiniteGroup,
@@ -30,7 +28,6 @@ from .groups import (
     _conjugation_rows,
     _descend,
     _positions,
-    _search_generator_images,
     centralizer,
     group_from_json,
     group_to_json,
@@ -101,18 +98,19 @@ class AbelianExtension:
         return TwoCocycle(self.q_group, self.n_group, self.action, vals)
 
     def find_splitting(self) -> Optional[GroupHom]:
-        """A homomorphic section of the surjection, or None if there is none."""
-        limit = current_budgets().z1_generator_candidates
-        qg = self.q_group
-        fibers = [self.fiber(g) for g in qg.generators]
-        count = math.prod(len(f) for f in fibers)
-        if count > limit:
-            raise BudgetExceeded(f"{count} candidate sections exceeds budget {limit}")
-        idx = np.arange(qg.order)
-        for values in _search_generator_images(qg, self.g_group, fibers):
-            if (self.p.values[values] == idx).all():
-                return GroupHom(qg, self.g_group, values)
-        return None
+        """A homomorphic section of the surjection, or None if there is none.
+
+        The extension splits exactly when its classifying cocycle f is a
+        coboundary, and then x -> i(-c(x)) u(x) is a homomorphism for any c
+        with coboundary f: u(x) u(y) = i(f(x, y)) u(xy) and
+        f(x, y) = x.c(y) - c(xy) + c(x).  `coboundary_preimage` finds such a
+        c or proves there is none.
+        """
+        c = coboundary_preimage(self.classifying_cocycle())
+        if c is None:
+            return None
+        values = self.g_group.table[self.i.values[self.n_group.inverse[c]], self.section]
+        return GroupHom(self.q_group, self.g_group, values)
 
     def is_split(self) -> bool:
         return self.find_splitting() is not None

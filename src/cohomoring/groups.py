@@ -63,14 +63,23 @@ __all__ = [
 def _as_int_array(data, what: str) -> np.ndarray:
     """`data` as an int64 array.  Ragged input, and non-empty input whose own
     dtype is not an integer dtype that int64 holds (floats, booleans, text),
-    is a ValidationError, so that 1.5 or true is never read as 1."""
+    is a ValidationError, so that 1.5 or true is never read as 1.  numpy
+    promotes [0, True] to integers, so nested lists are also scanned for
+    booleans; ndarray input skips the scan."""
     try:
         arr = np.asarray(data)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{what} must be a rectangular array of integers") from exc
-    if arr.size and not (arr.dtype.kind in "iu" and np.can_cast(arr.dtype, np.int64)):
+    if arr.size and not (arr.dtype.kind in "iu" and np.can_cast(arr.dtype, np.int64)
+                         and (isinstance(data, np.ndarray) or not _holds_bool(data))):
         raise ValidationError(f"{what} must be a rectangular array of integers")
     return arr.astype(np.int64, copy=False)
+
+
+def _holds_bool(data) -> bool:
+    """Whether rectangular list input holds a Python or numpy boolean."""
+    kinds = set(map(type, np.asarray(data, dtype=object).flat))
+    return bool in kinds or np.bool_ in kinds
 
 
 def _as_int(value, what: str) -> int:

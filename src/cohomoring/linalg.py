@@ -1,8 +1,8 @@
 """Integer matrix utilities: Smith-style diagonalization and abelian structure.
 
 Two regimes coexist here.  `snf_small` is an exact pure-Python Smith normal
-form with all four transforms, for the small matrices of the abelian
-decomposition and witness solving.  `kernel_mod` / `quotient_snf` are the
+form with its row transforms, for the small relation matrix of the abelian
+decomposition.  `kernel_mod` / `quotient_snf` are the
 vectorized workhorses behind the cohomology computation: both operate on
 systems whose lattices contain L*Z^n for a known exponent L, which lets every
 entry be folded into a bounded range so coefficients never blow up.
@@ -20,7 +20,6 @@ from .errors import GuardExceeded, ValidationError
 
 __all__ = [
     "snf_small",
-    "lattice_solve",
     "kernel_mod",
     "KernelBasis",
     "quotient_snf",
@@ -37,18 +36,18 @@ _GUARD = 1 << 58
 
 
 def snf_small(mat: Sequence[Sequence[int]]):
-    """Exact Smith normal form with transforms: S = U M V, all Python ints.
+    """Exact Smith normal form with row transforms: S = U M V for some
+    unimodular V, all Python ints.
 
-    Returns (diag, U, Uinv, V, Vinv) where diag has min(rows, cols) entries
-    forming a divisibility chain.  Intended for small matrices only.
+    Returns (diag, U, Uinv) where diag has min(rows, cols) entries forming a
+    divisibility chain.  Column operations are applied to M but not tracked.
+    Intended for small matrices only.
     """
     m = [list(int(x) for x in row) for row in mat]
     r = len(m)
     c = len(m[0]) if r else 0
     u = [[int(i == j) for j in range(r)] for i in range(r)]
     uinv = [[int(i == j) for j in range(r)] for i in range(r)]
-    v = [[int(i == j) for j in range(c)] for i in range(c)]
-    vinv = [[int(i == j) for j in range(c)] for i in range(c)]
 
     def row_op(dst, src, k):  # row dst -= k * row src
         m[dst] = [a - k * b for a, b in zip(m[dst], m[src])]
@@ -59,9 +58,6 @@ def snf_small(mat: Sequence[Sequence[int]]):
     def col_op(dst, src, k):  # col dst -= k * col src
         for row in m:
             row[dst] -= k * row[src]
-        for row in v:
-            row[dst] -= k * row[src]
-        vinv[src] = [a + k * b for a, b in zip(vinv[src], vinv[dst])]
 
     def row_swap(i, j):
         m[i], m[j] = m[j], m[i]
@@ -72,9 +68,6 @@ def snf_small(mat: Sequence[Sequence[int]]):
     def col_swap(i, j):
         for row in m:
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def row_neg(i):
         m[i] = [-a for a in m[i]]
@@ -147,30 +140,7 @@ def snf_small(mat: Sequence[Sequence[int]]):
                 if m[i + 1][i + 1] < 0:
                     row_neg(i + 1)
     diag = [m[i][i] for i in range(min(r, c))]
-    return diag, u, uinv, v, vinv
-
-
-def lattice_solve(cols: Sequence[Sequence[int]], target: Sequence[int]) -> Optional[List[int]]:
-    """Integer y with B y = target, where B's columns are `cols`; None if no solution."""
-    if not cols:
-        return None if any(int(x) for x in target) else []
-    a = len(cols[0])
-    mat = [[int(cols[j][i]) for j in range(len(cols))] for i in range(a)]
-    diag, u, _uinv, v, _vinv = snf_small(mat)
-    t = [sum(u[i][k] * int(target[k]) for k in range(a)) for i in range(a)]
-    z = [0] * len(cols)
-    for i in range(a):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if t[i] != 0:
-                return None
-        else:
-            if t[i] % d != 0:
-                return None
-            if i < len(z):
-                z[i] = t[i] // d
-    y = [sum(v[i][k] * z[k] for k in range(len(z))) for i in range(len(cols))]
-    return y
+    return diag, u, uinv
 
 
 # ------------------------------------------------- folded vectorized routines
@@ -481,7 +451,7 @@ def abelian_decomposition(group) -> AbelianDecomposition:
     rel_cols = [[o if i == j else 0 for i in range(k)] for j, o in enumerate(ords)]
     rel_cols += relations
     mat = [[rel_cols[j][i] for j in range(len(rel_cols))] for i in range(k)]
-    diag, u, uinv, _v, _vinv = snf_small(mat)
+    diag, u, uinv = snf_small(mat)
     diag = [abs(int(d)) for d in diag] + [0] * (k - len(diag))
     keep = [t for t, d in enumerate(diag) if d != 1]
     if any(diag[t] == 0 for t in keep):

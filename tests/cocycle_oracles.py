@@ -1,4 +1,4 @@
-"""Per-object oracles for the stacked 2-cocycle primitives.
+"""Oracles for the cocycle primitives.
 
 The package builds, certifies and reduces connecting cocycles and
 pushforwards as stacked [b, x, y] arrays.  These functions do what it did
@@ -6,12 +6,14 @@ before, one value table at a time: the obstruction of one crossed
 homomorphism under one lift, Light's test on one table, and the linear
 reduction of one table through `KernelBasis.coords` and
 `QuotientForm.coefficients`.  Each raises the same errors, in the same order,
-as the code it replaced.
+as the code it replaced.  `_z1_full_scan` finds crossed homomorphisms by
+testing every value table, where the package searches generator images.
 """
 
 import numpy as np
 
 from cohomoring import ValidationError
+from cohomoring.cocycles import CrossedHom
 from cohomoring.groups import _descend, _positions
 
 
@@ -91,6 +93,31 @@ def oracle_reduce(h2, values):
         raise ValidationError("value table is not a cocycle for this data")
     y = h2._qf.coefficients(t)
     return tuple(int(y[k]) for k in h2._kept)
+
+
+def _z1_full_scan(source, module, action):
+    """Crossed homomorphisms by testing the law on every normalized value table.
+
+    |module|^(|source|-1) candidates, ungated: the oracle for the generator
+    route of `cohomoring.cocycles.enumerate_z1`.
+    """
+    s = source.order
+    m = module.order
+    total = m ** (s - 1)
+    arr = np.arange(total, dtype=np.int64)
+    vals = np.zeros((total, s), dtype=np.int64)
+    for x in range(1, s):
+        vals[:, x] = arr % m
+        arr = arr // m
+    mask = np.ones(total, dtype=bool)
+    tm = module.table
+    act = action.table
+    ts = source.table
+    for x in range(1, s):
+        for y in range(1, s):
+            law = tm[vals[:, x], act[x, vals[:, y]]]
+            mask &= law == vals[:, ts[x, y]]
+    return [CrossedHom(source, module, action, row, validate=False) for row in vals[mask]]
 
 
 def first_error(calls):

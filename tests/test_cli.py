@@ -81,6 +81,25 @@ def test_extension_load_nonsplit(tmp_path, capsys):
     assert "classifying class coefficients: (1,)" in out
 
 
+def test_extension_load_redundant_quotient_generators(tmp_path, capsys):
+    # the split search runs over the core generators of the quotient: a C8
+    # listing all 8 elements as generators asks for 8 candidates, not 8^8
+    from cohomoring.cohomology2 import compute_h2
+    from cohomoring.extension import extension_from_cocycle
+    from cohomoring.groups import trivial_action
+
+    c8 = make_cyclic(8)
+    h2 = compute_h2(c8, c8, trivial_action(c8, c8))
+    data = extension_to_json(extension_from_cocycle(dict(h2.classes())[(0,)]))
+    data["quotient"]["generators"] = list(range(8))
+    path = tmp_path / "ext.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = _run(capsys, "extension", "--load", str(path))
+    assert code == 0
+    assert "split: yes\n" in out
+    assert "classifying class coefficients: (0,)" in out
+
+
 def test_z1_quotient_layer(capsys):
     code, out, _ = _run(capsys, "z1", "--dihedral", "4")
     assert code == 0
@@ -289,6 +308,8 @@ def test_verify_corrupted_catalog_exits_one(tmp_path, capsys):
              "group labels must be a list, got 5"),
             # numbers that are not integers are refused, never truncated
             ("float cocycle", {"quadruple": dict(quad, cocycle=[[0, 0], [0, 1.5]])},
+             "quadruple cocycle must be a rectangular array of integers"),
+            ("boolean in integers", {"quadruple": dict(quad, cocycle=[[0, 0], [0, True]])},
              "quadruple cocycle must be a rectangular array of integers"),
             ("boolean table",
              {"quadruple": dict(quad, kernel_group=dict(c2, table=[[False, True],

@@ -7,7 +7,6 @@ from cohomoring import ValidationError
 from cohomoring.catalog import dihedral_extension
 from cohomoring.cocycles import (
     CrossedHom,
-    _z1_full_scan,
     cocycle_ring,
     enumerate_z1,
     inflate,
@@ -25,6 +24,7 @@ from cohomoring.groups import (
     make_cyclic,
     trivial_action,
 )
+from cocycle_oracles import _z1_full_scan
 
 
 def _dihedral_layer(n):

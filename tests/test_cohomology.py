@@ -4,12 +4,14 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cohomoring import ValidationError
+from cohomoring import ValidationError, current_budgets
 from cohomoring.catalog import dihedral_extension
 from cohomoring.cohomology2 import (
     TwoCocycle,
     coboundary_cocycle,
+    coboundary_preimage,
     compute_h2,
     connecting_cocycle,
     inflation,
@@ -21,6 +23,7 @@ from cohomoring.groups import (
     enumerate_actions,
     inversion_action,
     make_cyclic,
+    make_dihedral,
     make_direct_product,
     trivial_action,
 )
@@ -59,9 +62,51 @@ def test_coboundary_is_cocycle_and_reduces_to_zero():
     for chain in ([0, 1, 2, 3], [0, 5, 1, 4], [0, 0, 3, 0]):
         f = coboundary_cocycle(c4, c6, act, np.array(chain))
         assert h2.is_coboundary(f)
-        w = h2.coboundary_witness(f)
+        w = coboundary_preimage(f)
         assert w is not None
         assert coboundary_cocycle(c4, c6, act, w).same_values(f)
+
+
+def _preimage_cases():
+    """(linear H^2, brute-force H^2 or None when it does not fit) for every
+    action of a few small pair groups on small modules."""
+    v4, _, _ = make_direct_product(make_cyclic(2), make_cyclic(2), name="V4")
+    pairs = [(make_cyclic(2), make_cyclic(4)), (make_cyclic(3), make_cyclic(3)),
+             (make_cyclic(4), make_cyclic(2)), (make_cyclic(2), v4),
+             (v4, make_cyclic(2)), (make_cyclic(3), v4),
+             (make_dihedral(3), make_cyclic(2)), (make_dihedral(3), make_cyclic(3))]
+    cap = current_budgets().h2_brute_candidates
+    cases = []
+    for q, n in pairs:
+        for action in enumerate_actions(q, n):
+            brute = None
+            if n.order ** ((q.order - 1) ** 2) <= cap:
+                brute = compute_h2(q, n, action, method="bruteforce")
+            cases.append((compute_h2(q, n, action, method="linear"), brute))
+    return cases
+
+
+_PREIMAGE_CASES = _preimage_cases()
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.data())
+def test_coboundary_preimage_agrees_with_both_reductions(data):
+    """f = (a random combination of class representatives) + delta(c) for a
+    random normalized 1-cochain c: the generator search finds a preimage
+    exactly when the linear reduction of f is zero, and exactly when the
+    brute-force one is wherever it fits; every preimage has coboundary f."""
+    lin, brute = data.draw(st.sampled_from(_PREIMAGE_CASES))
+    q, n, action = lin.q_group, lin.n_group, lin.action
+    coeffs = [data.draw(st.integers(0, f - 1)) for f in lin.invariant_factors]
+    chain = [0] + [data.draw(st.integers(0, n.order - 1)) for _ in range(q.order - 1)]
+    f = lin.rep_from_coeffs(coeffs).add(coboundary_cocycle(q, n, action, chain))
+    found = coboundary_preimage(f)
+    assert (found is not None) == (lin.reduce(f) == lin.zero())
+    if brute is not None:
+        assert (found is not None) == (brute.reduce(f) == brute.zero())
+    if found is not None:
+        assert coboundary_cocycle(q, n, action, found).same_values(f)
 
 
 def test_trivial_action_cyclic_pairs_give_gcd():

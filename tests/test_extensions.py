@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cohomoring import ValidationError
-from cohomoring.catalog import dihedral_extension
+from cohomoring.catalog import default_catalog, dihedral_extension
 from cohomoring.cohomology2 import compute_h2
 from cohomoring.extension import (
     build_extension,
@@ -89,6 +89,21 @@ def test_splitting_is_a_section_hom():
     ext = dihedral_extension(3)
     s = ext.find_splitting()
     assert ext.p.compose(s).values.tolist() == [0, 1]
+
+
+def test_split_detection_matches_the_linear_class_over_the_catalog():
+    """An extension splits exactly when its classifying class reduces to
+    zero on the linear route, and every splitting found is a section."""
+    exts = [e.materialize() for e in default_catalog() if e.kind == "extension"]
+    seen = set()
+    for ext in exts:
+        h2 = compute_h2(ext.q_group, ext.n_group, ext.action, method="linear")
+        s = ext.find_splitting()
+        assert (s is not None) == (h2.reduce(ext.classifying_cocycle()) == h2.zero()), ext.name
+        if s is not None:
+            assert (ext.p.compose(s).values == np.arange(ext.q_group.order)).all(), ext.name
+        seen.add(s is not None)
+    assert seen == {True, False}
 
 
 def test_classifying_cocycle_of_split_extension_is_trivial_class():

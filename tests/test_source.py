@@ -1,4 +1,5 @@
-"""Source hygiene: every package module uses each name it imports."""
+"""Source hygiene: every package module uses each name it imports, and
+every name in its __all__ is one it defines or imports."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cohomoring"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
 
 
 def _used_names(tree: ast.AST) -> set:
@@ -47,3 +49,36 @@ def test_module_uses_every_import(module):
     unused = sorted(f"{name} (line {line})" for name, line in imported.items()
                     if name not in _used_names(tree))
     assert not unused, f"{module} imports names it never uses: {', '.join(unused)}"
+
+
+def _bound_names(body) -> set:
+    """Names that the statements of a module body define or import,
+    including those under top-level if and try blocks."""
+    bound = set()
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                bound |= {n.id for n in ast.walk(target) if isinstance(n, ast.Name)}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, (ast.If, ast.Try)):
+            for block in (node.body, node.orelse, getattr(node, "finalbody", []),
+                          *(h.body for h in getattr(node, "handlers", []))):
+                bound |= _bound_names(block)
+    return bound
+
+
+@pytest.mark.parametrize("module", ALL_MODULES)
+def test_all_names_exist(module):
+    """A stale __all__ entry makes `from cohomoring.<module> import *` raise."""
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    exported = []
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            exported += ast.literal_eval(node.value)
+    missing = sorted(set(exported) - _bound_names(tree.body))
+    assert not missing, f"{module} exports names it never defines: {', '.join(missing)}"
