@@ -32,6 +32,7 @@ from .linalg import (
     AbelianDecomposition,
     KernelBasis,
     QuotientForm,
+    _unique_rows,
     abelian_decomposition,
     action_matrices,
     kernel_mod,
@@ -68,6 +69,15 @@ class TwoCocycle:
         self.action = action
         self.values = np.asarray(values, dtype=np.int64)
         self._validate()
+
+    @classmethod
+    def _proved(cls, q_group: FiniteGroup, n_group: FiniteGroup, action: ActionTable,
+                values: np.ndarray) -> "TwoCocycle":
+        """A cocycle on values that the caller has proved to be a normalized
+        2-cocycle; no test runs."""
+        f = cls.__new__(cls)
+        f.q_group, f.n_group, f.action, f.values = q_group, n_group, action, values
+        return f
 
     def _validate(self) -> None:
         _check_cocycles(self.q_group, self.n_group, self.action, self.values[None])
@@ -210,18 +220,26 @@ def pushforward(cocycle: TwoCocycle, endo_values: Sequence[int]) -> TwoCocycle:
 
 
 def inflation(cocycle: TwoCocycle, proj: GroupHom, g_action: ActionTable) -> TwoCocycle:
-    """Pull the cocycle back along a surjection onto its pair group."""
+    """Pull the cocycle back along a surjective homomorphism p onto its pair
+    group: F(x, y) = f(p x, p y), under an action that factors through p.
+
+    F needs no certificate of its own.  Its values are f's; it is normalized
+    since p(e) = e; and as p is a homomorphism and x . m = p(x) . m, the
+    cocycle identity of F at (x, y, z) is that of f at (p x, p y, p z).
+    """
     if proj.target is not cocycle.q_group:
         raise ValidationError("projection must land in the cocycle's pair group")
     if not proj.is_surjective():
         raise ValidationError("projection must be surjective")
     if g_action.module is not cocycle.n_group:
         raise ValidationError("pulled-back action must keep the same module")
+    if g_action.actor is not proj.source:
+        raise ValidationError("action must be of the pair group on the module")
     if not (g_action.table == cocycle.action.table[proj.values]).all():
         raise ValidationError("action does not factor through the projection")
     p = proj.values
-    vals = cocycle.values[np.ix_(p, p)]
-    return TwoCocycle(proj.source, cocycle.n_group, g_action, vals)
+    return TwoCocycle._proved(proj.source, cocycle.n_group, g_action,
+                              cocycle.values[p[:, None], p])
 
 
 def connecting_values(q_group: FiniteGroup, taus, c_group: FiniteGroup, pi: GroupHom,
@@ -589,7 +607,7 @@ def _h2_bruteforce(q_group: FiniteGroup, n_group: FiniteGroup,
         for yv in range(q):
             xy = int(tq[x, yv])
             deltas[:, x, yv] = add[add[act[x, chains[:, yv]], inv[chains[:, xy]]], chains[:, x]]
-    uniq = np.unique(deltas.reshape(deltas.shape[0], -1), axis=0).reshape(-1, q, q)
+    uniq = _unique_rows(deltas.reshape(deltas.shape[0], -1)).reshape(-1, q, q)
     # canonical labelling of classes and the class group
     canon: dict = {}
     order_keys: List[bytes] = []

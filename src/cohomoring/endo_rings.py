@@ -37,6 +37,7 @@ from .groups import (
     _search_generator_images,
     enumerate_endos,
 )
+from .linalg import _unique_rows
 from .rings import FiniteRing, RingHom, check_ideal, is_square_zero_ideal, quasi_regular_indices
 
 
@@ -212,7 +213,7 @@ def fiber_endo_ring(ext: AbelianExtension) -> FiberEndoRing:
         endos.append(vals)
     size = len(endos)
     stacked = np.stack(endos)
-    if len(np.unique(stacked, axis=0)) != size:
+    if len(_unique_rows(stacked)) != size:
         raise ValidationError("distinct displacements produced equal endomorphisms")
     index = TableIndex(stacked, g.core_generators, g.order)
     if not (endos[0] == arange).all():

@@ -7,6 +7,14 @@ certificates that check the law against a generating set only: Light's
 associativity test for groups, the action law and the automorphism law on
 generators for actions (k n^2 work for k generators instead of n^3).
 
+A group table is accepted on the identity, inverses, generation and
+Light's test alone: together they prove a group, and a group table is a
+Latin square.  The two sorts that test Latin rows and columns run only once
+one of those checks has failed, and run first there, so that every
+malformed table is refused with the error it always got.  With
+generators=None the greedy generator list is its own core: its span is
+derived once, by a closure that multiplies only the newly reached elements.
+
 Two private primitives serve every derived action, section and coset:
 `_conjugation_rows` builds the table a m a^-1 over a member list in one
 gather, and `_descend` picks the least element of each fiber of a
@@ -118,6 +126,7 @@ class FiniteGroup:
         self.order = int(self.table.shape[0])
         self.name = name
         self._orders: Optional[np.ndarray] = None
+        self._decomposition = None  # set by linalg.abelian_decomposition
         n = self.order
         if n == 0:
             raise ValidationError("group must be nonempty")
@@ -131,32 +140,11 @@ class FiniteGroup:
             raise ValidationError(
                 f"element 0 must be the identity (fails at element {bad})", witness=bad
             )
-        # each row and column must be a permutation
-        if not (np.sort(self.table, axis=1) == idx).all():
-            raise ValidationError("some row of the group table is not a permutation")
-        if not (np.sort(self.table, axis=0) == idx[:, None]).all():
-            raise ValidationError("some column of the group table is not a permutation")
-        self.inverse = np.argmin(self.table, axis=1).astype(np.int64)
-        bad = np.flatnonzero(self.table[self.inverse, idx] != 0)
-        if bad.size:
-            a = int(bad[0])
-            raise ValidationError(f"element {a} has no two-sided inverse", witness=a)
-        if generators is None:
-            gens = tuple(_greedy_generators(self, range(n)))
-        else:
-            gens = tuple(int(g) for g in generators)
-        if not gens:
-            raise ValidationError("generator list must be nonempty")
-        if any(g < 0 or g >= n for g in gens):
-            raise ValidationError(f"generator out of range: {gens}")
-        core, reached = _greedy_span(self.table, gens)
-        if not reached.all():
-            raise ValidationError(
-                f"generators {gens} generate only {int(reached.sum())} of {n} elements"
-            )
-        self.core_generators = tuple(core)
-        self._check_associativity()
-        self.generators = gens
+        try:
+            self._certify(generators)
+        except (ValidationError, TypeError, ValueError):
+            self._check_latin()
+            raise
         if labels is None:
             labels = tuple(str(i) for i in range(n))
         else:
@@ -166,6 +154,54 @@ class FiniteGroup:
         if len(set(labels)) != n:
             raise ValidationError("labels must be unique")
         self.labels = labels
+
+    def _certify(self, generators: Optional[Sequence[int]]) -> None:
+        """Inverses, generation and Light's test, on a table whose row and
+        column 0 are the identity's.
+
+        Passing all three proves a group: Light's test proves associativity,
+        and an associative table with an identity in which every a has a left
+        inverse (inverse[a] a = 0) is a group.
+        """
+        n = self.order
+        t = self.table
+        idx = np.arange(n)
+        self.inverse = np.argmin(t, axis=1).astype(np.int64)
+        bad = np.flatnonzero(t[self.inverse, idx] != 0)
+        if bad.size:
+            a = int(bad[0])
+            raise ValidationError(f"element {a} has no two-sided inverse", witness=a)
+        if generators is None:
+            # each greedy pick lies outside the span of those before it, and
+            # every element is picked or spanned: the list is its own core
+            gens = tuple(_greedy_generators(self))
+            core = tuple(g for g in gens if g)
+        else:
+            gens = tuple(int(g) for g in generators)
+            if not gens:
+                raise ValidationError("generator list must be nonempty")
+            if any(g < 0 or g >= n for g in gens):
+                raise ValidationError(f"generator out of range: {gens}")
+            core, reached = _greedy_span(t, gens)
+            if not reached.all():
+                raise ValidationError(
+                    f"generators {gens} generate only {int(reached.sum())} of {n} elements"
+                )
+        self.core_generators = tuple(core)
+        self._check_associativity()
+        self.generators = gens
+
+    def _check_latin(self) -> None:
+        """Raise if some row or column of the table is not a permutation.
+
+        A group table is a Latin square, so `_certify` never needs this; it
+        runs only after a certificate has failed, to name that fault first.
+        """
+        idx = np.arange(self.order)
+        if not (np.sort(self.table, axis=1) == idx).all():
+            raise ValidationError("some row of the group table is not a permutation")
+        if not (np.sort(self.table, axis=0) == idx[:, None]).all():
+            raise ValidationError("some column of the group table is not a permutation")
 
     def _check_associativity(self) -> None:
         """Light's test: (x s) z = x (s z) for all x, z and each core generator s.
@@ -202,10 +238,16 @@ class FiniteGroup:
             orders = np.ones(self.order, dtype=np.int64)
             power = np.arange(self.order, dtype=np.int64)
             live = np.flatnonzero(power)
-            while live.size:
+            for _ in range(self.order):  # no order exceeds n in a group
+                if not live.size:
+                    break
                 power[live] = self.table[power[live], live]
                 orders[live] += 1
                 live = live[power[live] != 0]
+            if live.size:
+                a = int(live[0])
+                raise ValidationError(
+                    f"powers of element {a} never return to the identity", witness=a)
             self._orders = orders
         return self._orders
 
@@ -219,7 +261,10 @@ class FiniteGroup:
         return out
 
     def is_abelian(self) -> bool:
-        return bool((self.table == self.table.T).all())
+        """Whether each core generator commutes with every element: the
+        elements that do form a subgroup, so this is commutativity."""
+        k = list(self.core_generators)
+        return bool((self.table[:, k].T == self.table[k]).all())
 
     def label(self, a: int) -> str:
         return self.labels[a]
@@ -489,47 +534,63 @@ def _positions(n: int, members: np.ndarray) -> np.ndarray:
     return pos
 
 
-def _closure(table: np.ndarray, seeds: Iterable[int]) -> np.ndarray:
-    """Mask of the elements reached from the identity by multiplying by seeds
-    on either side, one numpy frontier per step."""
-    seeds = np.unique(np.fromiter(seeds, dtype=np.int64))
+def _is_bijective(values: np.ndarray) -> bool:
+    """Whether a map of 0..m-1 into 0..m-1, given by its m values, is onto."""
+    hit = np.zeros(len(values), dtype=bool)
+    hit[values] = True
+    return bool(hit.all())
+
+
+def _grow(table: np.ndarray, reached: np.ndarray, seeds: np.ndarray, products) -> None:
+    """Add to the mask `reached`, in place, the elements in the arrays
+    `products` and every element they reach by multiplying by `seeds` on
+    either side.  Each step multiplies only the elements new in the step
+    before."""
+    while True:
+        new = np.zeros(len(reached), dtype=bool)
+        for p in products:
+            new[p] = True
+        new &= ~reached
+        if not new.any():
+            return
+        reached |= new
+        frontier = np.flatnonzero(new)
+        products = (table[frontier[:, None], seeds], table[seeds[:, None], frontier])
+
+
+def _greedy_span(table: np.ndarray, candidates: Iterable[int]) -> Tuple[List[int], np.ndarray]:
+    """Each candidate, in order, that lies outside the closure of those kept
+    before it; returns the kept list and its closure mask.
+
+    The closure of the kept list is closed under each earlier pick, so a new
+    pick multiplies out only against it and then against what is new."""
+    cands = np.fromiter(candidates, dtype=np.int64)
     reached = np.zeros(table.shape[0], dtype=bool)
     reached[0] = True
-    frontier = np.zeros(1, dtype=np.int64)
-    while frontier.size:
-        nxt = np.concatenate((table[np.ix_(frontier, seeds)].ravel(),
-                              table[np.ix_(seeds, frontier)].ravel()))
-        frontier = np.unique(nxt[~reached[nxt]])
-        reached[frontier] = True
-    return reached
-
-
-def _greedy_span(table: np.ndarray, candidates: Iterable[int],
-                 start: Sequence[int] = ()) -> Tuple[List[int], np.ndarray]:
-    """`start` plus each candidate, in order, that lies outside the closure of
-    those kept before it; returns the kept list and its closure mask."""
-    kept = [int(a) for a in start]
-    reached = _closure(table, kept)
-    for a in candidates:
-        if not reached[a]:
-            kept.append(int(a))
-            reached = _closure(table, kept)
-    return kept, reached
+    kept: List[int] = []
+    while True:
+        rest = cands[~reached[cands]]
+        if not rest.size:
+            return kept, reached
+        a = int(rest[0])
+        kept.append(a)
+        old = np.flatnonzero(reached)
+        _grow(table, reached, np.asarray(kept, dtype=np.int64), (table[old, a], table[a, old]))
 
 
 def mulclose(g: FiniteGroup, seed: Iterable[int]) -> List[int]:
     """Sorted list of elements of the subgroup generated by `seed`."""
-    return np.flatnonzero(_closure(g.table, (int(s) for s in seed))).tolist()
+    return np.flatnonzero(_greedy_span(g.table, (int(s) for s in seed))[1]).tolist()
 
 
-def _greedy_generators(g: FiniteGroup, members: Iterable[int]) -> List[int]:
-    """Small deterministic generating set for the subgroup on `members`."""
-    members = sorted(int(m) for m in members)
-    if members == [0]:
+def _greedy_generators(g: FiniteGroup) -> List[int]:
+    """Small deterministic generating set of g: the least element of largest
+    order, then each element, in index order, outside the span of the ones
+    before it."""
+    if g.order == 1:
         return [0]
-    orders = g.element_orders()
-    best = max((int(orders[m]), -m) for m in members if m != 0)
-    return _greedy_span(g.table, members, start=[-best[1]])[0]
+    best = int(np.argmax(g.element_orders()))
+    return _greedy_span(g.table, np.concatenate(([best], np.arange(1, g.order))))[0]
 
 
 def subgroup_from_indices(g: FiniteGroup, indices: Iterable[int]) -> Subgroup:
@@ -546,9 +607,10 @@ def subgroup_from_indices(g: FiniteGroup, indices: Iterable[int]) -> Subgroup:
             f"subset not closed: {idx[a]} * {idx[b]} = {int(prod[a, b])} escapes",
             witness=(idx[a], idx[b]),
         )
-    gens = [int(pos[a]) for a in _greedy_generators(g, idx)]
+    # positions keep the order of idx, so the greedy pick on the subgroup
+    # table is the one on the ambient members
     labels = [g.labels[a] for a in idx]
-    sub = FiniteGroup(table, gens, labels=labels, name=f"sub{len(idx)}of{g.name or g.order}")
+    sub = FiniteGroup(table, None, labels=labels, name=f"sub{len(idx)}of{g.name or g.order}")
     emb = GroupHom(sub, g, arr)
     return Subgroup(sub, emb)
 
@@ -876,7 +938,7 @@ def find_isomorphism(a: FiniteGroup, b: FiniteGroup) -> Optional[GroupHom]:
         for s in a.generators
     ]
     for vals in _search_generator_images(a, b, cands):
-        if np.unique(vals).size == a.order:
+        if _is_bijective(vals):
             return GroupHom(a, b, vals, validate=False)
     return None
 

@@ -179,6 +179,17 @@ class KernelBasis:
         return self.v @ (np.asarray(coords, dtype=np.int64) * self.mu)
 
 
+def _unique_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of a 2-D integer array in lexicographic order, as
+    np.unique(rows, axis=0) gives them, which would import numpy.ma."""
+    if not rows.shape[1]:
+        return rows[:1]
+    rows = rows[np.lexsort(rows.T[::-1])]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[keep]
+
+
 def kernel_mod(eqs: np.ndarray, a: int, modulus: int) -> KernelBasis:
     """Solve E v = 0 (mod L) over Z^a, E given by rows already reduced mod L."""
     L = int(modulus)
@@ -190,7 +201,7 @@ def kernel_mod(eqs: np.ndarray, a: int, modulus: int) -> KernelBasis:
         )
     e = np.asarray(eqs, dtype=np.int64) % L
     if e.size:
-        e = np.unique(e[np.any(e != 0, axis=1)], axis=0)
+        e = _unique_rows(e[np.any(e != 0, axis=1)])
     if e.size == 0:
         e = np.zeros((0, a), dtype=np.int64)
     r = e.shape[0]
@@ -412,7 +423,14 @@ class AbelianDecomposition:
 
 
 def abelian_decomposition(group) -> AbelianDecomposition:
-    """Invariant-factor decomposition of an abelian table group."""
+    """Invariant-factor decomposition of an abelian table group, computed
+    once per group object and kept on it."""
+    if group._decomposition is None:
+        group._decomposition = _decompose(group)
+    return group._decomposition
+
+
+def _decompose(group) -> AbelianDecomposition:
     if not group.is_abelian():
         raise ValidationError("decomposition requires an abelian group")
     n = group.order
@@ -421,7 +439,7 @@ def abelian_decomposition(group) -> AbelianDecomposition:
         return AbelianDecomposition(1, (), (), table, {(): 0})
     from .groups import _greedy_generators  # local import to avoid a cycle
 
-    gens = _greedy_generators(group, list(range(n)))
+    gens = _greedy_generators(group)
     ords = [group.element_order(g) for g in gens]
     total = 1
     for o in ords:

@@ -57,7 +57,7 @@ from .endo_rings import (
     quotient_endo_from_displacement,
 )
 from .extension import AbelianExtension, CentralizerData, centralizer_extension
-from .groups import FiniteGroup, TableIndex, _positions
+from .groups import FiniteGroup, TableIndex, _is_bijective, _positions
 from .rings import FiniteRing, RingHom, quasi_regular_indices, star_table, subring_from_indices
 
 
@@ -338,7 +338,6 @@ def verify_aut_five_term(ext: AbelianExtension, fe: Optional[FiberEndoRing] = No
     report = ExactnessReport("five-term automorphism sequence", _instance_name(ext))
 
     mr = fe.module_ring
-    n_order = ext.n_group.order
     ideal = set(int(k) for k in fe.ideal_indices)
     aut = set(int(k) for k in fe.aut_indices)
     f_ext = ext.classifying_cocycle()
@@ -348,9 +347,8 @@ def verify_aut_five_term(ext: AbelianExtension, fe: Optional[FiberEndoRing] = No
     assert one is not None
 
     # Invertible members of each node, by direct bijectivity scan.
-    aut_ideal = {k for k in ideal if np.unique(fe.endos[k]).size == ext.g_group.order}
-    module_aut = {b for b in range(mr.ring.order)
-                  if np.unique(mr.elements[b]).size == n_order}
+    aut_ideal = {k for k in ideal if _is_bijective(fe.endos[k])}
+    module_aut = {b for b in range(mr.ring.order) if _is_bijective(mr.elements[b])}
 
     report.nodes = [
         ("invertible kernel-and-quotient-fixing endos", len(aut_ideal)),
@@ -625,11 +623,11 @@ def verify_aut_centralizer_sequence(ext: AbelianExtension,
 
     if b_all is None:
         b_all = kernel_fixing_endos(ext)
-    aut_b = [v for v in b_all if np.unique(v).size == g.order]
+    aut_b = [v for v in b_all if _is_bijective(v)]
     aut_a = [v for v in aut_b if (pv[v] == pv).all()]
     if c_all is None:
         c_all = action_preserving_quotient_endos(ext)
-    aut_c = [v for v in c_all if np.unique(v).size == q.order]
+    aut_c = [v for v in c_all if _is_bijective(v)]
     a_index = _endo_index(aut_a, g)
     b_index = _endo_index(aut_b, g)
     c_index = _endo_index(aut_c, q)
