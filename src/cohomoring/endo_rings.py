@@ -32,6 +32,7 @@ from .groups import (
     FiniteGroup,
     TableIndex,
     _descend,
+    _gated_hom_tables,
     _is_hom,
     _positions,
     _search_generator_images,
@@ -275,11 +276,16 @@ def fiber_endo_ring(ext: AbelianExtension) -> FiberEndoRing:
 
 
 def kernel_fixing_endos(ext: AbelianExtension) -> List[np.ndarray]:
-    """All endomorphisms of the middle group fixing the embedded kernel pointwise."""
-    em = ext.i.values
-    out = [h.values for h in enumerate_endos(ext.g_group)
-           if (h.values[em] == em).all()]
-    return out
+    """All endomorphisms of the middle group fixing the embedded kernel
+    pointwise, in `enumerate_endos` order: the images of i(core N) are pinned,
+    those of the section lifts u(core Q), which with them generate G, range
+    over the elements whose order divides their own."""
+    g = ext.g_group
+    kernel = [int(ext.i.values[n]) for n in ext.n_group.core_generators]
+    lifts = [int(ext.section[s]) for s in ext.q_group.core_generators]
+    orders = g.element_orders()
+    cands = [[x] for x in kernel] + [np.flatnonzero(orders[u] % orders == 0) for u in lifts]
+    return _gated_hom_tables(g, g, cands, kernel + lifts)
 
 
 def action_preserving_quotient_endos(ext: AbelianExtension) -> List[np.ndarray]:

@@ -866,24 +866,26 @@ def hom_make(source: FiniteGroup, target: FiniteGroup, generator_images: Sequenc
     )
 
 
-def enumerate_homs(source: FiniteGroup, target: FiniteGroup) -> List[GroupHom]:
-    """All homomorphisms source -> target, by search over the images of the
-    core generators."""
+def _gated_hom_tables(source: FiniteGroup, target: FiniteGroup, cands, gens) -> List[np.ndarray]:
+    """Value tables, in lexicographic order, of the homomorphisms sending the
+    generating tuple gens into cands, within `endo_scan_candidates`."""
     limit = current_budgets().endo_scan_candidates
-    src_orders = source.element_orders()
-    tgt_orders = target.element_orders()
-    gens = source.core_generators
-    cands = [
-        [h for h in range(target.order) if int(src_orders[s]) % int(tgt_orders[h]) == 0]
-        for s in gens
-    ]
     total = math.prod(len(c) for c in cands)
     if total > limit:
         raise BudgetExceeded(f"hom search needs {total} candidates, budget {limit}")
-    out = [GroupHom(source, target, vals, validate=False)
-           for vals in _search_generator_images(source, target, cands, gens=gens)]
-    out.sort(key=lambda h: tuple(h.values.tolist()))
-    return out
+    return sorted(_search_generator_images(source, target, cands, gens=gens),
+                  key=lambda vals: tuple(vals.tolist()))
+
+
+def enumerate_homs(source: FiniteGroup, target: FiniteGroup) -> List[GroupHom]:
+    """All homomorphisms source -> target, by search over the images of the
+    core generators."""
+    src_orders = source.element_orders()
+    tgt_orders = target.element_orders()
+    gens = source.core_generators
+    cands = [np.flatnonzero(src_orders[s] % tgt_orders == 0) for s in gens]
+    return [GroupHom(source, target, vals, validate=False)
+            for vals in _gated_hom_tables(source, target, cands, gens)]
 
 
 def enumerate_endos(g: FiniteGroup) -> List[GroupHom]:

@@ -57,7 +57,7 @@ from .endo_rings import (
     quotient_endo_from_displacement,
 )
 from .extension import AbelianExtension, CentralizerData, centralizer_extension
-from .groups import FiniteGroup, TableIndex, _is_bijective, _positions
+from .groups import FiniteGroup, TableIndex, _descend, _is_bijective, _positions
 from .rings import FiniteRing, RingHom, quasi_regular_indices, star_table, subring_from_indices
 
 
@@ -452,35 +452,32 @@ def _displacements(cd: CentralizerData, endos: List[np.ndarray]) -> np.ndarray:
                     dtype=np.int64).reshape(len(endos), q.order)
 
 
-def _lift_scan_witness(ext: AbelianExtension, cd: CentralizerData, h2q: H2Group,
-                       c_set: List[np.ndarray], taus: np.ndarray,
-                       base: np.ndarray) -> Optional[Tuple[list, list]]:
-    """The first (endo, section) whose connecting class differs from its class
-    at the least lift, or None; endos outer and sections in itertools.product
-    order of the fibers of the central quotient map (identity fixed at 0)."""
-    pi = cd.pi.values
+def _lift_witness(ext: AbelianExtension, cd: CentralizerData, h2q: H2Group,
+                  c_set: List[np.ndarray], taus: np.ndarray,
+                  base: np.ndarray) -> Optional[Tuple[list, list]]:
+    """The first (endo, lift), endo then j then s, whose class differs from
+    base, its class at the least lift, after lift[j] := lift[j] n_s, j in
+    Qbar \\ {e} and n_s a core generator of N; or None.  A change of lift by
+    nu: Qbar -> N moves the cocycle by the coboundary delta(nu o tau) (Brown,
+    Cohomology of Groups, IV.3): the class is affine in nu, N being central
+    in C, the kernel embedding equivariant and the action by automorphisms
+    (`centralizer_extension` and `ActionTable` certify these).  So None
+    proves the class independent of all lifts."""
     m = cd.qbar_group.order
-    fibers = np.split(np.argsort(pi, kind="stable"),
-                      np.cumsum(np.bincount(pi, minlength=m))[:-1])
-    fibers[0] = np.zeros(1, dtype=np.int64)
-    sections = int(np.prod([len(f) for f in fibers]))
-
-    def members(rows: slice) -> tuple:
-        index = np.arange(rows.start, rows.stop)
-        rest = index % sections
-        lifts = np.empty((len(index), m), dtype=np.int64)
-        for j in range(m - 1, -1, -1):  # last fiber fastest
-            rest, digit = np.divmod(rest, len(fibers[j]))
-            lifts[:, j] = fibers[j][digit]
-        return taus[index // sections], lifts
-
-    for rows, classes in _connecting_classes(ext, cd, h2q, len(c_set) * sections, members):
-        owner = np.arange(rows.start, rows.stop) // sections
-        moved = (classes != base[owner]).any(axis=1)
+    least = _descend(cd.pi.values, cd.pi.values)[0]
+    gens = cd.n_in_c.values[list(ext.n_group.core_generators)]
+    points = np.repeat(np.arange(1, m), len(gens))  # j of each change, s fastest
+    moves = np.tile(least, (len(points), 1))
+    moves[np.arange(len(points)), points] = cd.c_sub.group.table[
+        least[points], np.tile(gens, m - 1)]
+    owner = np.repeat(np.arange(len(c_set)), len(moves))
+    move = np.tile(np.arange(len(moves)), len(c_set))
+    for rows, classes in _connecting_classes(ext, cd, h2q, len(owner),
+                                             lambda rows: (taus[owner[rows]], moves[move[rows]])):
+        moved = (classes != base[owner[rows]]).any(axis=1)
         if moved.any():
-            k = int(np.argmax(moved))
-            lift = members(slice(rows.start + k, rows.start + k + 1))[1][0]
-            return c_set[owner[k]].tolist(), lift.tolist()
+            k = rows.start + int(np.argmax(moved))
+            return c_set[owner[k]].tolist(), moves[move[k]].tolist()
     return None
 
 
@@ -519,11 +516,9 @@ def verify_centralizer_sequence(ext: AbelianExtension,
 
     b_all and c_all, when given, are kernel_fixing_endos(ext) and
     action_preserving_quotient_endos(ext).  The connecting classes of all of
-    c_set at the least lift are built, certified and reduced as stacks.  The
-    lift scan (within `delta_lift_scan`) compares the class of every member
-    under every section with its class at the least lift, block by block,
-    and reports the first member and section in itertools.product order
-    whose class differs.
+    c_set at the least lift, and after each single-point change of the lift,
+    which prove the class lift independent (`_lift_witness`), are built,
+    certified and reduced as stacks.
     """
     cd = cd or centralizer_extension(ext)
     h2q = h2q or compute_h2(ext.q_group, ext.n_group, ext.action)
@@ -589,16 +584,11 @@ def verify_centralizer_sequence(ext: AbelianExtension,
     _set_equal(report, "action-preserving quotient endos", fiber_c, set(descent.tolist()),
                detail="fiber of the connecting map over zero vs descended endos")
 
-    # Lift independence of the connecting class: the class must not depend on
-    # which section of the centralizer quotient lifts the displacement.
-    sections = ext.n_group.order ** max(cd.qbar_group.order - 1, 0)
-    if sections * max(len(c_set), 1) <= current_budgets().delta_lift_scan:
-        wit = _lift_scan_witness(ext, cd, h2q, c_set, taus, delta)
-        report.add("connecting class is lift independent", wit is None,
-                   detail=f"{sections} sections per endo", witness=wit)
-    else:
-        report.skip("connecting class is lift independent",
-                    f"{sections * len(c_set)} lifted classes exceed budget")
+    # The class must not depend on which section of the central quotient lifts.
+    wit = _lift_witness(ext, cd, h2q, c_set, taus, delta)
+    sections = ext.n_group.order ** (cd.qbar_group.order - 1)
+    report.add("connecting class is lift independent", wit is None,
+               detail=f"{sections} sections per endo", witness=wit)
     return report
 
 

@@ -8,11 +8,14 @@ reduction of one table through `KernelBasis.coords` and
 `QuotientForm.coefficients`.  Each raises the same errors, in the same order,
 as the code it replaced.  `_z1_full_scan` finds crossed homomorphisms by
 testing every value table, where the package searches generator images.
+`oracle_lift_scan_witness` compares the connecting class under every section
+of the central quotient, where the package checks single-point changes of
+the least lift.
 """
 
 import numpy as np
 
-from cohomoring import ValidationError
+from cohomoring import ValidationError, verify
 from cohomoring.cocycles import CrossedHom
 from cohomoring.groups import _descend, _positions
 
@@ -48,6 +51,41 @@ def oracle_connecting_values(q_group, tau_values, c_group, pi, n_in_c, q_action_
             witness=(x, y),
         )
     return vals
+
+
+def oracle_lift_scan_witness(ext, cd, h2q, c_set, taus, base):
+    """The first (endo, section) whose connecting class differs from its class
+    at the least lift, or None; endos outer and sections in itertools.product
+    order of the fibers of the central quotient map (identity fixed at 0).
+
+    |N|^(|Qbar|-1) classes per endo, ungated: the oracle for the single-point
+    certificate of `verify._lift_witness`.
+    """
+    pi = cd.pi.values
+    m = cd.qbar_group.order
+    fibers = np.split(np.argsort(pi, kind="stable"),
+                      np.cumsum(np.bincount(pi, minlength=m))[:-1])
+    fibers[0] = np.zeros(1, dtype=np.int64)
+    sections = int(np.prod([len(f) for f in fibers]))
+
+    def members(rows):
+        index = np.arange(rows.start, rows.stop)
+        rest = index % sections
+        lifts = np.empty((len(index), m), dtype=np.int64)
+        for j in range(m - 1, -1, -1):  # last fiber fastest
+            rest, digit = np.divmod(rest, len(fibers[j]))
+            lifts[:, j] = fibers[j][digit]
+        return taus[index // sections], lifts
+
+    for rows, classes in verify._connecting_classes(ext, cd, h2q, len(c_set) * sections,
+                                                    members):
+        owner = np.arange(rows.start, rows.stop) // sections
+        moved = (classes != base[owner]).any(axis=1)
+        if moved.any():
+            k = int(np.argmax(moved))
+            lift = members(slice(rows.start + k, rows.start + k + 1))[1][0]
+            return c_set[owner[k]].tolist(), lift.tolist()
+    return None
 
 
 def oracle_check_cocycle(q_group, n_group, action, values):

@@ -5,14 +5,23 @@ The package locates each sum and product by its values on the core
 generators, under a proof that it is a member.  These builders do what it did
 before: form every sum and product on the full value table and look it up
 with full-row confirmation, so they prove nothing and assume nothing.
+`oracle_kernel_fixing_endos` filters all of End(G), where the package
+searches with the kernel images pinned.
 """
 
 import numpy as np
 
 from cohomoring import ValidationError
 from cohomoring.endo_rings import fiber_endo_ring
-from cohomoring.groups import TableIndex
+from cohomoring.groups import TableIndex, enumerate_endos
 from cohomoring.rings import FiniteRing
+
+
+def oracle_kernel_fixing_endos(ext):
+    """Every endomorphism of the middle group, kept when it fixes the
+    embedded kernel pointwise, in the order of `enumerate_endos`."""
+    em = ext.i.values
+    return [h.values for h in enumerate_endos(ext.g_group) if (h.values[em] == em).all()]
 
 
 def full_row_cocycle_tables(stacked, source, module, embedding):

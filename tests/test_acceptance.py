@@ -595,7 +595,7 @@ def test_criterion_7_dual_route_oracles(monkeypatch):
         fibers = [np.flatnonzero(cd.pi.values == t)
                   for t in range(cd.qbar_group.order)]
         total = int(np.prod([len(f) for f in fibers[1:]])) if len(fibers) > 1 else 1
-        assert 2 <= total <= budget.delta_lift_scan
+        assert 2 <= total <= 10_000  # every lift is scanned below
         taus = enumerate_z1(q, cd.qbar_group, cd.q_action_on_qbar)
         for tau in taus:
             base = None

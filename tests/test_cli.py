@@ -154,6 +154,18 @@ def test_endo_profile(capsys):
     assert "invertible members: 12" in out
 
 
+def test_endo_load_split_v4_by_a4(tmp_path, capsys):
+    # the kernel-fixing endomorphisms are searched with the kernel pinned:
+    # the End(G) filter would need 2162688 candidates, above the budget
+    from test_endo_rings import split_v4_by_a4
+
+    path = tmp_path / "ext.json"
+    path.write_text(json.dumps(extension_to_json(split_v4_by_a4()[0])))
+    code, out, err = _run(capsys, "endo", "--load", str(path), "--json")
+    assert code == 0 and not err
+    assert json.loads(out)["kernel_fixing_endos"] == 256
+
+
 def test_ring_zn(capsys):
     code, out, _ = _run(capsys, "ring", "--zn", "12")
     assert code == 0
@@ -410,13 +422,13 @@ def test_output_is_deterministic(capsys, monkeypatch):
         assert first == second, argv
         assert hashlib.sha256(first.encode()).hexdigest() == digest, argv
 
-    # a tiny budget reaches the ring-order, H^2(G,N) node, lifted-class and
-    # "no cohomology method fits" gates
+    # a tiny budget reaches the ring-order, H^2(G,N) node and "no cohomology
+    # method fits" gates
     monkeypatch.setenv("COHOMORING_BUDGET", "0.001")
     code, out, _ = _run(capsys, "verify", "--json")
     assert code == 1
     assert (hashlib.sha256(out.encode()).hexdigest()
-            == "c951f52746b01789d8d3ba9cd63e4ace419c050ee6a79989b07b532fcc1a067d")
+            == "f21501de7160dfa1a2b295fff1442f35b0cd91abfc969c1bf58495432ce76372")
 
 
 def test_malformed_budget_exits_two(capsys, monkeypatch):

@@ -6,7 +6,8 @@
 must give the same classes on every default-catalog extension, at the least
 lift and at every section of the lift scan, under both cohomology methods and
 with blocks of one member; and on broken stacks both must raise the same
-first error.
+first error.  The single-point lift certificate of the verifier must agree
+with the oracle's scan over every section.
 """
 
 import itertools
@@ -27,11 +28,14 @@ from cocycle_oracles import (
     first_error,
     oracle_check_cocycle,
     oracle_connecting_values,
+    oracle_lift_scan_witness,
     oracle_reduce,
     outcome,
 )
 
 _CATALOG = {e.name: e.materialize() for e in default_catalog() if e.kind == "extension"}
+# most lifted classes the section-scan oracle is asked to build for one extension
+_SCAN_CAP = 10_000
 
 
 def _fibers(cd):
@@ -59,6 +63,20 @@ def _rows(classes):
     return [tuple(row) for row in classes.tolist()]
 
 
+def _single_point_lifts(ext, cd):
+    """The least lift with lift[j] := lift[j] n_s, for j in Qbar \\ {e} and
+    n_s over the core generators of the kernel, j outer."""
+    least = [f[0] for f in _fibers(cd)]
+    c = cd.c_sub.group
+    out = []
+    for j in range(1, cd.qbar_group.order):
+        for s in ext.n_group.core_generators:
+            lift = list(least)
+            lift[j] = int(c.table[least[j], cd.n_in_c.values[s]])
+            out.append(lift)
+    return out
+
+
 @pytest.mark.parametrize("cells", [None, 1])
 def test_stacked_classes_match_the_per_object_oracle(monkeypatch, cells):
     if cells is not None:
@@ -70,7 +88,7 @@ def test_stacked_classes_match_the_per_object_oracle(monkeypatch, cells):
         q, n = ext.q_group, ext.n_group
         taus = _taus(ext, cd)
         sections = [list(sec) for sec in itertools.product(*_fibers(cd))]
-        in_scan = len(sections) * len(taus) <= budget.delta_lift_scan
+        in_scan = len(sections) * len(taus) <= _SCAN_CAP
         scanned += len(sections) * len(taus) if in_scan else 0
         methods = ["linear"]
         if n.order ** ((q.order - 1) ** 2) <= budget.h2_brute_candidates:
@@ -97,7 +115,8 @@ def test_stacked_classes_match_the_per_object_oracle(monkeypatch, cells):
                 cd.n_in_c, cd.q_action_on_c, ext.action, np.tile(sections, (len(taus), 1)))
             want = [_oracle_class(ext, cd, h2, t, sec) for t in taus for sec in sections]
             assert _rows(h2.reduce_values(stacked)) == want, name
-            # the scan of the verifier visits exactly these, in this order
+            # the oracle scan visits exactly these, in this order, and the
+            # certificate of the verifier the single-point lifts of each tau
             seen = []
 
             def recording(q_group, tau_rows, *args):
@@ -105,9 +124,13 @@ def test_stacked_classes_match_the_per_object_oracle(monkeypatch, cells):
                 return connecting_values(q_group, tau_rows, *args)
 
             monkeypatch.setattr(verify, "connecting_values", recording)
-            assert verify._lift_scan_witness(ext, cd, h2, list(taus), taus, base) is None
-            monkeypatch.setattr(verify, "connecting_values", connecting_values)
+            assert oracle_lift_scan_witness(ext, cd, h2, list(taus), taus, base) is None
             assert seen == [(t, sec) for t in taus.tolist() for sec in sections], name
+            seen.clear()
+            assert verify._lift_witness(ext, cd, h2, list(taus), taus, base) is None
+            monkeypatch.setattr(verify, "connecting_values", connecting_values)
+            singles = _single_point_lifts(ext, cd)
+            assert seen == [(t, sec) for t in taus.tolist() for sec in singles], name
     assert scanned == 1648 and brute == 33
 
 
@@ -123,12 +146,48 @@ def test_lift_scan_reports_the_first_moved_class(monkeypatch):
         if cells is not None:
             monkeypatch.setattr(groups, "_SEARCH_BLOCK_CELLS", cells)
         base = verify._base_classes(ext, cd, h2, taus)
-        assert verify._lift_scan_witness(ext, cd, h2, c_set, taus, base) is None
+        assert oracle_lift_scan_witness(ext, cd, h2, c_set, taus, base) is None
         for k in (0, len(c_set) - 1):
             moved = base.copy()
             moved[k] = 1 - moved[k].clip(0, 1)  # any other row of coefficients
-            wit = verify._lift_scan_witness(ext, cd, h2, c_set, taus, moved)
+            wit = oracle_lift_scan_witness(ext, cd, h2, c_set, taus, moved)
             assert wit == (c_set[k].tolist(), list(first))
+
+
+@pytest.mark.parametrize("cells", [None, 1])
+def test_lift_certificate_agrees_with_the_section_scan(monkeypatch, cells):
+    """On every default-catalog extension neither the certificate nor the
+    scan over every section finds a moved class.  With the base row of the
+    first or the last member perturbed, both report that member: the scan at
+    its first section, the certificate at its first single-point lift (when
+    Qbar is trivial there is no other lift, and the certificate has nothing
+    to compare)."""
+    if cells is not None:
+        monkeypatch.setattr(groups, "_SEARCH_BLOCK_CELLS", cells)
+    perturbed = moved_lifts = 0
+    for name, ext in _CATALOG.items():
+        cd = centralizer_extension(ext)
+        h2 = compute_h2(ext.q_group, ext.n_group, ext.action)
+        c_set = action_preserving_quotient_endos(ext)
+        taus = verify._displacements(cd, c_set)
+        base = verify._base_classes(ext, cd, h2, taus)
+        assert ext.n_group.order ** (cd.qbar_group.order - 1) * len(c_set) <= _SCAN_CAP
+        assert verify._lift_witness(ext, cd, h2, c_set, taus, base) is None, name
+        assert oracle_lift_scan_witness(ext, cd, h2, c_set, taus, base) is None, name
+        if not h2.invariant_factors:
+            continue  # class rows are empty: nothing to perturb
+        perturbed += 1
+        singles = _single_point_lifts(ext, cd)
+        moved_lifts += bool(singles)
+        first = list(next(itertools.product(*_fibers(cd))))
+        for k in (0, len(c_set) - 1):
+            moved = base.copy()
+            moved[k] = 1 - moved[k].clip(0, 1)  # any other row of coefficients
+            wit = verify._lift_witness(ext, cd, h2, c_set, taus, moved)
+            assert wit == ((c_set[k].tolist(), singles[0]) if singles else None), name
+            wit = oracle_lift_scan_witness(ext, cd, h2, c_set, taus, moved)
+            assert wit == (c_set[k].tolist(), first), name
+    assert (perturbed, moved_lifts) == (24, 17)
 
 
 def test_verifier_reports_do_not_depend_on_the_block_size(monkeypatch):

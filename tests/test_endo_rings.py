@@ -27,16 +27,35 @@ from cohomoring.groups import (
     inversion_action,
     make_cyclic,
     make_direct_product,
+    make_semidirect_group,
     trivial_action,
 )
 from cohomoring.rings import FiniteRing, quasi_regular_indices
 from cohomoring.verify import verify_all
-from ring_oracles import assert_ring_tables_match_full_rows, full_row_cocycle_outcome
+from ring_oracles import (
+    assert_ring_tables_match_full_rows,
+    full_row_cocycle_outcome,
+    oracle_kernel_fixing_endos,
+)
 
 
 def _product_extension():
     prod, i, p = make_direct_product(make_cyclic(3), make_cyclic(4), name="C3xC4")
     return build_extension(i, p)
+
+
+def split_v4_by_a4():
+    """The two split extensions of A4 by V4 whose action factors through
+    A4 -> C3, one per nontrivial action (G of order 48)."""
+    v4 = make_direct_product(make_cyclic(2), make_cyclic(2))[0]
+    c3 = make_cyclic(3)
+    rotate = [a for a in enumerate_actions(c3, v4) if not a.is_trivial()][0]
+    a4 = make_semidirect_group(v4, c3, rotate, name="A4")[0]
+    out = []
+    for k, action in enumerate(a for a in enumerate_actions(a4, v4) if not a.is_trivial()):
+        _, i, p = make_semidirect_group(v4, a4, action, name="V4:A4")
+        out.append(build_extension(i, p, name=f"V4 by A4, action {k}, split"))
+    return out
 
 
 def test_equivariant_endo_ring_of_cyclic():
@@ -188,6 +207,32 @@ def test_kernel_fixing_endos_monoid():
     for a in kf:
         for b in kf:
             assert a[b].tobytes() in keys
+
+
+def test_kernel_fixing_endos_match_the_end_g_filter():
+    exts = [e.materialize() for e in default_catalog() if e.kind == "extension"]
+    exts += [dihedral_extension(n) for n in range(3, 13)]
+    for ext in exts:
+        got = [v.tolist() for v in kernel_fixing_endos(ext)]
+        assert got == [v.tolist() for v in oracle_kernel_fixing_endos(ext)], ext.name
+
+
+def test_split_v4_by_a4_fits_the_default_budgets():
+    # the End(G) filter needs 2162688 candidates here, above
+    # endo_scan_candidates; the search with the kernel pinned does not
+    exts = split_v4_by_a4()
+    assert len(exts) == 2
+    for ext in exts:
+        kf = kernel_fixing_endos(ext)
+        assert len(kf) == 256, ext.name
+        em = ext.i.values
+        for vals in kf:
+            GroupHom(ext.g_group, ext.g_group, vals)
+            assert (vals[em] == em).all()
+        reports = verify_all(ext)
+        assert all(r.ok for r in reports), ext.name
+        statuses = {c.status for r in reports for c in r.checks}
+        assert statuses == {"pass"}, ext.name
 
 
 def test_action_preserving_quotient_endos_monoid():
