@@ -25,7 +25,7 @@ class Budgets:
     h2_brute_candidates: int = 1_000_000  # |N|^((|Q|-1)^2)
     h2_linear_size: int = 4096  # |Q|^2 * (number of cyclic factors of N)
     h2g_max_group_order: int = 16  # largest |G| whose H^2(G,N) node size is reported
-    # generator-image hom searches: Hom, End, fiber scan, kernel-fixing endos
+    # generator-image hom searches: Hom, End, kernel-fixing endos
     endo_scan_candidates: int = 1_000_000  # product of the candidate counts
     # isomorphism search
     iso_search_max_order: int = 64

@@ -16,7 +16,8 @@ import numpy as np
 
 from .budgets import current_budgets
 from .errors import BudgetExceeded, ValidationError
-from .groups import ActionTable, FiniteGroup, GroupHom, TableIndex, _search_generator_images
+from .groups import (ActionTable, FiniteGroup, GroupHom, TableIndex, _hom_rows,
+                     _search_generator_images)
 from .rings import FiniteRing
 
 __all__ = [
@@ -35,7 +36,12 @@ __all__ = [
 
 
 class CrossedHom:
-    """A map phi with phi(xy) = phi(x) * (x . phi(y)) and phi(e) = e."""
+    """A map phi with phi(xy) = phi(x) * (x . phi(y)) and phi(e) = e.
+
+    validate=True proves the law on all pairs by the generator certificate
+    `groups._hom_rows` under the action; the full sweep of all pairs runs
+    only once it has failed, to name the first failing pair.
+    """
 
     def __init__(self, source: FiniteGroup, module: FiniteGroup, action: ActionTable,
                  values, validate: bool = True):
@@ -56,14 +62,15 @@ class CrossedHom:
             raise ValidationError(f"need {s} values, got shape {v.shape}")
         if v.min() < 0 or v.max() >= m:
             raise ValidationError("crossed homomorphism value out of range")
+        if _hom_rows(self.source, self.module, v[None], self.action)[0]:
+            return
         if v[0] != 0:
             raise ValidationError("crossed homomorphism must send identity to identity")
+        # some pair fails exactly when the certificate does
         moved = self.action.table[:, v]          # [x, y] = x . phi(y)
         law = self.module.table[v[:, None], moved]
-        if not (law == v[self.source.table]).all():
-            x, y = map(int, np.argwhere(law != v[self.source.table])[0])
-            raise ValidationError(
-                f"crossed homomorphism law fails at ({x}, {y})", witness=(x, y))
+        x, y = map(int, np.argwhere(law != v[self.source.table])[0])
+        raise ValidationError(f"crossed homomorphism law fails at ({x}, {y})", witness=(x, y))
 
     def __call__(self, x: int) -> int:
         return int(self.values[x])
@@ -201,14 +208,12 @@ def _equivariant_endo_rows(maps: np.ndarray, module: FiniteGroup,
     """Mask of the rows of `maps` ([k, m] = image of module element m) that
     are additive and commute with the action.
 
-    Additivity is checked against the core generators of the module and
-    equivariance against those of the actor: the elements passing either law
-    are closed under the group operation, so they are the whole group.
+    Additivity is certified by `_hom_rows` and equivariance against the core
+    generators of the actor: the elements passing either law are closed
+    under the group operation, so they are the whole group.
     """
-    tm, act = module.table, action.table
-    ok = np.ones(len(maps), dtype=bool)
-    for h in module.core_generators:
-        ok &= (maps[:, tm[:, h]] == tm[maps, maps[:, h][:, None]]).all(axis=1)
+    act = action.table
+    ok = _hom_rows(module, module, maps)
     for s in action.actor.core_generators:
         ok &= (maps[:, act[s]] == act[s][maps]).all(axis=1)
     return ok

@@ -17,13 +17,11 @@ endomorphisms of the quotient preserving the kernel action.  Both are tied to
 crossed homomorphisms into the centralizer layers by explicit bijections.
 """
 
-import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from .budgets import current_budgets
 from .cocycles import CocycleRing, CrossedHom, cocycle_ring
 from .errors import ValidationError
 from .extension import AbelianExtension, CentralizerData
@@ -33,9 +31,8 @@ from .groups import (
     TableIndex,
     _descend,
     _gated_hom_tables,
-    _is_hom,
+    _hom_rows,
     _positions,
-    _search_generator_images,
     enumerate_endos,
 )
 from .linalg import _unique_rows
@@ -159,29 +156,13 @@ class FiberEndoRing:
         return self.module_ring.locate(self.restriction_values(k))
 
 
-def _scan_fiber_endos(ext: AbelianExtension) -> Optional[List[np.ndarray]]:
-    """Independent generator-image search for quotient-identity endomorphisms.
-
-    Candidates for each generator are confined to its own fiber.  Returns the
-    value tables found, or None when the search would exceed the budget.
-    """
-    limit = current_budgets().endo_scan_candidates
-    g = ext.g_group
-    pv = ext.p.values
-    gens = g.core_generators
-    cands = [ext.fiber(int(pv[s])) for s in gens]
-    if math.prod(len(c) for c in cands) > limit:
-        return None
-    return [vals for vals in _search_generator_images(g, g, cands, gens=gens)
-            if (pv[vals] == pv).all()]
-
-
 def fiber_endo_ring(ext: AbelianExtension) -> FiberEndoRing:
     """Build the twisted endomorphism ring of an extension, with cross-checks.
 
     The construction transports the crossed-homomorphism ring of the middle
     group (conjugation action on the kernel) through alpha(x) = i(psi(x)) x,
-    then re-derives both operations on the endomorphism tables and requires
+    certifies every alpha an endomorphism in one `_hom_rows` call, then
+    re-derives both operations on the endomorphism tables and requires
     exact agreement.  The composite of two members is a quotient-identity
     endomorphism, hence a member, located by its values on the core
     generators; it must be the circle product a + b + ab, which fixes the
@@ -197,36 +178,26 @@ def fiber_endo_ring(ext: AbelianExtension) -> FiberEndoRing:
     tg = g.table
     ginv = g.inverse
     ivals = ext.i.values
-    endos: List[np.ndarray] = []
-    for psi in cring.elements:
-        vals = tg[ivals[psi.values], arange]
-        if not _is_hom(g, g, vals):
-            raise ValidationError(
-                "displacement does not integrate to an endomorphism", witness=psi.values
-            )
-        if not (ext.p.values[vals] == ext.p.values).all():
-            raise ValidationError(
-                "integrated endomorphism moves the quotient", witness=psi.values
-            )
-        back = ext._n_pos[tg[vals, ginv[arange]]]
-        if (back < 0).any() or not (back == psi.values).all():
-            raise ValidationError("displacement round trip failed", witness=psi.values)
-        endos.append(vals)
+    pv = ext.p.values
+    disps = np.stack([psi.values for psi in cring.elements])
+    stacked = tg[ivals[disps], arange]
+    back = ext._n_pos[tg[stacked, ginv]]
+    # per member, in the order of the checks: endomorphism, quotient, round trip
+    fails = np.stack([~_hom_rows(g, g, stacked), (pv[stacked] != pv).any(axis=1),
+                      ((back < 0) | (back != disps)).any(axis=1)], axis=1)
+    if fails.any():
+        k, check = map(int, np.argwhere(fails)[0])
+        raise ValidationError(
+            ("displacement does not integrate to an endomorphism",
+             "integrated endomorphism moves the quotient",
+             "displacement round trip failed")[check], witness=disps[k])
+    endos = list(stacked)
     size = len(endos)
-    stacked = np.stack(endos)
     if len(_unique_rows(stacked)) != size:
         raise ValidationError("distinct displacements produced equal endomorphisms")
     index = TableIndex(stacked, g.core_generators, g.order)
     if not (endos[0] == arange).all():
         raise ValidationError("zero displacement did not integrate to the identity map")
-
-    scan = _scan_fiber_endos(ext)
-    if scan is not None and (
-            len(scan) != size or (np.sort(index.find(np.stack(scan))) != np.arange(size)).any()):
-        raise ValidationError(
-            "direct endomorphism scan disagrees with the crossed-homomorphism count",
-            witness=(len(scan), len(endos)),
-        )
 
     # alpha_a(x) x^-1 alpha_b(x) = i(psi_a(x) + psi_b(x)) x integrates a
     # crossed hom (N is abelian), so the twisted sum is a member.
@@ -328,7 +299,7 @@ def endo_from_centralizer_displacement(cd: CentralizerData, phi: CrossedHom) -> 
     npart = ext._n_pos[g.table[arange, g.inverse[u_of]]]
     cemb = cd.c_sub.embedding.values
     vals = g.table[g.table[ext.i.values[npart], cemb[phi.values[pv]]], u_of]
-    if not _is_hom(g, g, vals):
+    if not _hom_rows(g, g, vals[None])[0]:
         raise ValidationError("centralizer displacement does not integrate", witness=phi.values)
     em = ext.i.values
     if not (vals[em] == em).all():
@@ -344,7 +315,7 @@ def induced_quotient_endo(ext: AbelianExtension, alpha_values) -> np.ndarray:
     if bad.any():
         raise ValidationError("endomorphism does not descend to the quotient",
                               witness=int(np.argmax(bad)))
-    if not _is_hom(ext.q_group, ext.q_group, cand):
+    if not _hom_rows(ext.q_group, ext.q_group, cand[None])[0]:
         raise ValidationError("descended map is not an endomorphism")
     return cand
 
@@ -376,7 +347,7 @@ def quotient_endo_from_displacement(cd: CentralizerData, tau: CrossedHom) -> np.
         raise ValidationError("crossed hom does not match the central quotient layer")
     arange = np.arange(q.order, dtype=np.int64)
     vals = q.table[cd.qbar_in_q.values[tau.values], arange]
-    if not _is_hom(q, q, vals):
+    if not _hom_rows(q, q, vals[None])[0]:
         raise ValidationError("quotient displacement does not integrate", witness=tau.values)
     if not (ext.action.table[vals] == ext.action.table).all():
         raise ValidationError("integrated quotient endo changes the kernel action")

@@ -5,7 +5,9 @@ the identity.  Every structural claim (associativity, homomorphism laws,
 action laws) is proved at construction time for all elements, by
 certificates that check the law against a generating set only: Light's
 associativity test for groups, the action law and the automorphism law on
-generators for actions (k n^2 work for k generators instead of n^3).
+generators for actions (k n^2 work for k generators instead of n^3), and
+one law certificate, `_hom_rows`, for every homomorphism and crossed
+homomorphism (k n work per map instead of n^2).
 
 A group table is accepted on the identity, inverses, generation and
 Light's test alone: together they prove a group, and a group table is a
@@ -23,7 +25,6 @@ surjection and reports where a table fails to be constant on fibers.
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -63,8 +64,6 @@ __all__ = [
     "find_isomorphism",
     "group_to_json",
     "group_from_json",
-    "load_group",
-    "save_group",
 ]
 
 
@@ -188,6 +187,8 @@ class FiniteGroup:
                     f"generators {gens} generate only {int(reached.sum())} of {n} elements"
                 )
         self.core_generators = tuple(core)
+        # [j, x] = x s_j for the core generators s_j, read by every certificate
+        self._core_right = t[:, list(core)].T
         self._check_associativity()
         self.generators = gens
 
@@ -210,8 +211,8 @@ class FiniteGroup:
         and the core generators generate, so it proves every triple.
         """
         t = self.table
-        for s in self.core_generators:
-            bad = t[t[:, s]] != t[:, t[s]]  # [x, z]: (x s) z against x (s z)
+        for s, right in zip(self.core_generators, self._core_right):
+            bad = t[right] != t[:, t[s]]  # [x, z]: (x s) z against x (s z)
             if bad.any():
                 a, c = map(int, np.argwhere(bad)[0])
                 raise ValidationError(f"associativity fails at ({a},{s},{c})", witness=(a, s, c))
@@ -263,8 +264,7 @@ class FiniteGroup:
     def is_abelian(self) -> bool:
         """Whether each core generator commutes with every element: the
         elements that do form a subgroup, so this is commutativity."""
-        k = list(self.core_generators)
-        return bool((self.table[:, k].T == self.table[k]).all())
+        return bool((self._core_right == self.table[list(self.core_generators)]).all())
 
     def label(self, a: int) -> str:
         return self.labels[a]
@@ -274,8 +274,37 @@ class FiniteGroup:
         return f"FiniteGroup({tag}, order={self.order})"
 
 
+def _hom_rows(source: FiniteGroup, target: FiniteGroup, vals: np.ndarray,
+              action: Optional["ActionTable"] = None,
+              offset: Optional[np.ndarray] = None) -> np.ndarray:
+    """Mask of the rows of vals ([k, x] = phi_k(x), entries in range) that
+    send e to e and obey phi(x s) = phi(x) (x . phi(s)) offset(x, s)^-1 for
+    every x and each core generator s of the source; x . m = m when action is
+    None, and the offset is the identity when None.
+
+    This proves the law on all pairs of the certified groups: the s passing
+    it contain e and are closed under products, since phi(x s t) =
+    phi(x) (x . phi(s)) (x s . phi(t)) = phi(x) (x . phi(s t)) for an action
+    by automorphisms, so by induction on word length every element passes.
+    A normalized 2-cocycle offset into an abelian target keeps the closure
+    by the cocycle identity.  Work: |source| cells per row and generator.
+    """
+    core = np.asarray(source.core_generators, dtype=np.intp)
+    img = vals[:, core]  # [row, j] = phi(s_j)
+    # [row, j, x]: x . phi(s_j), then phi(x) (x . phi(s_j)) offset(x, s_j)^-1
+    step = img[:, :, None] if action is None else action.table.T[img]
+    law = target.table[vals[:, None, :], step]
+    if offset is not None:
+        law = target.table[law, target.inverse[offset[:, core].T]]
+    return (vals[:, 0] == 0) & (vals[:, source._core_right] == law).all(axis=(1, 2))
+
+
 class GroupHom:
-    """A homomorphism between table groups, stored as a value array."""
+    """A homomorphism between table groups, stored as a value array.
+
+    validate=True proves the law on all pairs by the certificate `_hom_rows`;
+    the sweep of all pairs runs only on failure, to name the first bad pair.
+    """
 
     def __init__(
         self,
@@ -293,18 +322,12 @@ class GroupHom:
             )
         if self.values.min() < 0 or self.values.max() >= target.order:
             raise ValidationError("hom values out of range")
-        if validate:
+        if validate and not _hom_rows(source, target, self.values[None])[0]:
+            # some pair fails exactly when the certificate does
             v = self.values
-            lhs = v[source.table]
-            rhs = target.table[v[:, None], v[None, :]]
-            if not (lhs == rhs).all():
-                a, b = np.argwhere(lhs != rhs)[0]
-                raise ValidationError(
-                    f"not a homomorphism at pair ({int(a)},{int(b)})",
-                    witness=(int(a), int(b)),
-                )
-            if int(v[0]) != 0:
-                raise ValidationError("homomorphism must send identity to identity")
+            bad = v[source.table] != target.table[v[:, None], v[None, :]]
+            a, b = map(int, np.argwhere(bad)[0])
+            raise ValidationError(f"not a homomorphism at pair ({a},{b})", witness=(a, b))
 
     def apply(self, a: int) -> int:
         return int(self.values[a])
@@ -356,7 +379,9 @@ class ActionTable:
 
     table[a, m] is the index of a acting on m.  The module is not required to
     be abelian here; operations that need abelian coefficients check at their
-    own boundary.
+    own boundary.  validate=True proves the action law against each core
+    generator of the actor, and certifies the rows of those generators
+    automorphisms by `_hom_rows`; together these prove both laws everywhere.
     """
 
     def __init__(self, actor: FiniteGroup, module: FiniteGroup, table, validate: bool = True):
@@ -390,17 +415,14 @@ class ActionTable:
                 raise ValidationError(
                     f"action law fails at actor pair ({a},{s}) on {x}", witness=(a, s, x)
                 )
-        # Each generator row is multiplicative against the module's core
-        # generators, hence a homomorphism; every row is a composite of
-        # generator rows and a bijection, hence an automorphism.
-        mt = self.module.table
-        for s in self.actor.core_generators:
-            row = t[s]
-            for h in self.module.core_generators:
-                if not (row[mt[:, h]] == mt[row, row[h]]).all():
-                    raise ValidationError(
-                        f"actor element {s} does not act by an automorphism", witness=s
-                    )
+        # Each generator row is a homomorphism by its certificate; every row
+        # is a composite of generator rows and a bijection, hence an
+        # automorphism.
+        core = list(self.actor.core_generators)
+        bad = ~_hom_rows(self.module, self.module, t[core])
+        if bad.any():
+            s = core[int(np.argmax(bad))]
+            raise ValidationError(f"actor element {s} does not act by an automorphism", witness=s)
 
     def act(self, a: int, m: int) -> int:
         return int(self.table[a, m])
@@ -740,17 +762,14 @@ def _search_generator_images(
     """Value tables of the maps phi(xy) = phi(x) (x . phi(y)) offset(x, y)^-1
     with phi(gens[i]) in cands[i]; gens is a generating tuple of the source,
     source.generators when None; x . m = m when action is None, and the
-    offset (a source x source table of target elements) is the identity when
-    None.
+    offset (a source x source table of target elements, a normalized
+    2-cocycle into an abelian target) is the identity when None.
 
     Candidate tuples run in itertools.product order, propagated along the BFS
     words in the generators of `gens`, in blocks of at most
     _SEARCH_BLOCK_CELLS cells, each built only when the caller asks for more.
-    A row is kept when the law holds at (x, s_i) for every x (x = e included)
-    and every s_i in gens.  Without an offset, induction on word length makes
-    this prove the law on all pairs; with one, it is the law on source x gens
-    only (for a 2-cocycle offset into an abelian target that is enough; see
-    `cohomology2.coboundary_preimage`).
+    A row is kept when it sends each gens[i] to its candidate and passes the
+    certificate `_hom_rows`, which proves the law on all pairs.
     """
     gens = tuple(source.generators if gens is None else gens)
     cands = [np.asarray(c, dtype=np.int64) for c in cands]
@@ -779,19 +798,11 @@ def _search_generator_images(
             vals[:, elem] = tt[vals[:, parent], step]
             if undo is not None:
                 vals[:, elem] = tt[vals[:, elem], undo[parent, gi]]
-        ok = np.ones(rows, dtype=bool)
-        for gi, (s, img) in enumerate(zip(gens, imgs)):
-            step = img[:, None] if action is None else action.table[:, img].T
-            law = tt[vals, step]
-            if undo is not None:
-                law = tt[law, undo[:, gi]]
-            ok &= (vals[:, source.table[:, s]] == law).all(axis=1)
+        ok = _hom_rows(source, target, vals, action, offset)
+        for s, img in zip(gens, imgs):
+            ok &= vals[:, s] == img
         yield from vals[ok]
         start += rows
-
-
-def _is_hom(source: FiniteGroup, target: FiniteGroup, vals: np.ndarray) -> bool:
-    return bool((vals[source.table] == target.table[vals[:, None], vals[None, :]]).all())
 
 
 class TableIndex:
@@ -975,14 +986,3 @@ def group_from_json(data: dict, name: str = "") -> FiniteGroup:
     if "order" in data and _as_int(data["order"], "declared order") != g.order:
         raise ValidationError(f"declared order {data['order']} != table order {g.order}")
     return g
-
-
-def load_group(path: str) -> FiniteGroup:
-    with open(path, "r", encoding="utf-8") as fh:
-        return group_from_json(json.load(fh))
-
-
-def save_group(g: FiniteGroup, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(group_to_json(g), fh, indent=2, sort_keys=True)
-        fh.write("\n")

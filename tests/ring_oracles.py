@@ -6,14 +6,16 @@ generators, under a proof that it is a member.  These builders do what it did
 before: form every sum and product on the full value table and look it up
 with full-row confirmation, so they prove nothing and assume nothing.
 `oracle_kernel_fixing_endos` filters all of End(G), where the package
-searches with the kernel images pinned.
+searches with the kernel images pinned, and `oracle_fiber_endos` searches
+the quotient-identity endomorphisms directly, where the package integrates
+crossed homomorphisms.
 """
 
 import numpy as np
 
 from cohomoring import ValidationError
 from cohomoring.endo_rings import fiber_endo_ring
-from cohomoring.groups import TableIndex, enumerate_endos
+from cohomoring.groups import TableIndex, _search_generator_images, enumerate_endos
 from cohomoring.rings import FiniteRing
 
 
@@ -22,6 +24,20 @@ def oracle_kernel_fixing_endos(ext):
     embedded kernel pointwise, in the order of `enumerate_endos`."""
     em = ext.i.values
     return [h.values for h in enumerate_endos(ext.g_group) if (h.values[em] == em).all()]
+
+
+def oracle_fiber_endos(ext):
+    """Every endomorphism of the middle group inducing the identity on the
+    quotient, by a generator-image search of its own: each core generator s
+    ranges over its fiber p^-1(p(s)), |N|^k candidates in all, the count the
+    package's crossed-homomorphism search runs through alpha(s) = i(psi(s)) s.
+    No budget gates it."""
+    g = ext.g_group
+    pv = ext.p.values
+    gens = g.core_generators
+    cands = [ext.fiber(int(pv[s])) for s in gens]
+    return [vals for vals in _search_generator_images(g, g, cands, gens=gens)
+            if (pv[vals] == pv).all()]
 
 
 def full_row_cocycle_tables(stacked, source, module, embedding):

@@ -1,12 +1,15 @@
-"""The group and ring table validators as they were before their certificates
+"""The group, ring and map validators as they were before their certificates
 were trimmed, kept as oracles.
 
 The package now accepts a group table on the identity, two-sided inverses,
 generation and Light's test, and sorts rows and columns only once one of
-those has failed; it derives each generator span once; and it checks left
-distributivity on the generator rows only.  These functions run every check
-in the old order, with the old breadth-first closure, so that a test can
-require the same outcome, error text and witness from both.
+those has failed; it derives each generator span once; it checks left
+distributivity on the generator rows only; and it proves the laws of
+`GroupHom`, `CrossedHom`, `RingHom` and `BimoduleAction` against
+generators.  These functions
+run every check in the old order, on all pairs, with the old breadth-first
+closure, so that a test can require the same outcome, error text and
+witness from both.
 """
 
 import numpy as np
@@ -156,3 +159,98 @@ def old_ring_outcome(add_table, mul_table, one=None):
     except ValidationError as exc:
         return str(exc), exc.witness
     return "ok", group
+
+
+def old_group_hom_outcome(source, target, values):
+    """"ok" for a map the old `GroupHom(validate=True)` accepted, else
+    (error text, witness)."""
+    v = np.asarray(values, dtype=np.int64)
+    try:
+        if v.shape != (source.order,):
+            raise ValidationError(f"hom needs {source.order} values, got shape {v.shape}")
+        if v.min() < 0 or v.max() >= target.order:
+            raise ValidationError("hom values out of range")
+        lhs = v[source.table]
+        rhs = target.table[v[:, None], v[None, :]]
+        if not (lhs == rhs).all():
+            a, b = np.argwhere(lhs != rhs)[0]
+            raise ValidationError(f"not a homomorphism at pair ({int(a)},{int(b)})",
+                                  witness=(int(a), int(b)))
+        if int(v[0]) != 0:
+            raise ValidationError("homomorphism must send identity to identity")
+    except ValidationError as exc:
+        return str(exc), exc.witness
+    return "ok"
+
+
+def old_crossed_hom_outcome(source, module, action, values):
+    """"ok" for a map the old `CrossedHom(validate=True)` accepted, else
+    (error text, witness)."""
+    v = np.asarray(values, dtype=np.int64)
+    try:
+        if action.actor is not source or action.module is not module:
+            raise ValidationError("action must be of the source group on the module")
+        if v.shape != (source.order,):
+            raise ValidationError(f"need {source.order} values, got shape {v.shape}")
+        if v.min() < 0 or v.max() >= module.order:
+            raise ValidationError("crossed homomorphism value out of range")
+        if v[0] != 0:
+            raise ValidationError("crossed homomorphism must send identity to identity")
+        law = module.table[v[:, None], action.table[:, v]]
+        if not (law == v[source.table]).all():
+            x, y = map(int, np.argwhere(law != v[source.table])[0])
+            raise ValidationError(f"crossed homomorphism law fails at ({x}, {y})",
+                                  witness=(x, y))
+    except ValidationError as exc:
+        return str(exc), exc.witness
+    return "ok"
+
+
+def old_ring_hom_outcome(source, target, values):
+    """"ok" for a map the old `RingHom` accepted, else (error text, witness)."""
+    v = np.asarray(values, dtype=np.int64)
+    try:
+        if v.shape != (source.order,):
+            raise ValidationError("ring map needs one value per source element")
+        if v.min() < 0 or v.max() >= target.order:
+            raise ValidationError("ring map value out of range")
+        if not (v[source.add_table] == target.add_table[v[:, None], v[None, :]]).all():
+            raise ValidationError("ring map is not additive")
+        if not (v[source.mul_table] == target.mul_table[v[:, None], v[None, :]]).all():
+            raise ValidationError("ring map is not multiplicative")
+    except ValidationError as exc:
+        return str(exc), exc.witness
+    return "ok"
+
+
+def old_bimodule_outcome(r_ring, s_group, left, right):
+    """"ok" for tables the old `BimoduleAction` accepted, else (error text,
+    witness)."""
+    nr, ns = r_ring.order, s_group.order
+    lt, rt = np.asarray(left, dtype=np.int64), np.asarray(right, dtype=np.int64)
+    try:
+        if lt.shape != (nr, ns) or rt.shape != (ns, nr):
+            raise ValidationError("bimodule action tables have wrong shape")
+        if not s_group.is_abelian():
+            raise ValidationError("bimodule carrier must be abelian")
+        add_s, add_r, mul_r = s_group.table, r_ring.add_table, r_ring.mul_table
+        for r in range(nr):
+            if not (lt[r][add_s] == add_s[np.ix_(lt[r], lt[r])]).all():
+                raise ValidationError(f"left action of {r} is not additive")
+            if not (rt[:, r][add_s] == add_s[np.ix_(rt[:, r], rt[:, r])]).all():
+                raise ValidationError(f"right action of {r} is not additive")
+        if not (lt[add_r] == add_s[lt[:, None, :], lt[None, :, :]]).all():
+            raise ValidationError("left action is not additive in the ring argument")
+        if not (rt[:, add_r] == add_s[rt[:, :, None], rt[:, None, :]]).all():
+            raise ValidationError("right action is not additive in the ring argument")
+        for r1 in range(nr):
+            for r2 in range(nr):
+                if not (lt[mul_r[r1, r2]] == lt[r1, lt[r2]]).all():
+                    raise ValidationError(f"left action not multiplicative at ({r1}, {r2})")
+                if not (rt[:, mul_r[r1, r2]] == rt[rt[:, r1], r2]).all():
+                    raise ValidationError(f"right action not multiplicative at ({r1}, {r2})")
+                if not (rt[lt[r1], r2] == lt[r1, rt[:, r2]]).all():
+                    raise ValidationError(f"actions do not balance at ({r1}, {r2})")
+    except ValidationError as exc:
+        return str(exc), exc.witness
+    return "ok"

@@ -62,6 +62,7 @@ from cohomoring.verify import (
     verify_qr_sequence,
 )
 from cocycle_oracles import _z1_full_scan
+from table_oracles import old_crossed_hom_outcome, old_group_hom_outcome
 
 
 def _extensions():
@@ -71,7 +72,8 @@ def _extensions():
 def _brute_force_images(source, target, action=None):
     """Every generator-image tuple, in itertools.product order, whose table
     propagated along the BFS words sends each generator to its image and
-    obeys the full pairwise law."""
+    obeys the full pairwise law of the old validators, which share no code
+    with the search's certificate."""
     bfs = groups._bfs_words(source, source.generators)
     out = []
     for imgs in itertools.product(range(target.order), repeat=len(source.generators)):
@@ -82,14 +84,11 @@ def _brute_force_images(source, target, action=None):
         if vals[list(source.generators)].tolist() != list(imgs):
             continue
         if action is None:
-            if groups._is_hom(source, target, vals):
-                out.append(vals)
-            continue
-        try:
-            CrossedHom(source, target, action, vals)
-        except ValidationError:
-            continue
-        out.append(vals)
+            verdict = old_group_hom_outcome(source, target, vals)
+        else:
+            verdict = old_crossed_hom_outcome(source, target, action, vals)
+        if verdict == "ok":
+            out.append(vals)
     return out
 
 

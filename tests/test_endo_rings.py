@@ -7,7 +7,7 @@ import pytest
 
 from cohomoring import ValidationError, endo_rings
 from cohomoring.catalog import default_catalog, dihedral_extension
-from cohomoring.cocycles import CocycleRing, cocycle_ring, enumerate_z1
+from cohomoring.cocycles import CocycleRing, CrossedHom, cocycle_ring, enumerate_z1
 from cohomoring.endo_rings import (
     action_preserving_quotient_endos,
     centralizer_displacement,
@@ -35,6 +35,7 @@ from cohomoring.verify import verify_all
 from ring_oracles import (
     assert_ring_tables_match_full_rows,
     full_row_cocycle_outcome,
+    oracle_fiber_endos,
     oracle_kernel_fixing_endos,
 )
 
@@ -298,6 +299,17 @@ def test_ring_tables_match_full_row_oracles():
         assert_ring_tables_match_full_rows(ext)
 
 
+def test_fiber_endos_match_the_direct_fiber_search():
+    """The integrated crossed homomorphisms are exactly the quotient-identity
+    endomorphisms that a search over the generator fibers finds, on every
+    default-catalog extension, on D3-D12 and on both split V4-by-A4."""
+    exts = [e.materialize() for e in default_catalog() if e.kind == "extension"]
+    exts += [dihedral_extension(n) for n in range(3, 13)] + split_v4_by_a4()
+    for ext in exts:
+        got = sorted(v.tolist() for v in fiber_endo_ring(ext).endos)
+        assert got == sorted(v.tolist() for v in oracle_fiber_endos(ext)), ext.name
+
+
 def _first_uncertified_member(elements, module, action, embedding):
     """First a with a o i no equivariant endomorphism of the module, checked
     on every pair, or None."""
@@ -387,3 +399,26 @@ def test_fiber_endo_ring_rejects_a_displacement_ring_it_does_not_rederive(monkey
         monkeypatch.setattr(endo_rings, "cocycle_ring", _tampered_cocycle_ring(tamper))
         with pytest.raises(ValidationError, match=error):
             fiber_endo_ring(ext)
+
+
+def test_fiber_endo_ring_names_the_first_member_that_does_not_integrate(monkeypatch):
+    """All members are certified in one call, and the error names the first
+    displacement whose integral is no endomorphism, as a check per member
+    in order would."""
+    tampered = {}
+
+    def build(source, module, action, embedding):
+        cr = cocycle_ring(source, module, action, embedding)
+        elements = list(cr.elements)
+        for k in (5, 3):  # one changed value: two homs agree on a subgroup
+            bad = elements[k].values.copy()
+            bad[-1] = (bad[-1] + 1) % module.order
+            elements[k] = CrossedHom(source, module, action, bad, validate=False)
+            tampered[k] = bad.tolist()
+        return CocycleRing(cr.ring, tuple(elements), cr.index, cr.embedding)
+
+    monkeypatch.setattr(endo_rings, "cocycle_ring", build)
+    with pytest.raises(ValidationError,
+                       match="displacement does not integrate to an endomorphism") as exc:
+        fiber_endo_ring(dihedral_extension(4))
+    assert exc.value.witness.tolist() == tampered[3]

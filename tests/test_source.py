@@ -1,5 +1,6 @@
-"""Source hygiene: every package module uses each name it imports, and
-every name in its __all__ is one it defines or imports."""
+"""Source hygiene: every package module uses each name it imports, every
+name in its __all__ is one it defines or imports, and every private
+top-level helper is referred to somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -82,3 +83,31 @@ def test_all_names_exist(module):
             exported += ast.literal_eval(node.value)
     missing = sorted(set(exported) - _bound_names(tree.body))
     assert not missing, f"{module} exports names it never defines: {', '.join(missing)}"
+
+
+def _private_definitions(tree: ast.Module) -> set:
+    return {node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_")}
+
+
+def _references(tree: ast.AST) -> set:
+    """Names read or imported anywhere, and attribute names, as in
+    `groups._hom_rows`."""
+    out = _used_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out |= {alias.name for alias in node.names}
+    return out
+
+
+def test_private_helpers_are_referenced():
+    """A `_`-prefixed top-level function or class that nothing in the package
+    refers to is dead code left behind by a deletion."""
+    trees = {m: ast.parse((PACKAGE / m).read_text(encoding="utf-8")) for m in ALL_MODULES}
+    referenced = set().union(*map(_references, trees.values()))
+    dead = sorted(f"{m}: {name}" for m, tree in trees.items()
+                  for name in _private_definitions(tree) - referenced)
+    assert not dead, f"private helpers nothing refers to: {', '.join(dead)}"

@@ -1,14 +1,16 @@
-"""Group and ring table certificates against the validators they replaced.
+"""Group, ring and map certificates against the validators they replaced.
 
-`FiniteGroup` and `FiniteRing` prove the same statements as before with less
-work (see `table_oracles`).  These tests require the same verdict, error
-text and witness from both on mutated tables, and check the helpers that
+`FiniteGroup`, `FiniteRing`, `GroupHom`, `CrossedHom`, `RingHom` and
+`BimoduleAction` prove the same statements as before with less work (see
+`table_oracles`).  These tests require the same verdict, error text and
+witness from both on mutated tables and maps, and check the helpers that
 replaced `np.unique`.
 """
 
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +19,14 @@ from hypothesis import given, settings, strategies as st
 
 from cohomoring import ValidationError
 from cohomoring.catalog import dihedral_extension
+from cohomoring.cocycles import CrossedHom, enumerate_z1
 from cohomoring.cohomology2 import TwoCocycle, compute_h2, inflation
 from cohomoring.groups import (
     FiniteGroup,
+    GroupHom,
+    enumerate_actions,
+    enumerate_automorphisms,
+    enumerate_homs,
     make_cyclic,
     make_dihedral,
     make_direct_product,
@@ -27,9 +34,17 @@ from cohomoring.groups import (
     subgroup_from_indices,
 )
 from cohomoring.linalg import _unique_rows, abelian_decomposition
-from cohomoring.rings import FiniteRing, zn_ring
+from cohomoring.rings import BimoduleAction, FiniteRing, RingHom, zn_ring
 
-from table_oracles import _old_greedy_generators, old_group_outcome, old_ring_outcome
+from table_oracles import (
+    _old_greedy_generators,
+    old_bimodule_outcome,
+    old_crossed_hom_outcome,
+    old_group_hom_outcome,
+    old_group_outcome,
+    old_ring_hom_outcome,
+    old_ring_outcome,
+)
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -222,6 +237,134 @@ def test_certificate_failures_match_the_old_validator():
     out = old_group_outcome(t, g.generators)
     assert out[0].startswith("associativity fails")
     assert _new_group_outcome(t, g.generators) == out
+
+
+@lru_cache(maxsize=None)
+def _map_bases():
+    """Lists of (kind, source, target, action, valid maps) for homomorphisms,
+    crossed homomorphisms under every action (trivial or not, onto abelian
+    and nonabelian modules) and additive maps of rings; the trivial group
+    and the zero ring are among the sources."""
+    c1, c2, c3, c4 = (make_cyclic(n) for n in (1, 2, 3, 4))
+    v4 = make_direct_product(c2, c2)[0]
+    d3 = make_dihedral(3)
+    small = [c1, c2, c4, make_cyclic(6), d3, make_dihedral(4), v4,
+             FiniteGroup(*_quaternion_table())]
+    homs = [("hom", a, b, None, [h.values for h in enumerate_homs(a, b)])
+            for a in small for b in small]
+    crossed = [("crossed", q, n, action, [z.values for z in enumerate_z1(q, n, action)])
+               for q, n in ((c1, c3), (c2, c4), (c2, v4), (c3, v4), (c2, d3), (c3, d3), (d3, c3))
+               for action in enumerate_actions(q, n)]
+    rings = _small_rings()
+    additive = [("ring", a, b, None, [h.values for h in enumerate_homs(a.add_group, b.add_group)])
+                for a in rings for b in rings]
+    return homs, crossed, additive
+
+
+@lru_cache(maxsize=None)
+def _small_rings():
+    """Z/n for n = 1, 2, 4, 6, F2 x F2, and the upper triangular 2x2 matrices
+    over F2 (basis E11, E12, E22), which is not commutative."""
+    rings = [zn_ring(n) for n in (1, 2, 4, 6)]
+    rings.append(FiniteRing(*_bilinear_ring(2, [[[1, 0], [0, 0]], [[0, 0], [0, 1]]])))
+    upper = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    upper[0][0], upper[0][1], upper[1][2], upper[2][2] = [1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1]
+    rings.append(FiniteRing(*_bilinear_ring(2, upper)))
+    return tuple(rings)
+
+
+def _map_outcome(kind, source, target, action, values):
+    try:
+        if kind == "hom":
+            GroupHom(source, target, values)
+        elif kind == "crossed":
+            CrossedHom(source, target, action, values)
+        else:
+            RingHom(source, target, values)
+    except ValidationError as exc:
+        return str(exc), exc.witness
+    return "ok"
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(st.data())
+def test_map_certificates_match_the_old_validators(data):
+    bases = data.draw(st.sampled_from(_map_bases()))
+    kind, source, target, action, valid = data.draw(st.sampled_from(bases))
+    v = np.array(data.draw(st.sampled_from(valid)), dtype=np.int64)
+    n, t = source.order, target.order
+    for _ in range(data.draw(st.integers(0, 2))):
+        mutation = data.draw(st.sampled_from(["cell", "swap", "constant", "identity", "random"]))
+        if mutation == "cell":
+            v[data.draw(st.integers(0, n - 1))] = data.draw(st.integers(0, t - 1))
+        elif mutation == "swap":
+            i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+            v[i], v[j] = v[j], v[i]
+        elif mutation == "constant":
+            v[:] = data.draw(st.integers(0, t - 1))
+        elif mutation == "identity":
+            v[0] = data.draw(st.integers(min(1, t - 1), t - 1))
+        else:  # a random map that sends e to e
+            v = np.asarray([0] + data.draw(st.lists(st.integers(0, t - 1), min_size=n - 1,
+                                                    max_size=n - 1)), dtype=np.int64)
+    if kind == "hom":
+        want = old_group_hom_outcome(source, target, v)
+    elif kind == "crossed":
+        want = old_crossed_hom_outcome(source, target, action, v)
+    else:
+        want = old_ring_hom_outcome(source, target, v)
+    assert _map_outcome(kind, source, target, action, v) == want
+
+
+def _bimodule_outcome(r_ring, s_group, left, right):
+    try:
+        BimoduleAction(r_ring=r_ring, s_group=s_group, left=left, right=right)
+    except ValidationError as exc:
+        return str(exc), exc.witness
+    return "ok"
+
+
+@lru_cache(maxsize=None)
+def _bimodule_bases():
+    """(ring, carrier, left, right, automorphisms of the carrier): each ring
+    on itself by multiplication on both sides, and Z/n on C_n by
+    multiplication on the left and zero on the right."""
+    bases = [(r, r.add_group, r.mul_table, r.mul_table) for r in _small_rings()]
+    bases += [(zn_ring(n), make_cyclic(n), zn_ring(n).mul_table, np.zeros((n, n), dtype=np.int64))
+              for n in (3, 4, 6)]
+    return [(*b, [h.values for h in enumerate_automorphisms(b[1])]) for b in bases]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.data())
+def test_bimodule_certificate_matches_the_old_validator(data):
+    ring, group, lt, rt, auts = data.draw(st.sampled_from(_bimodule_bases()))
+    lt, rt = lt.copy(), rt.copy()
+    n = group.order
+    multiples = [np.zeros(n, dtype=np.int64)]  # multiples[j] is s -> j s
+    for _ in range(n):
+        multiples.append(group.table[multiples[-1], np.arange(n)])
+    for _ in range(data.draw(st.integers(1, 2))):
+        mutation = data.draw(st.sampled_from(["cell", "swap", "multiple", "scale", "opposite",
+                                              "conjugate", "conjugate", "zero"]))
+        side = lt if data.draw(st.booleans()) else rt.T
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        if mutation == "cell":
+            side[i, j] = data.draw(st.integers(0, n - 1))
+        elif mutation == "swap":
+            side[i, j], side[j, i] = side[j, i], side[i, j]
+        elif mutation == "multiple":
+            side[i] = multiples[j]
+        elif mutation == "scale":
+            side[:] = multiples[j][side]
+        elif mutation == "opposite":
+            lt, rt = rt.T.copy(), lt.T.copy()
+        elif mutation == "conjugate":  # s -> a(side(a^-1 s)): one side stays an action
+            a = data.draw(st.sampled_from(auts))
+            side[:] = a[side[:, np.argsort(a)]]
+        else:
+            side[:] = 0
+    assert _bimodule_outcome(ring, group, lt, rt) == old_bimodule_outcome(ring, group, lt, rt)
 
 
 # Rows are permutations and every element has a two-sided inverse, but
