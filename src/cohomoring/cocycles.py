@@ -62,15 +62,8 @@ class CrossedHom:
             raise ValidationError(f"need {s} values, got shape {v.shape}")
         if v.min() < 0 or v.max() >= m:
             raise ValidationError("crossed homomorphism value out of range")
-        if _hom_rows(self.source, self.module, v[None], self.action)[0]:
-            return
-        if v[0] != 0:
-            raise ValidationError("crossed homomorphism must send identity to identity")
-        # some pair fails exactly when the certificate does
-        moved = self.action.table[:, v]          # [x, y] = x . phi(y)
-        law = self.module.table[v[:, None], moved]
-        x, y = map(int, np.argwhere(law != v[self.source.table])[0])
-        raise ValidationError(f"crossed homomorphism law fails at ({x}, {y})", witness=(x, y))
+        if not _hom_rows(self.source, self.module, v[None], self.action)[0]:
+            raise _crossed_law_error(self.action, v)
 
     def __call__(self, x: int) -> int:
         return int(self.values[x])
@@ -80,6 +73,18 @@ class CrossedHom:
 
     def key(self) -> bytes:
         return self.values.tobytes()
+
+
+def _crossed_law_error(action: ActionTable, v: np.ndarray) -> ValidationError:
+    """The error naming the first failure of the crossed law by the values v,
+    which failed the certificate `_hom_rows` under the action."""
+    if v[0] != 0:
+        return ValidationError("crossed homomorphism must send identity to identity")
+    # some pair fails exactly when the certificate does
+    moved = action.table[:, v]          # [x, y] = x . phi(y)
+    law = action.module.table[v[:, None], moved]
+    x, y = map(int, np.argwhere(law != v[action.actor.table])[0])
+    return ValidationError(f"crossed homomorphism law fails at ({x}, {y})", witness=(x, y))
 
 
 def z1_zero(source: FiniteGroup, module: FiniteGroup, action: ActionTable) -> CrossedHom:

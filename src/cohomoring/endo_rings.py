@@ -14,7 +14,10 @@ member.
 Alongside it live the two pointed endomorphism sets of the kernel-centralizer
 sequence: endomorphisms of the middle group fixing the kernel pointwise, and
 endomorphisms of the quotient preserving the kernel action.  Both are tied to
-crossed homomorphisms into the centralizer layers by explicit bijections.
+crossed homomorphisms into the centralizer layers by explicit bijections,
+which map whole [member, element] stacks of value tables: each stack is
+certified by one `_hom_rows` call, and the first failing member raises the
+error a single map would.
 """
 
 from dataclasses import dataclass
@@ -22,16 +25,18 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .cocycles import CocycleRing, CrossedHom, cocycle_ring
+from .cocycles import CocycleRing, CrossedHom, _crossed_law_error, cocycle_ring
 from .errors import ValidationError
 from .extension import AbelianExtension, CentralizerData
 from .groups import (
     ActionTable,
     FiniteGroup,
+    GroupHom,
     TableIndex,
     _descend,
     _gated_hom_tables,
     _hom_rows,
+    _is_bijective,
     _positions,
     enumerate_endos,
 )
@@ -156,6 +161,22 @@ class FiberEndoRing:
         return self.module_ring.locate(self.restriction_values(k))
 
 
+def _raise_first(checks: List[tuple]) -> None:
+    """Raise the error of the first failing (member, check) of a stack.
+
+    checks lists (fails, error, witnesses) in the order one map is checked:
+    fails[k] marks member k failing the check.  Its error is error(k) when
+    error is callable, else ValidationError(error) with witness witnesses[k],
+    or none when witnesses is None.
+    """
+    fails = np.stack([check[0] for check in checks], axis=1)
+    if fails.any():
+        k, c = map(int, np.argwhere(fails)[0])
+        _, error, witnesses = checks[c]
+        raise error(k) if callable(error) else ValidationError(
+            error, witness=None if witnesses is None else witnesses[k])
+
+
 def fiber_endo_ring(ext: AbelianExtension) -> FiberEndoRing:
     """Build the twisted endomorphism ring of an extension, with cross-checks.
 
@@ -182,15 +203,10 @@ def fiber_endo_ring(ext: AbelianExtension) -> FiberEndoRing:
     disps = np.stack([psi.values for psi in cring.elements])
     stacked = tg[ivals[disps], arange]
     back = ext._n_pos[tg[stacked, ginv]]
-    # per member, in the order of the checks: endomorphism, quotient, round trip
-    fails = np.stack([~_hom_rows(g, g, stacked), (pv[stacked] != pv).any(axis=1),
-                      ((back < 0) | (back != disps)).any(axis=1)], axis=1)
-    if fails.any():
-        k, check = map(int, np.argwhere(fails)[0])
-        raise ValidationError(
-            ("displacement does not integrate to an endomorphism",
-             "integrated endomorphism moves the quotient",
-             "displacement round trip failed")[check], witness=disps[k])
+    _raise_first([
+        (~_hom_rows(g, g, stacked), "displacement does not integrate to an endomorphism", disps),
+        ((pv[stacked] != pv).any(axis=1), "integrated endomorphism moves the quotient", disps),
+        (((back < 0) | (back != disps)).any(axis=1), "displacement round trip failed", disps)])
     endos = list(stacked)
     size = len(endos)
     if len(_unique_rows(stacked)) != size:
@@ -215,22 +231,15 @@ def fiber_endo_ring(ext: AbelianExtension) -> FiberEndoRing:
     if not (comp == circle).all():
         raise ValidationError("twisted product disagrees with displacement composition")
 
-    ideal = np.asarray(
-        [k for k, psi in enumerate(cring.elements) if not psi.values[ivals].any()],
-        dtype=np.int64,
-    )
+    ideal = np.flatnonzero(~disps[:, ivals].any(axis=1))
     check_ideal(ring, ideal)
     if not is_square_zero_ideal(ring, ideal):
         raise ValidationError("kernel-fixing members do not form a square-zero ideal")
 
     module_ring = equivariant_endo_ring(n, ext.action)
-    res_values = np.asarray(
-        [module_ring.locate(psi.values[ivals]) for psi in cring.elements],
-        dtype=np.int64,
-    )
-    res = RingHom(ring, module_ring.ring, res_values)
+    res = RingHom(ring, module_ring.ring, [module_ring.locate(r) for r in disps[:, ivals]])
 
-    aut = np.flatnonzero((np.diff(np.sort(stacked, axis=1), axis=1) != 0).all(axis=1))
+    aut = np.flatnonzero(_is_bijective(stacked))
     qr_indices = quasi_regular_indices(ring)
     if set(qr_indices) != set(aut.tolist()):
         raise ValidationError(
@@ -262,93 +271,85 @@ def kernel_fixing_endos(ext: AbelianExtension) -> List[np.ndarray]:
 def action_preserving_quotient_endos(ext: AbelianExtension) -> List[np.ndarray]:
     """Endomorphisms of the quotient group that leave the kernel action unchanged."""
     act = ext.action.table
-    out = [h.values for h in enumerate_endos(ext.q_group)
-           if (act[h.values] == act).all()]
-    return out
+    return [h.values for h in enumerate_endos(ext.q_group) if (act[h.values] == act).all()]
 
 
-def centralizer_displacement(cd: CentralizerData, alpha_values) -> CrossedHom:
-    """Displacement q -> alpha(u(q)) u(q)^{-1} of a kernel-fixing endomorphism.
-
-    The displacement lands in the centralizer of the kernel and obeys the
-    crossed law for the quotient action on that centralizer.
-    """
-    ext = cd.ext
-    g = ext.g_group
-    alpha = np.asarray(alpha_values, dtype=np.int64)
-    u = ext.section
-    disp = g.table[alpha[u], g.inverse[u]]
-    vals = _positions(g.order, cd.c_sub.embedding.values)[disp]
-    if (vals < 0).any():
-        q_bad = int(np.nonzero(vals < 0)[0][0])
-        raise ValidationError(
-            "displacement escapes the kernel centralizer", witness=q_bad
-        )
-    return CrossedHom(ext.q_group, cd.c_sub.group, cd.q_action_on_c, vals)
-
-
-def endo_from_centralizer_displacement(cd: CentralizerData, phi: CrossedHom) -> np.ndarray:
-    """Integrate a centralizer-valued crossed hom to a kernel-fixing endomorphism."""
-    ext = cd.ext
-    g = ext.g_group
-    if phi.source is not ext.q_group or phi.module is not cd.c_sub.group:
-        raise ValidationError("crossed hom does not match the centralizer layer")
-    arange = np.arange(g.order, dtype=np.int64)
-    pv = ext.p.values
-    u_of = ext.section[pv]
-    npart = ext._n_pos[g.table[arange, g.inverse[u_of]]]
-    cemb = cd.c_sub.embedding.values
-    vals = g.table[g.table[ext.i.values[npart], cemb[phi.values[pv]]], u_of]
-    if not _hom_rows(g, g, vals[None])[0]:
-        raise ValidationError("centralizer displacement does not integrate", witness=phi.values)
-    em = ext.i.values
-    if not (vals[em] == em).all():
-        raise ValidationError("integrated endomorphism moves the kernel", witness=phi.values)
+def _crossed_layer_values(w: np.ndarray, embedding: GroupHom, action: ActionTable,
+                          escape: str) -> np.ndarray:
+    """[b, q]: the position of w[b, q] in the layer that `embedding` embeds,
+    each row certified a crossed hom under `action` by one `_hom_rows` call;
+    `escape` is the error of a member with a value outside the layer."""
+    vals = _positions(embedding.target.order, embedding.values)[w]
+    escapes = vals < 0
+    _raise_first([
+        (escapes.any(axis=1), escape, np.argmax(escapes, axis=1).tolist()),
+        (~_hom_rows(action.actor, action.module, vals, action),
+         lambda k: _crossed_law_error(action, vals[k]), None)])
     return vals
 
 
-def induced_quotient_endo(ext: AbelianExtension, alpha_values) -> np.ndarray:
-    """Push a kernel-preserving endomorphism of the middle group to the quotient."""
-    alpha = np.asarray(alpha_values, dtype=np.int64)
+def centralizer_displacements(cd: CentralizerData, alphas) -> np.ndarray:
+    """[b, q]: the displacement q -> alpha_b(u(q)) u(q)^{-1} of each
+    kernel-fixing endomorphism alphas[b] ([b, x]), a crossed hom into the
+    kernel centralizer under the quotient action on it."""
+    g = cd.ext.g_group
+    u = cd.ext.section
+    alphas = np.asarray(alphas, dtype=np.int64).reshape(-1, g.order)
+    return _crossed_layer_values(g.table[alphas[:, u], g.inverse[u]], cd.c_sub.embedding,
+                                 cd.q_action_on_c, "displacement escapes the kernel centralizer")
+
+
+def endos_from_centralizer_displacements(cd: CentralizerData, phis) -> np.ndarray:
+    """[b, x]: the kernel-fixing endomorphism n u(q) -> n phi_b(q) u(q) that
+    integrates each centralizer-valued crossed hom phis[b] ([b, q])."""
+    ext = cd.ext
+    g = ext.g_group
+    phis = np.asarray(phis, dtype=np.int64).reshape(-1, ext.q_group.order)
     pv = ext.p.values
-    _, cand, bad = _descend(pv, pv[alpha])
-    if bad.any():
-        raise ValidationError("endomorphism does not descend to the quotient",
-                              witness=int(np.argmax(bad)))
-    if not _hom_rows(ext.q_group, ext.q_group, cand[None])[0]:
-        raise ValidationError("descended map is not an endomorphism")
-    return cand
+    u_of = ext.section[pv]
+    em = ext.i.values
+    npart = ext._n_pos[g.table[np.arange(g.order), g.inverse[u_of]]]
+    vals = g.table[g.table[em[npart], cd.c_sub.embedding.values[phis[:, pv]]], u_of]
+    _raise_first([
+        (~_hom_rows(g, g, vals), "centralizer displacement does not integrate", phis),
+        ((vals[:, em] != em).any(axis=1), "integrated endomorphism moves the kernel", phis)])
+    return vals
 
 
-def quotient_endo_displacement(cd: CentralizerData, phi_values) -> CrossedHom:
-    """Displacement x -> phi(x) x^{-1} of an action-preserving quotient endo.
-
-    The displacement lands in the embedded central quotient layer (the kernel
-    of the action) and obeys the crossed law for the action on that layer.
-    """
-    ext = cd.ext
+def induced_quotient_endos(ext: AbelianExtension, alphas) -> np.ndarray:
+    """[b, q]: the quotient endomorphism each kernel-preserving endomorphism
+    alphas[b] ([b, x]) of the middle group descends to."""
     q = ext.q_group
-    phi = np.asarray(phi_values, dtype=np.int64)
-    w = q.table[phi, q.inverse[np.arange(q.order, dtype=np.int64)]]
-    vals = _positions(q.order, cd.qbar_in_q.values)[w]
-    if (vals < 0).any():
-        bad = int(np.nonzero(vals < 0)[0][0])
-        raise ValidationError(
-            "quotient displacement escapes the kernel of the action", witness=bad
-        )
-    return CrossedHom(q, cd.qbar_group, cd.q_action_on_qbar, vals)
+    pv = ext.p.values
+    alphas = np.asarray(alphas, dtype=np.int64).reshape(-1, ext.g_group.order)
+    _, down, bad = _descend(pv, pv[alphas].T)
+    induced, bad = down.T, bad.T
+    _raise_first([
+        (bad.any(axis=1), "endomorphism does not descend to the quotient",
+         np.argmax(bad, axis=1).tolist()),
+        (~_hom_rows(q, q, induced), "descended map is not an endomorphism", None)])
+    return induced
 
 
-def quotient_endo_from_displacement(cd: CentralizerData, tau: CrossedHom) -> np.ndarray:
-    """Integrate a crossed hom into the central quotient layer to a quotient endo."""
-    ext = cd.ext
-    q = ext.q_group
-    if tau.source is not q or tau.module is not cd.qbar_group:
-        raise ValidationError("crossed hom does not match the central quotient layer")
-    arange = np.arange(q.order, dtype=np.int64)
-    vals = q.table[cd.qbar_in_q.values[tau.values], arange]
-    if not _hom_rows(q, q, vals[None])[0]:
-        raise ValidationError("quotient displacement does not integrate", witness=tau.values)
-    if not (ext.action.table[vals] == ext.action.table).all():
-        raise ValidationError("integrated quotient endo changes the kernel action")
+def quotient_endo_displacements(cd: CentralizerData, phis) -> np.ndarray:
+    """[b, x]: the displacement x -> phi_b(x) x^{-1} of each action-preserving
+    quotient endo phis[b] ([b, x]), a crossed hom into the central quotient
+    layer, which embeds as the kernel of the action."""
+    q = cd.ext.q_group
+    phis = np.asarray(phis, dtype=np.int64).reshape(-1, q.order)
+    return _crossed_layer_values(q.table[phis, q.inverse], cd.qbar_in_q, cd.q_action_on_qbar,
+                                 "quotient displacement escapes the kernel of the action")
+
+
+def quotient_endos_from_displacements(cd: CentralizerData, taus) -> np.ndarray:
+    """[b, x]: the quotient endo x -> tau_b(x) x that integrates each crossed
+    hom taus[b] ([b, x]) into the central quotient layer."""
+    q = cd.ext.q_group
+    taus = np.asarray(taus, dtype=np.int64).reshape(-1, q.order)
+    vals = q.table[cd.qbar_in_q.values[taus], np.arange(q.order)]
+    act = cd.ext.action.table
+    _raise_first([
+        (~_hom_rows(q, q, vals), "quotient displacement does not integrate", taus),
+        ((act[vals] != act).any(axis=(1, 2)),
+         "integrated quotient endo changes the kernel action", None)])
     return vals

@@ -556,11 +556,12 @@ def _positions(n: int, members: np.ndarray) -> np.ndarray:
     return pos
 
 
-def _is_bijective(values: np.ndarray) -> bool:
-    """Whether a map of 0..m-1 into 0..m-1, given by its m values, is onto."""
-    hit = np.zeros(len(values), dtype=bool)
-    hit[values] = True
-    return bool(hit.all())
+def _is_bijective(values: np.ndarray) -> np.ndarray:
+    """Per row on the last axis of `values`, whether the map of 0..m-1 into
+    0..m-1 given by its m values is onto."""
+    hit = np.zeros(values.shape, dtype=bool)
+    np.put_along_axis(hit, values, True, axis=-1)
+    return hit.all(axis=-1)
 
 
 def _grow(table: np.ndarray, reached: np.ndarray, seeds: np.ndarray, products) -> None:

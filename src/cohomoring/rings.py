@@ -217,7 +217,10 @@ def subring_from_indices(ring: FiniteRing, indices, name: str = "") -> Tuple[Fin
 
 def check_ideal(ring: FiniteRing, indices) -> np.ndarray:
     """Validate a two-sided ideal given by element indices; returns the sorted array."""
-    idx = sorted(set(_as_int_array(indices, "ideal").ravel().tolist()))
+    arr = _as_int_array(indices, "ideal")
+    if arr.ndim != 1:
+        raise ValidationError(f"ideal must be a list of integers, got {indices!r}")
+    idx = sorted(set(arr.tolist()))
     outside = [a for a in idx if not 0 <= a < ring.order]
     if outside:
         raise ValidationError(

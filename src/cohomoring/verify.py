@@ -34,7 +34,7 @@ import numpy as np
 
 from . import groups
 from .budgets import current_budgets
-from .cocycles import enumerate_z1, post_compose
+from .cocycles import enumerate_z1
 from .cohomology2 import (
     H2Group,
     TwoCocycle,
@@ -48,13 +48,13 @@ from .cohomology2 import (
 from .endo_rings import (
     FiberEndoRing,
     action_preserving_quotient_endos,
-    centralizer_displacement,
-    endo_from_centralizer_displacement,
+    centralizer_displacements,
+    endos_from_centralizer_displacements,
     fiber_endo_ring,
-    induced_quotient_endo,
+    induced_quotient_endos,
     kernel_fixing_endos,
-    quotient_endo_displacement,
-    quotient_endo_from_displacement,
+    quotient_endo_displacements,
+    quotient_endos_from_displacements,
 )
 from .extension import AbelianExtension, CentralizerData, centralizer_extension
 from .groups import FiniteGroup, TableIndex, _descend, _is_bijective, _positions
@@ -347,8 +347,10 @@ def verify_aut_five_term(ext: AbelianExtension, fe: Optional[FiberEndoRing] = No
     assert one is not None
 
     # Invertible members of each node, by direct bijectivity scan.
-    aut_ideal = {k for k in ideal if _is_bijective(fe.endos[k])}
-    module_aut = {b for b in range(mr.ring.order) if _is_bijective(mr.elements[b])}
+    endos = fe.index.tables
+    ai = fe.ideal_indices[_is_bijective(endos[fe.ideal_indices])]
+    aut_ideal = set(ai.tolist())
+    module_aut = set(np.flatnonzero(_is_bijective(np.asarray(mr.elements))).tolist())
 
     report.nodes = [
         ("invertible kernel-and-quotient-fixing endos", len(aut_ideal)),
@@ -366,18 +368,10 @@ def verify_aut_five_term(ext: AbelianExtension, fe: Optional[FiberEndoRing] = No
                module_aut, qr_module,
                detail="bijectivity scan vs one-plus-quasi-regulars")
 
-    comm = True
-    wit = None
-    ai = sorted(aut_ideal)
-    for a in ai:
-        for b in ai:
-            if not (fe.endos[a][fe.endos[b]] == fe.endos[b][fe.endos[a]]).all():
-                comm = False
-                wit = (a, b)
-                break
-        if not comm:
-            break
-    report.add("ideal members commute under composition", comm, witness=wit)
+    e = endos[ai]  # e[rows][:, e][a, b] = a o b and e[:, e[rows]][b, a] = b o a
+    wit = _first_pair(e, lambda rows: (
+        e[rows][:, e] != e[:, e[rows]].transpose(1, 0, 2)).any(axis=2), names=ai.tolist())
+    report.add("ideal members commute under composition", wit is None, witness=wit)
 
     # Restriction sends invertibles to invertibles.
     rho = {k: int(mr.ring.add_table[one, fe.res.values[k]]) for k in sorted(aut)}
@@ -445,13 +439,6 @@ def _base_classes(ext: AbelianExtension, cd: CentralizerData, h2q: H2Group,
     return out
 
 
-def _displacements(cd: CentralizerData, endos: List[np.ndarray]) -> np.ndarray:
-    """[b, x]: the displacement of the action-preserving quotient endo endos[b]."""
-    q = cd.ext.q_group
-    return np.array([quotient_endo_displacement(cd, v).values for v in endos],
-                    dtype=np.int64).reshape(len(endos), q.order)
-
-
 def _lift_witness(ext: AbelianExtension, cd: CentralizerData, h2q: H2Group,
                   c_set: List[np.ndarray], taus: np.ndarray,
                   base: np.ndarray) -> Optional[Tuple[list, list]]:
@@ -481,30 +468,38 @@ def _lift_witness(ext: AbelianExtension, cd: CentralizerData, h2q: H2Group,
     return None
 
 
-def _endo_index(members: List[np.ndarray], group: FiniteGroup) -> TableIndex:
-    return TableIndex(np.stack(members), group.core_generators, group.order)
+def _z1_table(source: FiniteGroup, module: FiniteGroup, action) -> np.ndarray:
+    """[b, x]: the value tables of enumerate_z1(source, module, action)."""
+    z1 = enumerate_z1(source, module, action)
+    return np.array([phi.values for phi in z1], dtype=np.int64).reshape(len(z1), source.order)
+
+
+def _first_pair(members: np.ndarray, bad: Callable[[slice], np.ndarray],
+                names: Optional[list] = None) -> Optional[tuple]:
+    """The names of the first (x, y), in (x, y) order, that bad(rows) ([x in
+    rows, y]) marks, over `_row_blocks` of len(members) maps per row; member
+    k is named names[k], or by its value list when names is None."""
+    for rows in _row_blocks(len(members), members.size):
+        hit = np.argwhere(bad(rows))
+        if len(hit):
+            pair = (rows.start + int(hit[0, 0]), int(hit[0, 1]))
+            return tuple(members[k].tolist() if names is None else names[k] for k in pair)
+    return None
 
 
 def _closure_witness(index: TableIndex) -> Optional[Tuple[list, list]]:
     """First pair (x, y) of indexed endos whose composite x(y) is not indexed."""
-    members = index.tables
-    for x in members:
-        escapes = index.find(x[members]) < 0
-        if escapes.any():
-            return x.tolist(), members[int(np.argmax(escapes))].tolist()
-    return None
+    m = index.tables
+    return _first_pair(m, lambda rows: index.find(m[rows][:, m]) < 0)
 
 
-def _descent_witness(ext: AbelianExtension, members: np.ndarray,
+def _descent_witness(ext: AbelianExtension, m: np.ndarray,
                      induced: np.ndarray) -> Optional[Tuple[list, list]]:
     """First pair (x, y) of endos whose composite x(y) descends to something
-    other than the composite of their descents; induced[k] descends members[k]."""
-    lifted = members[:, ext.section]
-    for k, x in enumerate(members):
-        bad = (ext.p.values[x[lifted]] != induced[k][induced]).any(axis=1)
-        if bad.any():
-            return x.tolist(), members[int(np.argmax(bad))].tolist()
-    return None
+    other than the composite of their descents; induced[k] descends m[k]."""
+    lifted = m[:, ext.section]
+    return _first_pair(m, lambda rows: (
+        ext.p.values[m[rows][:, lifted]] != induced[rows][:, induced]).any(axis=2))
 
 
 def verify_centralizer_sequence(ext: AbelianExtension,
@@ -515,25 +510,25 @@ def verify_centralizer_sequence(ext: AbelianExtension,
     """Verify the pointed endomorphism sequence through the kernel centralizer.
 
     b_all and c_all, when given, are kernel_fixing_endos(ext) and
-    action_preserving_quotient_endos(ext).  The connecting classes of all of
-    c_set at the least lift, and after each single-point change of the lift,
-    which prove the class lift independent (`_lift_witness`), are built,
-    certified and reduced as stacks.
+    action_preserving_quotient_endos(ext).  Each map of `endo_rings` between
+    a node and its crossed-hom layer runs once on a whole member set, and the
+    quotient displacements serve both the round trip and the connecting
+    classes, which are built, certified and reduced as stacks at the least
+    lift and after each single-point change of it (`_lift_witness`).
     """
     cd = cd or centralizer_extension(ext)
     h2q = h2q or compute_h2(ext.q_group, ext.n_group, ext.action)
     report = ExactnessReport("pointed endomorphism sequence of the centralizer layer",
                              _instance_name(ext))
     q = ext.q_group
-    arange_q = np.arange(q.order, dtype=np.int64)
 
     # Sets are indexed; set members below are their positions in b_set / c_set.
     b_set = kernel_fixing_endos(ext) if b_all is None else b_all
     pv = ext.p.values
     a_set = {k for k, v in enumerate(b_set) if (pv[v] == pv).all()}
     c_set = action_preserving_quotient_endos(ext) if c_all is None else c_all
-    b_index = _endo_index(b_set, ext.g_group)
-    c_index = _endo_index(c_set, q)
+    b_index = TableIndex(b_set, ext.g_group.core_generators, ext.g_group.order)
+    c_index = TableIndex(c_set, q.core_generators, q.order)
 
     report.nodes = [
         ("kernel-and-quotient-fixing endos", len(a_set)),
@@ -546,27 +541,24 @@ def verify_centralizer_sequence(ext: AbelianExtension,
     wit = _closure_witness(b_index)
     report.add("kernel-fixing endos form a monoid", wit is None, witness=wit)
 
-    induced = np.stack([induced_quotient_endo(ext, v) for v in b_set])
+    induced = induced_quotient_endos(ext, b_index.tables)
     descent = c_index.find(induced)
     report.add("descent lands in the action-preserving endos", bool((descent >= 0).all()))
     wit = _descent_witness(ext, b_index.tables, induced)
     report.add("descent is a monoid homomorphism", wit is None, witness=wit)
 
     # Displacement bijections against the crossed-homomorphism layers.
-    z1c = enumerate_z1(q, cd.c_sub.group, cd.q_action_on_c)
-    round_b = all(
-        (endo_from_centralizer_displacement(cd, centralizer_displacement(cd, v)) == v).all()
-        for v in b_set)
-    lifted = b_index.find(np.stack([endo_from_centralizer_displacement(cd, phi) for phi in z1c]))
+    z1c = _z1_table(q, cd.c_sub.group, cd.q_action_on_c)
+    phis = centralizer_displacements(cd, b_index.tables)
+    round_b = (endos_from_centralizer_displacements(cd, phis) == b_index.tables).all()
+    lifted = b_index.find(endos_from_centralizer_displacements(cd, z1c))
     report.add("kernel-fixing endos match centralizer crossed homs",
                round_b and set(lifted.tolist()) == set(range(len(b_set))),
                len(b_set), len(z1c))
-    z1qbar = enumerate_z1(q, cd.qbar_group, cd.q_action_on_qbar)
-    round_c = all(
-        (quotient_endo_from_displacement(cd, quotient_endo_displacement(cd, v)) == v).all()
-        for v in c_set)
-    lifted_c = c_index.find(
-        np.stack([quotient_endo_from_displacement(cd, tau) for tau in z1qbar]))
+    z1qbar = _z1_table(q, cd.qbar_group, cd.q_action_on_qbar)
+    taus = quotient_endo_displacements(cd, c_index.tables)
+    round_c = (quotient_endos_from_displacements(cd, taus) == c_index.tables).all()
+    lifted_c = c_index.find(quotient_endos_from_displacements(cd, z1qbar))
     report.add("quotient endos match central-layer crossed homs",
                round_c and set(lifted_c.tolist()) == set(range(len(c_set))),
                len(c_set), len(z1qbar))
@@ -574,11 +566,10 @@ def verify_centralizer_sequence(ext: AbelianExtension,
     # Pointed exactness.
     report.add("kernel-and-quotient-fixing endos", True, 1, None,
                detail="inclusion is injective")
-    fiber_b = {k for k in range(len(b_set)) if (induced[k] == arange_q).all()}
+    fiber_b = set(np.flatnonzero((induced == np.arange(q.order)).all(axis=1)).tolist())
     _set_equal(report, "kernel-fixing endos", fiber_b, a_set,
                detail="fiber of descent over id vs included endos")
 
-    taus = _displacements(cd, c_set)
     delta = _base_classes(ext, cd, h2q, taus)
     fiber_c = set(np.flatnonzero(~delta.any(axis=1)).tolist())
     _set_equal(report, "action-preserving quotient endos", fiber_c, set(descent.tolist()),
@@ -601,26 +592,23 @@ def verify_aut_centralizer_sequence(ext: AbelianExtension,
     """Verify the invertible-member version of the centralizer sequence,
     where every node is a group and every map but the connecting one is a
     group homomorphism.  b_all and c_all are as in
-    verify_centralizer_sequence."""
+    verify_centralizer_sequence, and each map runs once on a member set."""
     cd = cd or centralizer_extension(ext)
     h2q = h2q or compute_h2(ext.q_group, ext.n_group, ext.action)
     report = ExactnessReport("automorphism sequence of the centralizer layer",
                              _instance_name(ext))
     g = ext.g_group
     q = ext.q_group
-    arange_q = np.arange(q.order, dtype=np.int64)
     pv = ext.p.values
 
-    if b_all is None:
-        b_all = kernel_fixing_endos(ext)
-    aut_b = [v for v in b_all if _is_bijective(v)]
-    aut_a = [v for v in aut_b if (pv[v] == pv).all()]
-    if c_all is None:
-        c_all = action_preserving_quotient_endos(ext)
-    aut_c = [v for v in c_all if _is_bijective(v)]
-    a_index = _endo_index(aut_a, g)
-    b_index = _endo_index(aut_b, g)
-    c_index = _endo_index(aut_c, q)
+    b_all = np.asarray(kernel_fixing_endos(ext) if b_all is None else b_all)
+    aut_b = b_all[_is_bijective(b_all)]
+    aut_a = aut_b[(pv[aut_b] == pv).all(axis=1)]
+    c_all = np.asarray(action_preserving_quotient_endos(ext) if c_all is None else c_all)
+    aut_c = c_all[_is_bijective(c_all)]
+    a_index = TableIndex(aut_a, g.core_generators, g.order)
+    b_index = TableIndex(aut_b, g.core_generators, g.order)
+    c_index = TableIndex(aut_c, q.core_generators, q.order)
 
     report.nodes = [
         ("invertible kernel-and-quotient-fixing endos", len(aut_a)),
@@ -643,7 +631,7 @@ def verify_aut_centralizer_sequence(ext: AbelianExtension,
         report.add(name + " form a group", wit is None, witness=wit)
 
     # Set members below are positions in aut_b / aut_c.
-    induced = np.stack([induced_quotient_endo(ext, v) for v in aut_b])
+    induced = induced_quotient_endos(ext, aut_b)
     descent = c_index.find(induced)
     report.add("descent maps invertibles to invertibles", bool((descent >= 0).all()))
     wit = _descent_witness(ext, b_index.tables, induced)
@@ -651,12 +639,12 @@ def verify_aut_centralizer_sequence(ext: AbelianExtension,
 
     report.add("invertible kernel-and-quotient-fixing endos", True, 1, None,
                detail="inclusion is injective")
-    fiber_b = {k for k in range(len(aut_b)) if (induced[k] == arange_q).all()}
+    fiber_b = set(np.flatnonzero((induced == np.arange(q.order)).all(axis=1)).tolist())
     in_a = set(b_index.find(a_index.tables).tolist())
     _set_equal(report, "invertible kernel-fixing endos", fiber_b, in_a,
                detail="kernel of descent vs included automorphisms")
 
-    delta = _base_classes(ext, cd, h2q, _displacements(cd, aut_c))
+    delta = _base_classes(ext, cd, h2q, quotient_endo_displacements(cd, aut_c))
     fiber_c = set(np.flatnonzero(~delta.any(axis=1)).tolist())
     _set_equal(report, "invertible action-preserving quotient endos",
                fiber_c, set(descent.tolist()),
@@ -671,16 +659,19 @@ def verify_crossed_hom_sequence(ext: AbelianExtension,
                                 cd: Optional[CentralizerData] = None,
                                 h2q: Optional[H2Group] = None) -> ExactnessReport:
     """Verify the pointed crossed-homomorphism sequence of the central layer
-    kernel -> centralizer -> central quotient, ending in H2(Q,N)."""
+    kernel -> centralizer -> central quotient, ending in H2(Q,N).  The maps
+    are one gather through cd.n_in_c and one through cd.pi, certified by
+    `centralizer_extension` as equivariant homomorphisms: a crossed hom
+    composed with one is a crossed hom, so nothing is re-certified."""
     cd = cd or centralizer_extension(ext)
     h2q = h2q or compute_h2(ext.q_group, ext.n_group, ext.action)
     report = ExactnessReport("crossed-homomorphism sequence of the central layer",
                              _instance_name(ext))
     q = ext.q_group
 
-    z1n = enumerate_z1(q, ext.n_group, ext.action)
-    z1c = enumerate_z1(q, cd.c_sub.group, cd.q_action_on_c)
-    z1qbar = enumerate_z1(q, cd.qbar_group, cd.q_action_on_qbar)
+    z1n = _z1_table(q, ext.n_group, ext.action)
+    z1c = _z1_table(q, cd.c_sub.group, cd.q_action_on_c)
+    z1qbar = _z1_table(q, cd.qbar_group, cd.q_action_on_qbar)
 
     report.nodes = [
         ("crossed homs into the kernel", len(z1n)),
@@ -689,19 +680,18 @@ def verify_crossed_hom_sequence(ext: AbelianExtension,
         ("H2(Q,N)", h2q.order),
     ]
 
-    emb = {post_compose(psi, cd.n_in_c, cd.q_action_on_c).key() for psi in z1n}
+    emb = {row.tobytes() for row in cd.n_in_c.values[z1n]}
     report.add("crossed homs into the kernel", len(emb) == len(z1n), 1, len(emb),
                detail="embedding is injective")
 
-    proj = {phi.key(): post_compose(phi, cd.pi, cd.q_action_on_qbar) for phi in z1c}
-    ker_proj = {k for k, img in proj.items() if not img.values.any()}
+    proj = cd.pi.values[z1c]
+    ker_proj = {phi.tobytes() for phi, img in zip(z1c, proj) if not img.any()}
     _set_equal(report, "crossed homs into the centralizer", ker_proj, emb,
                detail="kernel of projection vs embedded crossed homs")
 
-    taus = np.array([tau.values for tau in z1qbar], dtype=np.int64).reshape(len(z1qbar), q.order)
-    delta = _base_classes(ext, cd, h2q, taus)
-    ker_delta = {tau.key() for tau, cls in zip(z1qbar, delta) if not cls.any()}
-    im_proj = {img.key() for img in proj.values()}
+    delta = _base_classes(ext, cd, h2q, z1qbar)
+    ker_delta = {tau.tobytes() for tau, cls in zip(z1qbar, delta) if not cls.any()}
+    im_proj = {img.tobytes() for img in proj}
     _set_equal(report, "crossed homs into the central quotient", ker_delta, im_proj,
                detail="fiber of the connecting map over zero vs projected crossed homs")
     return report

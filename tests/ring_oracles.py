@@ -9,13 +9,20 @@ with full-row confirmation, so they prove nothing and assume nothing.
 searches with the kernel images pinned, and `oracle_fiber_endos` searches
 the quotient-identity endomorphisms directly, where the package integrates
 crossed homomorphisms.
+
+The five per-map oracles of the centralizer layer displace, integrate and
+descend one value table at a time, validating each displacement as a
+`CrossedHom` and each integrated map by its own `_hom_rows` call, where the
+package maps and certifies a whole stack at once.
 """
 
 import numpy as np
 
 from cohomoring import ValidationError
+from cohomoring.cocycles import CrossedHom
 from cohomoring.endo_rings import fiber_endo_ring
-from cohomoring.groups import TableIndex, _search_generator_images, enumerate_endos
+from cohomoring.groups import (TableIndex, _descend, _hom_rows, _positions,
+                               _search_generator_images, enumerate_endos)
 from cohomoring.rings import FiniteRing
 
 
@@ -112,3 +119,104 @@ def assert_ring_tables_match_full_rows(ext):
     for got, want in zip((mr.ring.add_table, mr.ring.mul_table), full_row_module_tables(mr)):
         assert (got == want).all(), ext.name
     return fe
+
+
+# ---------------------------------------------- per-map centralizer-layer maps
+
+
+def oracle_centralizer_displacement(cd, alpha_values):
+    """Displacement q -> alpha(u(q)) u(q)^{-1} of one kernel-fixing
+    endomorphism, as centralizer positions, validated as a crossed hom."""
+    ext = cd.ext
+    g = ext.g_group
+    alpha = np.asarray(alpha_values, dtype=np.int64)
+    u = ext.section
+    disp = g.table[alpha[u], g.inverse[u]]
+    vals = _positions(g.order, cd.c_sub.embedding.values)[disp]
+    if (vals < 0).any():
+        q_bad = int(np.nonzero(vals < 0)[0][0])
+        raise ValidationError("displacement escapes the kernel centralizer", witness=q_bad)
+    return CrossedHom(ext.q_group, cd.c_sub.group, cd.q_action_on_c, vals).values
+
+
+def oracle_endo_from_centralizer_displacement(cd, phi_values):
+    """Integrate one centralizer-valued crossed hom to a kernel-fixing
+    endomorphism."""
+    ext = cd.ext
+    g = ext.g_group
+    phi = np.asarray(phi_values, dtype=np.int64)
+    arange = np.arange(g.order, dtype=np.int64)
+    pv = ext.p.values
+    u_of = ext.section[pv]
+    npart = ext._n_pos[g.table[arange, g.inverse[u_of]]]
+    cemb = cd.c_sub.embedding.values
+    vals = g.table[g.table[ext.i.values[npart], cemb[phi[pv]]], u_of]
+    if not _hom_rows(g, g, vals[None])[0]:
+        raise ValidationError("centralizer displacement does not integrate", witness=phi)
+    em = ext.i.values
+    if not (vals[em] == em).all():
+        raise ValidationError("integrated endomorphism moves the kernel", witness=phi)
+    return vals
+
+
+def oracle_induced_quotient_endo(ext, alpha_values):
+    """Push one kernel-preserving endomorphism of the middle group to the
+    quotient."""
+    alpha = np.asarray(alpha_values, dtype=np.int64)
+    pv = ext.p.values
+    _, cand, bad = _descend(pv, pv[alpha])
+    if bad.any():
+        raise ValidationError("endomorphism does not descend to the quotient",
+                              witness=int(np.argmax(bad)))
+    if not _hom_rows(ext.q_group, ext.q_group, cand[None])[0]:
+        raise ValidationError("descended map is not an endomorphism")
+    return cand
+
+
+def oracle_quotient_endo_displacement(cd, phi_values):
+    """Displacement x -> phi(x) x^{-1} of one action-preserving quotient
+    endo, as central-quotient positions, validated as a crossed hom."""
+    q = cd.ext.q_group
+    phi = np.asarray(phi_values, dtype=np.int64)
+    w = q.table[phi, q.inverse[np.arange(q.order, dtype=np.int64)]]
+    vals = _positions(q.order, cd.qbar_in_q.values)[w]
+    if (vals < 0).any():
+        bad = int(np.nonzero(vals < 0)[0][0])
+        raise ValidationError("quotient displacement escapes the kernel of the action",
+                              witness=bad)
+    return CrossedHom(q, cd.qbar_group, cd.q_action_on_qbar, vals).values
+
+
+def oracle_quotient_endo_from_displacement(cd, tau_values):
+    """Integrate one crossed hom into the central quotient layer to a
+    quotient endo."""
+    q = cd.ext.q_group
+    tau = np.asarray(tau_values, dtype=np.int64)
+    vals = q.table[cd.qbar_in_q.values[tau], np.arange(q.order, dtype=np.int64)]
+    if not _hom_rows(q, q, vals[None])[0]:
+        raise ValidationError("quotient displacement does not integrate", witness=tau)
+    if not (cd.ext.action.table[vals] == cd.ext.action.table).all():
+        raise ValidationError("integrated quotient endo changes the kernel action")
+    return vals
+
+
+def oracle_closure_witness(index):
+    """First pair (x, y) of indexed endos whose composite x(y) is not
+    indexed, one x at a time."""
+    members = index.tables
+    for x in members:
+        escapes = index.find(x[members]) < 0
+        if escapes.any():
+            return x.tolist(), members[int(np.argmax(escapes))].tolist()
+    return None
+
+
+def oracle_descent_witness(ext, members, induced):
+    """First pair (x, y) of endos whose composite x(y) descends to something
+    other than the composite of their descents, one x at a time."""
+    lifted = members[:, ext.section]
+    for k, x in enumerate(members):
+        bad = (ext.p.values[x[lifted]] != induced[k][induced]).any(axis=1)
+        if bad.any():
+            return x.tolist(), members[int(np.argmax(bad))].tolist()
+    return None

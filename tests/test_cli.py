@@ -328,7 +328,12 @@ def test_verify_corrupted_catalog_exits_one(tmp_path, capsys):
                                                                    [True, False]]))},
              "group table must be a rectangular array of integers"),
             ("fractional one", {"kind": "ring", "ring": dict(z4, one=1.5)},
-             "ring identity index must be an integer, got 1.5"))
+             "ring identity index must be an integer, got 1.5"),
+            # an ideal is a flat list: a number or nested lists are not read as one
+            ("number ideal", {"kind": "ring", "ring": z4, "ideal": 3},
+             "ideal must be a list of integers, got 3"),
+            ("nested ideal", {"kind": "ring", "ring": z4, "ideal": [[0], [2]]},
+             "ideal must be a list of integers, got [[0], [2]]"))
     doc = {"entries": [dict(entry, name=name) for name, entry, _ in rows]
            + [{"name": "C2 by C2", "quadruple": quad}]}
     path.write_text(json.dumps(doc))

@@ -22,7 +22,8 @@ from cohomoring.budgets import current_budgets
 from cohomoring.catalog import default_catalog
 from cohomoring.cocycles import enumerate_z1
 from cohomoring.cohomology2 import _check_cocycles, compute_h2, connecting_values
-from cohomoring.endo_rings import action_preserving_quotient_endos, fiber_endo_ring
+from cohomoring.endo_rings import (action_preserving_quotient_endos, fiber_endo_ring,
+                                   quotient_endo_displacements)
 from cohomoring.extension import centralizer_extension
 from cocycle_oracles import (
     first_error,
@@ -140,7 +141,7 @@ def test_lift_scan_reports_the_first_moved_class(monkeypatch):
     h2 = compute_h2(ext.q_group, ext.n_group, ext.action)
     assert h2.order > 1
     c_set = action_preserving_quotient_endos(ext)
-    taus = verify._displacements(cd, c_set)
+    taus = quotient_endo_displacements(cd, c_set)
     first = list(itertools.product(*_fibers(cd)))[0]
     for cells in (None, 1):
         if cells is not None:
@@ -169,7 +170,7 @@ def test_lift_certificate_agrees_with_the_section_scan(monkeypatch, cells):
         cd = centralizer_extension(ext)
         h2 = compute_h2(ext.q_group, ext.n_group, ext.action)
         c_set = action_preserving_quotient_endos(ext)
-        taus = verify._displacements(cd, c_set)
+        taus = quotient_endo_displacements(cd, c_set)
         base = verify._base_classes(ext, cd, h2, taus)
         assert ext.n_group.order ** (cd.qbar_group.order - 1) * len(c_set) <= _SCAN_CAP
         assert verify._lift_witness(ext, cd, h2, c_set, taus, base) is None, name

@@ -4,20 +4,21 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cohomoring import ValidationError, endo_rings
 from cohomoring.catalog import default_catalog, dihedral_extension
 from cohomoring.cocycles import CocycleRing, CrossedHom, cocycle_ring, enumerate_z1
 from cohomoring.endo_rings import (
     action_preserving_quotient_endos,
-    centralizer_displacement,
-    endo_from_centralizer_displacement,
+    centralizer_displacements,
+    endos_from_centralizer_displacements,
     equivariant_endo_ring,
     fiber_endo_ring,
-    induced_quotient_endo,
+    induced_quotient_endos,
     kernel_fixing_endos,
-    quotient_endo_displacement,
-    quotient_endo_from_displacement,
+    quotient_endo_displacements,
+    quotient_endos_from_displacements,
 )
 from cohomoring.extension import build_extension, centralizer_extension
 from cohomoring.groups import (
@@ -35,8 +36,13 @@ from cohomoring.verify import verify_all
 from ring_oracles import (
     assert_ring_tables_match_full_rows,
     full_row_cocycle_outcome,
+    oracle_centralizer_displacement,
+    oracle_endo_from_centralizer_displacement,
     oracle_fiber_endos,
+    oracle_induced_quotient_endo,
     oracle_kernel_fixing_endos,
+    oracle_quotient_endo_displacement,
+    oracle_quotient_endo_from_displacement,
 )
 
 
@@ -251,21 +257,33 @@ def test_action_preserving_quotient_endos_monoid():
 def test_centralizer_displacement_round_trip():
     ext = _product_extension()
     cd = centralizer_extension(ext)
-    for vals in kernel_fixing_endos(ext):
-        phi = centralizer_displacement(cd, vals)
-        back = endo_from_centralizer_displacement(cd, phi)
-        assert (back == vals).all()
+    endos = np.stack(kernel_fixing_endos(ext))
+    phis = centralizer_displacements(cd, endos)
+    for phi in phis:
+        CrossedHom(ext.q_group, cd.c_sub.group, cd.q_action_on_c, phi)
+    assert (endos_from_centralizer_displacements(cd, phis) == endos).all()
 
 
 def test_induced_quotient_endo_and_displacement_round_trip():
     ext = _product_extension()
     cd = centralizer_extension(ext)
-    for vals in kernel_fixing_endos(ext):
-        down = induced_quotient_endo(ext, vals)
-        GroupHom(ext.q_group, ext.q_group, down)
-        tau = quotient_endo_displacement(cd, down)
-        back = quotient_endo_from_displacement(cd, tau)
-        assert (back == down).all()
+    down = induced_quotient_endos(ext, kernel_fixing_endos(ext))
+    for vals in down:
+        GroupHom(ext.q_group, ext.q_group, vals)
+    taus = quotient_endo_displacements(cd, down)
+    assert (quotient_endos_from_displacements(cd, taus) == down).all()
+
+
+def test_stacked_maps_take_empty_stacks():
+    ext = _product_extension()
+    cd = centralizer_extension(ext)
+    q, g = ext.q_group.order, ext.g_group.order
+    for stacked, width in ((centralizer_displacements(cd, []), q),
+                           (endos_from_centralizer_displacements(cd, []), g),
+                           (induced_quotient_endos(ext, []), q),
+                           (quotient_endo_displacements(cd, []), q),
+                           (quotient_endos_from_displacements(cd, []), q)):
+        assert stacked.shape == (0, width) and stacked.dtype == np.int64
 
 
 def test_induced_quotient_endo_rejects_non_descending_map():
@@ -273,7 +291,7 @@ def test_induced_quotient_endo_rejects_non_descending_map():
     g = ext.g_group
     # a cyclic shift of the element indices does not respect the projection
     with pytest.raises(ValidationError):
-        induced_quotient_endo(ext, np.roll(np.arange(g.order), 1))
+        induced_quotient_endos(ext, [np.roll(np.arange(g.order), 1)])
 
 
 def test_displacement_escape_is_detected():
@@ -283,8 +301,27 @@ def test_displacement_escape_is_detected():
     # is itself a reflection, outside the rotation centralizer
     alpha = np.arange(ext.g_group.order, dtype=np.int64)
     alpha[ext.section[1]] = 2
-    with pytest.raises(ValidationError):
-        centralizer_displacement(cd, alpha)
+    with pytest.raises(ValidationError, match="escapes the kernel centralizer") as info:
+        centralizer_displacements(cd, [np.arange(ext.g_group.order), alpha])
+    assert info.value.witness == 1
+
+
+
+def test_stacked_maps_raise_for_the_first_member_then_its_first_check():
+    """A later member failing an earlier check does not mask an earlier
+    member failing a later one: the error is the first member's, as looping
+    the per-map form over the members gives."""
+    ext = dihedral_extension(3)
+    cd = centralizer_extension(ext)
+    ident = np.arange(ext.g_group.order, dtype=np.int64)
+    moves_e = ident.copy()
+    moves_e[0] = ext.i.values[1]  # its displacement at e is a rotation: no crossed hom
+    escapes = ident.copy()
+    escapes[ext.section[1]] = 2
+    with pytest.raises(ValidationError, match="must send identity to identity"):
+        centralizer_displacements(cd, [ident, moves_e, escapes])
+    with pytest.raises(ValidationError, match="escapes the kernel centralizer"):
+        centralizer_displacements(cd, [ident, escapes, moves_e])
 
 
 # ------------------------------------------------- full-row dual-route oracles
@@ -422,3 +459,133 @@ def test_fiber_endo_ring_names_the_first_member_that_does_not_integrate(monkeypa
                        match="displacement does not integrate to an endomorphism") as exc:
         fiber_endo_ring(dihedral_extension(4))
     assert exc.value.witness.tolist() == tampered[3]
+
+
+# ------------------------------------- stacked centralizer maps vs per-map oracles
+
+
+def _z1_stack(source, module, action):
+    return np.stack([phi.values for phi in enumerate_z1(source, module, action)])
+
+
+def _centralizer_stacks(ext):
+    """(cd, [(stacked form, per-map oracle, valid input stack)]) for the five
+    maps of the centralizer layer, each on the member set it maps in
+    `verify_centralizer_sequence`."""
+    cd = centralizer_extension(ext)
+    b_set = np.stack(kernel_fixing_endos(ext))
+    c_set = np.stack(action_preserving_quotient_endos(ext))
+    q = ext.q_group
+    return cd, [
+        (centralizer_displacements, oracle_centralizer_displacement, b_set),
+        (endos_from_centralizer_displacements, oracle_endo_from_centralizer_displacement,
+         _z1_stack(q, cd.c_sub.group, cd.q_action_on_c)),
+        (lambda cd, maps: induced_quotient_endos(cd.ext, maps),
+         lambda cd, v: oracle_induced_quotient_endo(cd.ext, v), b_set),
+        (quotient_endo_displacements, oracle_quotient_endo_displacement, c_set),
+        (quotient_endos_from_displacements, oracle_quotient_endo_from_displacement,
+         _z1_stack(q, cd.qbar_group, cd.q_action_on_qbar)),
+    ]
+
+
+def test_stacked_centralizer_maps_match_the_per_map_oracles():
+    """Each stacked form gives, on its whole member set, the table of the
+    per-map oracle run member by member: on the default catalog, D3-D12 and
+    both split V4-by-A4 extensions."""
+    exts = [e.materialize() for e in default_catalog() if e.kind == "extension"]
+    exts += [dihedral_extension(n) for n in range(3, 13)] + split_v4_by_a4()
+    for ext in exts:
+        cd, stacks = _centralizer_stacks(ext)
+        for stacked, oracle, members in stacks:
+            got = stacked(cd, members)
+            assert got.dtype == np.int64, ext.name
+            assert got.tolist() == [oracle(cd, v).tolist() for v in members], ext.name
+
+
+def _outcome(call):
+    """("ok", table) when call returns, else (text, witness) of its
+    ValidationError, with array witnesses as lists."""
+    try:
+        return "ok", np.asarray(call()).tolist()
+    except ValidationError as exc:
+        w = exc.witness
+        return str(exc), w.tolist() if isinstance(w, np.ndarray) else w
+
+
+def _looped_outcome(oracle, cd, members):
+    """What looping the per-map oracle over the members gives: the first
+    member's error, or the stack of their tables."""
+    tables = []
+    for v in members:
+        got = _outcome(lambda: oracle(cd, v))
+        if got[0] != "ok":
+            return got
+        tables.append(got[1])
+    return "ok", tables
+
+
+_MUTATION_CASES = [_centralizer_stacks(ext) for ext in (
+    dihedral_extension(3), dihedral_extension(4), _product_extension(),
+    *(e.materialize() for e in default_catalog()
+      if e.name in ("C2xD3 product", "C2 by C2xC2, class (1, 1, 1)",
+                    "C4 by C2, action 0, class (1,)")))]
+
+
+def _mutate(data, cd, form, row, target):
+    """Change one value table in place: one cell, two swapped values, a value
+    outside the centralizer or the action kernel, a row that does not
+    descend, or a whole fiber moved to another coset; or leave it."""
+    ext = cd.ext
+    g, q, pv = ext.g_group, ext.q_group, ext.p.values
+    x = data.draw(st.integers(0, len(row) - 1))
+    kinds = ["none", "cell", "swap"] + {0: ["outside"], 2: ["descent", "fiber"],
+                                        3: ["outside"]}.get(form, [])
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "cell":
+        row[x] = data.draw(st.integers(0, target.order - 1))
+    elif kind == "swap":
+        y = data.draw(st.integers(0, len(row) - 1))
+        row[x], row[y] = row[y], row[x]
+    elif kind == "outside":
+        # a value whose displacement leaves the centralizer (at x = u(q)) or
+        # the kernel of the action (at x)
+        grp, layer = (g, cd.c_sub.embedding.values) if form == 0 else (q, cd.qbar_in_q.values)
+        if form == 0:
+            x = int(ext.section[data.draw(st.integers(0, q.order - 1))])
+        outside = [a for a in range(grp.order) if grp.table[a, grp.inverse[x]] not in layer]
+        if outside:
+            row[x] = data.draw(st.sampled_from(outside))
+    elif kind == "descent":
+        # another element of the fiber of x goes elsewhere in the quotient
+        fiber = [a for a in ext.fiber(int(pv[x])) if a != x]
+        moved = [a for a in range(g.order) if pv[a] != pv[row[x]]]
+        if fiber and moved:
+            row[data.draw(st.sampled_from(fiber))] = data.draw(st.sampled_from(moved))
+    elif kind == "fiber":
+        # the fiber of x goes, as a whole, into one other coset
+        coset = ext.fiber(data.draw(st.integers(0, q.order - 1)))
+        for a in ext.fiber(int(pv[x])):
+            row[a] = data.draw(st.sampled_from(list(coset)))
+    return kind
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.data())
+def test_stacked_centralizer_maps_raise_the_per_map_first_error(data):
+    """One member of a valid stack changed by `_mutate`, or two members (so
+    that a later member may fail an earlier check), gives the stacked form
+    the error text and witness that looping its per-map oracle over the
+    members raises first."""
+    cd, stacks = data.draw(st.sampled_from(_MUTATION_CASES))
+    form = data.draw(st.integers(0, len(stacks) - 1))
+    stacked, oracle, members = stacks[form]
+    members = members.copy()
+    ext = cd.ext
+    target = (ext.g_group, cd.c_sub.group, ext.q_group, ext.q_group, cd.qbar_group)[form]
+    rows = data.draw(st.lists(st.integers(0, len(members) - 1), min_size=1, max_size=2,
+                              unique=True))
+    kinds = [_mutate(data, cd, form, members[k], target) for k in rows]
+    got = _outcome(lambda: stacked(cd, members))
+    assert got == _looped_outcome(oracle, cd, members)
+    if set(kinds) == {"none"}:
+        assert got[0] == "ok"

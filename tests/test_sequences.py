@@ -1,12 +1,13 @@
 """Sequence verifiers: every report passes on honest data and fails on broken data."""
 
+import sys
 from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cohomoring import ValidationError
+from cohomoring import ValidationError, groups
 from cohomoring.catalog import (
     CatalogEntry,
     catalog_from_json,
@@ -22,14 +23,18 @@ from cohomoring.cohomology2 import (
     h2_order,
     inflation,
 )
+from cohomoring.endo_rings import (action_preserving_quotient_endos, induced_quotient_endos,
+                                   kernel_fixing_endos)
 from cohomoring.extension import (
     build_extension,
+    centralizer_extension,
     extension_from_cocycle,
     extension_to_json,
 )
 from cohomoring.groups import (
     FiniteGroup,
     GroupHom,
+    TableIndex,
     enumerate_actions,
     make_cyclic,
     make_direct_product,
@@ -38,6 +43,9 @@ from cohomoring.groups import (
 )
 from cohomoring.rings import check_ideal, quotient_ring, zn_ring
 from cohomoring.verify import (
+    _closure_witness,
+    _descent_witness,
+    _first_pair,
     verify_all,
     verify_aut_centralizer_sequence,
     verify_aut_five_term,
@@ -46,7 +54,8 @@ from cohomoring.verify import (
     verify_five_term,
     verify_qr_sequence,
 )
-from ring_oracles import assert_ring_tables_match_full_rows
+from ring_oracles import (assert_ring_tables_match_full_rows, oracle_closure_witness,
+                          oracle_descent_witness)
 
 
 def _c4_over_c2():
@@ -382,3 +391,76 @@ def test_relabelling_the_middle_group_changes_no_invariant(data):
     h2q2 = compute_h2(ext2.q_group, ext2.n_group, ext2.action)
     assert h2q2.invariant_factors == h2q.invariant_factors
     assert h2q.reduce(ext2.classifying_cocycle()) == klass
+
+
+def test_centralizer_verifiers_certify_each_member_set_at_once(monkeypatch):
+    """The three centralizer-layer verifiers make as many `_hom_rows` calls on
+    D3 as on D12, though D12 has more kernel-fixing and action-preserving
+    endomorphisms: each member set is certified by one call, never one call
+    per member."""
+    calls = []
+    real = groups._hom_rows
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cohomoring") and getattr(module, "_hom_rows", None) is real:
+            monkeypatch.setattr(module, "_hom_rows", counting)
+    counts, sizes = [], []
+    for n in (3, 12):
+        ext = dihedral_extension(n)
+        cd = centralizer_extension(ext)
+        h2q = compute_h2(ext.q_group, ext.n_group, ext.action)
+        endos = dict(b_all=kernel_fixing_endos(ext), c_all=action_preserving_quotient_endos(ext))
+        sizes.append((len(endos["b_all"]), len(endos["c_all"])))
+        calls.clear()
+        reports = [verify_centralizer_sequence(ext, cd=cd, h2q=h2q, **endos),
+                   verify_aut_centralizer_sequence(ext, cd=cd, h2q=h2q, **endos),
+                   verify_crossed_hom_sequence(ext, cd=cd, h2q=h2q)]
+        assert all(r.ok for r in reports)
+        counts.append(len(calls))
+    assert sizes[0] != sizes[1]
+    assert counts[0] == counts[1], (sizes, counts)
+
+
+@pytest.mark.parametrize("cells", [None, 1, 100])
+def test_pair_witnesses_match_the_member_loops(monkeypatch, cells):
+    """The blocked pair scans name the first pair (x, y), in (x, y) order,
+    that the member-by-member loops they replace name, at any block size:
+    on random masks, on kernel-fixing endos with one member left out, and on
+    descents with one member's descent made trivial."""
+    if cells is not None:
+        monkeypatch.setattr(groups, "_SEARCH_BLOCK_CELLS", cells)
+    rng = np.random.default_rng(0)
+    for size in range(1, 7):
+        members = rng.integers(0, 5, size=(size, 3))
+        for density in (0.0, 0.1, 0.5):
+            mask = rng.random((size, size)) < density
+            hits = [(x, y) for x in range(size) for y in range(size) if mask[x, y]]
+            want = (members[hits[0][0]].tolist(), members[hits[0][1]].tolist()) if hits else None
+            assert _first_pair(members, lambda rows: mask[rows]) == want
+            names = [f"m{k}" for k in range(size)]
+            assert _first_pair(members, lambda rows: mask[rows], names=names) == (
+                None if not hits else (names[hits[0][0]], names[hits[0][1]]))
+    failures = [0, 0]
+    _, i, p = make_direct_product(make_cyclic(3), make_cyclic(4))
+    for ext in (dihedral_extension(4), dihedral_extension(6), build_extension(i, p)):
+        g = ext.g_group
+        b_set = np.stack(kernel_fixing_endos(ext))
+        index = TableIndex(b_set, g.core_generators, g.order)
+        assert _closure_witness(index) is None
+        for drop in range(1, len(b_set)):
+            part = TableIndex(np.delete(b_set, drop, axis=0), g.core_generators, g.order)
+            assert _closure_witness(part) == oracle_closure_witness(part)
+            failures[0] += oracle_closure_witness(part) is not None
+        induced = induced_quotient_endos(ext, b_set)
+        assert _descent_witness(ext, b_set, induced) is None
+        for k in range(len(b_set)):
+            wrong = induced.copy()
+            wrong[k] = 0  # the trivial endomorphism of the quotient
+            want = oracle_descent_witness(ext, b_set, wrong)
+            assert _descent_witness(ext, b_set, wrong) == want
+            failures[1] += want is not None
+    assert min(failures) > 0
