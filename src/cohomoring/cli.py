@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import List, Optional
 
@@ -77,11 +78,12 @@ def _resolve_extension(args) -> AbelianExtension:
 
 
 def _product_group(spec: str) -> FiniteGroup:
-    try:
-        factors = [int(tok) for tok in spec.split(",") if tok.strip()]
-    except ValueError:
+    tokens = spec.split(",")
+    # int() alone would also take "2_0", " 2", "+2" and non-ASCII digits
+    if not all(re.fullmatch(r"-?[0-9]+", tok) for tok in tokens):
         raise ValidationError(f"product spec must be comma-separated integers, got {spec!r}")
-    if not factors or any(f < 1 for f in factors):
+    factors = [int(tok) for tok in tokens]
+    if any(f < 1 for f in factors):
         raise ValidationError(f"product spec needs positive factors, got {spec!r}")
     g = make_cyclic(factors[0])
     name = f"C{factors[0]}"

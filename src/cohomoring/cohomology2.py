@@ -25,7 +25,10 @@ from .groups import (
     GroupHom,
     _bfs_words,
     _descend,
+    _hom_error,
+    _hom_rows,
     _positions,
+    _raise_first,
     _search_generator_images,
 )
 from .linalg import (
@@ -197,17 +200,28 @@ def pushforward_values(cocycle: TwoCocycle, endos) -> np.ndarray:
     """Value tables [b, x, y] of the cocycle composed with each endos[b], an
     equivariant additive map of the module; each is certified a cocycle.
 
-    The maps are checked in order, each additive and then equivariant, so
-    the first bad map raises the error `pushforward` gives it.
+    The whole stack is certified at once: additivity by one `_hom_rows`
+    call, equivariance against the core generators of the pair group (the
+    elements a map commutes with are closed under products).  The first
+    bad map, checked in range, additive and then equivariant, raises the
+    error `pushforward` gives it.
     """
     n = cocycle.n_group
     act = cocycle.action.table
     maps = np.asarray(endos, dtype=np.int64)
-    for vals in maps:
-        GroupHom(n, n, vals)  # additivity
-        if not (act[:, vals] == vals[act]).all():
-            raise ValidationError("module map does not commute with the pair-group action")
-    out = maps.reshape(len(maps), n.order)[:, cocycle.values]
+    if len(maps) and maps.shape[1:] != (n.order,):
+        raise ValidationError(f"hom needs {n.order} values, got shape {maps.shape[1:]}")
+    maps = maps.reshape(len(maps), n.order)
+    in_range = ((maps >= 0) & (maps < n.order)).all(axis=1)
+    maps_in = np.where(in_range[:, None], maps, 0)  # the zero map passes both laws
+    additive = _hom_rows(n, n, maps_in)
+    gens = act[list(cocycle.q_group.core_generators)]  # [s, m] = s . m
+    equivariant = (maps_in[:, gens] == np.moveaxis(gens[:, maps_in], 1, 0)).all(axis=(1, 2))
+    _raise_first([
+        (~in_range, "hom values out of range", None),
+        (~additive, lambda k: _hom_error(n, n, maps[k]), None),
+        (~equivariant, "module map does not commute with the pair-group action", None)])
+    out = maps[:, cocycle.values]
     _check_cocycles(cocycle.q_group, n, cocycle.action, out)
     return out
 

@@ -38,6 +38,7 @@ from .groups import (
     _hom_rows,
     _is_bijective,
     _positions,
+    _raise_first,
     enumerate_endos,
 )
 from .linalg import _unique_rows
@@ -64,8 +65,13 @@ class ModuleEndoRing:
     index: TableIndex
 
     def locate(self, values) -> int:
-        k = int(self.index.find(values))
-        if k < 0:
+        return int(self.locate_all(np.asarray(values)[None])[0])
+
+    def locate_all(self, stack) -> np.ndarray:
+        """Positions of the maps in `stack` (last axis: value tables), found
+        by one `TableIndex.find`; any miss raises."""
+        k = self.index.find(stack)
+        if (k < 0).any():
             raise ValidationError("map is not an equivariant endomorphism of the module")
         return k
 
@@ -161,22 +167,6 @@ class FiberEndoRing:
         return self.module_ring.locate(self.restriction_values(k))
 
 
-def _raise_first(checks: List[tuple]) -> None:
-    """Raise the error of the first failing (member, check) of a stack.
-
-    checks lists (fails, error, witnesses) in the order one map is checked:
-    fails[k] marks member k failing the check.  Its error is error(k) when
-    error is callable, else ValidationError(error) with witness witnesses[k],
-    or none when witnesses is None.
-    """
-    fails = np.stack([check[0] for check in checks], axis=1)
-    if fails.any():
-        k, c = map(int, np.argwhere(fails)[0])
-        _, error, witnesses = checks[c]
-        raise error(k) if callable(error) else ValidationError(
-            error, witness=None if witnesses is None else witnesses[k])
-
-
 def fiber_endo_ring(ext: AbelianExtension) -> FiberEndoRing:
     """Build the twisted endomorphism ring of an extension, with cross-checks.
 
@@ -237,7 +227,7 @@ def fiber_endo_ring(ext: AbelianExtension) -> FiberEndoRing:
         raise ValidationError("kernel-fixing members do not form a square-zero ideal")
 
     module_ring = equivariant_endo_ring(n, ext.action)
-    res = RingHom(ring, module_ring.ring, [module_ring.locate(r) for r in disps[:, ivals]])
+    res = RingHom(ring, module_ring.ring, module_ring.locate_all(disps[:, ivals]))
 
     aut = np.flatnonzero(_is_bijective(stacked))
     qr_indices = quasi_regular_indices(ring)

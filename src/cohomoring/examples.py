@@ -224,7 +224,7 @@ def dihedral_report(n: int) -> ExampleReport:
     zn = zn_ring(n)
     mr = fe.module_ring
     arange = np.arange(n, dtype=np.int64)
-    phi = np.array([mr.locate((m * arange) % n) for m in range(n)], dtype=np.int64)
+    phi = mr.locate_all((arange[:, None] * arange) % n)
     mod_ok = (
         mr.ring.order == n
         and len(set(phi.tolist())) == n

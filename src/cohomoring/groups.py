@@ -299,6 +299,31 @@ def _hom_rows(source: FiniteGroup, target: FiniteGroup, vals: np.ndarray,
     return (vals[:, 0] == 0) & (vals[:, source._core_right] == law).all(axis=(1, 2))
 
 
+def _hom_error(source: FiniteGroup, target: FiniteGroup, v: np.ndarray) -> ValidationError:
+    """The error naming the first pair where the values v, refused by
+    `_hom_rows`, break the homomorphism law; some pair fails exactly when
+    the certificate does."""
+    bad = v[source.table] != target.table[v[:, None], v[None, :]]
+    a, b = map(int, np.argwhere(bad)[0])
+    return ValidationError(f"not a homomorphism at pair ({a},{b})", witness=(a, b))
+
+
+def _raise_first(checks: List[tuple]) -> None:
+    """Raise the error of the first failing (member, check) of a stack.
+
+    checks lists (fails, error, witnesses) in the order one map is checked:
+    fails[k] marks member k failing the check.  Its error is error(k) when
+    error is callable, else ValidationError(error) with witness witnesses[k],
+    or none when witnesses is None.
+    """
+    fails = np.stack([check[0] for check in checks], axis=1)
+    if fails.any():
+        k, c = map(int, np.argwhere(fails)[0])
+        _, error, witnesses = checks[c]
+        raise error(k) if callable(error) else ValidationError(
+            error, witness=None if witnesses is None else witnesses[k])
+
+
 class GroupHom:
     """A homomorphism between table groups, stored as a value array.
 
@@ -323,11 +348,7 @@ class GroupHom:
         if self.values.min() < 0 or self.values.max() >= target.order:
             raise ValidationError("hom values out of range")
         if validate and not _hom_rows(source, target, self.values[None])[0]:
-            # some pair fails exactly when the certificate does
-            v = self.values
-            bad = v[source.table] != target.table[v[:, None], v[None, :]]
-            a, b = map(int, np.argwhere(bad)[0])
-            raise ValidationError(f"not a homomorphism at pair ({a},{b})", witness=(a, b))
+            raise _hom_error(source, target, self.values)
 
     def apply(self, a: int) -> int:
         return int(self.values[a])
@@ -810,40 +831,73 @@ class TableIndex:
     """Positions of value tables that differ at `positions`, as maps fixed by
     their values on generators do.
 
-    A table is keyed by the mixed-radix int64 code of its values (below
-    radix) at `positions`.  `find` looks the code up and then compares the
-    full row, so agreeing at `positions` alone is not a hit.  `find_keys`
-    looks up the code alone; a caller may use it only where it has proved
-    that the table behind each key is a member, for then the key names it.
+    The index is a prefix trie over the key positions (Knuth, TAOCP vol. 3,
+    6.3, digital searching) with a dense transition table per level:
+    `levels[j]` holds (prefix nodes + 1) * radix cells, and cell node * radix
+    + v holds the node of that prefix extended by value v; at the last level
+    it holds the member position itself.  A missing extension leads to the
+    extra sink row of the next level, all of whose cells lead on to the next
+    sink and, at the last level, read -1.  `find` walks the trie and then
+    compares the full row, so agreeing at `positions` alone is not a hit.
+    `find_keys` walks the trie alone; a caller may use it only where it has
+    proved that the table behind each key is a member, for then the key
+    names it.
     """
 
     def __init__(self, tables, positions: Sequence[int], radix: int):
         self.tables = np.asarray(tables, dtype=np.int64)
         self.positions = np.asarray(positions, dtype=np.int64)
-        if radix ** len(self.positions) > np.iinfo(np.int64).max:
-            raise BudgetExceeded(
-                f"codes of {len(self.positions)} values below {radix} do not fit in int64")
-        self.weights = radix ** np.arange(len(self.positions) - 1, -1, -1, dtype=np.int64)
+        self.radix = radix
         self.keys = self.tables[:, self.positions]
-        codes = self.keys @ self.weights
-        self.order = np.argsort(codes, kind="stable")
-        self.codes = codes[self.order]
-        if (self.codes[1:] == self.codes[:-1]).any():
+        if self.tables.size and (self.tables.min() < 0 or self.tables.max() >= radix):
+            raise ValidationError(f"indexed table values must lie in [0, {radix})")
+        members, width = self.keys.shape
+        if members == 0:
+            raise ValidationError("an index needs at least one table")
+        if width == 0 and members > 1:
             raise ValidationError("indexed tables agree on every key position")
+        self.levels: List[np.ndarray] = []
+        node = np.zeros(members, dtype=np.int64)  # prefix node of each member
+        nodes = 1
+        for j in range(width):
+            cell = node * radix + self.keys[:, j]
+            order = np.argsort(cell, kind="stable")
+            cell = cell[order]
+            fresh = np.ones(members, dtype=bool)
+            fresh[1:] = cell[1:] != cell[:-1]
+            last = j == width - 1
+            if last and not fresh.all():
+                raise ValidationError("indexed tables agree on every key position")
+            # sort-and-cumsum ids number the extended prefixes
+            ids = order if last else np.cumsum(fresh) - 1
+            sink = -1 if last else int(fresh.sum())
+            level = np.full((nodes + 1) * radix, sink, dtype=np.int64)
+            level[cell] = ids
+            node[order] = ids
+            nodes = sink
+            self.levels.append(level)
 
     def find_keys(self, keys) -> np.ndarray:
-        """Member position of each key (last axis: the values at `positions`),
-        -1 where no member has that key."""
-        codes = np.asarray(keys, dtype=np.int64) @ self.weights
-        at = np.minimum(np.searchsorted(self.codes, codes), len(self.codes) - 1)
-        return np.where(self.codes[at] == codes, self.order[at], -1)
+        """Member position of each key (last axis: the values at `positions`,
+        each in [0, radix)), -1 where no member has that key: one gather per
+        key position."""
+        keys = np.asarray(keys, dtype=np.int64)
+        if not self.levels:  # the empty key names the only member
+            return np.zeros(keys.shape[:-1], dtype=np.int64)
+        node = np.take(self.levels[0], keys[..., 0])
+        for j in range(1, len(self.levels)):
+            node *= self.radix
+            node += keys[..., j]
+            node = np.take(self.levels[j], node)
+        return node
 
     def find(self, rows) -> np.ndarray:
         """Member position of each table in `rows` (last axis), -1 where absent."""
         rows = np.asarray(rows, dtype=np.int64)
         if rows.shape[-1:] != self.tables.shape[1:]:
             return np.full(rows.shape[:-1], -1, dtype=np.int64)
-        hit = self.find_keys(rows[..., self.positions])
+        # a value outside [0, radix) is clipped to a key the full compare refuses
+        hit = self.find_keys(np.clip(rows[..., self.positions], 0, self.radix - 1))
         return np.where((hit >= 0) & (self.tables[hit] == rows).all(axis=-1), hit, -1)
 
     def find_pairs(self, pair_keys) -> np.ndarray:

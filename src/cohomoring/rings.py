@@ -63,6 +63,7 @@ class FiniteRing:
                                      name=f"{name}+" if name else "")
         self.labels = self.add_group.labels
         self._validate()
+        self._quasi_regular: Optional[np.ndarray] = None  # see quasi_regular_indices
 
     def _validate(self) -> None:
         """Prove the ring axioms for all elements from the additive generators.
@@ -286,8 +287,14 @@ def _quasi_regular(star: np.ndarray) -> np.ndarray:
 
 
 def quasi_regular_indices(ring: FiniteRing) -> List[int]:
-    """Elements with a two-sided inverse under the circle operation."""
-    return _quasi_regular(star_table(ring)).tolist()
+    """Elements with a two-sided inverse under the circle operation.
+
+    The indices are found once per ring and kept on it; the order^2 circle
+    table they come from is not kept.
+    """
+    if ring._quasi_regular is None:
+        ring._quasi_regular = _quasi_regular(star_table(ring))
+    return ring._quasi_regular.tolist()
 
 
 def quasi_regular_group(ring: FiniteRing) -> Tuple[FiniteGroup, np.ndarray]:

@@ -10,7 +10,8 @@ as the code it replaced.  `_z1_full_scan` finds crossed homomorphisms by
 testing every value table, where the package searches generator images.
 `oracle_lift_scan_witness` compares the connecting class under every section
 of the central quotient, where the package checks single-point changes of
-the least lift.
+the least lift.  `oracle_pushforward` checks one module map at a time, where
+the package certifies the stack.
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ import numpy as np
 from cohomoring import ValidationError, verify
 from cohomoring.cocycles import CrossedHom
 from cohomoring.groups import _descend, _positions
+from table_oracles import old_group_hom_outcome
 
 
 def oracle_connecting_values(q_group, tau_values, c_group, pi, n_in_c, q_action_on_c,
@@ -156,6 +158,21 @@ def _z1_full_scan(source, module, action):
             law = tm[vals[:, x], act[x, vals[:, y]]]
             mask &= law == vals[:, ts[x, y]]
     return [CrossedHom(source, module, action, row, validate=False) for row in vals[mask]]
+
+
+def oracle_pushforward(cocycle, values):
+    """One map's pushforward values as `pushforward_values` checked a map
+    before it certified stacks: the old `GroupHom` sweep of all pairs, then
+    equivariance under every element of the pair group."""
+    n = cocycle.n_group
+    got = old_group_hom_outcome(n, n, values)
+    if got != "ok":
+        raise ValidationError(got[0], witness=got[1])
+    vals = np.asarray(values, dtype=np.int64)
+    act = cocycle.action.table
+    if not (act[:, vals] == vals[act]).all():
+        raise ValidationError("module map does not commute with the pair-group action")
+    return vals[cocycle.values]
 
 
 def first_error(calls):

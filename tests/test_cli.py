@@ -52,9 +52,11 @@ def test_group_load_and_json(tmp_path, capsys):
 
 
 def test_group_bad_product_spec(capsys):
-    code, _, err = _run(capsys, "group", "--product", "3,x")
-    assert code == 2
-    assert "error:" in err
+    # int() alone reads "2_0" as 20 and the empty tokens were dropped
+    for spec in ["3,x", "2_0", "2,,3", ",2", "3,", " 3", "+3", "\u0663"]:
+        code, _, err = _run(capsys, "group", "--product", spec)
+        assert code == 2, spec
+        assert err == f"error: product spec must be comma-separated integers, got {spec!r}\n"
 
 
 def test_extension_dihedral(capsys):

@@ -17,19 +17,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cohomoring import groups, verify
+from cohomoring import ValidationError, groups, verify
 from cohomoring.budgets import current_budgets
 from cohomoring.catalog import default_catalog
 from cohomoring.cocycles import enumerate_z1
-from cohomoring.cohomology2 import _check_cocycles, compute_h2, connecting_values
+from cohomoring.cohomology2 import (_check_cocycles, compute_h2, connecting_values,
+                                    pushforward_values)
 from cohomoring.endo_rings import (action_preserving_quotient_endos, fiber_endo_ring,
                                    quotient_endo_displacements)
 from cohomoring.extension import centralizer_extension
+from cohomoring.groups import enumerate_actions, enumerate_endos, make_cyclic, make_direct_product
 from cocycle_oracles import (
     first_error,
     oracle_check_cocycle,
     oracle_connecting_values,
     oracle_lift_scan_witness,
+    oracle_pushforward,
     oracle_reduce,
     outcome,
 )
@@ -262,3 +265,47 @@ def test_stacked_primitives_raise_the_oracle_first_error(data):
         assert got == want
         if got is None:
             assert _rows(h2.reduce_values(vals)) == [oracle_reduce(h2, v) for v in vals]
+
+
+def _pushforward_cases():
+    """(cocycle, module endomorphisms) pairs: a catalog class, and a class of
+    C2 swapping the factors of C2xC2, where some endomorphisms are not
+    equivariant."""
+    cases = []
+    ext = _CATALOG["C2 by C2xC2, class (1, 1, 1)"]
+    cases.append((ext.classifying_cocycle(), ext.n_group))
+    q, v4 = make_cyclic(2), make_direct_product(make_cyclic(2), make_cyclic(2))[0]
+    swap = next(a for a in enumerate_actions(q, v4) if not a.is_trivial())
+    cases.append((list(compute_h2(q, v4, swap).classes())[-1][1], v4))
+    return [(f, np.stack([h.values for h in enumerate_endos(n)])) for f, n in cases]
+
+
+_PUSHFORWARD_CASES = _pushforward_cases()
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.data())
+def test_pushforward_stack_raises_the_per_map_first_error(data):
+    """A stack of module maps (some not equivariant, up to two with one
+    value changed, in or out of range) gives the values, or the first error
+    and witness, of the per-map loop."""
+    f, endos = data.draw(st.sampled_from(_PUSHFORWARD_CASES))
+    m = f.n_group.order
+    rows = data.draw(st.lists(st.integers(0, len(endos) - 1), min_size=0, max_size=6))
+    maps = endos[rows].reshape(len(rows), m).copy()
+    for _ in range(data.draw(st.integers(0, 2)) if len(rows) else 0):
+        b, x = data.draw(st.integers(0, len(rows) - 1)), data.draw(st.integers(0, m - 1))
+        maps[b, x] = data.draw(st.integers(-1, m))
+    got = outcome(lambda: pushforward_values(f, maps))
+    want = first_error([partial(oracle_pushforward, f, v) for v in maps])
+    assert got == want
+    if got is None:
+        assert pushforward_values(f, maps).tolist() == [
+            oracle_pushforward(f, v).tolist() for v in maps]
+
+
+def test_pushforward_stack_refuses_a_wrong_width():
+    f, endos = _PUSHFORWARD_CASES[1]
+    with pytest.raises(ValidationError, match=r"hom needs 4 values, got shape \(3,\)"):
+        pushforward_values(f, endos[:, :3])
+    assert pushforward_values(f, endos[:0]).shape == (0, f.q_group.order, f.q_group.order)

@@ -23,6 +23,7 @@ from cohomoring.endo_rings import (
 from cohomoring.extension import build_extension, centralizer_extension
 from cohomoring.groups import (
     GroupHom,
+    TableIndex,
     enumerate_actions,
     enumerate_homs,
     inversion_action,
@@ -162,6 +163,26 @@ def test_ideal_members_fix_kernel_and_square_to_zero():
     for a in fe.ideal_indices:
         for b in fe.ideal_indices:
             assert fe.ring.mul_table[a, b] == 0
+
+
+def test_fiber_endo_ring_looks_members_up_as_one_stack(monkeypatch):
+    """`fiber_endo_ring` makes as many `TableIndex.find` calls on D3 as on
+    D12: the kernel restrictions of all members are located at once."""
+    calls = []
+    real = TableIndex.find
+
+    def counting(self, rows):
+        calls.append(1)
+        return real(self, rows)
+
+    monkeypatch.setattr(TableIndex, "find", counting)
+    counts, sizes = [], []
+    for n in (3, 12):
+        calls.clear()
+        sizes.append(fiber_endo_ring(dihedral_extension(n)).size)
+        counts.append(len(calls))
+    assert sizes == [9, 144]
+    assert counts[0] == counts[1], counts
 
 
 def test_invertibles_are_quasi_regulars_and_automorphisms():

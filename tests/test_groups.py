@@ -1,12 +1,16 @@
-"""Group core: construction laws, homs, subgroup machinery, actions, JSON."""
+"""Group core: construction laws, homs, subgroup machinery, actions, JSON,
+and the value-table index."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cohomoring import ValidationError
+from cohomoring import ValidationError, groups
 from cohomoring.extension import build_extension
 from cohomoring.groups import (
     FiniteGroup,
     GroupHom,
+    TableIndex,
     aut_group,
     center,
     centralizer,
@@ -276,3 +280,70 @@ def test_group_json_round_trip():
         group_from_json(data_bad)
     with pytest.raises(ValidationError):
         group_from_json({"table": [[0]]})
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.data())
+def test_table_index_matches_a_dict_oracle(data):
+    """`find`, `find_keys` and `find_pairs` against dicts keyed by the full
+    row and by the key, on random tables: absent keys, rows with values
+    below 0 or at or above radix, repeated keys, no key positions and a
+    single member."""
+    radix = data.draw(st.integers(1, 5), label="radix")
+    width = data.draw(st.integers(1, 5), label="width")
+    positions = data.draw(st.lists(st.integers(0, width - 1), unique=True), label="positions")
+    members = data.draw(st.integers(1, 10), label="members")
+    values = st.lists(st.integers(0, radix - 1), min_size=width, max_size=width)
+    tables = np.array(data.draw(st.lists(values, min_size=members, max_size=members),
+                                label="tables"), dtype=np.int64).reshape(members, width)
+    keys = [tuple(row) for row in tables[:, positions].tolist()]
+    if len(set(keys)) < members:
+        with pytest.raises(ValidationError, match="agree on every key position"):
+            TableIndex(tables, positions, radix)
+        return
+    index = TableIndex(tables, positions, radix)
+    by_row = {tuple(row): k for k, row in enumerate(tables.tolist())}
+    by_key = {key: k for k, key in enumerate(keys)}
+
+    wild = st.lists(st.integers(-2, radix + 1) | st.just(10 ** 6),
+                    min_size=width, max_size=width)
+    rows = data.draw(st.lists(wild | st.sampled_from(tables.tolist()), max_size=8), label="rows")
+    rows = np.array(rows, dtype=np.int64).reshape(len(rows), width)
+    assert index.find(rows).tolist() == [by_row.get(tuple(r), -1) for r in rows.tolist()]
+    for r in rows:
+        assert int(index.find(r)) == by_row.get(tuple(r.tolist()), -1)
+    assert index.find(np.zeros((2, width + 1), dtype=np.int64)).tolist() == [-1, -1]
+
+    key = st.lists(st.integers(0, radix - 1), min_size=len(positions), max_size=len(positions))
+    probes = data.draw(st.lists(key | st.sampled_from(keys), max_size=8), label="keys")
+    probes = np.array(probes, dtype=np.int64).reshape(len(probes), len(positions))
+    assert index.find_keys(probes).tolist() == [by_key.get(tuple(p), -1) for p in probes.tolist()]
+
+    pair_keys = np.array(data.draw(st.lists(key | st.sampled_from(keys),
+                                            min_size=members ** 2, max_size=members ** 2),
+                                   label="pair keys"), dtype=np.int64)
+    pair_keys = pair_keys.reshape(members, members, len(positions))
+    want = [[by_key.get(tuple(p), -1) for p in row] for row in pair_keys.tolist()]
+    cells = data.draw(st.sampled_from([1, 7, groups._SEARCH_BLOCK_CELLS]), label="block cells")
+    saved, groups._SEARCH_BLOCK_CELLS = groups._SEARCH_BLOCK_CELLS, cells
+    try:
+        assert index.find_pairs(lambda block: pair_keys[block]).tolist() == want
+    finally:
+        groups._SEARCH_BLOCK_CELLS = saved
+
+
+def test_table_index_edge_cases():
+    one = TableIndex([[2, 0, 1]], [], 3)
+    assert one.find([2, 0, 1]) == 0 and one.find([2, 0, 2]) == -1
+    assert one.find_keys(np.zeros((4, 0), dtype=np.int64)).tolist() == [0] * 4
+    with pytest.raises(ValidationError, match="agree on every key position"):
+        TableIndex([[0, 1], [1, 0]], [], 2)
+    with pytest.raises(ValidationError, match="agree on every key position"):
+        TableIndex([[0, 1, 1], [0, 1, 0]], [1, 0], 2)
+    with pytest.raises(ValidationError, match=r"values must lie in \[0, 2\)"):
+        TableIndex([[0, 2]], [0], 2)
+    for positions in ([], [1]):
+        with pytest.raises(ValidationError, match="at least one table"):
+            TableIndex(np.zeros((0, 2), dtype=np.int64), positions, 2)
+    index = TableIndex([[0, 1], [1, 1]], [0], 2)
+    assert index.find([[10 ** 6, 1], [-1, 1], [1, 1]]).tolist() == [-1, -1, 1]

@@ -393,7 +393,8 @@ def test_powers_that_never_return_are_refused_promptly():
     assert run.stdout.strip() == old[0]
 
 
-@pytest.mark.parametrize("argv", [["examples", "ring432"], ["examples", "dihedral", "24"]])
+@pytest.mark.parametrize("argv", [["examples", "ring432"], ["examples", "dihedral", "24"],
+                                  ["verify", "--json"]])
 def test_examples_do_not_import_numpy_ma(argv):
     code = ("import io, contextlib, sys\n"
             "from cohomoring.cli import main\n"
