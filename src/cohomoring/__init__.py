@@ -90,6 +90,7 @@ from .rings import (
 )
 from .verify import (
     ExactnessReport,
+    ExtensionData,
     SequenceCheck,
     verify_all,
     verify_aut_centralizer_sequence,

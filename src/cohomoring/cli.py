@@ -25,11 +25,6 @@ from typing import List, Optional
 from .catalog import catalog_from_json, default_catalog, dihedral_extension, sweep
 from .cocycles import enumerate_z1
 from .cohomology2 import compute_h2
-from .endo_rings import (
-    action_preserving_quotient_endos,
-    fiber_endo_ring,
-    kernel_fixing_endos,
-)
 from .errors import BudgetExceeded, GuardExceeded, ValidationError
 from .examples import dihedral_report, ring432_construct, ring432_report
 from .extension import AbelianExtension, extension_from_json, extension_to_json
@@ -43,7 +38,7 @@ from .groups import (
     make_direct_product,
 )
 from .rings import quasi_regular_indices, ring_from_json, ring_to_json, unit_group, zn_ring
-from .verify import _jsonable
+from .verify import ExtensionData, _jsonable
 
 __all__ = ["main"]
 
@@ -263,10 +258,9 @@ def cmd_h2(args) -> int:
 
 def cmd_endo(args) -> int:
     ext = _resolve_extension(args)
-    fe = fiber_endo_ring(ext)
+    shared = ExtensionData(ext)
+    fe = shared.fe
     res_image = len(set(int(v) for v in fe.res.values))
-    kf = kernel_fixing_endos(ext)
-    ap = action_preserving_quotient_endos(ext)
     data = {
         "instance": ext.name,
         "quotient_identity_endos": fe.ring.order,
@@ -274,8 +268,8 @@ def cmd_endo(args) -> int:
         "invertible_members": int(len(fe.aut_indices)),
         "equivariant_kernel_endo_ring_order": fe.module_ring.ring.order,
         "restriction_image_size": res_image,
-        "kernel_fixing_endos": len(kf),
-        "action_preserving_quotient_endos": len(ap),
+        "kernel_fixing_endos": len(shared.b_all),
+        "action_preserving_quotient_endos": len(shared.c_all),
     }
     if args.json:
         _emit_json(data)

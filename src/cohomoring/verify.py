@@ -28,6 +28,7 @@ and quotient Q:
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -58,7 +59,7 @@ from .endo_rings import (
 )
 from .extension import AbelianExtension, CentralizerData, centralizer_extension
 from .groups import FiniteGroup, TableIndex, _descend, _is_bijective, _positions
-from .rings import FiniteRing, RingHom, quasi_regular_indices, star_table, subring_from_indices
+from .rings import FiniteRing, RingHom, quasi_regular_indices, subring_from_indices
 
 
 def _jsonable(obj):
@@ -173,25 +174,70 @@ def _instance_name(ext: AbelianExtension) -> str:
             f"{ext.q_group.name or ext.q_group.order}")
 
 
+@dataclass
+class ExtensionData:
+    """What the five verifiers of one extension share, each built once, on
+    first use.  The three centralizer-layer sequences end in one connecting
+    map Z1(Q, Qbar) -> H2(Q,N) (Brown, Cohomology of Groups, IV.3), whose
+    classes at the least lift are `delta`, one row per row of `z1qbar`."""
+
+    ext: AbelianExtension
+
+    @cached_property
+    def fe(self) -> FiberEndoRing:
+        return fiber_endo_ring(self.ext)
+
+    @cached_property
+    def h2q(self) -> H2Group:
+        return compute_h2(self.ext.q_group, self.ext.n_group, self.ext.action)
+
+    @cached_property
+    def cd(self) -> CentralizerData:
+        return centralizer_extension(self.ext)
+
+    @cached_property
+    def b_all(self) -> np.ndarray:
+        return np.asarray(kernel_fixing_endos(self.ext))
+
+    @cached_property
+    def c_all(self) -> np.ndarray:
+        return np.asarray(action_preserving_quotient_endos(self.ext))
+
+    @cached_property
+    def eta(self) -> np.ndarray:
+        return _eta_coefficients(self.fe, self.h2q, self.ext.classifying_cocycle())
+
+    @cached_property
+    def z1c(self) -> np.ndarray:
+        return _z1_table(self.ext.q_group, self.cd.c_sub.group, self.cd.q_action_on_c)
+
+    @cached_property
+    def z1qbar(self) -> np.ndarray:
+        return _z1_table(self.ext.q_group, self.cd.qbar_group, self.cd.q_action_on_qbar)
+
+    @cached_property
+    def z1qbar_index(self) -> TableIndex:
+        return TableIndex(self.z1qbar, self.ext.q_group.core_generators, self.cd.qbar_group.order)
+
+    @cached_property
+    def delta(self) -> np.ndarray:
+        return _base_classes(self.ext, self.cd, self.h2q, self.z1qbar)
+
+
 # ------------------------------------------------------------ five-term (ring)
 
 
-def _eta_coefficients(fe: FiberEndoRing, h2q: H2Group,
-                      f_ext: TwoCocycle) -> List[Tuple[int, ...]]:
-    """Class coefficients of the pushforward of the classifying cocycle along
-    every equivariant kernel endomorphism, built, certified and reduced in
-    blocks of stacked value tables."""
+def _eta_coefficients(fe: FiberEndoRing, h2q: H2Group, f_ext: TwoCocycle) -> np.ndarray:
+    """[b, r] class coefficients of the pushforward of the classifying cocycle
+    along each equivariant kernel endomorphism b, built, certified and
+    reduced in blocks of stacked value tables."""
     h2q.check_data(f_ext.q_group, f_ext.n_group, f_ext.action)
     endos = np.asarray(fe.module_ring.elements, dtype=np.int64)
-    out: List[Tuple[int, ...]] = []
-    for rows in _row_blocks(len(endos), f_ext.q_group.order ** 2):
-        classes = h2q.reduce_values(pushforward_values(f_ext, endos[rows]))
-        out.extend(tuple(c) for c in classes.tolist())
-    return out
+    return np.concatenate([h2q.reduce_values(pushforward_values(f_ext, endos[rows]))
+                           for rows in _row_blocks(len(endos), f_ext.q_group.order ** 2)])
 
 
-def verify_five_term(ext: AbelianExtension, fe: Optional[FiberEndoRing] = None,
-                     h2q: Optional[H2Group] = None,
+def verify_five_term(data: ExtensionData,
                      check_h2g: Optional[bool] = None) -> ExactnessReport:
     """Verify the five-term ring sequence of the extension.
 
@@ -201,15 +247,12 @@ def verify_five_term(ext: AbelianExtension, fe: Optional[FiberEndoRing] = None,
     group is within `h2g_max_group_order`; True also shows it above that
     order (raising on budget); False skips both.
     """
-    fe = fe or fiber_endo_ring(ext)
-    h2q = h2q or compute_h2(ext.q_group, ext.n_group, ext.action)
+    ext, fe, h2q = data.ext, data.fe, data.h2q
     report = ExactnessReport("five-term endomorphism ring sequence", _instance_name(ext))
 
     mr = fe.module_ring
     ideal = set(int(k) for k in fe.ideal_indices)
-    f_ext = ext.classifying_cocycle()
-    eta = _eta_coefficients(fe, h2q, f_ext)
-    zero_class = h2q.zero()
+    eta = data.eta
 
     show_h2g = check_h2g or (
         check_h2g is None and ext.g_group.order <= current_budgets().h2g_max_group_order)
@@ -232,15 +275,8 @@ def verify_five_term(ext: AbelianExtension, fe: Optional[FiberEndoRing] = None,
     mul_ok = bool((rv[fe.ring.mul_table] == mr.ring.mul_table[rv[:, None], rv[None, :]]).all())
     report.add("displacement restriction is a ring homomorphism", add_ok and mul_ok,
                detail="both operations rechecked on full tables")
-    factors = np.asarray(h2q.invariant_factors, dtype=np.int64)
-    eta_arr = np.asarray(eta, dtype=np.int64).reshape(mr.ring.order, -1)
-    addm = mr.ring.add_table
-    if factors.size:
-        sums = (eta_arr[:, None, :] + eta_arr[None, :, :]) % factors[None, None, :]
-        additive = bool((eta_arr[addm] == sums).all())
-    else:
-        additive = True
-    report.add("transgression is additive", additive,
+    sums = (eta[:, None, :] + eta[None, :, :]) % np.asarray(h2q.invariant_factors, dtype=np.int64)
+    report.add("transgression is additive", bool((eta[mr.ring.add_table] == sums).all()),
                detail="pushforward classes add across the module sum")
 
     # Exactness at the ideal: the inclusion is injective by construction.
@@ -256,7 +292,7 @@ def verify_five_term(ext: AbelianExtension, fe: Optional[FiberEndoRing] = None,
 
     # Exactness at the module endos: kernel of the transgression equals the
     # image of the displacement restriction.
-    ker_eta = {b for b in range(mr.ring.order) if tuple(eta[b]) == zero_class}
+    ker_eta = set(np.flatnonzero(~eta.any(axis=1)).tolist())
     im_res = {int(v) for v in rv}
     _set_equal(report, "equivariant kernel endos", ker_eta, im_res,
                detail="kernel of transgression vs restricted displacements")
@@ -266,7 +302,7 @@ def verify_five_term(ext: AbelianExtension, fe: Optional[FiberEndoRing] = None,
     if check_h2g is False:
         report.skip("H2(Q,N)", "middle-group cohomology not checked")
     else:
-        im_eta = {tuple(e) for e in eta}
+        im_eta = {tuple(e) for e in eta.tolist()}
         ker_inf = set()
         for coeffs, rep in h2q.classes():
             if coboundary_preimage(inflation(rep, ext.p, ext.g_action)) is not None:
@@ -283,7 +319,8 @@ def verify_qr_sequence(ring: FiniteRing, ideal_indices, proj: RingHom,
                        instance: str = "") -> ExactnessReport:
     """Verify 0 -> I -> QR(R) -> QR(S) -> 0 for a ring surjection with
     square-zero kernel I, plus the lifting property: any element whose image
-    is quasi-regular is quasi-regular."""
+    is quasi-regular is quasi-regular.  No circle table is built: proj's
+    `RingHom` certificate proves a + b + ab preserved on its source, `ring`."""
     report = ExactnessReport("quasi-regular extension sequence",
                              instance or (ring.name or f"ring of order {ring.order}"))
     target = proj.target
@@ -316,10 +353,7 @@ def verify_qr_sequence(ring: FiniteRing, ideal_indices, proj: RingHom,
     _set_equal(report, "quasi-regulars of the image", im_p2, qr_s,
                detail="induced map is onto the target quasi-regulars")
 
-    st_r = star_table(ring)
-    st_s = star_table(target)
-    hom = bool((pv[st_r] == st_s[pv[:, None], pv[None, :]]).all())
-    report.add("induced map preserves the adjoint product", hom)
+    report.add("induced map preserves the adjoint product", proj.source is ring)
 
     report.nodes = [
         ("ideal", len(ideal)),
@@ -329,20 +363,15 @@ def verify_qr_sequence(ring: FiniteRing, ideal_indices, proj: RingHom,
     return report
 
 
-def verify_aut_five_term(ext: AbelianExtension, fe: Optional[FiberEndoRing] = None,
-                         h2q: Optional[H2Group] = None) -> ExactnessReport:
+def verify_aut_five_term(data: ExtensionData) -> ExactnessReport:
     """Verify the restriction of the five-term sequence to invertible members,
     and cross-check it against the quasi-regular route through the ideal."""
-    fe = fe or fiber_endo_ring(ext)
-    h2q = h2q or compute_h2(ext.q_group, ext.n_group, ext.action)
+    ext, fe, h2q = data.ext, data.fe, data.h2q
     report = ExactnessReport("five-term automorphism sequence", _instance_name(ext))
 
     mr = fe.module_ring
     ideal = set(int(k) for k in fe.ideal_indices)
     aut = set(int(k) for k in fe.aut_indices)
-    f_ext = ext.classifying_cocycle()
-    eta = _eta_coefficients(fe, h2q, f_ext)
-    zero_class = h2q.zero()
     one = mr.ring.one
     assert one is not None
 
@@ -385,8 +414,7 @@ def verify_aut_five_term(ext: AbelianExtension, fe: Optional[FiberEndoRing] = No
     _set_equal(report, "invertible quotient-identity endos", ker_rho, aut_ideal,
                detail="kernel of restriction vs invertible ideal members")
     im_rho = set(rho.values())
-    ker_eta_aut = {u for u in module_aut
-                   if tuple(eta[int(mr.ring.sub(u, one))]) == zero_class}
+    ker_eta_aut = {u for u in module_aut if not data.eta[int(mr.ring.sub(u, one))].any()}
     _set_equal(report, "invertible equivariant kernel endos", ker_eta_aut, im_rho,
                detail="displaced-transgression kernel vs restricted invertibles")
 
@@ -502,31 +530,36 @@ def _descent_witness(ext: AbelianExtension, m: np.ndarray,
         ext.p.values[m[rows][:, lifted]] != induced[rows][:, induced]).any(axis=2))
 
 
-def verify_centralizer_sequence(ext: AbelianExtension,
-                                cd: Optional[CentralizerData] = None,
-                                h2q: Optional[H2Group] = None,
-                                b_all: Optional[List[np.ndarray]] = None,
-                                c_all: Optional[List[np.ndarray]] = None) -> ExactnessReport:
-    """Verify the pointed endomorphism sequence through the kernel centralizer.
+def _connecting_fiber(report: ExactnessReport, position: str, data: ExtensionData,
+                      taus: np.ndarray, descent: np.ndarray, detail: str) -> np.ndarray:
+    """Check the fiber over zero of the connecting map on taus (data.delta)
+    against descent; return each tau's row in data.z1qbar, -1 (failing the
+    check, the tau its witness) where absent."""
+    pos = data.z1qbar_index.find(taus)
+    if (pos < 0).any():
+        report.add(position, False, detail=detail,
+                   witness=taus[int(np.argmax(pos < 0))].tolist())
+    else:
+        fiber = set(np.flatnonzero(~data.delta[pos].any(axis=1)).tolist())
+        _set_equal(report, position, fiber, set(descent.tolist()), detail=detail)
+    return pos
 
-    b_all and c_all, when given, are kernel_fixing_endos(ext) and
-    action_preserving_quotient_endos(ext).  Each map of `endo_rings` between
-    a node and its crossed-hom layer runs once on a whole member set, and the
-    quotient displacements serve both the round trip and the connecting
-    classes, which are built, certified and reduced as stacks at the least
-    lift and after each single-point change of it (`_lift_witness`).
-    """
-    cd = cd or centralizer_extension(ext)
-    h2q = h2q or compute_h2(ext.q_group, ext.n_group, ext.action)
+
+def verify_centralizer_sequence(data: ExtensionData) -> ExactnessReport:
+    """Verify the pointed endomorphism sequence through the kernel centralizer.
+    Each map of `endo_rings` between a node and its crossed-hom layer runs
+    once on a whole member set; the connecting classes come from data.delta
+    at the least lift and from `_lift_witness` after each change of it."""
+    ext, cd, h2q = data.ext, data.cd, data.h2q
     report = ExactnessReport("pointed endomorphism sequence of the centralizer layer",
                              _instance_name(ext))
     q = ext.q_group
 
     # Sets are indexed; set members below are their positions in b_set / c_set.
-    b_set = kernel_fixing_endos(ext) if b_all is None else b_all
+    b_set = data.b_all
     pv = ext.p.values
-    a_set = {k for k, v in enumerate(b_set) if (pv[v] == pv).all()}
-    c_set = action_preserving_quotient_endos(ext) if c_all is None else c_all
+    a_set = set(np.flatnonzero((pv[b_set] == pv).all(axis=1)).tolist())
+    c_set = data.c_all
     b_index = TableIndex(b_set, ext.g_group.core_generators, ext.g_group.order)
     c_index = TableIndex(c_set, q.core_generators, q.order)
 
@@ -548,20 +581,18 @@ def verify_centralizer_sequence(ext: AbelianExtension,
     report.add("descent is a monoid homomorphism", wit is None, witness=wit)
 
     # Displacement bijections against the crossed-homomorphism layers.
-    z1c = _z1_table(q, cd.c_sub.group, cd.q_action_on_c)
     phis = centralizer_displacements(cd, b_index.tables)
     round_b = (endos_from_centralizer_displacements(cd, phis) == b_index.tables).all()
-    lifted = b_index.find(endos_from_centralizer_displacements(cd, z1c))
+    lifted = b_index.find(endos_from_centralizer_displacements(cd, data.z1c))
     report.add("kernel-fixing endos match centralizer crossed homs",
                round_b and set(lifted.tolist()) == set(range(len(b_set))),
-               len(b_set), len(z1c))
-    z1qbar = _z1_table(q, cd.qbar_group, cd.q_action_on_qbar)
+               len(b_set), len(data.z1c))
     taus = quotient_endo_displacements(cd, c_index.tables)
     round_c = (quotient_endos_from_displacements(cd, taus) == c_index.tables).all()
-    lifted_c = c_index.find(quotient_endos_from_displacements(cd, z1qbar))
+    lifted_c = c_index.find(quotient_endos_from_displacements(cd, data.z1qbar))
     report.add("quotient endos match central-layer crossed homs",
                round_c and set(lifted_c.tolist()) == set(range(len(c_set))),
-               len(c_set), len(z1qbar))
+               len(c_set), len(data.z1qbar))
 
     # Pointed exactness.
     report.add("kernel-and-quotient-fixing endos", True, 1, None,
@@ -570,42 +601,33 @@ def verify_centralizer_sequence(ext: AbelianExtension,
     _set_equal(report, "kernel-fixing endos", fiber_b, a_set,
                detail="fiber of descent over id vs included endos")
 
-    delta = _base_classes(ext, cd, h2q, taus)
-    fiber_c = set(np.flatnonzero(~delta.any(axis=1)).tolist())
-    _set_equal(report, "action-preserving quotient endos", fiber_c, set(descent.tolist()),
-               detail="fiber of the connecting map over zero vs descended endos")
+    pos = _connecting_fiber(report, "action-preserving quotient endos", data, taus, descent,
+                            detail="fiber of the connecting map over zero vs descended endos")
 
     # The class must not depend on which section of the central quotient lifts.
-    wit = _lift_witness(ext, cd, h2q, c_set, taus, delta)
+    found = pos >= 0
+    wit = _lift_witness(ext, cd, h2q, c_set[found], taus[found], data.delta[pos[found]])
     sections = ext.n_group.order ** (cd.qbar_group.order - 1)
     report.add("connecting class is lift independent", wit is None,
                detail=f"{sections} sections per endo", witness=wit)
     return report
 
 
-def verify_aut_centralizer_sequence(ext: AbelianExtension,
-                                    cd: Optional[CentralizerData] = None,
-                                    h2q: Optional[H2Group] = None,
-                                    b_all: Optional[List[np.ndarray]] = None,
-                                    c_all: Optional[List[np.ndarray]] = None
-                                    ) -> ExactnessReport:
+def verify_aut_centralizer_sequence(data: ExtensionData) -> ExactnessReport:
     """Verify the invertible-member version of the centralizer sequence,
     where every node is a group and every map but the connecting one is a
-    group homomorphism.  b_all and c_all are as in
-    verify_centralizer_sequence, and each map runs once on a member set."""
-    cd = cd or centralizer_extension(ext)
-    h2q = h2q or compute_h2(ext.q_group, ext.n_group, ext.action)
+    group homomorphism.  Each map runs once on a member set, and the
+    connecting classes are read from data.delta."""
+    ext, cd, h2q = data.ext, data.cd, data.h2q
     report = ExactnessReport("automorphism sequence of the centralizer layer",
                              _instance_name(ext))
     g = ext.g_group
     q = ext.q_group
     pv = ext.p.values
 
-    b_all = np.asarray(kernel_fixing_endos(ext) if b_all is None else b_all)
-    aut_b = b_all[_is_bijective(b_all)]
+    aut_b = data.b_all[_is_bijective(data.b_all)]
     aut_a = aut_b[(pv[aut_b] == pv).all(axis=1)]
-    c_all = np.asarray(action_preserving_quotient_endos(ext) if c_all is None else c_all)
-    aut_c = c_all[_is_bijective(c_all)]
+    aut_c = data.c_all[_is_bijective(data.c_all)]
     a_index = TableIndex(aut_a, g.core_generators, g.order)
     b_index = TableIndex(aut_b, g.core_generators, g.order)
     c_index = TableIndex(aut_c, q.core_generators, q.order)
@@ -644,39 +666,30 @@ def verify_aut_centralizer_sequence(ext: AbelianExtension,
     _set_equal(report, "invertible kernel-fixing endos", fiber_b, in_a,
                detail="kernel of descent vs included automorphisms")
 
-    delta = _base_classes(ext, cd, h2q, quotient_endo_displacements(cd, aut_c))
-    fiber_c = set(np.flatnonzero(~delta.any(axis=1)).tolist())
-    _set_equal(report, "invertible action-preserving quotient endos",
-               fiber_c, set(descent.tolist()),
-               detail="fiber of the connecting map over zero vs descended automorphisms")
+    _connecting_fiber(report, "invertible action-preserving quotient endos", data,
+                      quotient_endo_displacements(cd, aut_c), descent,
+                      detail="fiber of the connecting map over zero vs descended automorphisms")
     return report
 
 
 # ------------------------------------------- crossed homomorphism layer (cex)
 
 
-def verify_crossed_hom_sequence(ext: AbelianExtension,
-                                cd: Optional[CentralizerData] = None,
-                                h2q: Optional[H2Group] = None) -> ExactnessReport:
+def verify_crossed_hom_sequence(data: ExtensionData) -> ExactnessReport:
     """Verify the pointed crossed-homomorphism sequence of the central layer
     kernel -> centralizer -> central quotient, ending in H2(Q,N).  The maps
     are one gather through cd.n_in_c and one through cd.pi, certified by
     `centralizer_extension` as equivariant homomorphisms: a crossed hom
     composed with one is a crossed hom, so nothing is re-certified."""
-    cd = cd or centralizer_extension(ext)
-    h2q = h2q or compute_h2(ext.q_group, ext.n_group, ext.action)
+    ext, cd, h2q = data.ext, data.cd, data.h2q
     report = ExactnessReport("crossed-homomorphism sequence of the central layer",
                              _instance_name(ext))
-    q = ext.q_group
 
-    z1n = _z1_table(q, ext.n_group, ext.action)
-    z1c = _z1_table(q, cd.c_sub.group, cd.q_action_on_c)
-    z1qbar = _z1_table(q, cd.qbar_group, cd.q_action_on_qbar)
-
+    z1n = _z1_table(ext.q_group, ext.n_group, ext.action)
     report.nodes = [
         ("crossed homs into the kernel", len(z1n)),
-        ("crossed homs into the centralizer", len(z1c)),
-        ("crossed homs into the central quotient", len(z1qbar)),
+        ("crossed homs into the centralizer", len(data.z1c)),
+        ("crossed homs into the central quotient", len(data.z1qbar)),
         ("H2(Q,N)", h2q.order),
     ]
 
@@ -684,13 +697,12 @@ def verify_crossed_hom_sequence(ext: AbelianExtension,
     report.add("crossed homs into the kernel", len(emb) == len(z1n), 1, len(emb),
                detail="embedding is injective")
 
-    proj = cd.pi.values[z1c]
-    ker_proj = {phi.tobytes() for phi, img in zip(z1c, proj) if not img.any()}
+    proj = cd.pi.values[data.z1c]
+    ker_proj = {phi.tobytes() for phi, img in zip(data.z1c, proj) if not img.any()}
     _set_equal(report, "crossed homs into the centralizer", ker_proj, emb,
                detail="kernel of projection vs embedded crossed homs")
 
-    delta = _base_classes(ext, cd, h2q, z1qbar)
-    ker_delta = {tau.tobytes() for tau, cls in zip(z1qbar, delta) if not cls.any()}
+    ker_delta = {tau.tobytes() for tau, cls in zip(data.z1qbar, data.delta) if not cls.any()}
     im_proj = {img.tobytes() for img in proj}
     _set_equal(report, "crossed homs into the central quotient", ker_delta, im_proj,
                detail="fiber of the connecting map over zero vs projected crossed homs")
@@ -702,18 +714,9 @@ def verify_crossed_hom_sequence(ext: AbelianExtension,
 
 def verify_all(ext: AbelianExtension,
                check_h2g: Optional[bool] = None) -> List[ExactnessReport]:
-    """Run every sequence verifier on one extension, sharing the heavy parts."""
-    fe = fiber_endo_ring(ext)
-    h2q = compute_h2(ext.q_group, ext.n_group, ext.action)
-    cd = centralizer_extension(ext)
-    reports = [
-        verify_five_term(ext, fe=fe, h2q=h2q, check_h2g=check_h2g),
-        verify_aut_five_term(ext, fe=fe, h2q=h2q),
-    ]
-    endos = dict(b_all=kernel_fixing_endos(ext),
-                 c_all=action_preserving_quotient_endos(ext))
-    return reports + [
-        verify_centralizer_sequence(ext, cd=cd, h2q=h2q, **endos),
-        verify_aut_centralizer_sequence(ext, cd=cd, h2q=h2q, **endos),
-        verify_crossed_hom_sequence(ext, cd=cd, h2q=h2q),
-    ]
+    """Run every sequence verifier on one extension, sharing one ExtensionData."""
+    data = ExtensionData(ext)
+    data.fe, data.h2q, data.cd  # in this order: a failed row reports the first error
+    return [verify_five_term(data, check_h2g=check_h2g), verify_aut_five_term(data),
+            verify_centralizer_sequence(data), verify_aut_centralizer_sequence(data),
+            verify_crossed_hom_sequence(data)]

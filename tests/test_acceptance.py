@@ -54,6 +54,7 @@ from cohomoring.rings import (
     zn_ring,
 )
 from cohomoring.verify import (
+    ExtensionData,
     verify_aut_centralizer_sequence,
     verify_aut_five_term,
     verify_centralizer_sequence,
@@ -389,7 +390,7 @@ def test_criterion_3_five_term_over_catalog():
     nonsplit = [e for e in exts if not e.is_split()]
     assert len(nonsplit) >= 2
     for ext in exts:
-        rep = verify_five_term(ext)
+        rep = verify_five_term(ExtensionData(ext))
         assert rep.ok, f"{ext.name}:\n" + "\n".join(rep.lines())
     elapsed = time.monotonic() - start
     assert elapsed < 300.0, f"catalog run took {elapsed:.2f}s, bound is 300s"
@@ -481,13 +482,14 @@ def test_criterion_5_quasi_regular_groups():
 def test_criterion_6_remaining_sequences_exhaustive():
     exts = _extensions()
     for ext in exts:
-        aut = verify_aut_five_term(ext)
+        data = ExtensionData(ext)
+        aut = verify_aut_five_term(data)
         assert aut.ok, f"{ext.name}:\n" + "\n".join(aut.lines())
         dual = [c for c in aut.checks if "quasi-regular route" in c.position]
         assert dual and all(c.status == "pass" for c in dual)
-        assert verify_centralizer_sequence(ext).ok, ext.name
-        assert verify_aut_centralizer_sequence(ext).ok, ext.name
-        assert verify_crossed_hom_sequence(ext).ok, ext.name
+        assert verify_centralizer_sequence(data).ok, ext.name
+        assert verify_aut_centralizer_sequence(data).ok, ext.name
+        assert verify_crossed_hom_sequence(data).ok, ext.name
     print(f"[PASS] criterion 6: invertible five-term (with its quasi-regular "
           f"dual route), centralizer and crossed-homomorphism sequences on "
           f"{len(exts)} extensions")

@@ -110,7 +110,7 @@ def test_stacked_classes_match_the_per_object_oracle(monkeypatch, cells):
             for e in fe.module_ring.elements:
                 oracle_check_cocycle(q, n, ext.action, e[f_ext.values])
                 want.append(oracle_reduce(h2, e[f_ext.values]))
-            assert verify._eta_coefficients(fe, h2, f_ext) == want, name
+            assert _rows(verify._eta_coefficients(fe, h2, f_ext)) == want, name
             if not in_scan:
                 continue
             # every section: one stack of taus repeated by sections tiled

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cohomoring import ValidationError, groups
+from cohomoring import ValidationError, groups, rings, verify
 from cohomoring.catalog import (
     CatalogEntry,
+    _verify_ring_entry,
     catalog_from_json,
     default_catalog,
     dihedral_extension,
@@ -43,6 +44,7 @@ from cohomoring.groups import (
 )
 from cohomoring.rings import check_ideal, quotient_ring, zn_ring
 from cohomoring.verify import (
+    ExtensionData,
     _closure_witness,
     _descent_witness,
     _first_pair,
@@ -67,7 +69,7 @@ def _c4_over_c2():
 
 
 def test_five_term_on_dihedral_node_sizes():
-    rep = verify_five_term(dihedral_extension(3))
+    rep = verify_five_term(ExtensionData(dihedral_extension(3)))
     assert rep.ok
     assert rep.nodes == [
         ("kernel-and-quotient-fixing endos", 3),
@@ -81,7 +83,7 @@ def test_five_term_on_dihedral_node_sizes():
 
 
 def test_five_term_skip_marker():
-    rep = verify_five_term(dihedral_extension(4), check_h2g=False)
+    rep = verify_five_term(ExtensionData(dihedral_extension(4)), check_h2g=False)
     assert rep.ok
     assert rep.nodes[-1] == ("H2(G,N)", None)
     assert any(c.status == "skipped" for c in rep.checks)
@@ -91,13 +93,13 @@ def test_five_term_skip_marker():
 def test_five_term_checks_inflation_above_the_node_gate():
     # |G| = 18 is above h2g_max_group_order: the node stays hidden, the
     # exactness check at H2(Q,N) still runs
-    rep = verify_five_term(dihedral_extension(9))
+    rep = verify_five_term(ExtensionData(dihedral_extension(9)))
     assert rep.ok
     assert rep.nodes[-1] == ("H2(G,N)", None)
     assert {c.status for c in rep.checks} == {"pass"}
     assert "H2(Q,N)" in {c.position for c in rep.checks}
     for n, order in ((9, 9), (10, 40)):
-        rep = verify_five_term(dihedral_extension(n), check_h2g=True)
+        rep = verify_five_term(ExtensionData(dihedral_extension(n)), check_h2g=True)
         assert rep.ok
         assert rep.nodes[-1] == ("H2(G,N)", order)
 
@@ -134,7 +136,7 @@ def test_generator_routes_match_full_middle_cohomology():
     cases += [_inflation_case(k)[:2] for k in (4, 5)]
     assert len(cases) >= 25
     for ext, full in cases:
-        rep = verify_five_term(ext)
+        rep = verify_five_term(ExtensionData(ext))
         assert rep.ok
         assert rep.nodes[-1] == ("H2(G,N)", full.order), ext.name
         z1 = len(enumerate_z1(ext.g_group, ext.n_group, ext.g_action))
@@ -165,7 +167,7 @@ def test_coboundary_search_decides_like_full_cohomology(data):
 
 def test_five_term_nonsplit_transgression_is_nontrivial():
     ext = _c4_over_c2()
-    rep = verify_five_term(ext)
+    rep = verify_five_term(ExtensionData(ext))
     assert rep.ok
     # H2(C2, C2, trivial) has two classes and the extension hits the nonzero one
     h2 = compute_h2(ext.q_group, ext.n_group, ext.action)
@@ -177,21 +179,21 @@ def test_five_term_nonsplit_transgression_is_nontrivial():
 
 
 def test_aut_five_term_on_dihedral():
-    rep = verify_aut_five_term(dihedral_extension(6))
+    rep = verify_aut_five_term(ExtensionData(dihedral_extension(6)))
     assert rep.ok
 
 
 def test_aut_five_term_on_nonsplit():
-    rep = verify_aut_five_term(_c4_over_c2())
+    rep = verify_aut_five_term(ExtensionData(_c4_over_c2()))
     assert rep.ok
 
 
 def test_centralizer_sequences():
     for make in (lambda: dihedral_extension(4), _c4_over_c2):
-        ext = make()
-        assert verify_centralizer_sequence(ext).ok
-        assert verify_aut_centralizer_sequence(ext).ok
-        assert verify_crossed_hom_sequence(ext).ok
+        data = ExtensionData(make())
+        assert verify_centralizer_sequence(data).ok
+        assert verify_aut_centralizer_sequence(data).ok
+        assert verify_crossed_hom_sequence(data).ok
 
 
 def test_verify_all_shares_instances():
@@ -203,6 +205,48 @@ def test_verify_all_shares_instances():
     assert len(set(names)) == 5
     for r in reports:
         assert r.instance == "D5 over rotations"
+
+
+def test_verify_all_builds_each_shared_input_once(monkeypatch):
+    """One ExtensionData serves the five verifiers of D6: each shared input is
+    built once, Z^1 is enumerated once per module (N, C and Qbar), and the
+    least-lift connecting classes are built over one member set."""
+    calls = {}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("compute_h2", "fiber_endo_ring", "centralizer_extension"):
+        real = getattr(verify, name)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("cohomoring") and getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting(name, real))
+    for name in ("_eta_coefficients", "_base_classes", "enumerate_z1"):
+        monkeypatch.setattr(verify, name, counting(name, getattr(verify, name)))
+    assert all(r.ok for r in verify_all(dihedral_extension(6)))
+    assert calls == {"compute_h2": 1, "fiber_endo_ring": 1, "centralizer_extension": 1,
+                     "_eta_coefficients": 1, "_base_classes": 1, "enumerate_z1": 3}
+
+
+def test_displacement_missing_from_z1_fails_its_fiber_check():
+    """A displacement that the index over Z1(Q, Qbar) does not find has no
+    connecting class: both centralizer verifiers fail their fiber check over
+    zero with it as the witness, and the lift check covers the others."""
+    ext = next(e.materialize() for e in default_catalog()
+               if e.name == "C2 by C2xC2, class (1, 1, 1)")
+    data = ExtensionData(ext)
+    zero = data.z1qbar[0]
+    assert not zero.any() and len(data.z1qbar) > 1
+    data.z1qbar = data.z1qbar[1:]  # the identity's displacement goes missing
+    reports = [verify_centralizer_sequence(data), verify_aut_centralizer_sequence(data)]
+    checks = [{c.position: c for c in r.checks} for r in reports]
+    for found, position in zip(checks, ("action-preserving quotient endos",
+                                        "invertible action-preserving quotient endos")):
+        assert (found[position].status, found[position].witness) == ("fail", zero.tolist())
+    assert checks[0]["connecting class is lift independent"].status == "pass"
 
 
 def test_qr_sequence_on_mod12():
@@ -222,10 +266,14 @@ def test_qr_sequence_rejects_non_ideal_data():
     wrong = check_ideal(ring, [0, 4, 8])
     rep = verify_qr_sequence(ring, wrong, proj)
     assert not rep.ok
+    # the certificate of proj speaks of its own source, not of an equal copy
+    rep = verify_qr_sequence(zn_ring(12), ideal, proj)
+    assert [c.position for c in rep.checks if c.status == "fail"] == [
+        "induced map preserves the adjoint product"]
 
 
 def test_report_line_format():
-    rep = verify_five_term(dihedral_extension(3))
+    rep = verify_five_term(ExtensionData(dihedral_extension(3)))
     lines = rep.lines()
     assert lines[0] == "sequence: five-term endomorphism ring sequence"
     assert lines[1] == "instance: D3 over rotations"
@@ -237,7 +285,7 @@ def test_report_line_format():
 
 
 def test_report_json_shape():
-    rep = verify_five_term(dihedral_extension(3), check_h2g=False)
+    rep = verify_five_term(ExtensionData(dihedral_extension(3)), check_h2g=False)
     data = rep.to_json()
     assert set(data) == {"sequence", "instance", "nodes", "checks", "ok"}
     assert data["ok"] is True
@@ -328,6 +376,28 @@ def test_catalog_ring_entries():
     assert summary["total"] == 2
 
 
+def test_ring_entry_builds_its_quasi_regular_group_once(monkeypatch):
+    """A ring entry without an ideal builds its circle table and its
+    quasi-regular group once, and reads the node size from that group."""
+    counts = {"star_table": 0, "FiniteGroup": 0}
+    real_star, real_init = rings.star_table, FiniteGroup.__init__
+
+    def star(ring):
+        counts["star_table"] += 1
+        return real_star(ring)
+
+    def init(self, *args, **kwargs):
+        counts["FiniteGroup"] += 1
+        real_init(self, *args, **kwargs)
+
+    ring = zn_ring(12)
+    monkeypatch.setattr(rings, "star_table", star)
+    monkeypatch.setattr(FiniteGroup, "__init__", init)
+    [report] = _verify_ring_entry("mod-12 ring", ring, None)
+    assert counts == {"star_table": 1, "FiniteGroup": 1}
+    assert report.ok and report.nodes == [("quasi-regulars of the ring", 4)]
+
+
 def test_sweep_flags_non_square_zero_ring_ideal():
     ring = zn_ring(12)
     from cohomoring.rings import ring_to_json
@@ -347,7 +417,7 @@ def test_five_term_exactness_across_action_classes():
             h2 = compute_h2(q, c6, action)
             for coeffs, rep_coc in h2.classes():
                 ext = extension_from_cocycle(rep_coc)
-                rep = verify_five_term(ext)
+                rep = verify_five_term(ExtensionData(ext))
                 assert rep.ok, (q_ord, coeffs)
 
 
@@ -410,15 +480,12 @@ def test_centralizer_verifiers_certify_each_member_set_at_once(monkeypatch):
             monkeypatch.setattr(module, "_hom_rows", counting)
     counts, sizes = [], []
     for n in (3, 12):
-        ext = dihedral_extension(n)
-        cd = centralizer_extension(ext)
-        h2q = compute_h2(ext.q_group, ext.n_group, ext.action)
-        endos = dict(b_all=kernel_fixing_endos(ext), c_all=action_preserving_quotient_endos(ext))
-        sizes.append((len(endos["b_all"]), len(endos["c_all"])))
+        data = ExtensionData(dihedral_extension(n))
+        data.cd, data.h2q  # built before counting, as verify_all does
+        sizes.append((len(data.b_all), len(data.c_all)))
         calls.clear()
-        reports = [verify_centralizer_sequence(ext, cd=cd, h2q=h2q, **endos),
-                   verify_aut_centralizer_sequence(ext, cd=cd, h2q=h2q, **endos),
-                   verify_crossed_hom_sequence(ext, cd=cd, h2q=h2q)]
+        reports = [verify_centralizer_sequence(data), verify_aut_centralizer_sequence(data),
+                   verify_crossed_hom_sequence(data)]
         assert all(r.ok for r in reports)
         counts.append(len(calls))
     assert sizes[0] != sizes[1]

@@ -111,3 +111,15 @@ def test_private_helpers_are_referenced():
     dead = sorted(f"{m}: {name}" for m, tree in trees.items()
                   for name in _private_definitions(tree) - referenced)
     assert not dead, f"private helpers nothing refers to: {', '.join(dead)}"
+
+
+def test_readme_quick_start_runs(capsys):
+    """The first Python block of README.md runs as written and prints what
+    its comments say, so the documented API cannot drift from the package."""
+    readme = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    out = capsys.readouterr().out.splitlines()
+    assert out[:4] == ["16", "4", "8", "True"]
+    assert out[4] == "sequence: five-term endomorphism ring sequence"
+    assert out[-1] == "(2,)"
