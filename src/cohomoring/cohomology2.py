@@ -17,7 +17,6 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .budgets import current_budgets
-from . import groups
 from .errors import BudgetExceeded, ValidationError
 from .groups import (
     ActionTable,
@@ -29,6 +28,7 @@ from .groups import (
     _hom_rows,
     _positions,
     _raise_first,
+    _row_blocks,
     _search_generator_images,
 )
 from .linalg import (
@@ -608,15 +608,15 @@ def _h2_bruteforce(q_group: FiniteGroup, n_group: FiniteGroup,
             values[:, x, yv] = arr % n
             arr = arr // n
     mask = np.ones(m, dtype=bool)
-    step = max(1, groups._SEARCH_BLOCK_CELLS // (q * q))
-    for start in range(0, m, step):  # Light's test, as in TwoCocycle._validate
-        block = values[start:start + step]
-        mask[start:start + step] = ~_cocycle_defects(
+    for rows in _row_blocks(m, q * q):  # Light's test, as in TwoCocycle._validate
+        block = values[rows]
+        mask[rows] = ~_cocycle_defects(
             q_group, n_group, action, block).reshape(len(block), -1).any(axis=1)
     cocycles = values[mask]
     chains = _enumerate_chains(n, q)
     inv = n_group.inverse
-    deltas = np.zeros((chains.shape[0], q, q), dtype=np.int64)
+    # in the kernel table's dtype, like every class key read from `add`
+    deltas = np.zeros((chains.shape[0], q, q), dtype=add.dtype)
     for x in range(q):
         for yv in range(q):
             xy = int(tq[x, yv])
@@ -638,7 +638,7 @@ def _h2_bruteforce(q_group: FiniteGroup, n_group: FiniteGroup,
     order_keys.insert(0, zero_key)
     for cid, key in enumerate(order_keys):
         canon[key] = cid
-    reps = [np.frombuffer(key, dtype=np.int64).reshape(q, q).copy() for key in order_keys]
+    reps = [np.frombuffer(key, dtype=add.dtype).reshape(q, q).copy() for key in order_keys]
     h = len(reps)
     table = np.zeros((h, h), dtype=np.int64)
     for i in range(h):

@@ -39,6 +39,7 @@ from .groups import (
     _is_bijective,
     _positions,
     _raise_first,
+    _row_blocks,
     enumerate_endos,
 )
 from .linalg import _unique_rows
@@ -217,8 +218,10 @@ def fiber_endo_ring(ext: AbelianExtension) -> FiberEndoRing:
     # alpha_a o alpha_b is a quotient-identity endomorphism, hence a member.
     comp = index.find_pairs(lambda rows: stacked[rows][:, keys])
     members = np.arange(size)
-    circle = ring.add_table[ring.add_table[ring.mul_table, members[:, None]], members]
-    if not (comp == circle).all():
+    add = ring.add_table
+    # [a, b]: (ab + a) + b, the circle product, over blocks of rows a
+    if not all((comp[rows] == add[add[ring.mul_table[rows], members[rows, None]], members]).all()
+               for rows in _row_blocks(size, size)):
         raise ValidationError("twisted product disagrees with displacement composition")
 
     ideal = np.flatnonzero(~disps[:, ivals].any(axis=1))

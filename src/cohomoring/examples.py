@@ -17,7 +17,7 @@ import numpy as np
 
 from .catalog import dihedral_extension
 from .errors import ValidationError
-from .groups import FiniteGroup, make_cyclic
+from .groups import FiniteGroup, _in_table_dtype, _row_blocks, make_cyclic
 from .rings import (
     BimoduleAction,
     SemidirectRing,
@@ -168,8 +168,9 @@ def dihedral_report(n: int) -> ExampleReport:
     rep.fact("fiber-preserving endomorphism ring order", size)
 
     # locate members by displacement at the two generators: x sits at group
-    # index 1 (the reflection), y at index 2 (the order-n rotation)
-    f_index = np.full((n, n), -1, dtype=np.int64)
+    # index 1 (the reflection), y at index 2 (the order-n rotation); in the
+    # dtype of the ring's tables, so the size^2 gathers through it stay narrow
+    (f_index,) = _in_table_dtype(size, np.full((n, n), -1))
     pair_of = np.zeros((size, 2), dtype=np.int64)
     for m in range(size):
         psi = fe.displacement(m)
@@ -243,11 +244,11 @@ def dihedral_report(n: int) -> ExampleReport:
     model = dihedral_model_ring(n)
     mem = f_index.reshape(-1)  # model index k*n + l -> member
     sem = model.ring
-    model_ok = (
-        sem.order == size
-        and bool((mem[sem.add_table] == fe.ring.add_table[mem[:, None], mem[None, :]]).all())
-        and bool((mem[sem.mul_table] == fe.ring.mul_table[mem[:, None], mem[None, :]]).all())
-    )
+    model_ok = sem.order == size and all(
+        (mem[model_table[rows]] == table[mem[rows, None], mem]).all()
+        for model_table, table in ((sem.add_table, fe.ring.add_table),
+                                   (sem.mul_table, fe.ring.mul_table))
+        for rows in _row_blocks(size, size))
     rep.check("fiber ring matches the mod-n pair model", model_ok,
               detail="tables transported through (k,l) -> k*n+l")
 

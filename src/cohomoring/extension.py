@@ -28,6 +28,7 @@ from .groups import (
     _conjugation_rows,
     _descend,
     _positions,
+    _in_table_dtype,
     centralizer,
     group_from_json,
     group_to_json,
@@ -174,7 +175,7 @@ def extension_from_cocycle(cocycle: TwoCocycle, name: str = "") -> AbelianExtens
     nn, qn = n_group.order, q_group.order
     order = nn * qn
     f = cocycle.values
-    tn, tq = n_group.table, q_group.table
+    tn, tq = _in_table_dtype(order, n_group.table, q_group.table)
     # index axes [n1, q1, n2, q2], broadcast so that no order^2 index grid is built
     n1 = np.arange(nn)[:, None, None, None]
     q1 = np.arange(qn)[None, :, None, None]

@@ -22,7 +22,11 @@ from .groups import (
     _as_int_array,
     _as_table,
     _hom_rows,
+    _index_table,
+    _integer_input,
     _positions,
+    _row_blocks,
+    _in_table_dtype,
     subgroup_from_indices,
 )
 
@@ -47,20 +51,25 @@ __all__ = [
 
 
 class FiniteRing:
-    """A finite ring given by full addition and multiplication tables."""
+    """A finite ring given by full addition and multiplication tables.
+
+    Both tables are stored in `groups._table_dtype(order)` once range-checked;
+    add_table is the table of add_group itself, not a copy.
+    """
 
     def __init__(self, add_table, mul_table, one: Optional[int] = None,
                  labels: Optional[Sequence[str]] = None, name: str = ""):
         cap = current_budgets().ring_check_max_order
-        self.add_table = _as_table(add_table, "ring addition table")
-        self.mul_table = _as_int_array(mul_table, "ring multiplication table")
-        self.order = self.add_table.shape[0]
+        add_table = _as_table(add_table, "ring addition table")
+        self.mul_table = _integer_input(mul_table, "ring multiplication table")
+        self.order = add_table.shape[0]
         self.one = None if one is None else _as_int(one, "ring identity index")
         self.name = name
         if self.order > cap:
             raise BudgetExceeded(f"ring order {self.order} exceeds check budget {cap}")
-        self.add_group = FiniteGroup(self.add_table, None, labels=labels,
+        self.add_group = FiniteGroup(add_table, None, labels=labels,
                                      name=f"{name}+" if name else "")
+        self.add_table = self.add_group.table
         self.labels = self.add_group.labels
         self._validate()
         self._quasi_regular: Optional[np.ndarray] = None  # see quasi_regular_indices
@@ -81,18 +90,21 @@ class FiniteRing:
         in the order of the full sweep.
         """
         n = self.order
-        add, mul = self.add_table, self.mul_table
-        if mul.shape != (n, n):
+        if self.mul_table.shape != (n, n):
             raise ValidationError(f"multiplication table must be {n}x{n}")
-        if mul.min() < 0 or mul.max() >= n:
-            raise ValidationError("multiplication table entries out of range")
+        self.mul_table = _index_table(self.mul_table, n,
+                                      "multiplication table entries out of range")
+        add, mul = self.add_table, self.mul_table
         if not self.add_group.is_abelian():
             raise ValidationError("ring addition must be commutative")
         if (mul[0] != 0).any() or (mul[:, 0] != 0).any():
             raise ValidationError("zero must annihilate the ring on both sides")
         gens = self.add_group.core_generators
         k = np.asarray(gens, dtype=np.int64)
-        right = any((mul[add[:, g]] != add[mul, mul[g][None, :]]).any() for g in gens)
+        # [a, c]: (a+g)c against ac + gc, over blocks of rows a
+        blocks = _row_blocks(n, n)
+        right = any((mul[add[rows, g]] != add[mul[rows], mul[g]]).any()
+                    for g in gens for rows in blocks)
         rows = mul[k]  # [i, x] = k_i x
         ab = mul[k[:, None], k]  # [i, j] = k_i k_j
         # [i, x, j]: k_i (x + k_j) against k_i x + k_i k_j
@@ -258,8 +270,9 @@ def quotient_ring(ring: FiniteRing, ideal_indices) -> Tuple[FiniteRing, RingHom]
     q_add_group, proj = group_quotient(ring.add_group, sub)
     h = q_add_group.order
     pv = proj.values
-    lifted = pv[ring.mul_table]
-    mul_q = np.zeros((h, h), dtype=np.int64)
+    (pv_h,) = _in_table_dtype(h, pv)
+    lifted = pv_h[ring.mul_table]
+    mul_q = np.zeros((h, h), dtype=lifted.dtype)
     mul_q[pv[:, None], pv[None, :]] = lifted
     bad = mul_q[pv[:, None], pv[None, :]] != lifted
     if bad.any():
@@ -276,8 +289,13 @@ def quotient_ring(ring: FiniteRing, ideal_indices) -> Tuple[FiniteRing, RingHom]
 
 
 def star_table(ring: FiniteRing) -> np.ndarray:
-    """Full table of the circle operation a + b + ab."""
-    return ring.add_table[ring.add_table, ring.mul_table]
+    """Full table of the circle operation a + b + ab, in the dtype of the
+    ring's tables, gathered over blocks of rows a."""
+    add, mul = ring.add_table, ring.mul_table
+    star = np.empty_like(add)
+    for rows in _row_blocks(ring.order, ring.order):
+        star[rows] = add[add[rows], mul[rows]]
+    return star
 
 
 def _quasi_regular(star: np.ndarray) -> np.ndarray:
@@ -418,18 +436,18 @@ def semidirect_ring(action: BimoduleAction, name: str = "") -> SemidirectRing:
     sg = action.s_group
     nr, ns = rr.order, sg.order
     order = ns * nr
-    # index axes [s1, r1, s2, r2], broadcast so that no order^2 index grid is built
+    # index axes [s1, r1, s2, r2], broadcast so that no order^2 index grid is
+    # built; each order^2 array is built once, in the dtype of the result
     s1 = np.arange(ns)[:, None, None, None]
     r1 = np.arange(nr)[None, :, None, None]
     s2 = np.arange(ns)[None, None, :, None]
     r2 = np.arange(nr)[None, None, None, :]
-    add_s, add_r = sg.table, rr.add_table
-    s_out = add_s[s1, s2]
-    r_out = add_r[r1, r2]
-    add_table = (s_out * nr + r_out).reshape(order, order)
-    sm_out = add_s[action.left[r1, s2], action.right[s1, r2]]
-    rm_out = rr.mul_table[r1, r2]
-    mul_table = (sm_out * nr + rm_out).reshape(order, order)
+    add_s, add_r, mul_r = _in_table_dtype(order, sg.table, rr.add_table, rr.mul_table)
+    add_table = (add_s[s1, s2] * nr + add_r[r1, r2]).reshape(order, order)
+    mul_table = add_s[action.left[r1, s2], action.right[s1, r2]]
+    mul_table *= nr
+    mul_table += mul_r[r1, r2]
+    mul_table = mul_table.reshape(order, order)
     labels = [f"({sg.labels[s]};{rr.labels[r]})" for s in range(ns) for r in range(nr)]
     ring = FiniteRing(add_table, mul_table, one=None, labels=labels,
                       name=name or "semidirect")

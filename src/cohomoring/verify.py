@@ -33,7 +33,6 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from . import groups
 from .budgets import current_budgets
 from .cocycles import enumerate_z1
 from .cohomology2 import (
@@ -58,7 +57,7 @@ from .endo_rings import (
     quotient_endos_from_displacements,
 )
 from .extension import AbelianExtension, CentralizerData, centralizer_extension
-from .groups import FiniteGroup, TableIndex, _descend, _is_bijective, _positions
+from .groups import FiniteGroup, TableIndex, _descend, _is_bijective, _positions, _row_blocks
 from .rings import FiniteRing, RingHom, quasi_regular_indices, subring_from_indices
 
 
@@ -156,14 +155,6 @@ def _set_equal(report: ExactnessReport, position: str, kernel: set, image: set,
     diff = sorted(kernel.symmetric_difference(image), key=repr)
     report.add(position, not diff, len(kernel), len(image), detail,
                witness=diff[:3] if diff else None)
-
-
-def _row_blocks(count: int, cells: int) -> Iterator[slice]:
-    """Consecutive slices of range(count) whose rows, of `cells` cells each,
-    stay within groups._SEARCH_BLOCK_CELLS cells per slice."""
-    step = max(1, groups._SEARCH_BLOCK_CELLS // max(1, cells))
-    for start in range(0, count, step):
-        yield slice(start, min(start + step, count))
 
 
 def _instance_name(ext: AbelianExtension) -> str:
@@ -271,9 +262,12 @@ def verify_five_term(data: ExtensionData,
 
     # Structure checks demanded alongside exactness.
     rv = fe.res.values
-    add_ok = bool((rv[fe.ring.add_table] == mr.ring.add_table[rv[:, None], rv[None, :]]).all())
-    mul_ok = bool((rv[fe.ring.mul_table] == mr.ring.mul_table[rv[:, None], rv[None, :]]).all())
-    report.add("displacement restriction is a ring homomorphism", add_ok and mul_ok,
+    blocks = _row_blocks(fe.ring.order, fe.ring.order)
+    hom_ok = all((rv[table[rows]] == image[rv[rows, None], rv]).all()
+                 for table, image in ((fe.ring.add_table, mr.ring.add_table),
+                                      (fe.ring.mul_table, mr.ring.mul_table))
+                 for rows in blocks)
+    report.add("displacement restriction is a ring homomorphism", hom_ok,
                detail="both operations rechecked on full tables")
     sums = (eta[:, None, :] + eta[None, :, :]) % np.asarray(h2q.invariant_factors, dtype=np.int64)
     report.add("transgression is additive", bool((eta[mr.ring.add_table] == sums).all()),

@@ -3,8 +3,12 @@ pass line and, where stated, a wall-clock bound."""
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import time
 from datetime import timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -681,6 +685,31 @@ def test_criterion_9_dihedral_48():
     assert elapsed < 60.0, f"dihedral instance n=48 took {elapsed:.2f}s, bound is 60s"
     print(f"[PASS] criterion 9: dihedral instance n=48, ring of 2304 members, "
           f"{elapsed:.2f}s < 60s")
+
+
+# Peak RSS bound for `examples dihedral 48`: 103.8 MiB measured (Linux, 2
+# CPUs, Python 3.11, numpy 2.4) plus a 20% margin.  Set once; never loosen it.
+DIHEDRAL_48_MAX_RSS_MIB = 125.0
+
+# Runs the command in a child and prints that child's ru_maxrss; the
+# intermediate interpreter keeps earlier children of pytest out of the reading.
+_CHILD_RSS = (
+    "import resource, subprocess, sys\n"
+    "subprocess.run([sys.executable, '-m', 'cohomoring.cli', 'examples', 'dihedral', '48',"
+    " '--json'], stdout=subprocess.DEVNULL, check=True)\n"
+    "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+)
+
+
+def test_dihedral_48_peak_rss_gate():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    run = subprocess.run([sys.executable, "-c", _CHILD_RSS], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    peak = int(run.stdout) / (1 << 20 if sys.platform == "darwin" else 1 << 10)  # bytes on macOS
+    assert peak < DIHEDRAL_48_MAX_RSS_MIB, (
+        f"examples dihedral 48 peaked at {peak:.1f} MiB, bound is {DIHEDRAL_48_MAX_RSS_MIB} MiB")
+    print(f"[PASS] dihedral instance n=48 peak RSS {peak:.1f} MiB < {DIHEDRAL_48_MAX_RSS_MIB} MiB")
 
 
 def test_supplementary_structure_facts():

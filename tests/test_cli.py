@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from cohomoring import linalg
+from cohomoring import groups, linalg
 from cohomoring.catalog import CatalogEntry, dihedral_extension, sweep
 from cohomoring.cli import main
 from cohomoring.extension import extension_to_json
@@ -49,6 +49,18 @@ def test_group_load_and_json(tmp_path, capsys):
     data = json.loads(out)
     assert data["group"]["order"] == 5
     assert data["abelian"] is True
+
+
+def test_group_load_refuses_an_entry_that_would_wrap_into_range(tmp_path, capsys):
+    # at this order the table is stored in int16, where 65537 reads as 1
+    n = groups._NARROW_FROM_ORDER
+    data = group_to_json(make_cyclic(n))
+    data["table"][2][n - 1] = 65537
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(data))
+    code, out, err = _run(capsys, "group", "--load", str(path))
+    assert code == 2 and not out
+    assert err == "error: group table entries must be element indices\n"
 
 
 def test_group_bad_product_spec(capsys):

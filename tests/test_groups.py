@@ -347,3 +347,49 @@ def test_table_index_edge_cases():
             TableIndex(np.zeros((0, 2), dtype=np.int64), positions, 2)
     index = TableIndex([[0, 1], [1, 1]], [0], 2)
     assert index.find([[10 ** 6, 1], [-1, 1], [1, 1]]).tolist() == [-1, -1, 1]
+
+
+def test_table_dtype_is_int16_up_to_32767_then_int32():
+    assert groups._table_dtype(32767) == np.int16
+    assert groups._table_dtype(32768) == np.int32
+    assert groups._table_dtype(groups._NARROW_FROM_ORDER) == np.int16
+    assert groups._table_dtype(groups._NARROW_FROM_ORDER - 1) == np.int64
+
+
+@pytest.mark.parametrize("entry", [65537, -65535])
+def test_group_table_range_check_runs_before_the_narrowing_cast(entry):
+    # either entry wraps to the element 1 in int16, the dtype of this table
+    n = groups._NARROW_FROM_ORDER
+    assert groups._table_dtype(n) == np.int16 and np.int16(entry % 65536) == 1
+    table = make_cyclic(n).table.astype(np.int64)
+    assert FiniteGroup(table, [1]).table.dtype == np.int16
+    table[2, n - 1] = entry  # the cell of 2 + (n - 1) = 1: wrapped, the table is a group
+    with pytest.raises(ValidationError, match="group table entries must be element indices"):
+        FiniteGroup(table, [1])
+
+
+def test_table_index_over_int16_tables_matches_int64():
+    # radix 300 and three key positions: a prefix cell node * 300 + v leaves
+    # int16 from the second level on, so the index must not compute in the
+    # dtype of the tables
+    rng = np.random.default_rng(16)
+    radix, positions = 300, [0, 2, 4]
+    m = 150
+    keys = np.unique(rng.integers(0, radix, size=(400, 3)), axis=0)[:m]
+    tables = rng.integers(0, radix, size=(m, 6))
+    tables[:, positions] = rng.permutation(keys)
+    probes = np.concatenate([tables[::3], rng.integers(0, radix, size=(40, 6))])
+    members = tables[:, positions][rng.integers(0, m, size=(m, m))]
+    pair_keys = np.where(rng.random((m, m, 1)) < 0.5, members,
+                         rng.integers(0, radix, size=(m, m, 3)))
+    results = []
+    for dtype in (np.int64, np.int16):
+        index = TableIndex(tables.astype(dtype), positions, radix)
+        results.append((index.find(probes.astype(dtype)).tolist(),
+                        index.find_keys(probes[:, positions].astype(dtype)).tolist(),
+                        index.find_pairs(lambda rows: pair_keys[rows].astype(dtype)).tolist()))
+    assert results[0] == results[1]
+    found, by_key, pairs = results[0]
+    assert found[:50] == list(range(0, m, 3)) and max(found[50:]) < 0
+    assert by_key[:50] == found[:50]
+    assert sum(k >= 0 for row in pairs for k in row) >= m * m // 3

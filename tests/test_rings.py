@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from cohomoring import ValidationError
+from cohomoring import ValidationError, groups
+from cohomoring.catalog import dihedral_extension
+from cohomoring.endo_rings import fiber_endo_ring
+from cohomoring.examples import dihedral_model_ring
 from cohomoring.groups import find_isomorphism, make_cyclic
 from cohomoring.rings import (
     BimoduleAction,
@@ -234,3 +237,29 @@ def test_ring_json_nonunital():
     back = ring_from_json(ring_to_json(sub))
     assert back.one is None
     assert back.order == 6
+
+
+def test_ring_range_check_runs_before_the_narrowing_cast():
+    n = groups._NARROW_FROM_ORDER
+    r = zn_ring(n)
+    assert r.mul_table.dtype == groups._table_dtype(n) == np.int16
+    mul = r.mul_table.astype(np.int64)
+    mul[3, 5] += 65536  # wraps in int16 to the true product, so only the check can refuse it
+    with pytest.raises(ValidationError, match="multiplication table entries out of range"):
+        FiniteRing(r.add_table, mul, one=1)
+
+
+def test_order_squared_tables_are_stored_in_the_table_dtype():
+    model = dihedral_model_ring(24).ring
+    fe = fiber_endo_ring(dihedral_extension(24))
+    for ring in (model, fe.ring):
+        dtype = groups._table_dtype(ring.order)
+        assert dtype == np.int16
+        assert ring.add_table is ring.add_group.table
+        assert ring.add_table.dtype == ring.mul_table.dtype == dtype
+        assert star_table(ring).dtype == dtype
+    index, module = fe.cocycles.index, fe.ext.n_group
+    sums = index.find_pairs(
+        lambda rows: module.table[index.keys[rows, None, :], index.keys[None, :, :]])
+    assert sums.dtype == groups._table_dtype(fe.ring.order)
+    assert (sums == fe.ring.add_table).all()

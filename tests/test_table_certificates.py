@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cohomoring import ValidationError
+from cohomoring import ValidationError, groups
 from cohomoring.catalog import dihedral_extension
 from cohomoring.cocycles import CrossedHom, enumerate_z1
 from cohomoring.cohomology2 import TwoCocycle, compute_h2, inflation
@@ -146,7 +146,13 @@ def test_group_certificate_matches_the_old_validator(data):
         None, gens, [], [n], gens + gens,
         data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3)),
     ]))
-    assert _new_group_outcome(table, gens) == old_group_outcome(table, gens)
+    # Light's test runs in row blocks of this many cells; the witness must not move
+    cells = data.draw(st.sampled_from([1, 7, groups._SEARCH_BLOCK_CELLS]), label="block cells")
+    saved, groups._SEARCH_BLOCK_CELLS = groups._SEARCH_BLOCK_CELLS, cells
+    try:
+        assert _new_group_outcome(table, gens) == old_group_outcome(table, gens)
+    finally:
+        groups._SEARCH_BLOCK_CELLS = saved
 
 
 def _bilinear_ring(p, consts):
