@@ -257,8 +257,8 @@ def cocycle_ring(source: FiniteGroup, module: FiniteGroup, action: ActionTable,
             "equivariant endomorphism of the module")
     # a o i is an equivariant endomorphism, so a(i(b(x))) is crossed
     dia = index.find_pairs(lambda rows: restricted[rows][:, keys])
-    missing = (add < 0) | (dia < 0)
-    if missing.any():
+    if min(add.min(), dia.min()) < 0:
+        missing = (add < 0) | (dia < 0)
         a = int(np.argmax(missing.any(axis=1)))
         raise ValidationError(
             "crossed homomorphisms not closed under the ring operations at "

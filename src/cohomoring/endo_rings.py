@@ -99,8 +99,8 @@ def equivariant_endo_ring(module: FiniteGroup, action: ActionTable) -> ModuleEnd
     keys = index.keys
     add = index.find_pairs(lambda rows: tm[keys[rows, None, :], keys[None, :, :]])
     mul = index.find_pairs(lambda rows: stacked[rows][:, keys])
-    missing = (add < 0) | (mul < 0)
-    if missing.any():
+    if min(add.min(), mul.min()) < 0:
+        missing = (add < 0) | (mul < 0)
         a = int(np.argmax(missing.any(axis=1)))
         raise ValidationError(
             "equivariant endomorphisms are not closed under the ring operations",
@@ -223,6 +223,9 @@ def fiber_endo_ring(ext: AbelianExtension) -> FiberEndoRing:
     if not all((comp[rows] == add[add[ring.mul_table[rows], members[rows, None]], members]).all()
                for rows in _row_blocks(size, size)):
         raise ValidationError("twisted product disagrees with displacement composition")
+    # both order^2 tables are read only by the two checks above; released
+    # before the circle table of `quasi_regular_indices` is built
+    del add2, comp
 
     ideal = np.flatnonzero(~disps[:, ivals].any(axis=1))
     check_ideal(ring, ideal)

@@ -14,6 +14,12 @@ The five per-map oracles of the centralizer layer displace, integrate and
 descend one value table at a time, validating each displacement as a
 `CrossedHom` and each integrated map by its own `_hom_rows` call, where the
 package maps and certifies a whole stack at once.
+
+`oracle_coordinate_laws` builds the two expected tables of the 432-element
+ring on all order^2 cells, where the package broadcasts coordinate grids, and
+`oracle_quotient_mul_table` scatters and gathers every product to build a
+quotient table and test its descent, where the package reads one
+representative per coset.
 """
 
 import numpy as np
@@ -220,3 +226,48 @@ def oracle_descent_witness(ext, members, induced):
         if bad.any():
             return x.tolist(), members[int(np.argmax(bad))].tolist()
     return None
+
+
+# ------------------------------------------- full-table ring432 and quotients
+
+
+def oracle_coordinate_laws(ring, pairs, pos, rvals):
+    """(passed, witness) for the sum law and then the product law of the
+    432-element ring, from both expected tables built in int64 on every cell
+    out of the value decomposition of each member index."""
+    nr = rvals.shape[0]
+    member = np.arange(ring.order)
+    kvals = pairs[member // nr, 0]
+    lvals = pairs[member // nr, 1]
+    svals = rvals[member % nr]
+    expect_add = pos[(kvals[:, None] + kvals[None, :]) % 12,
+                     (lvals[:, None] + lvals[None, :]) % 12] * nr + \
+        ((svals[:, None] + svals[None, :]) % 12) // 2
+    expect_mul = pos[(svals[:, None] * kvals[None, :]) % 12,
+                     (svals[:, None] * lvals[None, :]) % 12] * nr + \
+        ((svals[:, None] * svals[None, :]) % 12) // 2
+    laws = []
+    for table, expect in ((ring.add_table, expect_add), (ring.mul_table, expect_mul)):
+        ok = bool((table == expect).all())
+        wit = None
+        if not ok:
+            a, b = map(int, np.argwhere(table != expect)[0])
+            wit = {"left": [int(kvals[a]), int(lvals[a]), int(svals[a])],
+                   "right": [int(kvals[b]), int(lvals[b]), int(svals[b])]}
+        laws.append((ok, wit))
+    return laws
+
+
+def oracle_quotient_mul_table(ring, pv, h):
+    """The h x h product table of the cosets numbered by `pv`, filled by
+    scattering every product and confirmed by gathering it back; raises when
+    multiplication does not descend."""
+    lifted = pv[ring.mul_table]
+    mul_q = np.zeros((h, h), dtype=lifted.dtype)
+    mul_q[pv[:, None], pv[None, :]] = lifted
+    bad = mul_q[pv[:, None], pv[None, :]] != lifted
+    if bad.any():
+        a, b = map(int, np.argwhere(bad)[0])
+        raise ValidationError(
+            f"multiplication does not descend to cosets at ({a}, {b})", witness=(a, b))
+    return mul_q

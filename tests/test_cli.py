@@ -429,6 +429,10 @@ def test_output_is_deterministic(capsys, monkeypatch):
          "0a97dba0c928818091f9a652660d408d176d775c3bf4f5d8173ebd7a89e3a65f"),
         (["examples", "dihedral", "5"],
          "33b83d89189d0acc4708c19eee777fd82f1da66f6b19808faa8f372a4eb6720d"),
+        (["examples", "ring432"],
+         "5e799a52cd6fe05899261f6459816ed85f46a6e0d0cc77be8111f1b0da0b462a"),
+        (["examples", "ring432", "--json"],
+         "6f345836a9aa07a9f83adcf5e40818ab58b57db71ca078b40d08d8d6d33ee0a4"),
         # the default-budget sweep: every connecting class and pushforward of
         # the catalog, as text and as JSON
         (["verify", "--json"],

@@ -1,12 +1,13 @@
 """Endomorphism rings of extensions: twisted operations, ideals, restrictions."""
 
 from math import gcd
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cohomoring import ValidationError, endo_rings
+from cohomoring import ValidationError, cocycles, endo_rings
 from cohomoring.catalog import default_catalog, dihedral_extension
 from cohomoring.cocycles import CocycleRing, CrossedHom, cocycle_ring, enumerate_z1
 from cohomoring.endo_rings import (
@@ -25,6 +26,7 @@ from cohomoring.groups import (
     GroupHom,
     TableIndex,
     enumerate_actions,
+    enumerate_endos,
     enumerate_homs,
     inversion_action,
     make_cyclic,
@@ -37,6 +39,7 @@ from cohomoring.verify import verify_all
 from ring_oracles import (
     assert_ring_tables_match_full_rows,
     full_row_cocycle_outcome,
+    full_row_module_tables,
     oracle_centralizer_displacement,
     oracle_endo_from_centralizer_displacement,
     oracle_fiber_endos,
@@ -412,6 +415,33 @@ def test_cocycle_ring_refuses_members_it_cannot_certify():
                     cocycle_ring(source, module, action, emb)
                 refused += 1
         assert refused >= 4 and built >= 4
+
+
+def test_closure_failures_name_the_first_missing_pair(monkeypatch):
+    """With one member dropped from its enumeration, the crossed-hom ring and
+    the module endomorphism ring refuse with the error text and the first
+    missing pair of the full-row route."""
+    ext = dihedral_extension(4)
+    g, n = ext.g_group, ext.n_group
+    elements = enumerate_z1(g, n, ext.g_action)
+    endos = [h.values for h in enumerate_endos(n)]
+    assert len(elements) > 2 and len(endos) > 2
+    for drop in (1, len(elements) - 1):
+        kept = elements[:drop] + elements[drop + 1:]
+        monkeypatch.setattr(cocycles, "enumerate_z1", lambda *args: kept)
+        with pytest.raises(ValidationError) as err:
+            cocycle_ring(g, n, ext.g_action, ext.i)
+        assert str(err.value) == full_row_cocycle_outcome(kept, g, n, ext.i)
+    for drop in (1, len(endos) - 1):
+        kept = [GroupHom(n, n, v) for k, v in enumerate(endos) if k != drop]
+        monkeypatch.setattr(endo_rings, "enumerate_endos", lambda *args: kept)
+        add, mul = full_row_module_tables(
+            SimpleNamespace(elements=[h.values for h in kept], module=n))
+        missing = (add < 0) | (mul < 0)
+        with pytest.raises(ValidationError,
+                           match="equivariant endomorphisms are not closed") as err:
+            equivariant_endo_ring(n, ext.action)
+        assert err.value.witness == tuple(map(int, np.argwhere(missing)[0]))
 
 
 def test_trivial_groups_give_one_element_rings():

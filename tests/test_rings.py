@@ -6,7 +6,7 @@ import pytest
 from cohomoring import ValidationError, groups
 from cohomoring.catalog import dihedral_extension
 from cohomoring.endo_rings import fiber_endo_ring
-from cohomoring.examples import dihedral_model_ring
+from cohomoring.examples import _coordinate_laws, dihedral_model_ring, ring432_construct
 from cohomoring.groups import find_isomorphism, make_cyclic
 from cohomoring.rings import (
     BimoduleAction,
@@ -25,6 +25,8 @@ from cohomoring.rings import (
     unit_group,
     zn_ring,
 )
+
+from ring_oracles import oracle_coordinate_laws, oracle_quotient_mul_table
 
 
 def test_zn_ring_structure():
@@ -109,6 +111,47 @@ def test_quotient_ring_of_zn():
     quo2, proj2 = quotient_ring(r, check_ideal(r, [0, 4, 8]))
     assert quo2.order == 4
     assert proj2(5) == proj2(1)  # 5 - 1 = 4 lies in the ideal
+
+
+def test_quotient_table_matches_the_scatter_gather_oracle():
+    cases = [(zn_ring(12), [0, 6]), (zn_ring(12), [0, 4, 8])]
+    semi = ring432_construct()[0]
+    # the zero ideal of a non-commutative ring: the quotient is the ring
+    cases += [(semi.ring, semi.s_indices), (semi.ring, [0])]
+    for n in (3, 4, 5, 6):
+        fe = fiber_endo_ring(dihedral_extension(n))
+        assert is_square_zero_ideal(fe.ring, fe.ideal_indices)
+        cases.append((fe.ring, fe.ideal_indices))
+    for ring, ideal in cases:
+        quo, proj = quotient_ring(ring, ideal)
+        want = oracle_quotient_mul_table(ring, proj.values, quo.order)
+        assert (quo.mul_table == want).all(), ring.name
+    # a subset that is not an ideal still fails check_ideal, with its text
+    with pytest.raises(ValidationError, match="subset not closed under addition"):
+        quotient_ring(zn_ring(12), [0, 1])
+    with pytest.raises(ValidationError, match="does not absorb right multiplication"):
+        quotient_ring(semi.ring, semi.r_indices)  # the embedded residues
+
+
+def _relabelled(ring, u, v):
+    """The same ring with the members u and v trading indices."""
+    perm = np.arange(ring.order)
+    perm[[u, v]] = [v, u]
+    return FiniteRing(perm[ring.add_table[np.ix_(perm, perm)]],
+                      perm[ring.mul_table[np.ix_(perm, perm)]])
+
+
+def test_coordinate_laws_match_the_full_table_oracle():
+    semi, pairs, pos, rvals = ring432_construct()
+    laws = _coordinate_laws(semi.ring, pairs, pos, rvals)
+    assert laws == oracle_coordinate_laws(semi.ring, pairs, pos, rvals)
+    assert laws == [(True, None), (True, None)]
+    # a relabelled copy is a valid ring on which both laws fail
+    for u, v in ((1, 7), (6, 12), (2, 431), (13, 50)):
+        ring = _relabelled(semi.ring, u, v)
+        laws = _coordinate_laws(ring, pairs, pos, rvals)
+        assert laws == oracle_coordinate_laws(ring, pairs, pos, rvals), (u, v)
+        assert all(not ok and wit is not None for ok, wit in laws), (u, v)
 
 
 def test_star_operation_and_quasi_regulars_of_z12():
