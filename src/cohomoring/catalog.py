@@ -38,10 +38,10 @@ from .groups import (
 )
 from .rings import (
     FiniteRing,
+    _quotient_by_ideal,
+    _squares_to_zero,
     check_ideal,
-    is_square_zero_ideal,
     quasi_regular_group,
-    quotient_ring,
     ring_from_json,
 )
 from .verify import ExactnessReport, _jsonable, verify_all, verify_qr_sequence
@@ -172,9 +172,9 @@ def _verify_ring_entry(name: str, ring: FiniteRing, ideal) -> List[ExactnessRepo
                    detail="closure and inverses verified")
         return [report]
     arr = check_ideal(ring, ideal)
-    if not is_square_zero_ideal(ring, arr):
+    if not _squares_to_zero(ring, arr):
         raise ValidationError("stated ideal is not square-zero")
-    quo, proj = quotient_ring(ring, arr)
+    quo, proj = _quotient_by_ideal(ring, arr)
     return [verify_qr_sequence(ring, arr, proj, instance=name)]
 
 

@@ -11,7 +11,6 @@ coboundary is a given cocycle comes from one route, the generator search of
 
 from __future__ import annotations
 
-import math
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,6 +39,7 @@ from .linalg import (
     action_matrices,
     kernel_mod,
     quotient_snf,
+    row_module_order,
 )
 
 __all__ = [
@@ -724,7 +724,9 @@ def h2_order(g_group: FiniteGroup, n_group: FiniteGroup, action: ActionTable,
     x.F(s, z) + F(x, sz) = F(x, s) + F(xs, z) for all x, z and s in S (the
     test of `TwoCocycle._validate`) cut out Z^2.  The normalized 1-cochains
     map onto B^2 with kernel Z^1, so |H^2| = |Z^2| |Z^1| / |N|^(|G|-1);
-    z1_order is |Z^1| for this action.
+    z1_order is |Z^1| for this action.  |Z^2| needs only the index of Z^2,
+    the order of the equations' row module (`row_module_order`), which reads
+    them in blocks of rows x within _SEARCH_BLOCK_CELLS cells.
     """
     if action.actor is not g_group or action.module is not n_group:
         raise ValidationError("action must be of the pair group on the module")
@@ -752,15 +754,23 @@ def h2_order(g_group: FiniteGroup, n_group: FiniteGroup, action: ActionTable,
             s = gens[i]
             moved = np.einsum("xjl,la->xja", mats, forms[w, s])
             forms[:, ws] = (forms[:, w] + forms[tg[:, w], s] - moved) % L
-        blocks = []
-        for s in gens:
-            moved = np.einsum("xjl,zla->xzja", mats, forms[s])
-            eq = moved + forms[:, tg[s]] - forms[:, s][:, None] - forms[tg[:, s]]
-            blocks.append((eq * (L // factors)[:, None] % L).reshape(-1, a))
-        eqs = np.concatenate(blocks)
-        if (eqs * np.tile(factors, a // c) % L).any():
-            raise ValidationError("cocycle equations are not defined on module coordinates")
-        z2_index = math.prod(int(u) for u in kernel_mod(eqs, a, L).mu)
+        scale = (L // factors)[:, None]
+        # an unknown of order f may enter an equation mod L only through
+        # multiples of L / f
+        loose = L // np.tile(factors, a // c)
+
+        def equations(xs: slice) -> np.ndarray:
+            # rows (x, s, z, j) of Light's equations for the x in xs
+            eq = np.stack([np.einsum("xjl,zla->xzja", mats[xs], forms[s])
+                           + forms[xs][:, tg[s]] - forms[xs, s][:, None]
+                           - forms[tg[xs, s]] for s in gens], axis=1)
+            eq = (eq * scale % L).reshape(-1, a)
+            if (eq % loose).any():
+                raise ValidationError("cocycle equations are not defined on module coordinates")
+            return eq
+
+        z2_index = row_module_order(
+            (equations(xs) for xs in _row_blocks(m, m * len(gens) * c * a)), a, L)
     z2 = n_group.order ** ((m - 1) * len(gens)) // z2_index
     order, left = divmod(z2 * int(z1_order), n_group.order ** (m - 1))
     if left:

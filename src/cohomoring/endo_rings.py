@@ -43,7 +43,7 @@ from .groups import (
     enumerate_endos,
 )
 from .linalg import _unique_rows
-from .rings import FiniteRing, RingHom, check_ideal, is_square_zero_ideal, quasi_regular_indices
+from .rings import FiniteRing, RingHom, _squares_to_zero, check_ideal, quasi_regular_indices
 
 
 # ------------------------------------------------------- module endomorphisms
@@ -228,8 +228,7 @@ def fiber_endo_ring(ext: AbelianExtension) -> FiberEndoRing:
     del add2, comp
 
     ideal = np.flatnonzero(~disps[:, ivals].any(axis=1))
-    check_ideal(ring, ideal)
-    if not is_square_zero_ideal(ring, ideal):
+    if not _squares_to_zero(ring, check_ideal(ring, ideal)):
         raise ValidationError("kernel-fixing members do not form a square-zero ideal")
 
     module_ring = equivariant_endo_ring(n, ext.action)

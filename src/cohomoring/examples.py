@@ -22,10 +22,10 @@ from .rings import (
     BimoduleAction,
     FiniteRing,
     SemidirectRing,
+    _quotient_by_ideal,
+    _squares_to_zero,
     check_ideal,
-    is_square_zero_ideal,
     quasi_regular_indices,
-    quotient_ring,
     semidirect_ring,
     subring_from_indices,
     zn_ring,
@@ -375,11 +375,9 @@ def ring432_report() -> ExampleReport:
     for label, (ok, wit) in zip(laws, _coordinate_laws(ring, pairs, pos, rvals)):
         rep.check(label, ok, detail=f"all {ring.order * ring.order} pairs", witness=wit)
 
-    ideal = semi.s_indices
-    check_ideal(ring, ideal)
+    ideal = check_ideal(ring, semi.s_indices)
     rep.fact("pair-part ideal size", int(ideal.shape[0]))
-    rep.check("pair part is a square-zero ideal",
-              is_square_zero_ideal(ring, ideal),
+    rep.check("pair part is a square-zero ideal", _squares_to_zero(ring, ideal),
               detail="two-sided absorption and all pairwise products zero")
 
     qr_r = quasi_regular_indices(subring_from_indices(zn_ring(12), [0, 2, 4, 6, 8, 10])[0])
@@ -390,7 +388,7 @@ def ring432_report() -> ExampleReport:
     rep.check("quasi-regular member count is 288", len(qr_all) == 288,
               detail="72 pair translates of 4 residues")
 
-    quo, proj = quotient_ring(ring, ideal)
+    quo, proj = _quotient_by_ideal(ring, ideal)
     # transport both tables through the embedded coefficient copy
     emb = proj.values[semi.r_indices]
     tr_add = proj.values[ring.add_table[np.ix_(semi.r_indices, semi.r_indices)]]

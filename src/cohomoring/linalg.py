@@ -6,13 +6,15 @@ decomposition.  `kernel_mod` / `quotient_snf` are the
 vectorized workhorses behind the cohomology computation: both operate on
 systems whose lattices contain L*Z^n for a known exponent L, which lets every
 entry be folded into a bounded range so coefficients never blow up.
+`row_module_order` needs only the index of such a lattice, not its basis, and
+finds it by elimination over each prime power of L with no transforms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
-from typing import List, Optional, Sequence, Tuple
+from math import gcd, prod
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,6 +24,7 @@ __all__ = [
     "snf_small",
     "kernel_mod",
     "KernelBasis",
+    "row_module_order",
     "quotient_snf",
     "QuotientForm",
     "AbelianDecomposition",
@@ -267,6 +270,96 @@ def kernel_mod(eqs: np.ndarray, a: int, modulus: int) -> KernelBasis:
     g = np.gcd(diag, L)
     mu = L // g
     return KernelBasis(mu=mu, v=v, vinv=vinv)
+
+
+def _prime_powers(modulus: int) -> List[Tuple[int, int]]:
+    """[(p, p^k)] over the prime powers p^k exactly dividing modulus."""
+    out = []
+    rest, p = int(modulus), 2
+    while rest > 1:
+        if p * p > rest:
+            p = rest
+        if rest % p == 0:
+            q = 1
+            while rest % p == 0:
+                rest //= p
+                q *= p
+            out.append((p, q))
+        p += 1
+    return out
+
+
+def _local_pivot_rows(rows: np.ndarray, p: int, q: int) -> Tuple[np.ndarray, int]:
+    """Pivot rows of rows (entries in [0, q), q = p^k) and the order of their
+    row module over Z/q; see `row_module_order`.  Clears rows in place."""
+    pivots = []
+    order = 1
+    scale = 1  # p^v, which divides every entry
+    while scale < q and len(rows):
+        step = scale * p
+        live = rows % step != 0  # the entries of valuation v
+        at = int(live.argmax())
+        while live.flat[at]:
+            i, j = divmod(at, rows.shape[1])
+            order *= q // scale
+            # times a unit, so that pivot[j] = p^v; this clears column j,
+            # and the pivot row with it
+            pivot = rows[i] * pow(int(rows[i, j]) // scale, -1, q) % q
+            pivots.append(pivot)
+            hit = rows[:, j].nonzero()[0]
+            cleared = (rows[hit] - (rows[hit, j] // scale)[:, None] * pivot) % q
+            rows[hit] = cleared
+            live[hit] = cleared % step != 0
+            at = int(live.argmax())
+        scale = step
+    return np.array(pivots, dtype=np.int64).reshape(-1, rows.shape[1]), order
+
+
+def row_module_order(row_blocks: Iterable[np.ndarray], width: int, modulus: int) -> int:
+    """Order of the submodule of (Z/L)^width spanned by the stacked rows of
+    row_blocks, read mod L; this is [Z^width : {v : E v = 0 mod L}], the
+    product of `kernel_mod(E, width, L).mu`, with no transforms.
+
+    By CRT the module is the product of its reductions mod each prime power
+    q = p^k exactly dividing L.  Over Z/q take as pivot an entry of least
+    valuation v, p^v u with u a unit.  p^v divides every entry, so one
+    rank-1 row operation clears the pivot's column, and column operations,
+    never carried out, would clear the pivot's row without touching the
+    other rows, which are zero in that column.  The pivot row so splits off
+    a cyclic summand of order p^(k-v), and the rest of the module is that of
+    the remaining rows.  Row operations keep the module and the remaining
+    rows end at zero, so the pivot rows, at most width of them, generate
+    it.  Hence the distinct rows of each block are held until more than
+    4 width of them wait, then reduced together with the pivot rows kept
+    from before, which so make at most a fifth of the rows of any reduction
+    but the last; the last reduction gives the order.
+
+    Every entry stays in [0, q) with q <= L, so every product of two entries
+    is below L^2.  For L the exponent of a table group N that is at most
+    |N|^2, the cell count of N's own table, so int64 arithmetic is exact and
+    needs no guard.
+    """
+    if not width:
+        return 1
+    local = [(p, q, [np.zeros((0, width), dtype=np.int64)]) for p, q in _prime_powers(modulus)]
+    orders = [1] * len(local)
+
+    def eliminate() -> None:
+        for k, (p, q, rows) in enumerate(local):
+            pivots, orders[k] = _local_pivot_rows(_unique_rows(np.concatenate(rows)), p, q)
+            rows[:] = [pivots]
+
+    held = 0
+    for block in row_blocks:
+        block = np.asarray(block, dtype=np.int64).reshape(-1, width)
+        for p, q, rows in local:
+            rows.append(_unique_rows(block % q))
+        held += max((len(rows[-1]) for *_, rows in local), default=0)
+        if held > 4 * width:
+            eliminate()
+            held = 0
+    eliminate()
+    return prod(orders)
 
 
 @dataclass

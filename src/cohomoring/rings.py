@@ -258,6 +258,12 @@ def is_square_zero_ideal(ring: FiniteRing, indices) -> bool:
         arr = check_ideal(ring, indices)
     except ValidationError:
         return False
+    return _squares_to_zero(ring, arr)
+
+
+def _squares_to_zero(ring: FiniteRing, arr: np.ndarray) -> bool:
+    """Whether all products within the ideal that `check_ideal` returned as
+    arr vanish: one |I|^2 gather."""
     return bool((ring.mul_table[np.ix_(arr, arr)] == 0).all())
 
 
@@ -271,7 +277,11 @@ def quotient_ring(ring: FiniteRing, ideal_indices) -> Tuple[FiniteRing, RingHom]
     (as `groups._descend` picks it).  The `RingHom` certificate of the
     projection checks the values against the table so built.
     """
-    arr = check_ideal(ring, ideal_indices)
+    return _quotient_by_ideal(ring, check_ideal(ring, ideal_indices))
+
+
+def _quotient_by_ideal(ring: FiniteRing, arr: np.ndarray) -> Tuple[FiniteRing, RingHom]:
+    """`quotient_ring` by the ideal that `check_ideal` returned as arr."""
     sub = subgroup_from_indices(ring.add_group, arr.tolist())
     from .groups import quotient as group_quotient
 

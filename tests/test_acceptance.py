@@ -691,25 +691,49 @@ def test_criterion_9_dihedral_48():
 # CPUs, Python 3.11, numpy 2.4) plus a 20% margin.  Set once; never loosen it.
 DIHEDRAL_48_MAX_RSS_MIB = 125.0
 
-# Runs the command in a child and prints that child's ru_maxrss; the
-# intermediate interpreter keeps earlier children of pytest out of the reading.
-_CHILD_RSS = (
-    "import resource, subprocess, sys\n"
-    "subprocess.run([sys.executable, '-m', 'cohomoring.cli', 'examples', 'dihedral', '48',"
-    " '--json'], stdout=subprocess.DEVNULL, check=True)\n"
-    "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
-)
+
+def _child_peak_mib(*args: str) -> float:
+    """Peak RSS in MiB of `python *args`, read as the ru_maxrss of the
+    children of an intermediate interpreter, which keeps pytest and its
+    earlier children out of the reading."""
+    code = ("import resource, subprocess, sys\n"
+            f"subprocess.run([sys.executable, *{list(args)!r}], stdout=subprocess.DEVNULL,"
+            " check=True)\n"
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return int(run.stdout) / (1 << 20 if sys.platform == "darwin" else 1 << 10)  # bytes on macOS
 
 
 def test_dihedral_48_peak_rss_gate():
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    run = subprocess.run([sys.executable, "-c", _CHILD_RSS], env=env, capture_output=True,
-                         text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
-    peak = int(run.stdout) / (1 << 20 if sys.platform == "darwin" else 1 << 10)  # bytes on macOS
+    peak = _child_peak_mib("-m", "cohomoring.cli", "examples", "dihedral", "48", "--json")
     assert peak < DIHEDRAL_48_MAX_RSS_MIB, (
         f"examples dihedral 48 peaked at {peak:.1f} MiB, bound is {DIHEDRAL_48_MAX_RSS_MIB} MiB")
     print(f"[PASS] dihedral instance n=48 peak RSS {peak:.1f} MiB < {DIHEDRAL_48_MAX_RSS_MIB} MiB")
+
+
+# Peak RSS bound for h2_order on dihedral_extension(64), the H2(G,N) node at
+# |G| = 128: 70.3 MiB measured for the whole child (Linux, 2 CPUs, Python
+# 3.11, numpy 2.4) plus a 20% margin.  Set once; never loosen it.
+H2_ORDER_64_MAX_RSS_MIB = 84.4
+
+_H2_ORDER_64 = (
+    "from cohomoring.catalog import dihedral_extension\n"
+    "from cohomoring.cocycles import enumerate_z1\n"
+    "from cohomoring.cohomology2 import h2_order\n"
+    "ext = dihedral_extension(64)\n"
+    "g, n, act = ext.g_group, ext.n_group, ext.g_action\n"
+    "assert h2_order(g, n, act, len(enumerate_z1(g, n, act))) == 256\n"
+)
+
+
+def test_h2_order_64_peak_rss_gate():
+    peak = _child_peak_mib("-c", _H2_ORDER_64)
+    assert peak < H2_ORDER_64_MAX_RSS_MIB, (
+        f"h2_order at D64 peaked at {peak:.1f} MiB, bound is {H2_ORDER_64_MAX_RSS_MIB} MiB")
+    print(f"[PASS] h2_order at D64 peak RSS {peak:.1f} MiB < {H2_ORDER_64_MAX_RSS_MIB} MiB")
 
 
 def test_supplementary_structure_facts():

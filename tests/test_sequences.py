@@ -147,6 +147,17 @@ def test_generator_routes_match_full_middle_cohomology():
             assert (coboundary_preimage(up) is not None) == full.is_coboundary(up), ext.name
 
 
+@pytest.mark.parametrize("n, order", [(32, 128), (48, 192), (64, 256)])
+def test_h2_order_of_large_dihedral_groups(n, order):
+    """The H2(G,N) node of `examples dihedral n`, whose Light's equations
+    exceed one block of `groups._SEARCH_BLOCK_CELLS` cells."""
+    ext = dihedral_extension(n)
+    g, m, act = ext.g_group, ext.n_group, ext.g_action
+    k = len(g.core_generators)  # N is cyclic: one coordinate
+    assert g.order ** 2 * k * (g.order - 1) * k > groups._SEARCH_BLOCK_CELLS
+    assert h2_order(g, m, act, len(enumerate_z1(g, m, act))) == order
+
+
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(st.data())
 def test_coboundary_search_decides_like_full_cohomology(data):
