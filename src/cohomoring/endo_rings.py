@@ -6,10 +6,11 @@ displacement x -> alpha(x) x^{-1}, a crossed homomorphism into the kernel, so
 the whole set inherits the twisted ring structure of the crossed homs: the
 twisted sum has the identity map as zero, and the twisted product composes
 displacements.  This module builds that ring twice (once through crossed
-homs, once directly on endomorphism tables) and insists the answers agree.
-Both routes locate every sum and product by its values on the core
-generators, which fix a homomorphism, under a short proof that it is a
-member.
+homs, once directly on endomorphism tables) and insists the answers agree;
+the second route is checked against each additive generator of the ring, a
+certificate that proves every pair.  Both routes locate every sum and
+product by its values on the core generators, which fix a homomorphism,
+under a short proof that it is a member.
 
 Alongside it live the two pointed endomorphism sets of the kernel-centralizer
 sequence: endomorphisms of the middle group fixing the kernel pointwise, and
@@ -39,7 +40,6 @@ from .groups import (
     _is_bijective,
     _positions,
     _raise_first,
-    _row_blocks,
     enumerate_endos,
 )
 from .linalg import _unique_rows
@@ -172,15 +172,33 @@ def fiber_endo_ring(ext: AbelianExtension) -> FiberEndoRing:
     """Build the twisted endomorphism ring of an extension, with cross-checks.
 
     The construction transports the crossed-homomorphism ring of the middle
-    group (conjugation action on the kernel) through alpha(x) = i(psi(x)) x,
-    certifies every alpha an endomorphism in one `_hom_rows` call, then
-    re-derives both operations on the endomorphism tables and requires
-    exact agreement.  The composite of two members is a quotient-identity
-    endomorphism, hence a member, located by its values on the core
-    generators; it must be the circle product a + b + ab, which fixes the
-    product table once the sums agree.  The twisted sum alpha(x) x^-1 beta(x)
-    integrates the pointwise sum of two crossed homs, so it too is a member
-    located by its values on the core generators.
+    group (conjugation action on the kernel) through Phi(a) = alpha_a,
+    alpha_a(x) = i(psi_a(x)) x, certifies every alpha an endomorphism in one
+    `_hom_rows` call and Phi a bijection onto the members by the round trip,
+    then re-derives both operations on the endomorphism tables, against
+    every member a and each additive core generator b of the ring only.
+    The twisted sum alpha(x) x^-1 beta(x) and the composite of two members
+    are quotient-identity endomorphisms, hence members, each located by its
+    values on the core generators of the middle group.
+
+    Sum: Phi(a + b) = Phi(a) (+) Phi(b) for all a.  The displacement of
+    alpha_a (+) alpha_b is psi_a + psi_b, pointwise in the abelian i(N), so
+    the law says psi_{a+b} = psi_a + psi_b.  The b passing it for all a
+    contain 0 and are closed under +: psi_{a+b+c} = psi_{a+b} + psi_c =
+    psi_a + psi_b + psi_c = psi_a + psi_{b+c}.  So the generators prove it
+    on every pair.
+
+    Composition: Phi(a) o Phi(b) = Phi(a + b + ab), the circle product.
+    Fix a and read both sides as members f(b); both obey f(b + c) = f(b) +
+    f(c) - f(0), with f(0) = a.  On the left, Phi(b + c) = Phi(b) (+)
+    Phi(c) by the sum law, and alpha_a(alpha_b(x) x^-1 alpha_c(x)) =
+    alpha_a(alpha_b(x)) alpha_a(x)^-1 alpha_a(alpha_c(x)) as alpha_a is a
+    certified endomorphism: its displacement is that of alpha_a o alpha_b,
+    minus that of alpha_a, plus that of alpha_a o alpha_c.  On the right it
+    is the certified left distributivity a(b + c) = ab + ac of the ring.
+    So the b on which the sides agree contain 0 and are closed under +, and
+    the generators again prove every pair.  The sum is checked first, as
+    the composition proof rests on it.
     """
     g = ext.g_group
     n = ext.n_group
@@ -206,26 +224,22 @@ def fiber_endo_ring(ext: AbelianExtension) -> FiberEndoRing:
     if not (endos[0] == arange).all():
         raise ValidationError("zero displacement did not integrate to the identity map")
 
-    # alpha_a(x) x^-1 alpha_b(x) = i(psi_a(x) + psi_b(x)) x integrates a
-    # crossed hom (N is abelian), so the twisted sum is a member.
     ring = cring.ring
-    keys = index.keys
+    add = ring.add_table
+    cols = np.asarray(ring.add_group.core_generators, dtype=np.int64)
+    keys = index.keys[cols]  # [j, s] = alpha_{b_j}(s) for the ring generators b_j
     gens = list(g.core_generators)
     disp = tg[stacked[:, gens], ginv[gens]]  # [a, s] = alpha_a(s) s^-1
-    add2 = index.find_pairs(lambda rows: tg[disp[rows][:, None, :], keys[None, :, :]])
-    if not (add2 == ring.add_table).all():
+    # [a, j]: alpha_a(x) x^-1 alpha_b(x) = i(psi_a(x) + psi_b(x)) x, a member
+    summed = index.find_keys(tg[disp[:, None, :], keys[None, :, :]])
+    if not (summed == add[:, cols]).all():
         raise ValidationError("twisted sum disagrees with displacement sum")
-    # alpha_a o alpha_b is a quotient-identity endomorphism, hence a member.
-    comp = index.find_pairs(lambda rows: stacked[rows][:, keys])
+    # [a, j]: alpha_a o alpha_b, a quotient-identity endomorphism, a member,
+    # against the circle product (ab + a) + b
+    composed = index.find_keys(stacked[:, keys])
     members = np.arange(size)
-    add = ring.add_table
-    # [a, b]: (ab + a) + b, the circle product, over blocks of rows a
-    if not all((comp[rows] == add[add[ring.mul_table[rows], members[rows, None]], members]).all()
-               for rows in _row_blocks(size, size)):
+    if not (composed == add[add[ring.mul_table[:, cols], members[:, None]], cols]).all():
         raise ValidationError("twisted product disagrees with displacement composition")
-    # both order^2 tables are read only by the two checks above; released
-    # before the circle table of `quasi_regular_indices` is built
-    del add2, comp
 
     ideal = np.flatnonzero(~disps[:, ivals].any(axis=1))
     if not _squares_to_zero(ring, check_ideal(ring, ideal)):

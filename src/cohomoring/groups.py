@@ -26,7 +26,7 @@ surjection and reports where a table fails to be constant on fibers.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -178,6 +178,7 @@ class FiniteGroup:
         self.name = name
         self._orders: Optional[np.ndarray] = None
         self._decomposition = None  # set by linalg.abelian_decomposition
+        self._bfs: Dict[Tuple[int, ...], List[Tuple[int, int, int]]] = {}  # see _bfs_words
         if n == 0:
             raise ValidationError("group must be nonempty")
         self.table = _index_table(table, n, "group table entries must be element indices")
@@ -826,7 +827,10 @@ def _row_blocks(count: int, cells: int) -> Sequence[slice]:
 
 
 def _bfs_words(g: FiniteGroup, gens: Sequence[int]) -> List[Tuple[int, int, int]]:
-    """Discovery list [(element, parent, generator position)] covering G \\ {e}."""
+    """Discovery list [(element, parent, generator position)] covering G \\ {e}.
+
+    `_search_generator_images` keeps it on the group per generator tuple,
+    so each (group, gens) builds it once."""
     seen = np.zeros(g.order, dtype=bool)
     seen[0] = True
     out: List[Tuple[int, int, int]] = []
@@ -864,10 +868,12 @@ def _search_generator_images(
     A row is kept when it sends each gens[i] to its candidate and passes the
     certificate `_hom_rows`, which proves the law on all pairs.
     """
-    gens = tuple(source.generators if gens is None else gens)
+    gens = tuple(int(s) for s in (source.generators if gens is None else gens))
     cands = [np.asarray(c, dtype=np.int64) for c in cands]
     total = math.prod(len(c) for c in cands)
-    bfs = _bfs_words(source, gens)
+    bfs = source._bfs.get(gens)
+    if bfs is None:
+        bfs = source._bfs[gens] = _bfs_words(source, gens)
     tt = target.table
     # [x, i] = offset(x, s_i)^-1, applied after each propagation step
     undo = None if offset is None else target.inverse[offset[:, list(gens)]]

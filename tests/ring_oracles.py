@@ -19,7 +19,9 @@ package maps and certifies a whole stack at once.
 ring on all order^2 cells, where the package broadcasts coordinate grids, and
 `oracle_quotient_mul_table` scatters and gathers every product to build a
 quotient table and test its descent, where the package reads one
-representative per coset.
+representative per coset.  `oracle_pair_model` compares the fiber ring of
+D(n) with the mod-n pair model on all order^2 cells of both tables, where
+the package certifies the transport map as a `RingHom`.
 """
 
 import numpy as np
@@ -271,3 +273,18 @@ def oracle_quotient_mul_table(ring, pv, h):
         raise ValidationError(
             f"multiplication does not descend to cosets at ({a}, {b})", witness=(a, b))
     return mul_q
+
+
+def oracle_pair_model(fe, model, n):
+    """Whether (k,l) -> f(k,l), the member of the fiber ring `fe` of D(n)
+    with displacement k at the reflection and l at the rotation, carries
+    both tables of the ring `model` (index k*n + l) onto those of the fiber
+    ring, compared on every cell."""
+    mem = np.full(n * n, -1, dtype=np.int64)
+    for m, psi in enumerate(fe.cocycles.elements):
+        mem[psi.values[1] * n + psi.values[2]] = m
+    if model.order != fe.size or (mem < 0).any():
+        return False
+    return all((mem[model_table] == table[mem[:, None], mem[None, :]]).all()
+               for model_table, table in ((model.add_table, fe.ring.add_table),
+                                          (model.mul_table, fe.ring.mul_table)))

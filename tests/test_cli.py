@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cohomoring
 from cohomoring import groups, linalg
 from cohomoring.catalog import default_catalog, dihedral_extension, sweep
 from cohomoring.cli import main
@@ -469,3 +474,35 @@ def test_malformed_budget_exits_two(capsys, monkeypatch):
     code, out, err = _run(capsys, "group", "--dihedral", "4")
     assert code == 0 and not err
     assert "order: 8" in out
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    """`python -m cohomoring` prints what `cli.main` prints and exits with
+    its code."""
+    argv = ["examples", "dihedral", "3", "--json"]
+    code, out, _ = _run(capsys, *argv)
+    src = str(Path(cohomoring.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-m", "cohomoring", *argv], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert (run.returncode, run.stdout) == (code, out)
+    bad = subprocess.run([sys.executable, "-m", "cohomoring", "examples", "dihedral", "2"],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert bad.returncode == main(["examples", "dihedral", "2"]) == 2
+
+
+def test_verify_builds_each_discovery_list_once(capsys, monkeypatch):
+    """`verify --json` builds the BFS discovery list of each (group,
+    generators) pair once, where every generator search used to rebuild it
+    (359 builds for this run)."""
+    built = []
+    bfs_words = groups._bfs_words
+
+    def counted(g, gens):
+        built.append((g, tuple(gens)))  # keeps g alive, so its id stays its own
+        return bfs_words(g, gens)
+
+    monkeypatch.setattr(groups, "_bfs_words", counted)
+    assert _run(capsys, "verify", "--json")[0] == 0
+    assert built
+    assert len({(id(g), gens) for g, gens in built}) == len(built)

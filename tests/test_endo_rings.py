@@ -26,6 +26,7 @@ from cohomoring.groups import (
     GroupHom,
     TableIndex,
     enumerate_actions,
+    enumerate_automorphisms,
     enumerate_endos,
     enumerate_homs,
     inversion_action,
@@ -39,6 +40,7 @@ from cohomoring.verify import verify_all
 from ring_oracles import (
     assert_ring_tables_match_full_rows,
     full_row_cocycle_outcome,
+    full_row_fiber_tables,
     full_row_module_tables,
     oracle_centralizer_displacement,
     oracle_endo_from_centralizer_displacement,
@@ -467,14 +469,22 @@ def _tampered_cocycle_ring(tamper):
     return build
 
 
+def _relabel(add, mul, perm):
+    """The tables of the same ring with new element j the old perm[j]."""
+    back = np.argsort(perm)
+    return back[add[np.ix_(perm, perm)]], back[mul[np.ix_(perm, perm)]]
+
+
 def _swap_labels(add, mul):
-    """The same ring with two elements of different additive order renamed."""
+    """The same ring with two nonzero elements renamed, the last one of an
+    additive order other than that of element 1 where there is one."""
     orders = FiniteRing(add, mul).add_group.element_orders()
     u = 1
-    v = int(np.flatnonzero(orders != orders[u])[-1])
+    other = np.flatnonzero(orders[1:] != orders[u]) + 1
+    v = int(other[-1]) if other.size else len(add) - 1
     perm = np.arange(len(add))
     perm[[u, v]] = perm[[v, u]]
-    return perm[add[np.ix_(perm, perm)]], perm[mul[np.ix_(perm, perm)]]
+    return _relabel(add, mul, perm)
 
 
 def test_fiber_endo_ring_rejects_a_displacement_ring_it_does_not_rederive(monkeypatch):
@@ -487,6 +497,131 @@ def test_fiber_endo_ring_rejects_a_displacement_ring_it_does_not_rederive(monkey
         monkeypatch.setattr(endo_rings, "cocycle_ring", _tampered_cocycle_ring(tamper))
         with pytest.raises(ValidationError, match=error):
             fiber_endo_ring(ext)
+
+
+def _seeded_relabellings(add, mul, seed):
+    """Four valid relabellings of a ring, each fixing 0: the `_swap_labels`
+    swap, additive negation (an additive automorphism, so only the product
+    table can move) and two seeded permutations."""
+    rng = np.random.default_rng(seed)
+    order = len(add)
+    perms = [np.argmin(add, axis=1)]  # a + (-a) = 0 sits first in row a
+    perms += [np.concatenate([[0], 1 + rng.permutation(order - 1)]) for _ in range(2)]
+    return [_swap_labels] + [lambda a, m, p=p: _relabel(a, m, p) for p in perms]
+
+
+def _column_keeping_tampers(ring, pairs, seed):
+    """Valid rings on the same displacements that keep one additive core
+    generator's column of a table, so that only the other columns can refuse
+    them.  For each generator b, a seeded relabelling that fixes <b>
+    pointwise and sends each other coset of <b> onto one, shifted by a
+    multiple of b: it commutes with adding b, so the sum keeps its column b.
+    Then the product a pi(b), with pi the idempotent ring map (k, l) ->
+    (0, l) of the pair model of D(n) (`pairs`: the (k, l) of each member),
+    which keeps the product's column at the generator (0, 1)."""
+    rng = np.random.default_rng(seed)
+    add = ring.add_table.astype(np.int64)
+    neg = ring.add_group.inverse
+    tampers = []
+    for b in ring.add_group.core_generators:
+        multiples = [0]
+        while add[multiples[-1], b]:
+            multiples.append(int(add[multiples[-1], b]))
+        coset = np.full(len(add), -1)
+        reps = []
+        for x in range(len(add)):
+            if coset[x] < 0:
+                coset[add[x, multiples]] = len(reps)
+                reps.append(x)
+        reps = np.asarray(reps)
+        onto = reps[np.concatenate([[0], 1 + rng.permutation(len(reps) - 1)])]
+        shift = np.asarray(multiples)[rng.integers(len(multiples), size=len(reps))]
+        shift[0] = 0
+        h = add[np.arange(len(add)), neg[reps[coset]]]  # x = h + its coset's rep
+        perm = add[add[h, onto[coset]], shift[coset]]
+        tampers.append(lambda a, m, p=perm: _relabel(a, m, p))
+    at = {tuple(kl): m for m, kl in enumerate(pairs.tolist())}
+    pi = np.asarray([at[0, l] for _, l in pairs.tolist()])
+    tampers.append(lambda a, m: (a, m[:, pi]))
+    return tampers
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_fiber_certificate_refuses_exactly_where_the_full_tables_disagree(monkeypatch, n):
+    """Checked on the additive generators of the displacement ring only,
+    the twisted sum and product refuse a valid displacement ring with other
+    tables exactly when the full-row tables of the endomorphisms disagree
+    with it, with the sum checked first."""
+    ext = dihedral_extension(n)
+    fe = fiber_endo_ring(ext)
+    add2, mul2 = full_row_fiber_tables(fe)
+    genuine = (fe.ring.add_table.astype(np.int64), fe.ring.mul_table.astype(np.int64))
+    pairs = np.stack([psi.values[[1, 2]] for psi in fe.cocycles.elements])
+    cols = fe.ring.add_group.core_generators
+    assert pairs[cols[0]].tolist() == [0, 1]
+    refused = []
+    for tamper in (_seeded_relabellings(*genuine, seed=n)
+                   + _column_keeping_tampers(fe.ring, pairs, seed=n)):
+        add, mul = tamper(*genuine)
+        monkeypatch.setattr(endo_rings, "cocycle_ring", _tampered_cocycle_ring(tamper))
+        if not (add2 == add).all():
+            error = "twisted sum disagrees with displacement sum"
+        elif not (mul2 == mul).all():
+            error = "twisted product disagrees with displacement composition"
+        else:
+            kept = fiber_endo_ring(ext)
+            assert (kept.ring.add_table == add).all() and (kept.ring.mul_table == mul).all()
+            continue
+        with pytest.raises(ValidationError, match=error):
+            fiber_endo_ring(ext)
+        refused.append(error.split()[1])
+    assert refused[-1] == "product"  # the product that keeps column cols[0]
+    assert refused.count("sum") >= 3, refused
+
+
+def test_fiber_certificate_reads_the_product_on_every_generator_column(monkeypatch):
+    """Every relabelling of a displacement ring by an additive automorphism
+    keeps its sum table, and is refused by the product check once it moves
+    the product table.  On these rings some keep the product's column at
+    the second additive generator, so that column must be read too."""
+    names = ("C4 by C2, action 0, class (0,)", "C4 by C2, action 1, class (1,)",
+             "C6xC2 product")
+    kept_columns = set()
+    for ext in (e.data for e in default_catalog() if e.name in names):
+        monkeypatch.undo()
+        fe = fiber_endo_ring(ext)
+        genuine = (fe.ring.add_table.astype(np.int64), fe.ring.mul_table.astype(np.int64))
+        assert all((t == want).all() for t, want in zip(genuine, full_row_fiber_tables(fe)))
+        cols = fe.ring.add_group.core_generators
+        for h in enumerate_automorphisms(fe.ring.add_group):
+            add, mul = _relabel(*genuine, h.values)
+            assert (add == genuine[0]).all()
+            if (mul == genuine[1]).all():
+                continue
+            kept_columns |= {j for j, c in enumerate(cols) if (mul[:, c] == genuine[1][:, c]).all()}
+            monkeypatch.setattr(endo_rings, "cocycle_ring", _tampered_cocycle_ring(
+                lambda a, m, p=h.values: _relabel(a, m, p)))
+            with pytest.raises(ValidationError, match="twisted product disagrees"):
+                fiber_endo_ring(ext)
+    assert 1 in kept_columns
+
+
+def test_fiber_endo_ring_finds_member_pairs_only_for_the_cocycle_ring(monkeypatch):
+    """The twisted operations are certified on generator columns: of the
+    order^2-cell `find_pairs` tables, fiber_endo_ring builds only the
+    cocycle ring's sum and product.  The other two calls build the n^2
+    tables of the kernel's equivariant endomorphism ring."""
+    sizes = []
+    find_pairs = TableIndex.find_pairs
+
+    def counted(index, pair_keys):
+        sizes.append(len(index.tables))
+        return find_pairs(index, pair_keys)
+
+    monkeypatch.setattr(TableIndex, "find_pairs", counted)
+    fe = fiber_endo_ring(dihedral_extension(24))
+    assert fe.size == 576
+    assert sizes == [fe.size] * 2 + [fe.module_ring.ring.order] * 2
 
 
 def test_fiber_endo_ring_names_the_first_member_that_does_not_integrate(monkeypatch):

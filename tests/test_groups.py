@@ -177,6 +177,24 @@ def test_enumerate_homs_and_endos_counts():
         hom_make(make_cyclic(1), c4, [3])
 
 
+def test_discovery_words_are_built_once_per_group_and_generators(monkeypatch):
+    """The BFS discovery list of a generator search is kept on the source
+    group per generator tuple, and equals a fresh build."""
+    built = []
+    bfs_words = groups._bfs_words
+
+    def counted(g, gens):
+        built.append((g, tuple(gens)))
+        return bfs_words(g, gens)
+
+    monkeypatch.setattr(groups, "_bfs_words", counted)
+    g = make_dihedral(6)
+    first = [h.values.tolist() for h in enumerate_endos(g)]
+    assert [h.values.tolist() for h in enumerate_endos(g)] == first
+    assert built == [(g, g.core_generators)]
+    assert g._bfs[g.core_generators] == bfs_words(g, g.core_generators)
+
+
 def test_aut_group_sizes():
     assert aut_group(make_cyclic(12))[0].order == 4
     v4, _, _ = make_direct_product(make_cyclic(2), make_cyclic(2))

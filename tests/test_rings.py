@@ -1,12 +1,15 @@
 """Finite rings: axioms, ideals, quotients, quasi-regular structure, JSON."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from cohomoring import ValidationError, groups
+from cohomoring import ValidationError, examples, groups
 from cohomoring.catalog import dihedral_extension
 from cohomoring.endo_rings import fiber_endo_ring
-from cohomoring.examples import _coordinate_laws, dihedral_model_ring, ring432_construct
+from cohomoring.examples import (_coordinate_laws, dihedral_model_ring, dihedral_report,
+                                 ring432_construct)
 from cohomoring.groups import find_isomorphism, make_cyclic
 from cohomoring.rings import (
     BimoduleAction,
@@ -26,7 +29,7 @@ from cohomoring.rings import (
     zn_ring,
 )
 
-from ring_oracles import oracle_coordinate_laws, oracle_quotient_mul_table
+from ring_oracles import oracle_coordinate_laws, oracle_pair_model, oracle_quotient_mul_table
 
 
 def test_zn_ring_structure():
@@ -306,3 +309,36 @@ def test_order_squared_tables_are_stored_in_the_table_dtype():
         lambda rows: module.table[index.keys[rows, None, :], index.keys[None, :, :]])
     assert sums.dtype == groups._table_dtype(fe.ring.order)
     assert (sums == fe.ring.add_table).all()
+
+
+PAIR_MODEL_ROW = "fiber ring matches the mod-n pair model"
+
+
+def _pair_model_row(report):
+    (row,) = [c for c in report.checks if c.position == PAIR_MODEL_ROW]
+    return row
+
+
+def test_pair_model_row_matches_the_full_table_oracle():
+    """The `RingHom` certificate behind the pair-model row gives the verdict
+    of comparing both tables on every cell."""
+    for n in range(3, 13):
+        row = _pair_model_row(dihedral_report(n))
+        want = oracle_pair_model(fiber_endo_ring(dihedral_extension(n)),
+                                 dihedral_model_ring(n).ring, n)
+        assert want and row.status == "pass", n
+
+
+@pytest.mark.parametrize("tamper", [lambda r: _relabelled(r, 1, r.order - 1),
+                                    lambda r: FiniteRing(r.add_table, r.mul_table.T)],
+                         ids=["label swap", "transposed product"])
+def test_a_pair_model_the_fiber_ring_does_not_match_gives_a_fail_row(monkeypatch, tamper):
+    """A valid model ring with other tables fails the row, as the oracle
+    says, and the report is still built."""
+    n = 5
+    model = tamper(dihedral_model_ring(n).ring)
+    monkeypatch.setattr(examples, "dihedral_model_ring", lambda _: SimpleNamespace(ring=model))
+    report = dihedral_report(n)
+    assert _pair_model_row(report).status == "fail"
+    assert not report.ok
+    assert not oracle_pair_model(fiber_endo_ring(dihedral_extension(n)), model, n)
