@@ -691,6 +691,16 @@ def compute_h2(q_group: FiniteGroup, n_group: FiniteGroup, action: ActionTable,
 # ------------------------------------------------------------ generator data
 
 
+def _coboundary_gate(g: FiniteGroup, n: FiniteGroup) -> None:
+    """Raise BudgetExceeded when `coboundary_preimage` on cocycles of g in n
+    would search more than `z1_generator_candidates` cochains: the count
+    |N|^k over the k core generators of g, the same for every cocycle."""
+    limit = current_budgets().z1_generator_candidates
+    count = n.order ** len(g.core_generators)
+    if count > limit:
+        raise BudgetExceeded(f"{count} coboundary candidates exceeds budget {limit}")
+
+
 def coboundary_preimage(f: TwoCocycle) -> Optional[np.ndarray]:
     """A normalized 1-cochain c whose coboundary is f, or None when f is no
     coboundary.
@@ -705,10 +715,7 @@ def coboundary_preimage(f: TwoCocycle) -> Optional[np.ndarray]:
     """
     g, n = f.q_group, f.n_group
     gens = g.core_generators
-    limit = current_budgets().z1_generator_candidates
-    count = n.order ** len(gens)
-    if count > limit:
-        raise BudgetExceeded(f"{count} coboundary candidates exceeds budget {limit}")
+    _coboundary_gate(g, n)
     cands = [np.arange(n.order)] * len(gens)
     return next(_search_generator_images(g, n, cands, f.action, offset=f.values, gens=gens),
                 None)

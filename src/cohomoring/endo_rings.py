@@ -199,6 +199,16 @@ def fiber_endo_ring(ext: AbelianExtension) -> FiberEndoRing:
     So the b on which the sides agree contain 0 and are closed under +, and
     the generators again prove every pair.  The sum is checked first, as
     the composition proof rests on it.
+
+    Invertibles: the inverse map of a bijective alpha_a induces the identity
+    on the quotient, so it is a member b, located by its table, and a + b +
+    ab = 0 is checked on the ring tables.  As b is bijective with inverse a,
+    the check on b is b + a + ba = 0, so every invertible member is
+    quasi-regular.  Conversely, a + b + ab = 0 gives Phi(a) o
+    Phi(b) = Phi(0) = id by the composition law, so Phi(a) is onto, hence
+    bijective.  The invertible members are thus the quasi-regular set, kept
+    on the ring for `quasi_regular_indices` without an order^2 circle table.
+    A failed check raises with the circle table's set as the witness.
     """
     g = ext.g_group
     n = ext.n_group
@@ -249,13 +259,16 @@ def fiber_endo_ring(ext: AbelianExtension) -> FiberEndoRing:
     res = RingHom(ring, module_ring.ring, module_ring.locate_all(disps[:, ivals]))
 
     aut = np.flatnonzero(_is_bijective(stacked))
-    qr_indices = quasi_regular_indices(ring)
-    if set(qr_indices) != set(aut.tolist()):
+    # the inverse map of each bijective member, a quotient-identity
+    # endomorphism, hence a member; b is bijective with inverse a, so the
+    # pairs (a, b) include (b, a) and a + b + ab = 0 on them covers both sides
+    inv = index.find(np.argsort(stacked[aut], axis=1))
+    if (inv < 0).any() or add[add[aut, inv], ring.mul_table[aut, inv]].any():
         raise ValidationError(
             "invertible members differ from the quasi-regular elements",
-            witness=(sorted(qr_indices), sorted(aut.tolist())),
+            witness=(sorted(quasi_regular_indices(ring)), sorted(aut.tolist())),
         )
-    # The circle check above already makes the quasi-regular star composition.
+    ring._quasi_regular = aut
 
     return FiberEndoRing(ext, cring, ring, tuple(endos), index, ideal,
                          module_ring, res, aut)

@@ -10,7 +10,6 @@ indexed by f((k,l),s) with an even-sum pair and an even residue.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -150,16 +149,67 @@ def _f_grid(table: np.ndarray, mem: np.ndarray, pair_of: np.ndarray,
     return rows
 
 
+_Row = Tuple[bool, Optional[Dict[str, List[int]]]]
+
+
+def _all_pairs_row(table: np.ndarray, f_index: np.ndarray, want) -> _Row:
+    """Verdict and first witness, in [k, l, p, q] order, of table[f(k,l),
+    f(p,q)] == want(k, l, p, q) on every index pair."""
+    n = len(f_index)
+    # open grids on the four axes, so no n^4 index grid is built
+    k, l, p, q = np.ogrid[:n, :n, :n, :n]
+    bad = table[f_index[k, l], f_index[p, q]] != want(k, l, p, q)
+    if not bad.any():
+        return True, None
+    k, l, p, q = map(int, np.argwhere(bad)[0])
+    return False, {"left": [k, l], "right": [p, q]}
+
+
+def _pair_formula_rows(ring: FiniteRing, f_index: np.ndarray) -> List[_Row]:
+    """Verdict and first witness of the rows "sum of f(k,l) and f(p,q) is
+    f(k+p,l+q)" and "product of f(k,l) and f(p,q) is f(lp,lq)", for the
+    bijection f = f_index of the mod-n pairs onto the members of `ring`.
+
+    Sum: call s good when f(x) + f(s) = f(x+s) for all x.  A good s gives
+    f(0,0) + f(s) = f(s) at x = (0,0), so f(0,0) is the ring zero and (0,0)
+    is good too.  Good s and t give f(x) + f(s+t) = f(x) + (f(s) + f(t)) =
+    (f(x) + f(s)) + f(t) = f(x+s+t) by the ring's certified associativity,
+    so s + t is good.  So checking s = (1,0) and (0,1), two shifts of
+    f_index, proves every pair.  Product: once the sum row holds, fix
+    x = (k,l); both y -> f(x) f(y) and y -> f(ly) are additive, the first by
+    the certified left distributivity f(x)(f(y) + f(y')) = f(x) f(y) +
+    f(x) f(y'), the second by the sum row.  So they agree everywhere once
+    they agree on the two generators.  Where a generator check fails, or the product's
+    precondition does, the row is decided by `_all_pairs_row`, which also
+    gives its first witness.
+    """
+    n = len(f_index)
+    add, mul = ring.add_table, ring.mul_table
+    f10, f01 = f_index[1, 0], f_index[0, 1]
+    sums = (bool((add[f_index, f10] == np.roll(f_index, -1, axis=0)).all())
+            and bool((add[f_index, f01] == np.roll(f_index, -1, axis=1)).all()))
+    sum_row = (True, None) if sums else _all_pairs_row(
+        add, f_index, lambda k, l, p, q: f_index[(k + p) % n, (l + q) % n])
+    # [k, l]: f(k,l) f(1,0) = f(l,0) and f(k,l) f(0,1) = f(0,l)
+    prods = (sum_row[0]
+             and bool((mul[f_index, f10] == f_index[:, 0]).all())
+             and bool((mul[f_index, f01] == f_index[0]).all()))
+    mul_row = (True, None) if prods else _all_pairs_row(
+        mul, f_index, lambda k, l, p, q: f_index[(l * p) % n, (l * q) % n])
+    return [sum_row, mul_row]
+
+
 def dihedral_report(n: int) -> ExampleReport:
     """All structure of the fiber endomorphism ring of D(n) over its rotations.
 
     Members are indexed as f(k,l) by displacement values at the reflection
     (k) and the rotation (l); every stated formula is proved on every index
-    pair, and the two endomorphism sequence reports are attached.  The
-    match with the mod-n pair model is the `RingHom` certificate of
-    (k,l) -> f(k,l): additivity by `_hom_rows`, then products on pairs of
-    additive generators, which together say that the map transports both
-    tables of the model onto those of the fiber ring.
+    pair (the sum and product formulas by `_pair_formula_rows`, from the
+    additive generators), and the two endomorphism sequence reports are
+    attached.  The match with the mod-n pair model is the `RingHom`
+    certificate of (k,l) -> f(k,l): additivity by `_hom_rows`, then products
+    on pairs of additive generators, which together say that the map
+    transports both tables of the model onto those of the fiber ring.
     """
     if not DIHEDRAL_MIN <= n <= DIHEDRAL_MAX:
         raise ValidationError(
@@ -176,13 +226,9 @@ def dihedral_report(n: int) -> ExampleReport:
     # locate members by displacement at the two generators: x sits at group
     # index 1 (the reflection), y at index 2 (the order-n rotation); in the
     # dtype of the ring's tables, so the size^2 gathers through it stay narrow
+    pair_of = fe.cocycles.index.tables[:, [1, 2]]
     (f_index,) = _in_table_dtype(size, np.full((n, n), -1))
-    pair_of = np.zeros((size, 2), dtype=np.int64)
-    for m in range(size):
-        psi = fe.displacement(m)
-        k, l = int(psi.values[1]), int(psi.values[2])
-        f_index[k, l] = m
-        pair_of[m] = (k, l)
+    f_index[pair_of[:, 0], pair_of[:, 1]] = np.arange(size)
     covered = size == n * n and not (f_index < 0).any()
     rep.check("f(k,l) indexing is a bijection onto the members", covered,
               detail=f"{n}x{n} displacement pairs against {size} members")
@@ -192,32 +238,11 @@ def dihedral_report(n: int) -> ExampleReport:
     rep.check("identity member sits at f(0,0)", int(f_index[0, 0]) == 0,
               detail="ring zero is the identity endomorphism")
 
-    # index axes [k, l, p, q], broadcast so that no n^4 index grid is built
-    kk = np.arange(n)[:, None, None, None]
-    ll = np.arange(n)[None, :, None, None]
-    pp = np.arange(n)[None, None, :, None]
-    qq = np.arange(n)[None, None, None, :]
-    members = f_index[kk, ll]
-    others = f_index[pp, qq]
-    got = fe.ring.add_table[members, others]
-    want = f_index[(kk + pp) % n, (ll + qq) % n]
-    ok = bool((got == want).all())
-    wit = None
-    if not ok:
-        k, l, p, q = map(int, np.argwhere(got != want)[0])
-        wit = {"left": [k, l], "right": [p, q]}
-    rep.check("sum of f(k,l) and f(p,q) is f(k+p,l+q)", ok,
-              detail=f"all {size * size} pairs", witness=wit)
-
-    got = fe.ring.mul_table[members, others]
-    want = f_index[(ll * pp) % n, (ll * qq) % n]
-    ok = bool((got == want).all())
-    wit = None
-    if not ok:
-        k, l, p, q = map(int, np.argwhere(got != want)[0])
-        wit = {"left": [k, l], "right": [p, q]}
-    rep.check("product of f(k,l) and f(p,q) is f(lp,lq)", ok,
-              detail=f"all {size * size} pairs", witness=wit)
+    (sum_ok, sum_wit), (mul_ok, mul_wit) = _pair_formula_rows(fe.ring, f_index)
+    rep.check("sum of f(k,l) and f(p,q) is f(k+p,l+q)", sum_ok,
+              detail=f"all {size * size} pairs", witness=sum_wit)
+    rep.check("product of f(k,l) and f(p,q) is f(lp,lq)", mul_ok,
+              detail=f"all {size * size} pairs", witness=mul_wit)
 
     line = f_index[:, 0]
     prods = fe.ring.mul_table[np.ix_(line, line)]
@@ -258,8 +283,7 @@ def dihedral_report(n: int) -> ExampleReport:
     rep.check("fiber ring matches the mod-n pair model", model_ok,
               detail="tables transported through (k,l) -> k*n+l")
 
-    units = {int(f_index[k, l]) for k in range(n) for l in range(n)
-             if gcd(l + 1, n) == 1}
+    units = set(f_index[:, np.gcd(np.arange(1, n + 1), n) == 1].ravel().tolist())
     rep.check("invertible members are the f(k,l) with gcd(l+1, n) = 1",
               set(int(m) for m in fe.aut_indices) == units,
               detail=f"{len(units)} members")

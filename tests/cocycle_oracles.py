@@ -11,13 +11,16 @@ testing every value table, where the package searches generator images.
 `oracle_lift_scan_witness` compares the connecting class under every section
 of the central quotient, where the package checks single-point changes of
 the least lift.  `oracle_pushforward` checks one module map at a time, where
-the package certifies the stack.
+the package certifies the stack.  `oracle_inflation_kernel` searches a
+coboundary preimage for the inflation of every class, where the package
+searches only the classes that the kernel found so far does not decide.
 """
 
 import numpy as np
 
 from cohomoring import ValidationError, verify
 from cohomoring.cocycles import CrossedHom
+from cohomoring.cohomology2 import coboundary_preimage, inflation
 from cohomoring.groups import _descend, _positions
 from table_oracles import old_group_hom_outcome
 
@@ -189,3 +192,11 @@ def first_error(calls):
 def outcome(call):
     """(text, witness) of the ValidationError that call raises, or None."""
     return first_error([call])
+
+
+def oracle_inflation_kernel(ext, h2q):
+    """Coefficient tuples of the classes of h2q = H2(Q,N) whose inflation to
+    the middle group of `ext` is a coboundary, one search per class, the
+    zero class first."""
+    return {coeffs for coeffs, rep in h2q.classes()
+            if coboundary_preimage(inflation(rep, ext.p, ext.g_action)) is not None}

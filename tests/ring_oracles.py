@@ -21,7 +21,9 @@ ring on all order^2 cells, where the package broadcasts coordinate grids, and
 quotient table and test its descent, where the package reads one
 representative per coset.  `oracle_pair_model` compares the fiber ring of
 D(n) with the mod-n pair model on all order^2 cells of both tables, where
-the package certifies the transport map as a `RingHom`.
+the package certifies the transport map as a `RingHom`, and
+`oracle_pair_rows` decides the sum and product formulas of the D(n) report on
+a full n^4 index grid, where the package checks the additive generators.
 """
 
 import numpy as np
@@ -288,3 +290,22 @@ def oracle_pair_model(fe, model, n):
     return all((mem[model_table] == table[mem[:, None], mem[None, :]]).all()
                for model_table, table in ((model.add_table, fe.ring.add_table),
                                           (model.mul_table, fe.ring.mul_table)))
+
+
+def oracle_pair_rows(ring, f_index):
+    """[(verdict, first witness)] of the rows "sum of f(k,l) and f(p,q) is
+    f(k+p,l+q)" and "product of f(k,l) and f(p,q) is f(lp,lq)" of the D(n)
+    report, for f = f_index onto the members of `ring`, compared on every
+    index pair [k, l, p, q]."""
+    n = len(f_index)
+    k, l, p, q = np.indices((n,) * 4)
+    rows = []
+    for table, want in ((ring.add_table, f_index[(k + p) % n, (l + q) % n]),
+                        (ring.mul_table, f_index[(l * p) % n, (l * q) % n])):
+        bad = np.argwhere(table[f_index[k, l], f_index[p, q]] != want)
+        wit = None
+        if len(bad):
+            k0, l0, p0, q0 = map(int, bad[0])
+            wit = {"left": [k0, l0], "right": [p0, q0]}
+        rows.append((not len(bad), wit))
+    return rows

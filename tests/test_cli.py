@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import cohomoring
-from cohomoring import groups, linalg
+from cohomoring import groups, linalg, rings, verify
 from cohomoring.catalog import default_catalog, dihedral_extension, sweep
 from cohomoring.cli import main
 from cohomoring.extension import extension_to_json
@@ -447,6 +447,10 @@ def test_output_is_deterministic(capsys, monkeypatch):
          "3f163786c9ed8878ee26b51b14bbb964fae0b06ba9be289d222bd4cbd53ece01"),
         (["verify"],
          "d30fea6ecc34b4aa4cbb5ff0a36d572ad711c313f77d1a7b5df4d8275b459d99"),
+        # the pair-formula rows, the fiber ring's invertibles and the kernel
+        # of inflation of a 576-member fiber ring
+        (["examples", "dihedral", "24", "--json"],
+         "86195219416d432b591e5f3b84122f2396c3480cd45b726e3c1ba28596d92ff2"),
     ):
         _, first, _ = _run(capsys, *argv)
         _, second, _ = _run(capsys, *argv)
@@ -460,6 +464,10 @@ def test_output_is_deterministic(capsys, monkeypatch):
     assert code == 1
     assert (hashlib.sha256(out.encode()).hexdigest()
             == "f21501de7160dfa1a2b295fff1442f35b0cd91abfc969c1bf58495432ce76372")
+    code, out, err = _run(capsys, "examples", "dihedral", "12", "--json")
+    assert (code, err) == (2, "error: ring order 144 exceeds check budget 4\n")
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")
 
 
 def test_malformed_budget_exits_two(capsys, monkeypatch):
@@ -474,6 +482,33 @@ def test_malformed_budget_exits_two(capsys, monkeypatch):
     code, out, err = _run(capsys, "group", "--dihedral", "4")
     assert code == 0 and not err
     assert "order: 8" in out
+
+
+def test_searches_and_circle_tables_stay_counted(capsys, monkeypatch):
+    """`verify --json` makes 59 coboundary preimage searches (one per class
+    was 109) and builds 68 circle tables (102 while the fiber rings built
+    theirs); `examples dihedral 24 --json` searches once and builds no
+    circle table on a ring of more than 24 elements."""
+    searched, circles = [], []
+    preimage, star_table = verify.coboundary_preimage, rings.star_table
+
+    def counted_preimage(f):
+        searched.append(f.q_group.order)
+        return preimage(f)
+
+    def counted_star_table(ring):
+        circles.append(ring.order)
+        return star_table(ring)
+
+    monkeypatch.setattr(verify, "coboundary_preimage", counted_preimage)
+    monkeypatch.setattr(rings, "star_table", counted_star_table)
+    assert _run(capsys, "verify", "--json")[0] == 0
+    assert (len(searched), len(circles)) == (59, 68)
+    searched.clear()
+    circles.clear()
+    assert _run(capsys, "examples", "dihedral", "24", "--json")[0] == 0
+    assert searched == [48]
+    assert circles and max(circles) <= 24
 
 
 def test_python_dash_m_runs_the_cli(capsys):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cohomoring import ValidationError, cocycles, endo_rings
+from cohomoring import ValidationError, cocycles, endo_rings, rings
 from cohomoring.catalog import default_catalog, dihedral_extension
 from cohomoring.cocycles import CocycleRing, CrossedHom, cocycle_ring, enumerate_z1
 from cohomoring.endo_rings import (
@@ -200,6 +200,83 @@ def test_invertibles_are_quasi_regulars_and_automorphisms():
     others = set(range(fe.size)) - set(int(k) for k in fe.aut_indices)
     for k in others:
         assert len(set(fe.endos[k].tolist())) < g.order
+
+
+def test_fiber_quasi_regular_set_is_the_invertible_members_without_a_circle_table(monkeypatch):
+    """On D3-D12 and every default-catalog extension, fiber_endo_ring builds
+    no circle table, and the quasi-regular set it keeps on the ring is the
+    one the circle table gives."""
+    exts = [dihedral_extension(n) for n in range(3, 13)]
+    exts += [e.materialize() for e in default_catalog() if e.kind == "extension"]
+    assert len(exts) == 44
+    star_table = rings.star_table
+    monkeypatch.setattr(rings, "star_table", lambda ring: pytest.fail("circle table built"))
+    fes = [fiber_endo_ring(ext) for ext in exts]
+    monkeypatch.setattr(rings, "star_table", star_table)
+    for fe in fes:
+        aut = fe.aut_indices.tolist()
+        assert quasi_regular_indices(fe.ring) == aut
+        assert rings._quasi_regular(star_table(fe.ring)).tolist() == aut
+
+
+def _tamper_mask(mask):
+    """The bijectivity mask with the first member it misses added."""
+    out = mask.copy()
+    out[np.argmin(mask)] = True
+    return out
+
+
+def _tamper_product(ring, side):
+    """The product table of `ring` with the product ab ("right") or ba
+    ("left") moved, for the first quasi-regular member a whose circle
+    inverse b is another member, so that a keeps no circle inverse on that
+    side and the other side is unchanged."""
+    star = rings.star_table(ring)
+    inverse = {int(a): int(np.flatnonzero(star[a] == 0)[0]) for a in rings._quasi_regular(star)}
+    a, b = next((a, b) for a, b in inverse.items() if a != b)
+    cell = (a, b) if side == "right" else (b, a)
+    mul = ring.mul_table.copy()
+    mul[cell] = ring.add_table[mul[cell], 1]
+    return mul
+
+
+@pytest.mark.parametrize("tamper", ["bijectivity", "right", "left"])
+def test_a_tampered_invertibles_check_raises_with_the_circle_table_witness(monkeypatch, tamper):
+    """When the located inverses fail, fiber_endo_ring raises the error the
+    compare with the circle table's quasi-regular set gives, with that set
+    and the bijective members as the witness.  The tampers: a non-bijective
+    member counted as bijective, and a product on either side moved after
+    the composition law was certified (the restriction map, built in
+    between, swaps it in)."""
+    ext = dihedral_extension(5)
+    seen = {}
+    if tamper == "bijectivity":
+        is_bijective = endo_rings._is_bijective
+        monkeypatch.setattr(endo_rings, "_is_bijective",
+                            lambda values: _tamper_mask(is_bijective(values)))
+    else:
+        ring_hom = endo_rings.RingHom
+
+        def tampering(source, target, values):
+            hom = ring_hom(source, target, values)
+            source.mul_table = _tamper_product(source, tamper)
+            seen["ring"] = source
+            return hom
+
+        monkeypatch.setattr(endo_rings, "RingHom", tampering)
+    with pytest.raises(ValidationError,
+                       match="invertible members differ from the quasi-regular elements") as exc:
+        fiber_endo_ring(ext)
+    monkeypatch.undo()
+    fe = fiber_endo_ring(ext)
+    aut = fe.aut_indices.tolist()
+    qr = aut
+    if tamper == "bijectivity":
+        aut = np.flatnonzero(_tamper_mask(endo_rings._is_bijective(np.stack(fe.endos)))).tolist()
+    else:
+        qr = rings._quasi_regular(rings.star_table(seen["ring"])).tolist()
+    assert qr != aut
+    assert exc.value.witness == (qr, aut)
 
 
 def test_restriction_is_ring_hom_into_module_ring():

@@ -29,7 +29,8 @@ from cohomoring.rings import (
     zn_ring,
 )
 
-from ring_oracles import oracle_coordinate_laws, oracle_pair_model, oracle_quotient_mul_table
+from ring_oracles import (oracle_coordinate_laws, oracle_pair_model, oracle_pair_rows,
+                          oracle_quotient_mul_table)
 
 
 def test_zn_ring_structure():
@@ -140,8 +141,14 @@ def _relabelled(ring, u, v):
     """The same ring with the members u and v trading indices."""
     perm = np.arange(ring.order)
     perm[[u, v]] = [v, u]
-    return FiniteRing(perm[ring.add_table[np.ix_(perm, perm)]],
-                      perm[ring.mul_table[np.ix_(perm, perm)]])
+    return _relabelled_by(ring, perm)
+
+
+def _relabelled_by(ring, perm):
+    """The same ring with new member j the old member perm[j]."""
+    back = np.argsort(perm)
+    return FiniteRing(back[ring.add_table[np.ix_(perm, perm)]],
+                      back[ring.mul_table[np.ix_(perm, perm)]])
 
 
 def test_coordinate_laws_match_the_full_table_oracle():
@@ -342,3 +349,80 @@ def test_a_pair_model_the_fiber_ring_does_not_match_gives_a_fail_row(monkeypatch
     assert _pair_model_row(report).status == "fail"
     assert not report.ok
     assert not oracle_pair_model(fiber_endo_ring(dihedral_extension(n)), model, n)
+
+
+PAIR_ROWS = ("sum of f(k,l) and f(p,q) is f(k+p,l+q)",
+             "product of f(k,l) and f(p,q) is f(lp,lq)")
+
+
+def _f_index(fe, n):
+    """[k, l]: the member of the fiber ring of D(n) with displacement k at
+    the reflection and l at the rotation."""
+    f_index = np.full((n, n), -1, dtype=np.int64)
+    for m, psi in enumerate(fe.cocycles.elements):
+        f_index[psi.values[1], psi.values[2]] = m
+    return f_index
+
+
+def test_pair_formula_rows_pass_without_the_all_pairs_compare(monkeypatch):
+    """On D3-D12 the report's sum and product rows pass from the generator
+    checks alone, as the compare on every index pair says."""
+    def refused(*args):
+        raise AssertionError("all-pairs compare on the success path")
+
+    monkeypatch.setattr(examples, "_all_pairs_row", refused)
+    for n in range(3, 13):
+        report = dihedral_report(n)
+        rows = [(c.status, c.witness) for c in report.checks if c.position in PAIR_ROWS]
+        assert rows == [("pass", None)] * 2, n
+        fe = fiber_endo_ring(dihedral_extension(n))
+        assert oracle_pair_rows(fe.ring, _f_index(fe, n)) == [(True, None)] * 2, n
+
+
+def _pair_product_ring(ring, f_index, product):
+    """`ring` with its sum and the product f(x) f(y) = f(product(x, y)) on
+    the pairs x = (k, l), y = (p, q)."""
+    n = len(f_index)
+    k, l = (a.reshape(-1, 1) for a in np.indices((n, n)))  # pair k*n + l
+    members = f_index.reshape(-1)
+    mul = np.empty_like(ring.mul_table)
+    mul[np.ix_(members, members)] = f_index[product(k, l, k.T, l.T, n)]
+    return FiniteRing(ring.add_table, mul)
+
+
+def test_pair_formula_rows_give_the_full_compare_verdict_and_witness():
+    """Where the formulas fail, the rows give the verdict and the first
+    witness of the compare on every index pair.  Per n:
+    - the fiber ring relabelled by its additive negation (the sum row holds,
+      the product row does not) and by two seeded permutations fixing 0;
+    - the true ring with f(0,0) and f(1,1) trading members, so that f(0,0)
+      is not zero, and with f(1,2) and f(2,2) trading members, which keeps
+      the products with f(1,0) and f(0,1) but not the sum;
+    - f(k,l) read at (k + l^2, l) or at (k, l + k^2), which keeps the sum
+      with f(1,0), respectively f(0,1), and moves the other;
+    - the products (k,l)(p,q) = (0, lq) and (lp + kq, lq), valid rings on
+      the same sum that keep the product with f(0,1), respectively f(1,0),
+      and move the other."""
+    patterns = set()
+    for n in range(3, 13):
+        fe = fiber_endo_ring(dihedral_extension(n))
+        f_index = _f_index(fe, n)
+        rng = np.random.default_rng(n)
+        perms = [np.argmin(fe.ring.add_table, axis=1)]  # a + (-a) = 0 sits first
+        perms += [np.concatenate([[0], 1 + rng.permutation(fe.size - 1)]) for _ in range(2)]
+        cases = [(_relabelled_by(fe.ring, perm), f_index) for perm in perms]
+        for u, v in (((0, 0), (1, 1)), ((1, 2), (2, 2))):
+            swapped = f_index.copy()
+            swapped[u], swapped[v] = f_index[v], f_index[u]
+            cases.append((fe.ring, swapped))
+        k, l = np.indices((n, n))
+        cases += [(fe.ring, f_index[(k + l * l) % n, l]),
+                  (fe.ring, f_index[k, (l + k * k) % n])]
+        for product in (lambda k, l, p, q, n: (0 * (k + p), l * q % n),
+                        lambda k, l, p, q, n: ((l * p + k * q) % n, l * q % n)):
+            cases.append((_pair_product_ring(fe.ring, f_index, product), f_index))
+        for ring, fi in cases:
+            rows = examples._pair_formula_rows(ring, fi)
+            assert rows == oracle_pair_rows(ring, fi), n
+            patterns.add(tuple(ok for ok, _ in rows))
+    assert patterns == {(True, False), (False, False)}

@@ -1,13 +1,15 @@
 """Sequence verifiers: every report passes on honest data and fails on broken data."""
 
+import importlib.util
 import sys
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cohomoring import ValidationError, groups, rings, verify
+from cohomoring import BudgetExceeded, ValidationError, groups, rings, verify
 from cohomoring.catalog import (
     CatalogEntry,
     _verify_ring_entry,
@@ -56,6 +58,7 @@ from cohomoring.verify import (
     verify_five_term,
     verify_qr_sequence,
 )
+from cocycle_oracles import oracle_inflation_kernel
 from ring_oracles import (assert_ring_tables_match_full_rows, oracle_closure_witness,
                           oracle_descent_witness)
 
@@ -145,6 +148,83 @@ def test_generator_routes_match_full_middle_cohomology():
         for _, klass in h2q.classes():
             up = inflation(klass, ext.p, ext.g_action)
             assert (coboundary_preimage(up) is not None) == full.is_coboundary(up), ext.name
+
+
+def _relabelled_catalog(seed):
+    """The default catalog with its groups relabelled by `seed`, as
+    perfbench/catalog_gen.py writes it for the catalog_sweep workload."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "catalog_gen.py"
+    spec = importlib.util.spec_from_file_location("catalog_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return catalog_from_json(module.generate_catalog(seed))
+
+
+def test_inflation_kernel_matches_the_per_class_search():
+    """The kernel of inflation found as a subgroup is the one a search per
+    class finds, on the default catalog and on its seed-1 and seed-7
+    relabellings, and the one H^2(G,N) in full gives on the
+    `_inflation_case`s."""
+    exts = [e.materialize() for e in default_catalog()]
+    for seed in (1, 7):
+        exts += [e.materialize() for e in _relabelled_catalog(seed)]
+    assert len(exts) == 3 * 34
+    for ext in exts:
+        h2q = compute_h2(ext.q_group, ext.n_group, ext.action)
+        assert verify._inflation_kernel(ext, h2q) == oracle_inflation_kernel(ext, h2q), ext.name
+    for k in range(6):
+        ext, full, _ = _inflation_case(k)
+        h2q = compute_h2(ext.q_group, ext.n_group, ext.action)
+        assert verify._inflation_kernel(ext, h2q) == {
+            coeffs for coeffs, rep in h2q.classes()
+            if full.is_coboundary(inflation(rep, ext.p, ext.g_action))}, k
+
+
+def test_inflation_kernel_reads_the_search_budget_before_any_search(monkeypatch):
+    """The preimage search's budget gate, which the per-class search first
+    reads on the zero class, refuses the kernel with the same message when
+    H^2(Q,N) is trivial and no class is searched."""
+    ext = dihedral_extension(3)
+    h2q = compute_h2(ext.q_group, ext.n_group, ext.action)
+    assert h2q.order == 1
+    monkeypatch.setenv("COHOMORING_BUDGET", "0.000001")
+    with pytest.raises(BudgetExceeded) as got:
+        verify._inflation_kernel(ext, h2q)
+    with pytest.raises(BudgetExceeded) as want:
+        oracle_inflation_kernel(ext, h2q)
+    assert str(got.value) == str(want.value) == "9 coboundary candidates exceeds budget 1"
+
+
+@lru_cache(maxsize=None)
+def _h2_of_pair(q_name, n_name):
+    """H^2(Q,N) under each action of the named small group Q on the named
+    module N."""
+    def small(name):
+        if name == "C2xC2":
+            return make_direct_product(make_cyclic(2), make_cyclic(2), name=name)[0]
+        return make_cyclic(int(name[1:]), name=name)
+
+    q, n = small(q_name), small(n_name)
+    return [compute_h2(q, n, action) for action in enumerate_actions(q, n)]
+
+
+SMALL_GROUPS = ("C2", "C3", "C4", "C2xC2")
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.data())
+def test_inflation_kernel_property_on_small_extensions(data):
+    """For a drawn Q, N, action and class, the kernel of inflation to the
+    extension of the class is the per-class search's, and holds the class."""
+    h2qs = _h2_of_pair(data.draw(st.sampled_from(SMALL_GROUPS)),
+                       data.draw(st.sampled_from(SMALL_GROUPS)))
+    h2q = h2qs[data.draw(st.integers(0, len(h2qs) - 1))]
+    coeffs = tuple(data.draw(st.integers(0, d - 1)) for d in h2q.invariant_factors)
+    ext = extension_from_cocycle(h2q.rep_from_coeffs(coeffs))
+    assert ext.q_group is h2q.q_group and ext.n_group is h2q.n_group
+    kernel = verify._inflation_kernel(ext, h2q)
+    assert kernel == oracle_inflation_kernel(ext, h2q)
+    assert coeffs in kernel
 
 
 @pytest.mark.parametrize("n, order", [(32, 128), (48, 192), (64, 256)])
