@@ -51,8 +51,13 @@ def _emit_json(obj) -> None:
 
 
 def _load_json_file(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    # a missing, unreadable or directory path is bad input; an OSError
+    # anywhere else (a closed stdout pipe, say) is not
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ValidationError(str(exc)) from exc
 
 
 # ------------------------------------------------------------- object builders
@@ -206,6 +211,9 @@ def cmd_z1(args) -> int:
 
 def cmd_h2(args) -> int:
     if args.dihedral is not None or args.load is not None:
+        if args.quotient_cyclic is not None or args.kernel_cyclic is not None:
+            raise ValidationError(
+                "h2 takes either an extension source or --quotient-cyclic and --kernel-cyclic, not both")
         ext = _resolve_extension(args)
         qg, ng, action = ext.q_group, ext.n_group, ext.action
         action_count = None
@@ -462,9 +470,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.func(args)
     except (ValidationError, BudgetExceeded, GuardExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:

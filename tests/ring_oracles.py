@@ -19,11 +19,12 @@ package maps and certifies a whole stack at once.
 ring on all order^2 cells, where the package broadcasts coordinate grids, and
 `oracle_quotient_mul_table` scatters and gathers every product to build a
 quotient table and test its descent, where the package reads one
-representative per coset.  `oracle_pair_model` compares the fiber ring of
-D(n) with the mod-n pair model on all order^2 cells of both tables, where
-the package certifies the transport map as a `RingHom`, and
-`oracle_pair_rows` decides the sum and product formulas of the D(n) report on
-a full n^4 index grid, where the package checks the additive generators.
+representative per coset.  `dihedral_model_ring` builds the mod-n pair
+model as a certified semidirect ring, and `oracle_pair_model` compares the
+fiber ring of D(n) with it on all order^2 cells of both tables, where the
+package reads the match off its two pair-formula rows; `oracle_pair_rows`
+decides those sum and product formulas on a full n^4 index grid, where the
+package checks the additive generators.
 """
 
 import numpy as np
@@ -32,8 +33,8 @@ from cohomoring import ValidationError
 from cohomoring.cocycles import CrossedHom
 from cohomoring.endo_rings import fiber_endo_ring
 from cohomoring.groups import (TableIndex, _descend, _hom_rows, _positions,
-                               _search_generator_images, enumerate_endos)
-from cohomoring.rings import FiniteRing
+                               _search_generator_images, enumerate_endos, make_cyclic)
+from cohomoring.rings import BimoduleAction, FiniteRing, semidirect_ring, zn_ring
 
 
 def oracle_kernel_fixing_endos(ext):
@@ -275,6 +276,21 @@ def oracle_quotient_mul_table(ring, pv, h):
         raise ValidationError(
             f"multiplication does not descend to cosets at ({a}, {b})", witness=(a, b))
     return mul_q
+
+
+def dihedral_model_ring(n):
+    """Mod-n pairs (k, l) with product (k1,l1)(k2,l2) = (l1 k2, l1 l2).
+
+    Built as a semidirect ring: the coefficient ring acts on the carrier by
+    multiplication on the left and by zero on the right.
+    """
+    zn = zn_ring(n, name=f"mod-{n} residues")
+    carrier = make_cyclic(n)
+    mul = np.arange(n, dtype=np.int64)
+    left = (mul[:, None] * mul[None, :]) % n
+    right = np.zeros((n, n), dtype=np.int64)
+    action = BimoduleAction(r_ring=zn, s_group=carrier, left=left, right=right)
+    return semidirect_ring(action, name=f"pair ring mod {n}")
 
 
 def oracle_pair_model(fe, model, n):

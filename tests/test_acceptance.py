@@ -27,7 +27,7 @@ from cohomoring.cohomology2 import (
     pushforward,
 )
 from cohomoring.endo_rings import fiber_endo_ring
-from cohomoring.examples import dihedral_model_ring, dihedral_report, ring432_construct, ring432_report
+from cohomoring.examples import dihedral_report, ring432_construct, ring432_report
 from cohomoring.extension import (
     build_extension,
     centralizer_extension,
@@ -67,6 +67,7 @@ from cohomoring.verify import (
     verify_qr_sequence,
 )
 from cocycle_oracles import _z1_full_scan
+from ring_oracles import dihedral_model_ring
 from table_oracles import old_crossed_hom_outcome, old_group_hom_outcome
 
 

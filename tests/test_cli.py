@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import cohomoring
-from cohomoring import groups, linalg, rings, verify
+from cohomoring import examples, groups, linalg, rings, verify
 from cohomoring.catalog import default_catalog, dihedral_extension, sweep
 from cohomoring.cli import main
 from cohomoring.extension import extension_to_json
@@ -154,6 +154,14 @@ def test_h2_requires_a_source(capsys):
     code, _, err = _run(capsys, "h2", "--quotient-cyclic", "2")
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("cyclic", [("--quotient-cyclic", "2"), ("--kernel-cyclic", "4")])
+def test_h2_refuses_an_extension_source_with_a_cyclic_option(capsys, cyclic):
+    code, out, err = _run(capsys, "h2", "--dihedral", "3", *cyclic)
+    assert (code, out) == (2, "")
+    assert err == ("error: h2 takes either an extension source or --quotient-cyclic "
+                   "and --kernel-cyclic, not both\n")
 
 
 def test_h2_methods_agree_via_cli(capsys):
@@ -420,6 +428,14 @@ def test_missing_file_exits_two(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [("group", "--load"), ("verify", "--catalog")])
+def test_a_directory_for_a_file_exits_two(tmp_path, capsys, argv):
+    code, out, err = _run(capsys, *argv, str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Is a directory" in err
+
+
 def test_output_is_deterministic(capsys, monkeypatch):
     # sha256 of each output as first recorded; a refactor must not move a byte
     for argv, digest in (
@@ -509,6 +525,30 @@ def test_searches_and_circle_tables_stay_counted(capsys, monkeypatch):
     assert _run(capsys, "examples", "dihedral", "24", "--json")[0] == 0
     assert searched == [48]
     assert circles and max(circles) <= 24
+
+
+def test_dihedral_example_builds_no_model_ring(capsys, monkeypatch):
+    """`examples dihedral 24 --json` reads the pair-model row off the two
+    pair-formula rows: it builds no semidirect ring (the order-576 model ring
+    was one) and certifies two ring maps, the fiber ring's restriction and
+    the projection of the quasi-regular sequence (the model's transport map
+    was a third)."""
+    semidirect, ring_maps = [], []
+    build, certify = rings.semidirect_ring, rings.RingHom.__init__
+
+    def counted_semidirect(*args, **kwargs):
+        semidirect.append(args)
+        return build(*args, **kwargs)
+
+    def counted_ring_map(self, *args):
+        ring_maps.append(args)
+        certify(self, *args)
+
+    for module in (rings, examples):
+        monkeypatch.setattr(module, "semidirect_ring", counted_semidirect)
+    monkeypatch.setattr(rings.RingHom, "__init__", counted_ring_map)
+    assert _run(capsys, "examples", "dihedral", "24", "--json")[0] == 0
+    assert (len(semidirect), len(ring_maps)) == (0, 2)
 
 
 def test_python_dash_m_runs_the_cli(capsys):

@@ -1,6 +1,7 @@
 """Finite rings: axioms, ideals, quotients, quasi-regular structure, JSON."""
 
-from types import SimpleNamespace
+import dataclasses
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,9 +9,8 @@ import pytest
 from cohomoring import ValidationError, examples, groups
 from cohomoring.catalog import dihedral_extension
 from cohomoring.endo_rings import fiber_endo_ring
-from cohomoring.examples import (_coordinate_laws, dihedral_model_ring, dihedral_report,
-                                 ring432_construct)
-from cohomoring.groups import find_isomorphism, make_cyclic
+from cohomoring.examples import _coordinate_laws, dihedral_report, ring432_construct
+from cohomoring.groups import TableIndex, find_isomorphism, make_cyclic
 from cohomoring.rings import (
     BimoduleAction,
     FiniteRing,
@@ -28,9 +28,10 @@ from cohomoring.rings import (
     unit_group,
     zn_ring,
 )
+from cohomoring.verify import ExtensionData
 
-from ring_oracles import (oracle_coordinate_laws, oracle_pair_model, oracle_pair_rows,
-                          oracle_quotient_mul_table)
+from ring_oracles import (dihedral_model_ring, oracle_coordinate_laws, oracle_pair_model,
+                          oracle_pair_rows, oracle_quotient_mul_table)
 
 
 def test_zn_ring_structure():
@@ -327,8 +328,8 @@ def _pair_model_row(report):
 
 
 def test_pair_model_row_matches_the_full_table_oracle():
-    """The `RingHom` certificate behind the pair-model row gives the verdict
-    of comparing both tables on every cell."""
+    """The pair-model row, read off the two pair-formula rows, gives the
+    verdict of comparing both tables of the model ring on every cell."""
     for n in range(3, 13):
         row = _pair_model_row(dihedral_report(n))
         want = oracle_pair_model(fiber_endo_ring(dihedral_extension(n)),
@@ -336,19 +337,67 @@ def test_pair_model_row_matches_the_full_table_oracle():
         assert want and row.status == "pass", n
 
 
-@pytest.mark.parametrize("tamper", [lambda r: _relabelled(r, 1, r.order - 1),
-                                    lambda r: FiniteRing(r.add_table, r.mul_table.T)],
-                         ids=["label swap", "transposed product"])
-def test_a_pair_model_the_fiber_ring_does_not_match_gives_a_fail_row(monkeypatch, tamper):
-    """A valid model ring with other tables fails the row, as the oracle
-    says, and the report is still built."""
-    n = 5
-    model = tamper(dihedral_model_ring(n).ring)
-    monkeypatch.setattr(examples, "dihedral_model_ring", lambda _: SimpleNamespace(ring=model))
-    report = dihedral_report(n)
-    assert _pair_model_row(report).status == "fail"
-    assert not report.ok
-    assert not oracle_pair_model(fiber_endo_ring(dihedral_extension(n)), model, n)
+def _reindexed(fe, perm):
+    """`fe` with its displacements reordered so that the member f(k,l) reads
+    as perm[f(k,l)]; its ring, endomorphisms and everything the verifiers
+    read stay as they are."""
+    cring = fe.cocycles
+    back = np.argsort(perm)
+    elements = tuple(cring.elements[m] for m in back)
+    index = TableIndex(cring.index.tables[back], cring.index.positions, cring.index.radix)
+    return dataclasses.replace(
+        fe, cocycles=dataclasses.replace(cring, elements=elements, index=index))
+
+
+def _reindexed_data(perm, ext):
+    """The `ExtensionData` of `ext` with its fiber ring `_reindexed` by perm."""
+    data = ExtensionData(ext)
+    data.fe = _reindexed(data.fe, perm)
+    return data
+
+
+def test_a_fiber_ring_off_the_pair_model_gives_the_oracle_verdict(monkeypatch):
+    """On D3-D8 the pair-model row gives the verdict of the full-table
+    compare with the model ring when the displacement indexing f(k,l) of
+    the fiber ring is tampered, and the report is still built.  The tampers
+    are those of the pair-formula row test: f read through the additive
+    negation and two seeded permutations fixing 0, f(0,0) trading members
+    with f(1,1) and f(1,2) with f(2,2), and f(k,l) read at (k + l^2, l) or
+    at (k, l + k^2).  For prime n, f(k,l) read at (l s(l^-1 k), l) for l != 0,
+    with s swapping 0 and 1, keeps the product formula and moves the sum,
+    so neither row alone decides the match."""
+    statuses = set()
+    for n in range(3, 9):
+        fe = fiber_endo_ring(dihedral_extension(n))
+        f_index = _f_index(fe, n)
+        model = dihedral_model_ring(n).ring
+        rng = np.random.default_rng(n)
+        cases = [np.arange(fe.size), np.argmin(fe.ring.add_table, axis=1)]
+        cases += [np.concatenate([[0], 1 + rng.permutation(fe.size - 1)]) for _ in range(2)]
+        for u, v in (((0, 0), (1, 1)), ((1, 2), (2, 2))):
+            swap = np.arange(fe.size)
+            swap[[f_index[u], f_index[v]]] = f_index[v], f_index[u]
+            cases.append(swap)
+        k, l = np.indices((n, n))
+        reads = [f_index[(k + l * l) % n, l], f_index[k, (l + k * k) % n]]
+        if n in (3, 5, 7):
+            inv = np.array([0] + [pow(a, -1, n) for a in range(1, n)])
+            swap = np.arange(n)
+            swap[[0, 1]] = 1, 0
+            reads.append(f_index[(l * swap[(inv[l] * k) % n]) % n, l])
+            reads[-1][:, 0] = f_index[:, 0]
+        for read in reads:
+            shift = np.empty(fe.size, dtype=np.int64)
+            shift[f_index] = read
+            cases.append(shift)
+        for perm in cases:
+            monkeypatch.setattr(examples, "ExtensionData", partial(_reindexed_data, perm))
+            report = dihedral_report(n)
+            assert len(report.reports) == 2, n
+            want = oracle_pair_model(_reindexed(fe, perm), model, n)
+            assert _pair_model_row(report).status == ("pass" if want else "fail"), n
+            statuses.add((_pair_model_row(report).status, report.ok))
+    assert statuses == {("pass", True), ("fail", False)}
 
 
 PAIR_ROWS = ("sum of f(k,l) and f(p,q) is f(k+p,l+q)",
