@@ -400,6 +400,38 @@ def test_a_fiber_ring_off_the_pair_model_gives_the_oracle_verdict(monkeypatch):
     assert statuses == {("pass", True), ("fail", False)}
 
 
+def _swapped(fe, u, v):
+    """`fe` with the members u and v trading places in the f(k,l) indexing."""
+    perm = np.arange(fe.size)
+    perm[[u, v]] = v, u
+    return _reindexed(fe, perm)
+
+
+def _tampered_data(tamper, ext):
+    """The `ExtensionData` of `ext` with its fiber ring `tamper`ed."""
+    data = ExtensionData(ext)
+    data.fe = tamper(data.fe)
+    return data
+
+
+@pytest.mark.parametrize(
+    "tamper", [lambda fe: _swapped(fe, 1, fe.size - 1),
+               lambda fe: dataclasses.replace(
+                   fe, ring=FiniteRing(fe.ring.add_table, fe.ring.mul_table.T))],
+    ids=["label swap", "transposed product"])
+def test_a_pair_model_the_fiber_ring_does_not_match_gives_a_fail_row(monkeypatch, tamper):
+    """A fiber ring whose f(k,l) indexing or product table is off the pair
+    model fails the row, as the oracle says, and the report is still built."""
+    n = 5
+    monkeypatch.setattr(examples, "ExtensionData", partial(_tampered_data, tamper))
+    report = dihedral_report(n)
+    assert _pair_model_row(report).status == "fail"
+    assert not report.ok
+    assert len(report.reports) == 2
+    tampered = tamper(fiber_endo_ring(dihedral_extension(n)))
+    assert not oracle_pair_model(tampered, dihedral_model_ring(n).ring, n)
+
+
 PAIR_ROWS = ("sum of f(k,l) and f(p,q) is f(k+p,l+q)",
              "product of f(k,l) and f(p,q) is f(lp,lq)")
 
