@@ -19,14 +19,12 @@ __all__ = ["Budgets", "current_budgets", "DEFAULTS"]
 class Budgets:
     # largest ring whose tables are built and checked
     ring_check_max_order: int = 4096
-    # crossed-homomorphism enumeration
-    z1_generator_candidates: int = 1_000_000  # |module|^#generators, closure strategy
+    # candidates of every search: |N|^#generators for Z^1 and coboundaries, the
+    # product of the candidate counts for Hom and End, |N|^((|Q|-1)^2) for H^2
+    search_candidates: int = 1_000_000
     # second cohomology
-    h2_brute_candidates: int = 1_000_000  # |N|^((|Q|-1)^2)
     h2_linear_size: int = 4096  # |Q|^2 * (number of cyclic factors of N)
     h2g_max_group_order: int = 16  # largest |G| whose H^2(G,N) node size is reported
-    # generator-image hom searches: Hom, End, kernel-fixing endos
-    endo_scan_candidates: int = 1_000_000  # product of the candidate counts
     # isomorphism search
     iso_search_max_order: int = 64
 

@@ -164,10 +164,9 @@ def catalog_from_json(data) -> List[CatalogEntry]:
 def _verify_ring_entry(name: str, ring: FiniteRing, ideal) -> List[ExactnessReport]:
     """Checks for a raw ring entry: quasi-regular group, and the quasi-regular
     sequence over the quotient when a square-zero ideal is supplied."""
-    qr_group = quasi_regular_group(ring)[0]
     if ideal is None:
         report = ExactnessReport("quasi-regular group", name)
-        report.nodes = [("quasi-regulars of the ring", qr_group.order)]
+        report.nodes = [("quasi-regulars of the ring", quasi_regular_group(ring)[0].order)]
         report.add("quasi-regulars form a group", True,
                    detail="closure and inverses verified")
         return [report]

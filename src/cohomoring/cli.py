@@ -214,6 +214,9 @@ def cmd_h2(args) -> int:
         if args.quotient_cyclic is not None or args.kernel_cyclic is not None:
             raise ValidationError(
                 "h2 takes either an extension source or --quotient-cyclic and --kernel-cyclic, not both")
+        if args.action_index is not None:
+            raise ValidationError(
+                "h2 takes --action-index only with --quotient-cyclic and --kernel-cyclic")
         ext = _resolve_extension(args)
         qg, ng, action = ext.q_group, ext.n_group, ext.action
         action_count = None
@@ -226,11 +229,12 @@ def cmd_h2(args) -> int:
         ng = make_cyclic(args.kernel_cyclic)
         actions = enumerate_actions(qg, ng)
         action_count = len(actions)
-        if not 0 <= args.action_index < len(actions):
+        index = args.action_index or 0
+        if not 0 <= index < len(actions):
             raise ValidationError(
-                f"action index {args.action_index} out of range, {len(actions)} actions exist")
-        action = actions[args.action_index]
-        instance = f"C{args.quotient_cyclic} acting on C{args.kernel_cyclic}, action {args.action_index}"
+                f"action index {index} out of range, {len(actions)} actions exist")
+        action = actions[index]
+        instance = f"C{args.quotient_cyclic} acting on C{args.kernel_cyclic}, action {index}"
     h2 = compute_h2(qg, ng, action, method=args.method)
     small = h2.order <= _LIST_CAP
     reps = []
@@ -425,7 +429,7 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--load", metavar="PATH")
     p.add_argument("--quotient-cyclic", type=int, metavar="Q")
     p.add_argument("--kernel-cyclic", type=int, metavar="N")
-    p.add_argument("--action-index", type=int, default=0, metavar="I")
+    p.add_argument("--action-index", type=int, metavar="I")
     p.add_argument("--method", choices=("auto", "linear", "bruteforce"), default="auto")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_h2)

@@ -165,10 +165,10 @@ def enumerate_z1(source: FiniteGroup, module: FiniteGroup,
     Candidates are the |module|^k images of the k core generators,
     propagated and certified by the twisted law in
     `_search_generator_images`; the count is gated by
-    `z1_generator_candidates`.  A crossed homomorphism is fixed by its
+    `search_candidates`.  A crossed homomorphism is fixed by its
     values on generators, so nothing is missed.
     """
-    limit = current_budgets().z1_generator_candidates
+    limit = current_budgets().search_candidates
     if action.actor is not source or action.module is not module:
         raise ValidationError("action must be of the source group on the module")
     m = module.order

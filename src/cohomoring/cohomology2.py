@@ -590,7 +590,7 @@ def _enumerate_chains(n: int, q: int) -> np.ndarray:
 
 def _h2_bruteforce(q_group: FiniteGroup, n_group: FiniteGroup,
                    action: ActionTable) -> H2Group:
-    limit = current_budgets().h2_brute_candidates
+    limit = current_budgets().search_candidates
     q = q_group.order
     n = n_group.order
     s = (q - 1) * (q - 1)
@@ -683,7 +683,7 @@ def compute_h2(q_group: FiniteGroup, n_group: FiniteGroup, action: ActionTable,
     if dec_size <= budget.h2_linear_size:
         return _h2_linear(q_group, n_group, action)
     total = n_group.order ** ((q_group.order - 1) ** 2)
-    if total <= budget.h2_brute_candidates:
+    if total <= budget.search_candidates:
         return _h2_bruteforce(q_group, n_group, action)
     raise BudgetExceeded("no cohomology method fits the current budget")
 
@@ -693,9 +693,9 @@ def compute_h2(q_group: FiniteGroup, n_group: FiniteGroup, action: ActionTable,
 
 def _coboundary_gate(g: FiniteGroup, n: FiniteGroup) -> None:
     """Raise BudgetExceeded when `coboundary_preimage` on cocycles of g in n
-    would search more than `z1_generator_candidates` cochains: the count
+    would search more than `search_candidates` cochains: the count
     |N|^k over the k core generators of g, the same for every cocycle."""
-    limit = current_budgets().z1_generator_candidates
+    limit = current_budgets().search_candidates
     count = n.order ** len(g.core_generators)
     if count > limit:
         raise BudgetExceeded(f"{count} coboundary candidates exceeds budget {limit}")
@@ -711,7 +711,7 @@ def coboundary_preimage(f: TwoCocycle) -> Optional[np.ndarray]:
     f on G x S.  Both are normalized cocycles, and
     f(x, ws) = f(x, w) + f(xw, s) - x.f(w, s) fixes a normalized cocycle from
     its values on G x S, so they agree everywhere.  The count |N|^k is gated
-    by `z1_generator_candidates`, as in `enumerate_z1`.
+    by `search_candidates`, as in `enumerate_z1`.
     """
     g, n = f.q_group, f.n_group
     gens = g.core_generators

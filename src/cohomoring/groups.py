@@ -1010,8 +1010,8 @@ def hom_make(source: FiniteGroup, target: FiniteGroup, generator_images: Sequenc
 
 def _gated_hom_tables(source: FiniteGroup, target: FiniteGroup, cands, gens) -> List[np.ndarray]:
     """Value tables, in lexicographic order, of the homomorphisms sending the
-    generating tuple gens into cands, within `endo_scan_candidates`."""
-    limit = current_budgets().endo_scan_candidates
+    generating tuple gens into cands, within `search_candidates`."""
+    limit = current_budgets().search_candidates
     total = math.prod(len(c) for c in cands)
     if total > limit:
         raise BudgetExceeded(f"hom search needs {total} candidates, budget {limit}")

@@ -328,7 +328,7 @@ def quasi_regular_indices(ring: FiniteRing) -> List[int]:
 def quasi_regular_group(ring: FiniteRing) -> Tuple[FiniteGroup, np.ndarray]:
     """The group of quasi-regular elements under the circle operation."""
     star = star_table(ring)
-    arr = _quasi_regular(star).astype(np.int64)
+    arr = ring._quasi_regular = _quasi_regular(star).astype(np.int64)  # as quasi_regular_indices
     table = _positions(ring.order, arr)[star[np.ix_(arr, arr)]]
     if (table < 0).any():
         a, b = map(int, np.argwhere(table < 0)[0])

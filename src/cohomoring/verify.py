@@ -283,6 +283,8 @@ def verify_five_term(data: ExtensionData,
     of inflation, which `_inflation_kernel` finds as a subgroup with one
     `coboundary_preimage` search per class its span does not decide; the
     H2(G,N) node size comes from `h2_order`.  Neither builds H^2(G,N).
+    The restriction row reads `fe.res`, the `RingHom` from `fe.ring` to the
+    module ring that `fiber_endo_ring` certified on additive generators.
     check_h2g: None checks exactness and shows the node size when the middle
     group is within `h2g_max_group_order`; True also shows it above that
     order (raising on budget); False skips both.
@@ -311,13 +313,9 @@ def verify_five_term(data: ExtensionData,
 
     # Structure checks demanded alongside exactness.
     rv = fe.res.values
-    blocks = _row_blocks(fe.ring.order, fe.ring.order)
-    hom_ok = all((rv[table[rows]] == image[rv[rows, None], rv]).all()
-                 for table, image in ((fe.ring.add_table, mr.ring.add_table),
-                                      (fe.ring.mul_table, mr.ring.mul_table))
-                 for rows in blocks)
-    report.add("displacement restriction is a ring homomorphism", hom_ok,
-               detail="both operations rechecked on full tables")
+    report.add("displacement restriction is a ring homomorphism",
+               fe.res.source is fe.ring and fe.res.target is mr.ring,
+               detail="RingHom certificate on additive generators")
     sums = (eta[:, None, :] + eta[None, :, :]) % np.asarray(h2q.invariant_factors, dtype=np.int64)
     report.add("transgression is additive", bool((eta[mr.ring.add_table] == sums).all()),
                detail="pushforward classes add across the module sum")

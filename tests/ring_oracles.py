@@ -24,7 +24,9 @@ model as a certified semidirect ring, and `oracle_pair_model` compares the
 fiber ring of D(n) with it on all order^2 cells of both tables, where the
 package reads the match off its two pair-formula rows; `oracle_pair_rows`
 decides those sum and product formulas on a full n^4 index grid, where the
-package checks the additive generators.
+package checks the additive generators.  `oracle_restriction_hom` compares the
+displacement restriction with both ring tables on every cell, where the
+five-term row reads its `RingHom` certificate.
 """
 
 import numpy as np
@@ -325,3 +327,15 @@ def oracle_pair_rows(ring, f_index):
             wit = {"left": [k0, l0], "right": [p0, q0]}
         rows.append((not len(bad), wit))
     return rows
+
+
+def oracle_restriction_hom(fe, values=None):
+    """Whether `values` (by default the displacement restriction `fe.res`)
+    carries both tables of the fiber ring onto those of the module ring,
+    compared on every order^2 cell: the sweep the five-term row made before
+    it read the `RingHom` certificate."""
+    v = fe.res.values if values is None else np.asarray(values, dtype=np.int64)
+    source, target = fe.ring, fe.module_ring.ring
+    return all((v[table] == image[v[:, None], v[None, :]]).all()
+               for table, image in ((source.add_table, target.add_table),
+                                    (source.mul_table, target.mul_table)))

@@ -507,7 +507,7 @@ def test_criterion_7_dual_route_oracles(monkeypatch):
     for q_ord in (2, 3, 4):
         qg = make_cyclic(q_ord)
         for n_ord in range(2, 13):
-            if n_ord ** ((q_ord - 1) ** 2) > budget.h2_brute_candidates:
+            if n_ord ** ((q_ord - 1) ** 2) > budget.search_candidates:
                 continue
             ng = make_cyclic(n_ord)
             for action in enumerate_actions(qg, ng):

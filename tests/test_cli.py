@@ -164,6 +164,28 @@ def test_h2_refuses_an_extension_source_with_a_cyclic_option(capsys, cyclic):
                    "and --kernel-cyclic, not both\n")
 
 
+@pytest.mark.parametrize("source", ["dihedral", "load"])
+@pytest.mark.parametrize("index", ["0", "7"])
+def test_h2_refuses_an_action_index_with_an_extension_source(tmp_path, capsys, source, index):
+    """--action-index picks one of the actions of the cyclic pair; an
+    extension carries its own action, so the index is refused, even 0."""
+    path = tmp_path / "ext.json"
+    path.write_text(json.dumps(extension_to_json(dihedral_extension(3))))
+    argv = ["--dihedral", "3"] if source == "dihedral" else ["--load", str(path)]
+    code, out, err = _run(capsys, "h2", *argv, "--action-index", index)
+    assert (code, out) == (2, "")
+    assert err == ("error: h2 takes --action-index only with --quotient-cyclic "
+                   "and --kernel-cyclic\n")
+
+
+def test_h2_cyclic_pair_reads_no_action_index_as_zero(capsys):
+    code, out, err = _run(capsys, "h2", "--quotient-cyclic", "2", "--kernel-cyclic", "4")
+    assert (code, err) == (0, "")
+    assert out == _run(capsys, "h2", "--quotient-cyclic", "2", "--kernel-cyclic", "4",
+                       "--action-index", "0")[1]
+    assert out.startswith("second cohomology of C2 acting on C4, action 0\n")
+
+
 def test_h2_methods_agree_via_cli(capsys):
     code_a, out_a, _ = _run(capsys, "h2", "--dihedral", "6", "--method", "linear", "--json")
     code_b, out_b, _ = _run(capsys, "h2", "--dihedral", "6", "--method", "bruteforce", "--json")
@@ -452,7 +474,7 @@ def test_output_is_deterministic(capsys, monkeypatch):
         (["ring", "--zn", "9", "--json"],
          "0a97dba0c928818091f9a652660d408d176d775c3bf4f5d8173ebd7a89e3a65f"),
         (["examples", "dihedral", "5"],
-         "33b83d89189d0acc4708c19eee777fd82f1da66f6b19808faa8f372a4eb6720d"),
+         "98db77d129282a1a1853449849f08ea1e2ca0198104a491245be10a4f6877b43"),
         (["examples", "ring432"],
          "5e799a52cd6fe05899261f6459816ed85f46a6e0d0cc77be8111f1b0da0b462a"),
         (["examples", "ring432", "--json"],
@@ -460,13 +482,13 @@ def test_output_is_deterministic(capsys, monkeypatch):
         # the default-budget sweep: every connecting class and pushforward of
         # the catalog, as text and as JSON
         (["verify", "--json"],
-         "3f163786c9ed8878ee26b51b14bbb964fae0b06ba9be289d222bd4cbd53ece01"),
+         "2f5d5436264a249e62622b41e9b1cc91cc90cbd79dc3182f4596de588fa6a05a"),
         (["verify"],
          "d30fea6ecc34b4aa4cbb5ff0a36d572ad711c313f77d1a7b5df4d8275b459d99"),
         # the pair-formula rows, the fiber ring's invertibles and the kernel
         # of inflation of a 576-member fiber ring
         (["examples", "dihedral", "24", "--json"],
-         "86195219416d432b591e5f3b84122f2396c3480cd45b726e3c1ba28596d92ff2"),
+         "a6c571407e144c4359f8bd735ab79e32b0d70a33be65c5fa884b303366a7a99a"),
     ):
         _, first, _ = _run(capsys, *argv)
         _, second, _ = _run(capsys, *argv)
@@ -479,7 +501,7 @@ def test_output_is_deterministic(capsys, monkeypatch):
     code, out, _ = _run(capsys, "verify", "--json")
     assert code == 1
     assert (hashlib.sha256(out.encode()).hexdigest()
-            == "f21501de7160dfa1a2b295fff1442f35b0cd91abfc969c1bf58495432ce76372")
+            == "1198ebd528bc39fe153e8c8f010267bbe49daeceb1f9b561fdfd7d9e8d13f37c")
     code, out, err = _run(capsys, "examples", "dihedral", "12", "--json")
     assert (code, err) == (2, "error: ring order 144 exceeds check budget 4\n")
     assert (hashlib.sha256(out.encode()).hexdigest()

@@ -76,7 +76,7 @@ def _preimage_cases():
              (make_cyclic(4), make_cyclic(2)), (make_cyclic(2), v4),
              (v4, make_cyclic(2)), (make_cyclic(3), v4),
              (make_dihedral(3), make_cyclic(2)), (make_dihedral(3), make_cyclic(3))]
-    cap = current_budgets().h2_brute_candidates
+    cap = current_budgets().search_candidates
     cases = []
     for q, n in pairs:
         for action in enumerate_actions(q, n):
@@ -145,7 +145,7 @@ def test_inverted_kernel_class_group():
 def test_linear_and_bruteforce_routes_agree():
     from cohomoring import current_budgets
 
-    cap = current_budgets().h2_brute_candidates
+    cap = current_budgets().search_candidates
     for q_ord in (2, 3, 4):
         qg = make_cyclic(q_ord)
         # the last kernel has the smallest order whose table is stored narrow

@@ -95,7 +95,7 @@ def test_stacked_classes_match_the_per_object_oracle(monkeypatch, cells):
         in_scan = len(sections) * len(taus) <= _SCAN_CAP
         scanned += len(sections) * len(taus) if in_scan else 0
         methods = ["linear"]
-        if n.order ** ((q.order - 1) ** 2) <= budget.h2_brute_candidates:
+        if n.order ** ((q.order - 1) ** 2) <= budget.search_candidates:
             methods.append("bruteforce")
             brute += 1
         fe = fiber_endo_ring(ext)

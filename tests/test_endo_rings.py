@@ -329,7 +329,7 @@ def test_kernel_fixing_endos_match_the_end_g_filter():
 
 def test_split_v4_by_a4_fits_the_default_budgets():
     # the End(G) filter needs 2162688 candidates here, above
-    # endo_scan_candidates; the search with the kernel pinned does not
+    # search_candidates; the search with the kernel pinned does not
     exts = split_v4_by_a4()
     assert len(exts) == 2
     for ext in exts:

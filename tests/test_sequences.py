@@ -44,7 +44,7 @@ from cohomoring.groups import (
     make_semidirect_group,
     trivial_action,
 )
-from cohomoring.rings import check_ideal, quotient_ring, zn_ring
+from cohomoring.rings import RingHom, check_ideal, quotient_ring, zn_ring
 from cohomoring.verify import (
     ExtensionData,
     _closure_witness,
@@ -60,7 +60,7 @@ from cohomoring.verify import (
 )
 from cocycle_oracles import oracle_inflation_kernel
 from ring_oracles import (assert_ring_tables_match_full_rows, oracle_closure_witness,
-                          oracle_descent_witness)
+                          oracle_descent_witness, oracle_restriction_hom)
 
 
 def _c4_over_c2():
@@ -91,6 +91,55 @@ def test_five_term_skip_marker():
     assert rep.nodes[-1] == ("H2(G,N)", None)
     assert any(c.status == "skipped" for c in rep.checks)
     assert "not checked" in "\n".join(rep.lines())
+
+
+RESTRICTION_ROW = "displacement restriction is a ring homomorphism"
+
+
+def test_restriction_row_matches_the_full_table_oracle():
+    """On the 34 default-catalog extensions, D3-D12 among them, the row read
+    off the `RingHom` certificate passes, and so does the compare of both
+    ring tables on every cell."""
+    exts = [e.materialize() for e in default_catalog() if e.kind == "extension"]
+    assert len(exts) == 34
+    for ext in exts:
+        data = ExtensionData(ext)
+        [row] = [c for c in verify_five_term(data, check_h2g=False).checks
+                 if c.position == RESTRICTION_ROW]
+        assert (row.status, row.detail) == (
+            "pass", "RingHom certificate on additive generators"), ext.name
+        assert oracle_restriction_hom(data.fe), ext.name
+
+
+def test_ring_hom_refuses_restriction_values_where_the_oracle_fails():
+    """On D3-D12 and the three direct products of the catalog, the
+    certificate that the row reads refuses tampered restriction values
+    exactly where the full-table compare fails: the values read through two
+    seeded permutations of the module-ring members fixing 0, and through a
+    swap of two nonzero members."""
+    verdicts = set()
+    catalog = default_catalog()
+    for e in catalog[:10] + catalog[-3:]:
+        fe = ExtensionData(e.materialize()).fe
+        target = fe.module_ring.ring
+        rng = np.random.default_rng(target.order)
+        perms = [np.concatenate([[0], 1 + rng.permutation(target.order - 1)])
+                 for _ in range(2)]
+        if target.order > 2:
+            swap = np.arange(target.order)
+            swap[[1, target.order - 1]] = target.order - 1, 1
+            perms.append(swap)
+        for perm in perms:
+            values = perm[fe.res.values]
+            want = oracle_restriction_hom(fe, values)
+            try:
+                RingHom(fe.ring, target, values)
+                got = True
+            except ValidationError:
+                got = False
+            assert got == want, e.name
+            verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 def test_five_term_checks_inflation_above_the_node_gate():
@@ -487,6 +536,24 @@ def test_ring_entry_builds_its_quasi_regular_group_once(monkeypatch):
     [report] = _verify_ring_entry("mod-12 ring", ring, None)
     assert counts == {"star_table": 1, "FiniteGroup": 1}
     assert report.ok and report.nodes == [("quasi-regulars of the ring", 4)]
+
+
+def test_ring_entry_with_an_ideal_builds_one_circle_table_per_ring(monkeypatch):
+    """A ring entry with an ideal builds no quasi-regular group: the circle
+    table of the ring is built once, by the sequence check, and that of the
+    quotient once."""
+    seen = []
+    real_star = rings.star_table
+
+    def star(ring):
+        seen.append(ring)
+        return real_star(ring)
+
+    ring = zn_ring(12)
+    monkeypatch.setattr(rings, "star_table", star)
+    [report] = _verify_ring_entry("mod-12 with 6-torsion ideal", ring, [0, 6])
+    assert report.ok
+    assert [r is ring for r in seen] == [True, False]
 
 
 def test_sweep_flags_non_square_zero_ring_ideal():

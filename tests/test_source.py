@@ -1,11 +1,16 @@
 """Source hygiene: every package module uses each name it imports, every
-name in its __all__ is one it defines or imports, and every private
-top-level helper is referred to somewhere in the package."""
+name in its __all__ is one it defines or imports, every private top-level
+helper is referred to somewhere in the package, and every budget is read and
+documented."""
 
 import ast
+import dataclasses
+import re
 from pathlib import Path
 
 import pytest
+
+from cohomoring.budgets import Budgets
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cohomoring"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -123,3 +128,20 @@ def test_readme_quick_start_runs(capsys):
     assert out[:4] == ["16", "4", "8", "True"]
     assert out[4] == "sequence: five-term endomorphism ring sequence"
     assert out[-1] == "(2,)"
+
+
+def test_every_budget_is_read_and_documented():
+    """Each `Budgets` field is read as an attribute by some module other than
+    budgets.py, so none is a gate that nothing consults, and the bullet list
+    of README's "Enumeration budgets" section names every field with its
+    default and no other name."""
+    defaults = {f.name: f.default for f in dataclasses.fields(Budgets)}
+    read = {node.attr for m in ALL_MODULES if m != "budgets.py"
+            for node in ast.walk(ast.parse((PACKAGE / m).read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    assert sorted(set(defaults) - read) == []
+    readme = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Enumeration budgets\n", 1)[1].split("\n## ", 1)[0]
+    listed = {name: int(default)
+              for name, default in re.findall(r"^- `(\w+)` \((\d+)\):", section, re.M)}
+    assert listed == defaults
