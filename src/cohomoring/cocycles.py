@@ -16,8 +16,8 @@ import numpy as np
 
 from .budgets import current_budgets
 from .errors import BudgetExceeded, ValidationError
-from .groups import (ActionTable, FiniteGroup, GroupHom, TableIndex, _hom_rows,
-                     _search_generator_images)
+from .groups import (ActionTable, FiniteGroup, GroupHom, TableIndex, _coset_tables,
+                     _hom_rows, _search_generator_images)
 from .rings import FiniteRing
 
 __all__ = [
@@ -235,7 +235,8 @@ def cocycle_ring(source: FiniteGroup, module: FiniteGroup, action: ActionTable,
     crossed when a o i is an additive equivariant endomorphism of the module,
     which `_equivariant_endo_rows` certifies per member; a member failing it
     is refused.  For the conjugation action on a normal subgroup, as in
-    `fiber_endo_ring`, every member passes.
+    `fiber_endo_ring`, every member passes.  Both tables are filled coset by
+    coset from generator rows; `groups._coset_tables` holds the proof.
     """
     if not module.is_abelian():
         raise ValidationError("the crossed-homomorphism ring needs an abelian module")
@@ -244,10 +245,6 @@ def cocycle_ring(source: FiniteGroup, module: FiniteGroup, action: ActionTable,
     index = TableIndex(stacked, source.core_generators, module.order)
     if elements[0].values.any():
         raise ValidationError("zero map must sort first")
-    tm = module.table
-    keys = index.keys
-    # a + b is crossed: the module is abelian, the action by automorphisms
-    add = index.find_pairs(lambda rows: tm[keys[rows, None, :], keys[None, :, :]])
     restricted = stacked[:, embedding.values]  # [a, m] = a(i(m))
     uncertified = np.flatnonzero(~_equivariant_endo_rows(restricted, module, action))
     if uncertified.size:
@@ -255,13 +252,11 @@ def cocycle_ring(source: FiniteGroup, module: FiniteGroup, action: ActionTable,
             "crossed homomorphisms not closed under the ring operations: member "
             f"{int(uncertified[0])} composed with the embedding is not an "
             "equivariant endomorphism of the module")
+    # a + b is crossed: the module is abelian, the action by automorphisms;
     # a o i is an equivariant endomorphism, so a(i(b(x))) is crossed
-    dia = index.find_pairs(lambda rows: restricted[rows][:, keys])
-    if min(add.min(), dia.min()) < 0:
-        missing = (add < 0) | (dia < 0)
-        a = int(np.argmax(missing.any(axis=1)))
+    add, dia, missing = _coset_tables(index, module.table, restricted)
+    if missing:
         raise ValidationError(
-            "crossed homomorphisms not closed under the ring operations at "
-            f"({a}, {int(np.argmax(missing[a]))})")
+            f"crossed homomorphisms not closed under the ring operations at {missing}")
     ring = FiniteRing(add, dia, one=None, name="Z1")
     return CocycleRing(ring=ring, elements=tuple(elements), index=index, embedding=embedding)

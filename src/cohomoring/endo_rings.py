@@ -8,9 +8,9 @@ twisted sum has the identity map as zero, and the twisted product composes
 displacements.  This module builds that ring twice (once through crossed
 homs, once directly on endomorphism tables) and insists the answers agree;
 the second route is checked against each additive generator of the ring, a
-certificate that proves every pair.  Both routes locate every sum and
-product by its values on the core generators, which fix a homomorphism,
-under a short proof that it is a member.
+certificate that proves every pair.  Both routes locate sums and products
+by their values on the core generators, which fix a homomorphism, under a
+short proof that each is a member; the first only for generator rows.
 
 Alongside it live the two pointed endomorphism sets of the kernel-centralizer
 sequence: endomorphisms of the middle group fixing the kernel pointwise, and
@@ -34,6 +34,7 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     TableIndex,
+    _coset_tables,
     _descend,
     _gated_hom_tables,
     _hom_rows,
@@ -78,7 +79,10 @@ class ModuleEndoRing:
 
 
 def equivariant_endo_ring(module: FiniteGroup, action: ActionTable) -> ModuleEndoRing:
-    """Build the ring of action-compatible endomorphisms of an abelian group."""
+    """Build the ring of action-compatible endomorphisms of an abelian group.
+
+    Both tables are filled coset by coset from generator rows;
+    `groups._coset_tables` holds the proof."""
     if action.module is not module:
         raise ValidationError("action is not an action on the given module")
     if not module.is_abelian():
@@ -95,17 +99,11 @@ def equivariant_endo_ring(module: FiniteGroup, action: ActionTable) -> ModuleEnd
     index = TableIndex(stacked, module.core_generators, module.order)
     # sums and composites of equivariant endomorphisms of an abelian group are
     # equivariant endomorphisms, and `kept` holds them all: members by key
-    tm = module.table
-    keys = index.keys
-    add = index.find_pairs(lambda rows: tm[keys[rows, None, :], keys[None, :, :]])
-    mul = index.find_pairs(lambda rows: stacked[rows][:, keys])
-    if min(add.min(), mul.min()) < 0:
-        missing = (add < 0) | (mul < 0)
-        a = int(np.argmax(missing.any(axis=1)))
+    add, mul, missing = _coset_tables(index, module.table, stacked)
+    if missing:
         raise ValidationError(
             "equivariant endomorphisms are not closed under the ring operations",
-            witness=(a, int(np.argmax(missing[a]))),
-        )
+            witness=missing)
     one = int(index.find(np.arange(module.order)))
     if one < 0:
         raise ValidationError("identity map missing from the equivariant endomorphisms")

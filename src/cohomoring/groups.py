@@ -961,11 +961,11 @@ class TableIndex:
         keys = np.asarray(keys, dtype=np.int64)
         if not self.levels:  # the empty key names the only member
             return np.zeros(keys.shape[:-1], dtype=np.int64)
-        node = np.take(self.levels[0], keys[..., 0])
+        node = self.levels[0].take(keys[..., 0])
         for j in range(1, len(self.levels)):
             node *= self.radix
             node += keys[..., j]
-            node = np.take(self.levels[j], node)
+            node = self.levels[j].take(node)
         return node
 
     def find(self, rows) -> np.ndarray:
@@ -983,12 +983,99 @@ class TableIndex:
         cell is a member position or -1.  pair_keys(rows) returns the keys
         of the pairs whose a lies in the slice `rows`, shaped [len(rows),
         members, len(positions)]; the blocks of rows keep each key array
-        within _SEARCH_BLOCK_CELLS cells."""
+        within _SEARCH_BLOCK_CELLS cells.  It serves only the witness of a
+        failed closure in `_coset_tables`, which fills closed tables from
+        generator rows."""
         n = len(self.tables)
         out = np.empty((n, n), dtype=_table_dtype(n))
         for rows in _row_blocks(n, n * len(self.positions)):
             out[rows] = self.find_keys(pair_keys(rows))
         return out
+
+
+def _coset_tables(index: TableIndex, table: np.ndarray, maps: np.ndarray
+                  ) -> Tuple[np.ndarray, np.ndarray, Optional[Tuple[int, int]]]:
+    """The sum and product tables [a, b] of the members of `index`, and the
+    first pair (a, b), in row-major order, whose sum or product is no
+    member, or None.
+
+    The members are maps into an abelian group with table `table`, member 0
+    the zero map; a + b is the pointwise sum and ab is maps[a] o b, where
+    maps[a] is a read through a fixed map, so that maps[a + c] = maps[a] +
+    maps[c].  Keys are read off the keys of a and b, under the proof
+    obligation of `TableIndex.find_keys`.
+
+    The tables are filled coset by coset, as a Schreier tree spans a group
+    (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005,
+    ch. 4).  With H the subgroup spanned so far, at first {0}, the least
+    member g outside H is the next generator; only its sum and product rows
+    are looked up, `size` keys each, and each coset jg + H of H in <H, g>
+    takes its rows from rows already built:
+
+        add[g + x] = add[g][add[x]]        ((g + x) + b = g + (x + b))
+        mul[g + x] = add[mul[g], mul[x]]   ((g + x)b = gb + xb)
+
+    the second once add is complete.  Rows are built in the order the walk
+    reaches their members and sorted into member order at the end, so that
+    blocks of rows are read and written whole: with t = jg, t plus cosets
+    0..j-1 is cosets j..2j-1, up to the order of g modulo H, and t + t has
+    the rows add[t][add[t]] and add[mul[t], mul[t]].
+
+    Closure needs no scan.  When every generator row is found, g + S lies in
+    the member set S for each generator g, so S, which they span, is closed
+    under the sum, and each product xb, a sum of generator products gb, is a
+    member.  When a generator row misses, `TableIndex.find_pairs` builds
+    both tables to name the first missing pair.
+    """
+    n = len(index.tables)
+    keys = index.keys
+    add = np.empty((n, n), dtype=_table_dtype(n))  # row p: sum row of the member add[p, 0]
+    mul = np.empty_like(add)  # row p: the product row of that member
+    add[0] = np.arange(n)
+    mul[0] = 0
+    reached = np.zeros(n, dtype=bool)
+    reached[0] = True
+    levels = []  # (blocks, product row of g) per generator g
+    h, g = 1, 1  # rows 0..h-1 hold the members of H; g is the least member outside
+    while h < n:
+        rows = index.find_keys(np.concatenate((table[keys[g], keys], maps[g, keys])))
+        if rows.min() < 0:
+            add = index.find_pairs(lambda s: table[keys[s, None, :], keys[None, :, :]])
+            mul = index.find_pairs(lambda s: maps[s][:, keys])
+            missing = (add < 0) | (mul < 0)
+            a = int(np.argmax(missing.any(axis=1)))
+            return add, mul, (a, int(np.argmax(missing[a])))
+        row = rows[:n].astype(add.dtype, copy=False)
+        r, x = 2, int(row[g])  # r: the order of g modulo H
+        while not reached[x]:
+            r, x = r + 1, int(row[x])
+        # (first row, rows) of t = jg plus cosets 0..j-1, for j = 1, 2, 4, ... below r
+        blocks = [(j * h, min(j, r - j) * h)
+                  for j in (1 << e for e in range((r - 1).bit_length()))]
+        for lo, m in blocks:
+            if lo > h:
+                row = row[row]  # the sum row of t = (lo / h)g
+            for s in _row_blocks(m, n):  # cells are in range: "clip" writes out unbuffered
+                row.take(add[s], out=add[lo + s.start:lo + s.stop], mode="clip")
+        levels.append((blocks, rows[n:]))
+        if h * r < n:
+            reached[add[h:h * r, 0]] = True
+            g = int(reached.argmin())
+        h *= r
+    pos = None  # the row of each member, where the walk did not reach them in order
+    if add[:, 0].tolist() != list(range(n)):
+        pos = np.argsort(add[:, 0])
+        add = add[pos]
+    flat = add.reshape(-1)
+    wide = np.int64(n)
+    for blocks, row in levels:
+        for lo, m in blocks:
+            if lo > blocks[0][0]:
+                row = flat[shift + row]  # the product row of t = (lo / h)g
+            shift = row * wide  # in int64, where n * n overflows the table dtype
+            for s in _row_blocks(m, n):
+                flat.take(shift + mul[s], out=mul[lo + s.start:lo + s.stop], mode="clip")
+    return add, (mul if pos is None else mul[pos]), None
 
 
 def hom_make(source: FiniteGroup, target: FiniteGroup, generator_images: Sequence[int]) -> GroupHom:

@@ -27,6 +27,12 @@ decides those sum and product formulas on a full n^4 index grid, where the
 package checks the additive generators.  `oracle_restriction_hom` compares the
 displacement restriction with both ring tables on every cell, where the
 five-term row reads its `RingHom` certificate.
+
+`coset_walk` replays, on a finished sum table and one coset at a time, the
+walk by which the package fills a ring's tables from generator rows, and
+`relabelled_extension` renames the non-identity elements of an extension's
+three groups by seeded permutations, so that the rings come out with their
+members in another order.
 """
 
 import numpy as np
@@ -34,6 +40,7 @@ import numpy as np
 from cohomoring import ValidationError
 from cohomoring.cocycles import CrossedHom
 from cohomoring.endo_rings import fiber_endo_ring
+from cohomoring.extension import extension_from_json, extension_to_json
 from cohomoring.groups import (TableIndex, _descend, _hom_rows, _positions,
                                _search_generator_images, enumerate_endos, make_cyclic)
 from cohomoring.rings import BimoduleAction, FiniteRing, semidirect_ring, zn_ring
@@ -115,6 +122,55 @@ def full_row_module_tables(mr):
     add = np.stack([index.find(tm[va[None, :], stacked]) for va in stacked])
     mul = np.stack([index.find(va[stacked]) for va in stacked])
     return add, mul
+
+
+def coset_walk(add):
+    """(generators, members in the order reached) of the walk that spans
+    the additive group of `add` from {0}: the least member not yet reached
+    is the next generator g, and the cosets g + C of the last coset C are
+    taken, one at a time, until one returns into the span before g."""
+    reached = [0]
+    generators = []
+    while len(reached) < len(add):
+        g = min(set(range(len(add))) - set(reached))
+        generators.append(g)
+        span, coset = set(reached), reached
+        while True:
+            coset = [int(add[g, x]) for x in coset]
+            if coset[0] in span:
+                break
+            reached = reached + coset
+    return generators, reached
+
+
+def relabelled_extension(ext, seed):
+    """`ext` with the non-identity elements of N, G and Q renamed by
+    permutations drawn from `seed`; both maps are renamed to match."""
+    rng = np.random.default_rng(seed)
+    data = extension_to_json(ext)
+    perms = {key: np.concatenate([[0], 1 + rng.permutation(data[key]["order"] - 1)])
+             for key in ("kernel", "group", "quotient")}
+
+    def group(key):
+        old, perm = data[key], perms[key]
+        table = np.empty((len(perm), len(perm)), dtype=np.int64)
+        table[np.ix_(perm, perm)] = perm[np.asarray(old["table"])]
+        labels = [""] * len(perm)
+        for a, label in enumerate(old["labels"]):
+            labels[perm[a]] = label
+        return {"order": old["order"], "table": table.tolist(),
+                "generators": perm[old["generators"]].tolist(), "labels": labels}
+
+    def renamed(values, source, target):
+        out = np.empty(len(values), dtype=np.int64)
+        out[perms[source]] = perms[target][np.asarray(values)]
+        return out.tolist()
+
+    return extension_from_json({
+        "name": data["name"], "kernel": group("kernel"), "group": group("group"),
+        "quotient": group("quotient"),
+        "kernel_map": renamed(data["kernel_map"], "kernel", "group"),
+        "quotient_map": renamed(data["quotient_map"], "group", "quotient")})
 
 
 def assert_ring_tables_match_full_rows(ext):

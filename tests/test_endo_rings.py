@@ -1,5 +1,6 @@
 """Endomorphism rings of extensions: twisted operations, ideals, restrictions."""
 
+from collections import Counter
 from math import gcd
 from types import SimpleNamespace
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cohomoring import ValidationError, cocycles, endo_rings, rings
+from cohomoring import ValidationError, cocycles, endo_rings, groups, rings
 from cohomoring.catalog import default_catalog, dihedral_extension
 from cohomoring.cocycles import CocycleRing, CrossedHom, cocycle_ring, enumerate_z1
 from cohomoring.endo_rings import (
@@ -29,6 +30,7 @@ from cohomoring.groups import (
     enumerate_automorphisms,
     enumerate_endos,
     enumerate_homs,
+    identity_hom,
     inversion_action,
     make_cyclic,
     make_direct_product,
@@ -39,6 +41,7 @@ from cohomoring.rings import FiniteRing, quasi_regular_indices
 from cohomoring.verify import verify_all
 from ring_oracles import (
     assert_ring_tables_match_full_rows,
+    coset_walk,
     full_row_cocycle_outcome,
     full_row_fiber_tables,
     full_row_module_tables,
@@ -49,6 +52,7 @@ from ring_oracles import (
     oracle_kernel_fixing_endos,
     oracle_quotient_endo_displacement,
     oracle_quotient_endo_from_displacement,
+    relabelled_extension,
 )
 
 
@@ -431,12 +435,19 @@ def test_stacked_maps_raise_for_the_first_member_then_its_first_check():
 
 
 def test_ring_tables_match_full_row_oracles():
-    """Generator-keyed sums and products equal the full-row route on every
-    default-catalog extension and on D3-D12."""
-    exts = [e.materialize() for e in default_catalog() if e.kind == "extension"]
-    exts += [dihedral_extension(n) for n in range(3, 13)]
+    """Sums and products filled coset by coset from generator rows equal the
+    full-row route on D3-D16, on every default-catalog extension and on two
+    seeded relabellings of each.  Some ring takes three coset generators,
+    and the relabellings reach some members out of member order."""
+    catalog = [e.materialize() for e in default_catalog() if e.kind == "extension"]
+    exts = catalog + [dihedral_extension(n) for n in range(3, 17)]
+    exts += [relabelled_extension(ext, seed) for ext in catalog for seed in (1, 2)]
+    walks = []
     for ext in exts:
-        assert_ring_tables_match_full_rows(ext)
+        fe = assert_ring_tables_match_full_rows(ext)
+        walks += [coset_walk(r.add_table) for r in (fe.cocycles.ring, fe.module_ring.ring)]
+    assert max(len(generators) for generators, _ in walks) >= 3
+    assert any(reached != sorted(reached) for _, reached in walks)
 
 
 def test_fiber_endos_match_the_direct_fiber_search():
@@ -496,31 +507,66 @@ def test_cocycle_ring_refuses_members_it_cannot_certify():
         assert refused >= 4 and built >= 4
 
 
+def _span_leaving_under_its_square(ring):
+    """The members spanned by the first nonzero member a whose product with
+    itself lies outside that span: closed under the sum, not the product."""
+    add, mul = ring.add_table, ring.mul_table
+    for a in range(1, ring.order):
+        span = [0]
+        while add[span[-1], a]:
+            span.append(int(add[span[-1], a]))
+        if mul[a, a] not in span:
+            return sorted(span)
+    raise AssertionError("every cyclic span is closed under the product")
+
+
 def test_closure_failures_name_the_first_missing_pair(monkeypatch):
-    """With one member dropped from its enumeration, the crossed-hom ring and
-    the module endomorphism ring refuse with the error text and the first
-    missing pair of the full-row route."""
+    """With any one member dropped from its enumeration, so that the
+    missing cell may fall in any generator's row, or with the members cut
+    down to the additive span of one member whose square leaves it, the
+    crossed-hom ring and the module endomorphism ring refuse with the error
+    text and the first missing pair of the full-row route.  Dropping the
+    zero map is refused before any table is built."""
     ext = dihedral_extension(4)
-    g, n = ext.g_group, ext.n_group
-    elements = enumerate_z1(g, n, ext.g_action)
-    endos = [h.values for h in enumerate_endos(n)]
-    assert len(elements) > 2 and len(endos) > 2
-    for drop in (1, len(elements) - 1):
-        kept = elements[:drop] + elements[drop + 1:]
-        monkeypatch.setattr(cocycles, "enumerate_z1", lambda *args: kept)
-        with pytest.raises(ValidationError) as err:
-            cocycle_ring(g, n, ext.g_action, ext.i)
-        assert str(err.value) == full_row_cocycle_outcome(kept, g, n, ext.i)
-    for drop in (1, len(endos) - 1):
-        kept = [GroupHom(n, n, v) for k, v in enumerate(endos) if k != drop]
-        monkeypatch.setattr(endo_rings, "enumerate_endos", lambda *args: kept)
-        add, mul = full_row_module_tables(
-            SimpleNamespace(elements=[h.values for h in kept], module=n))
-        missing = (add < 0) | (mul < 0)
-        with pytest.raises(ValidationError,
-                           match="equivariant endomorphisms are not closed") as err:
-            equivariant_endo_ring(n, ext.action)
-        assert err.value.witness == tuple(map(int, np.argwhere(missing)[0]))
+    v4, _, _ = make_direct_product(make_cyclic(2), make_cyclic(2), name="V4")
+    # with the identity embedding, the crossed homs of V4 on itself are End(V4)
+    for g, n, action, emb in ((ext.g_group, ext.n_group, ext.g_action, ext.i),
+                              (v4, v4, trivial_action(v4, v4), identity_hom(v4))):
+        elements = enumerate_z1(g, n, action)
+        assert len(elements) > 2
+        cases = [elements[:drop] + elements[drop + 1:] for drop in range(len(elements))]
+        if n is v4:
+            cases.append([elements[k] for k in
+                          _span_leaving_under_its_square(cocycle_ring(g, n, action, emb).ring)])
+        for kept in cases:
+            monkeypatch.setattr(cocycles, "enumerate_z1", lambda *args: kept)
+            with pytest.raises(ValidationError) as err:
+                cocycle_ring(g, n, action, emb)
+            want = ("zero map must sort first" if kept[0] is not elements[0]
+                    else full_row_cocycle_outcome(kept, g, n, emb))
+            assert str(err.value) == want
+        monkeypatch.undo()
+    for n, action in ((ext.n_group, ext.action), (v4, trivial_action(v4, v4))):
+        endos = [h.values for h in enumerate_endos(n)]
+        assert len(endos) > 2
+        cases = [[v for k, v in enumerate(endos) if k != drop] for drop in range(len(endos))]
+        if n is v4:
+            span = _span_leaving_under_its_square(equivariant_endo_ring(n, action).ring)
+            cases.append([endos[k] for k in span])
+        for kept in cases:
+            monkeypatch.setattr(endo_rings, "enumerate_endos",
+                                lambda *args: [GroupHom(n, n, v) for v in kept])
+            if kept[0].any():
+                with pytest.raises(ValidationError, match="zero endomorphism missing"):
+                    equivariant_endo_ring(n, action)
+                continue
+            add, mul = full_row_module_tables(SimpleNamespace(elements=kept, module=n))
+            missing = (add < 0) | (mul < 0)
+            with pytest.raises(ValidationError,
+                               match="equivariant endomorphisms are not closed") as err:
+                equivariant_endo_ring(n, action)
+            assert err.value.witness == tuple(map(int, np.argwhere(missing)[0]))
+        monkeypatch.undo()
 
 
 def test_trivial_groups_give_one_element_rings():
@@ -684,21 +730,44 @@ def test_fiber_certificate_reads_the_product_on_every_generator_column(monkeypat
 
 
 def test_fiber_endo_ring_finds_member_pairs_only_for_the_cocycle_ring(monkeypatch):
-    """The twisted operations are certified on generator columns: of the
-    order^2-cell `find_pairs` tables, fiber_endo_ring builds only the
-    cocycle ring's sum and product.  The other two calls build the n^2
-    tables of the kernel's equivariant endomorphism ring."""
-    sizes = []
-    find_pairs = TableIndex.find_pairs
+    """The twisted operations are certified on generator columns, and the
+    cocycle ring and the kernel's equivariant endomorphism ring fill their
+    tables coset by coset: on D24 no `find_pairs` table is built, and each
+    ring's index looks up at most (coset generators) x size keys per table
+    while its tables are filled, 2 x 576 for the cocycle ring."""
+    pair_tables = []
+    looked = Counter()  # keys looked up per index while its tables are filled
+    filling = []
+    find_pairs, find_keys = TableIndex.find_pairs, TableIndex.find_keys
 
-    def counted(index, pair_keys):
-        sizes.append(len(index.tables))
+    def counted_pairs(index, pair_keys):
+        pair_tables.append(len(index.tables))
         return find_pairs(index, pair_keys)
 
-    monkeypatch.setattr(TableIndex, "find_pairs", counted)
+    def counted_keys(index, keys):
+        found = find_keys(index, keys)
+        if filling and index is filling[-1]:
+            looked[id(index)] += found.size
+        return found
+
+    def counted_tables(index, table, maps):
+        filling.append(index)
+        try:
+            return groups._coset_tables(index, table, maps)
+        finally:
+            filling.pop()
+
+    monkeypatch.setattr(TableIndex, "find_pairs", counted_pairs)
+    monkeypatch.setattr(TableIndex, "find_keys", counted_keys)
+    monkeypatch.setattr(cocycles, "_coset_tables", counted_tables)
+    monkeypatch.setattr(endo_rings, "_coset_tables", counted_tables)
     fe = fiber_endo_ring(dihedral_extension(24))
-    assert fe.size == 576
-    assert sizes == [fe.size] * 2 + [fe.module_ring.ring.order] * 2
+    assert fe.size == 576 and pair_tables == []
+    assert len(coset_walk(fe.cocycles.ring.add_table)[0]) == 2
+    for ring, index in ((fe.cocycles.ring, fe.cocycles.index),
+                        (fe.module_ring.ring, fe.module_ring.index)):
+        generators, _ = coset_walk(ring.add_table)
+        assert 0 < looked[id(index)] <= 2 * len(generators) * ring.order
 
 
 def test_fiber_endo_ring_names_the_first_member_that_does_not_integrate(monkeypatch):
