@@ -30,7 +30,6 @@ from .groups import (
     GroupHom,
     _as_int_array,
     enumerate_actions,
-    group_from_json,
     make_cyclic,
     make_dihedral,
     make_direct_product,
@@ -44,6 +43,7 @@ from .rings import (
     quasi_regular_group,
     ring_from_json,
 )
+from .store import SweepStore
 from .verify import ExactnessReport, _jsonable, verify_all, verify_qr_sequence
 
 
@@ -55,20 +55,22 @@ class CatalogEntry:
     kind: str  # "extension" or "ring"
     data: object
 
-    def materialize(self):
-        """Build the underlying object; raw JSON payloads are validated here."""
+    def materialize(self, store: Optional[SweepStore] = None):
+        """Build the underlying object; raw JSON payloads are validated here,
+        their groups loaded through `store` (a fresh one by default)."""
         if isinstance(self.data, (AbelianExtension, tuple)):
             return self.data
         payload = require_keys(self.data, (), "catalog entry")
+        store = SweepStore() if store is None else store
         if self.kind == "extension":
             if "extension" in payload:
-                return extension_from_json(payload["extension"])
+                return extension_from_json(payload["extension"], store)
             if "quadruple" in payload:
                 quad = require_keys(payload["quadruple"],
                                     ("quotient_group", "kernel_group", "action", "cocycle"),
                                     "quadruple")
-                q_group = group_from_json(quad["quotient_group"])
-                n_group = group_from_json(quad["kernel_group"])
+                q_group = store.group(quad["quotient_group"])
+                n_group = store.group(quad["kernel_group"])
                 actions = enumerate_actions(q_group, n_group)
                 table = _as_int_array(quad["action"], "quadruple action")
                 match = None
@@ -178,15 +180,21 @@ def _verify_ring_entry(name: str, ring: FiniteRing, ideal) -> List[ExactnessRepo
 
 
 def sweep(entries: List[CatalogEntry], check_h2g: Optional[bool] = None) -> Dict:
-    """Run every verifier on every entry; failures become summary rows."""
+    """Run every verifier on every entry; failures become summary rows.
+
+    The entries share one `SweepStore`: each JSON group payload, each
+    H^2(Q,N) and each module ring End_Q(N) is built once per sweep, and a
+    build that raises is not kept, so every row is the one the entry would
+    get swept alone."""
+    store = SweepStore()
     rows = []
     failed = 0
     for entry in entries:
         row: Dict = {"name": entry.name, "kind": entry.kind}
         try:
-            obj = entry.materialize()
+            obj = entry.materialize(store)
             if entry.kind == "extension":
-                reports = verify_all(obj, check_h2g=check_h2g)
+                reports = verify_all(obj, check_h2g=check_h2g, store=store)
             else:
                 ring, ideal = obj
                 reports = _verify_ring_entry(entry.name, ring, ideal)

@@ -22,7 +22,7 @@ error a single map would.
 """
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -45,6 +45,7 @@ from .groups import (
 )
 from .linalg import _unique_rows
 from .rings import FiniteRing, RingHom, _squares_to_zero, check_ideal, quasi_regular_indices
+from .store import SweepStore
 
 
 # ------------------------------------------------------- module endomorphisms
@@ -166,8 +167,11 @@ class FiberEndoRing:
         return self.module_ring.locate(self.restriction_values(k))
 
 
-def fiber_endo_ring(ext: AbelianExtension) -> FiberEndoRing:
+def fiber_endo_ring(ext: AbelianExtension, store: Optional[SweepStore] = None) -> FiberEndoRing:
     """Build the twisted endomorphism ring of an extension, with cross-checks.
+
+    The module ring End_Q(N) comes from `store` (a fresh one by default), so
+    the extensions of one sweep with the same Q-module N share it.
 
     The construction transports the crossed-homomorphism ring of the middle
     group (conjugation action on the kernel) through Phi(a) = alpha_a,
@@ -253,7 +257,9 @@ def fiber_endo_ring(ext: AbelianExtension) -> FiberEndoRing:
     if not _squares_to_zero(ring, check_ideal(ring, ideal)):
         raise ValidationError("kernel-fixing members do not form a square-zero ideal")
 
-    module_ring = equivariant_endo_ring(n, ext.action)
+    store = SweepStore() if store is None else store
+    module_ring = store.q_module("EndQ", ext.action,
+                                 lambda: equivariant_endo_ring(n, ext.action))
     res = RingHom(ring, module_ring.ring, module_ring.locate_all(disps[:, ivals]))
 
     aut = np.flatnonzero(_is_bijective(stacked))

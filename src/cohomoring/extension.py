@@ -30,10 +30,10 @@ from .groups import (
     _positions,
     _in_table_dtype,
     centralizer,
-    group_from_json,
     group_to_json,
     quotient,
 )
+from .store import SweepStore
 
 __all__ = [
     "AbelianExtension",
@@ -323,12 +323,16 @@ def extension_to_json(ext: AbelianExtension) -> dict:
     }
 
 
-def extension_from_json(data: dict) -> AbelianExtension:
+def extension_from_json(data: dict, store: Optional[SweepStore] = None) -> AbelianExtension:
+    """The extension of an `extension_to_json` payload; its groups load
+    through `store` (a fresh one by default), so equal payloads are one
+    group."""
     require_keys(data, ("kernel", "group", "quotient", "kernel_map", "quotient_map"),
                  "extension JSON")
-    n_group = group_from_json(data["kernel"])
-    g_group = group_from_json(data["group"])
-    q_group = group_from_json(data["quotient"])
+    store = SweepStore() if store is None else store
+    n_group = store.group(data["kernel"])
+    g_group = store.group(data["group"])
+    q_group = store.group(data["quotient"])
     i = GroupHom(n_group, g_group, _as_int_array(data["kernel_map"], "kernel map"))
     p = GroupHom(g_group, q_group, _as_int_array(data["quotient_map"], "quotient map"))
     return build_extension(i, p, name=data.get("name", ""))

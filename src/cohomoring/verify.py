@@ -61,6 +61,7 @@ from .endo_rings import (
 from .extension import AbelianExtension, CentralizerData, centralizer_extension
 from .groups import FiniteGroup, TableIndex, _descend, _is_bijective, _positions, _row_blocks
 from .rings import FiniteRing, RingHom, quasi_regular_indices, subring_from_indices
+from .store import SweepStore
 
 
 def _jsonable(obj):
@@ -170,19 +171,25 @@ def _instance_name(ext: AbelianExtension) -> str:
 @dataclass
 class ExtensionData:
     """What the five verifiers of one extension share, each built once, on
-    first use.  The three centralizer-layer sequences end in one connecting
-    map Z1(Q, Qbar) -> H2(Q,N) (Brown, Cohomology of Groups, IV.3), whose
-    classes at the least lift are `delta`, one row per row of `z1qbar`."""
+    first use.  What depends on the Q-module N alone (H^2(Q,N), the module
+    ring inside `fe`, `c_all` and `z1n`) comes from `store`, which every
+    extension of one sweep with the same Q-module shares (a fresh store by
+    default).  The three centralizer-layer sequences end in
+    one connecting map Z1(Q, Qbar) -> H2(Q,N) (Brown, Cohomology of Groups,
+    IV.3), whose classes at the least lift are `delta`, one row per row of
+    `z1qbar`."""
 
     ext: AbelianExtension
+    store: SweepStore = field(default_factory=SweepStore)
 
     @cached_property
     def fe(self) -> FiberEndoRing:
-        return fiber_endo_ring(self.ext)
+        return fiber_endo_ring(self.ext, self.store)
 
     @cached_property
     def h2q(self) -> H2Group:
-        return compute_h2(self.ext.q_group, self.ext.n_group, self.ext.action)
+        q, n, action = self.ext.q_group, self.ext.n_group, self.ext.action
+        return self.store.q_module("H2", action, lambda: compute_h2(q, n, action))
 
     @cached_property
     def cd(self) -> CentralizerData:
@@ -194,7 +201,14 @@ class ExtensionData:
 
     @cached_property
     def c_all(self) -> np.ndarray:
-        return np.asarray(action_preserving_quotient_endos(self.ext))
+        ext = self.ext
+        return self.store.q_module("QEnd", ext.action,
+                                   lambda: np.asarray(action_preserving_quotient_endos(ext)))
+
+    @cached_property
+    def z1n(self) -> np.ndarray:
+        q, n, action = self.ext.q_group, self.ext.n_group, self.ext.action
+        return self.store.q_module("Z1", action, lambda: _z1_table(q, n, action))
 
     @cached_property
     def eta(self) -> np.ndarray:
@@ -723,7 +737,7 @@ def verify_crossed_hom_sequence(data: ExtensionData) -> ExactnessReport:
     report = ExactnessReport("crossed-homomorphism sequence of the central layer",
                              _instance_name(ext))
 
-    z1n = _z1_table(ext.q_group, ext.n_group, ext.action)
+    z1n = data.z1n
     report.nodes = [
         ("crossed homs into the kernel", len(z1n)),
         ("crossed homs into the centralizer", len(data.z1c)),
@@ -750,10 +764,11 @@ def verify_crossed_hom_sequence(data: ExtensionData) -> ExactnessReport:
 # --------------------------------------------------------------------- driver
 
 
-def verify_all(ext: AbelianExtension,
-               check_h2g: Optional[bool] = None) -> List[ExactnessReport]:
-    """Run every sequence verifier on one extension, sharing one ExtensionData."""
-    data = ExtensionData(ext)
+def verify_all(ext: AbelianExtension, check_h2g: Optional[bool] = None,
+               store: Optional[SweepStore] = None) -> List[ExactnessReport]:
+    """Run every sequence verifier on one extension, sharing one ExtensionData
+    whose H^2(Q,N) and module ring come from `store` (a fresh one by default)."""
+    data = ExtensionData(ext, SweepStore() if store is None else store)
     data.fe, data.h2q, data.cd  # in this order: a failed row reports the first error
     return [verify_five_term(data, check_h2g=check_h2g), verify_aut_five_term(data),
             verify_centralizer_sequence(data), verify_aut_centralizer_sequence(data),

@@ -524,9 +524,10 @@ def test_malformed_budget_exits_two(capsys, monkeypatch):
 
 def test_searches_and_circle_tables_stay_counted(capsys, monkeypatch):
     """`verify --json` makes 59 coboundary preimage searches (one per class
-    was 109) and builds 68 circle tables (102 while the fiber rings built
-    theirs); `examples dihedral 24 --json` searches once and builds no
-    circle table on a ring of more than 24 elements."""
+    was 109) and builds 56 circle tables (102 while the fiber rings built
+    theirs, 68 while each entry built its own module ring: the sweep builds
+    22 for 34 entries); `examples dihedral 24 --json` searches once and
+    builds no circle table on a ring of more than 24 elements."""
     searched, circles = [], []
     preimage, star_table = verify.coboundary_preimage, rings.star_table
 
@@ -541,7 +542,7 @@ def test_searches_and_circle_tables_stay_counted(capsys, monkeypatch):
     monkeypatch.setattr(verify, "coboundary_preimage", counted_preimage)
     monkeypatch.setattr(rings, "star_table", counted_star_table)
     assert _run(capsys, "verify", "--json")[0] == 0
-    assert (len(searched), len(circles)) == (59, 68)
+    assert (len(searched), len(circles)) == (59, 56)
     searched.clear()
     circles.clear()
     assert _run(capsys, "examples", "dihedral", "24", "--json")[0] == 0

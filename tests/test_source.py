@@ -1,7 +1,8 @@
 """Source hygiene: every package module uses each name it imports, every
 name in its __all__ is one it defines or imports, every private top-level
-helper is referred to somewhere in the package, and every budget is read and
-documented."""
+helper is referred to somewhere in the package, no module holds a mutable
+container at module or class level or as a default argument, and every
+budget is read and documented."""
 
 import ast
 import dataclasses
@@ -116,6 +117,89 @@ def test_private_helpers_are_referenced():
     dead = sorted(f"{m}: {name}" for m, tree in trees.items()
                   for name in _private_definitions(tree) - referenced)
     assert not dead, f"private helpers nothing refers to: {', '.join(dead)}"
+
+
+_CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+_CONTAINER_CALLS = {"dict", "list", "set", "defaultdict"}
+_BLOCKS = (ast.If, ast.Try, ast.With, ast.For, ast.While, ast.ExceptHandler)
+
+
+def _is_container(value) -> bool:
+    """A dict, list or set literal or comprehension, or a dict(), list(),
+    set() or defaultdict() call (also as `collections.defaultdict()`)."""
+    if isinstance(value, _CONTAINERS):
+        return True
+    if isinstance(value, ast.Call):
+        func = value.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        return name in _CONTAINER_CALLS
+    return False
+
+
+def _shared_containers(body, owner: str) -> list:
+    """`owner:line` of each statement of a module or class body (and of the
+    if, try, with and loop blocks in it) that binds a container to a name
+    other than __all__; a class attribute is one object for every
+    instance, as a module global is for every caller."""
+    found = []
+    for node in body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and _is_container(node.value):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if not all(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                found.append(f"{owner}:{node.lineno}")
+        elif isinstance(node, ast.ClassDef):
+            found += _shared_containers(node.body, f"{owner}.{node.name}")
+        elif isinstance(node, _BLOCKS):
+            for block in ("body", "orelse", "finalbody", "handlers"):
+                found += _shared_containers(getattr(node, block, []), owner)
+    return found
+
+
+def _function_containers(tree: ast.Module, module: str) -> list:
+    """`module:line` of each function that assigns a container to a name it
+    declares global, or whose default argument is a container or any other
+    call (such as `SweepStore()`): a default is built once, when the
+    function is defined, and every call shares it."""
+    found = []
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            defaults = func.args.defaults + [d for d in func.args.kw_defaults if d is not None]
+            names = {n for node in ast.walk(func) if isinstance(node, ast.Global)
+                     for n in node.names}
+            if any(_is_container(d) or isinstance(d, ast.Call) for d in defaults) or any(
+                    isinstance(node, ast.Assign) and _is_container(node.value)
+                    and any(isinstance(t, ast.Name) and t.id in names for t in node.targets)
+                    for node in ast.walk(func)):
+                found.append(f"{module}:{func.lineno}")
+    return found
+
+
+@pytest.mark.parametrize("module", ALL_MODULES)
+def test_no_module_level_containers(module):
+    """No module binds a dict, list or set at module or class level, or as
+    a default argument, so every cache lives on an object or in one sweep's
+    `SweepStore`, and a budget read per call cannot be shadowed by a value
+    a process kept."""
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    found = _shared_containers(tree.body, module) + _function_containers(tree, module)
+    assert not found, f"process-wide containers at {', '.join(found)}"
+
+
+def test_container_check_sees_each_form():
+    """The check above flags every binding form it names, and passes
+    __all__, a frozen default and containers local to a function."""
+    flagged = ["A = {}", "A: dict = {1: 2}", "A = [x for x in ()]", "A = {x for x in ()}",
+               "A = dict()", "A = list()", "A = set()", "A = collections.defaultdict(list)",
+               "class K:\n    cache = {}", "if True:\n    A = []",
+               "def f():\n    global A\n    A = {}", "def f(a=[]):\n    pass",
+               "def f(*, store=SweepStore()):\n    pass", "g = lambda a={}: a"]
+    passed = ["__all__ = ['f']", "A = (1, 2)", "A = frozenset()", "def f():\n    a = {}",
+              "def f(a=None, b=0, *, c=()):\n    pass",
+              "class K:\n    def f(self):\n        self.a = {}"]
+    for source in flagged + passed:
+        tree = ast.parse(source)
+        found = _shared_containers(tree.body, "m") + _function_containers(tree, "m")
+        assert bool(found) == (source in flagged), source
 
 
 def test_readme_quick_start_runs(capsys):
