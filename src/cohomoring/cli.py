@@ -38,7 +38,7 @@ from .groups import (
     make_direct_product,
 )
 from .rings import quasi_regular_indices, ring_from_json, ring_to_json, unit_group, zn_ring
-from .verify import ExtensionData, _jsonable
+from .verify import ExtensionData
 
 __all__ = ["main"]
 
@@ -47,7 +47,46 @@ _RING_JSON_TABLE_CAP = 256
 
 
 def _emit_json(obj) -> None:
-    print(json.dumps(_jsonable(obj), indent=2, sort_keys=True))
+    """Print `obj` as `json.dumps(verify._jsonable(obj), indent=2,
+    sort_keys=True)` would, byte for byte, in one pass that copies no tree.
+
+    Keys become `str(k)`, the later value winning a collision, and are
+    sorted; tuples are lists, an ndarray is its `.tolist()` and a numpy
+    integer an int; a float is written as json writes it (`NaN`,
+    `Infinity`, `-Infinity`), and any other type raises TypeError."""
+    import numpy as np  # loaded by the package already
+
+    quote = json.encoder.encode_basestring_ascii
+
+    def number(x):
+        digits = float.__repr__(x)
+        return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(digits, digits)
+
+    leaf = {str: quote, int: int.__repr__, float: number, type(None): lambda x: "null",
+            bool: lambda x: "true" if x else "false"}
+
+    def text(o, nl: str) -> str:
+        write = leaf.get(type(o))
+        if write is not None:
+            return write(o)
+        inner = nl + "  "
+        if isinstance(o, dict):
+            parts = [quote(k) + ": " + text(v, inner)
+                     for k, v in sorted({str(k): v for k, v in o.items()}.items())]
+            return "{" + inner + ("," + inner).join(parts) + nl + "}" if parts else "{}"
+        if isinstance(o, (list, tuple)):
+            parts = [text(x, inner) for x in o]
+            return "[" + inner + ("," + inner).join(parts) + nl + "]" if parts else "[]"
+        if isinstance(o, np.ndarray):
+            return text(o.tolist(), nl)
+        if isinstance(o, np.integer):
+            return int.__repr__(int(o))
+        for kind in (str, int, float):  # subclasses, such as np.float64
+            if isinstance(o, kind):
+                return leaf[kind](o)
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+    print(text(obj, "\n"))
 
 
 def _load_json_file(path: str):

@@ -1,21 +1,27 @@
 """Command line interface: verbs, exit codes, JSON output, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import cohomoring
 from cohomoring import examples, groups, linalg, rings, verify
-from cohomoring.catalog import default_catalog, dihedral_extension, sweep
-from cohomoring.cli import main
+from cohomoring.catalog import catalog_from_json, default_catalog, dihedral_extension, sweep
+from cohomoring.cli import _emit_json, main
 from cohomoring.extension import extension_to_json
 from cohomoring.groups import group_to_json, make_cyclic
 from cohomoring.rings import ring_to_json, zn_ring
+from json_oracles import stdlib_json
 
 
 def _run(capsys, *argv):
@@ -506,6 +512,72 @@ def test_output_is_deterministic(capsys, monkeypatch):
     assert (code, err) == (2, "error: ring order 144 exceeds check budget 4\n")
     assert (hashlib.sha256(out.encode()).hexdigest()
             == "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")
+
+
+def test_verify_json_writes_exotic_names_as_json_does(tmp_path, capsys):
+    """Catalog entry names that json loads but that are no plain strings
+    come back in each failed row as the stdlib's indent encoder wrote them:
+    NaN and the overflowed 1e400 as `NaN` / `Infinity`, never `nan` /
+    `inf`; nested objects with sorted keys; every non-ASCII, control and
+    lone-surrogate character escaped."""
+    names = ['NaN', '1e400', '-1e400', '0.1', '1' + '0' * 30, 'true', 'null',
+             '{"z": [1, {}], "a": [], "m": {"y": -0.0, "b": 2.5e-300, "B": [[]]}}',
+             r'"café ☃ 😀 \u0001\t\n\"\\ \ud800 \udfff x"']
+    text = '{"entries": [' + ", ".join('{"name": %s}' % n for n in names) + "]}"
+    path = tmp_path / "catalog.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = _run(capsys, "verify", "--catalog", str(path), "--json")
+    assert (code, err) == (1, "")
+    assert out == stdlib_json(sweep(catalog_from_json(json.loads(text)))) + "\n"
+    written = [line.strip() for line in out.splitlines() if line.startswith('      "name": ')]
+    assert written == ['"name": NaN,', '"name": Infinity,', '"name": -Infinity,',
+                       '"name": 0.1,', f'"name": 1{"0" * 30},', '"name": true,',
+                       '"name": null,', '"name": {',
+                       r'"name": "caf\u00e9 \u2603 \ud83d\ude00 \u0001\t\n\"\\ \ud800 \udfff x",']
+
+
+def _printed_json(obj) -> str:
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        _emit_json(obj)
+    return buffer.getvalue()
+
+
+_INT_DTYPES = st.one_of(hnp.integer_dtypes(), hnp.unsigned_integer_dtypes())
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6),
+    _INT_DTYPES.flatmap(hnp.from_dtype), hnp.from_dtype(np.dtype(np.float64)),
+    hnp.arrays(st.one_of(_INT_DTYPES, st.just(np.bool_), st.just(np.float64)),
+               hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=3)))
+_JSON_KEYS = st.one_of(st.text(max_size=3), st.integers(-2, 12), st.booleans(), st.none(),
+                       st.sampled_from(["1", "True", "None"]))
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=3).map(tuple),
+                            st.dictionaries(_JSON_KEYS, inner, max_size=4)),
+    max_leaves=25)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_JSON_TREES)
+@example({1: "a", "1": "b", True: [], "True": (), None: {}, "None": np.int8(-1)})
+@example([[[[[[[[[[{"deep": [(), {}, np.zeros((0, 2), dtype=np.int16)]}]]]]]]]]]])
+def test_json_writer_prints_the_stdlib_bytes(tree):
+    """`_emit_json` prints exactly `json.dumps(_jsonable(tree), indent=2,
+    sort_keys=True)` on random trees of numpy scalars and arrays, tuples and
+    keys that collide once made strings."""
+    assert _printed_json(tree) == stdlib_json(tree) + "\n"
+
+
+@pytest.mark.parametrize("bad", [{1, 2}, np.float32(0.5), np.bool_(True), object()],
+                         ids=["set", "float32", "bool_", "object"])
+def test_json_writer_refuses_what_json_refuses(bad):
+    for tree in (bad, [1, {"a": (bad,)}]):
+        with pytest.raises(TypeError) as expected:
+            stdlib_json(tree)
+        with pytest.raises(TypeError) as raised:
+            _printed_json(tree)
+        assert str(raised.value) == str(expected.value)
 
 
 def test_malformed_budget_exits_two(capsys, monkeypatch):

@@ -1,8 +1,9 @@
 """Source hygiene: every package module uses each name it imports, every
 name in its __all__ is one it defines or imports, every private top-level
 helper is referred to somewhere in the package, no module holds a mutable
-container at module or class level or as a default argument, and every
-budget is read and documented."""
+container at module or class level or as a default argument, every budget
+is read and documented, and JSON reaches standard output only through
+`cli._emit_json`."""
 
 import ast
 import dataclasses
@@ -200,6 +201,52 @@ def test_container_check_sees_each_form():
         tree = ast.parse(source)
         found = _shared_containers(tree.body, "m") + _function_containers(tree, "m")
         assert bool(found) == (source in flagged), source
+
+
+def _is_json_call(node, names) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
+            and node.func.attr in names)
+
+
+def _json_output_sites(tree: ast.AST, module: str) -> list:
+    """`module:line` of each `json.dump` call, each `json.dumps` call with
+    an indent, and each print or `.write` call handed a `json.dumps` text."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        indented = _is_json_call(node, {"dumps"}) and any(k.arg == "indent" for k in node.keywords)
+        printing = ((isinstance(node.func, ast.Name) and node.func.id == "print")
+                    or (isinstance(node.func, ast.Attribute) and node.func.attr == "write"))
+        if _is_json_call(node, {"dump"}) or indented or (printing and any(
+                _is_json_call(n, {"dumps"}) for arg in node.args for n in ast.walk(arg))):
+            found.append(f"{module}:{node.lineno}")
+    return found
+
+
+def test_json_output_has_one_writer():
+    """`cli._emit_json` is the one function that prints JSON: no module
+    dumps JSON with an indent, prints or writes a `json.dumps` text or
+    calls `json.dump`, and every `if args.json:` branch of the CLI prints
+    through `_emit_json`."""
+    found = [site for m in ALL_MODULES
+             for site in _json_output_sites(ast.parse((PACKAGE / m).read_text(encoding="utf-8")), m)]
+    assert not found, f"JSON printed outside cli._emit_json at {', '.join(found)}"
+    cli = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    branches = [node for node in ast.walk(cli)
+                if isinstance(node, ast.If) and ast.unparse(node.test) == "args.json"]
+    assert len(branches) == 8  # group, extension, z1, h2, endo, ring, verify, examples
+    for branch in branches:
+        calls = {n.func.id for stmt in branch.body for n in ast.walk(stmt)
+                 if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+        assert "_emit_json" in calls and "print" not in calls, f"cli.py:{branch.lineno}"
+    for source, flagged in (("print(json.dumps(x))", True), ("json.dump(x, fh)", True),
+                            ("s = json.dumps(x, indent=2)", True),
+                            ("sys.stdout.write(json.dumps(x) + '\\n')", True),
+                            ("key = json.dumps(x, sort_keys=True)", False),
+                            ("print(json.loads(s))", False)):
+        assert bool(_json_output_sites(ast.parse(source), "m")) == flagged, source
 
 
 def test_readme_quick_start_runs(capsys):
