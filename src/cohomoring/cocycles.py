@@ -17,7 +17,7 @@ import numpy as np
 from .budgets import current_budgets
 from .errors import BudgetExceeded, ValidationError
 from .groups import (ActionTable, FiniteGroup, GroupHom, TableIndex, _coset_tables,
-                     _hom_rows, _search_generator_images)
+                     _hom_rows, _on_walk, _search_generator_images)
 from .rings import FiniteRing
 
 __all__ = [
@@ -254,9 +254,9 @@ def cocycle_ring(source: FiniteGroup, module: FiniteGroup, action: ActionTable,
             "equivariant endomorphism of the module")
     # a + b is crossed: the module is abelian, the action by automorphisms;
     # a o i is an equivariant endomorphism, so a(i(b(x))) is crossed
-    add, dia, missing = _coset_tables(index, module.table, restricted)
+    walk, missing = _coset_tables(index, module.table, restricted)
     if missing:
         raise ValidationError(
             f"crossed homomorphisms not closed under the ring operations at {missing}")
-    ring = FiniteRing(add, dia, one=None, name="Z1")
+    ring = _on_walk(FiniteRing, walk, walk.add, walk.mul, one=None, name="Z1")
     return CocycleRing(ring=ring, elements=tuple(elements), index=index, embedding=embedding)

@@ -39,6 +39,7 @@ from .groups import (
     _gated_hom_tables,
     _hom_rows,
     _is_bijective,
+    _on_walk,
     _positions,
     _raise_first,
     enumerate_endos,
@@ -100,7 +101,7 @@ def equivariant_endo_ring(module: FiniteGroup, action: ActionTable) -> ModuleEnd
     index = TableIndex(stacked, module.core_generators, module.order)
     # sums and composites of equivariant endomorphisms of an abelian group are
     # equivariant endomorphisms, and `kept` holds them all: members by key
-    add, mul, missing = _coset_tables(index, module.table, stacked)
+    walk, missing = _coset_tables(index, module.table, stacked)
     if missing:
         raise ValidationError(
             "equivariant endomorphisms are not closed under the ring operations",
@@ -109,8 +110,8 @@ def equivariant_endo_ring(module: FiniteGroup, action: ActionTable) -> ModuleEnd
     if one < 0:
         raise ValidationError("identity map missing from the equivariant endomorphisms")
     labels = ["end%d" % k for k in range(len(kept))]
-    ring = FiniteRing(add, mul, one=one, labels=labels,
-                      name="EquivEnd(%s)" % (module.name or module.order))
+    ring = _on_walk(FiniteRing, walk, walk.add, walk.mul, one=one, labels=labels,
+                    name="EquivEnd(%s)" % (module.name or module.order))
     return ModuleEndoRing(module, action, ring, tuple(kept), index)
 
 

@@ -34,3 +34,14 @@ def require_keys(data, keys, what: str) -> dict:
     if missing:
         raise ValidationError(f"{what} lacks {', '.join(missing)}")
     return data
+
+
+def _json_name(data: dict) -> str:
+    """The "name" of a group, ring or extension payload: "" when absent or
+    null, the string itself, and a ValidationError for anything else."""
+    name = data.get("name")
+    if name is None:
+        return ""
+    if not isinstance(name, str):
+        raise ValidationError(f"'name' must be a string or null, got {name!r}")
+    return name

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .cohomology2 import TwoCocycle, coboundary_preimage
-from .errors import ValidationError, require_keys
+from .errors import ValidationError, _json_name, require_keys
 from .groups import (
     ActionTable,
     FiniteGroup,
@@ -329,10 +329,11 @@ def extension_from_json(data: dict, store: Optional[SweepStore] = None) -> Abeli
     group."""
     require_keys(data, ("kernel", "group", "quotient", "kernel_map", "quotient_map"),
                  "extension JSON")
+    name = _json_name(data)
     store = SweepStore() if store is None else store
     n_group = store.group(data["kernel"])
     g_group = store.group(data["group"])
     q_group = store.group(data["quotient"])
     i = GroupHom(n_group, g_group, _as_int_array(data["kernel_map"], "kernel map"))
     p = GroupHom(g_group, q_group, _as_int_array(data["quotient_map"], "quotient map"))
-    return build_extension(i, p, name=data.get("name", ""))
+    return build_extension(i, p, name=name)

@@ -31,7 +31,7 @@ from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequenc
 import numpy as np
 
 from .budgets import current_budgets
-from .errors import BudgetExceeded, ValidationError
+from .errors import BudgetExceeded, ValidationError, _json_name
 
 __all__ = [
     "FiniteGroup",
@@ -163,8 +163,11 @@ class FiniteGroup:
     generators=None picks a small generating set greedily, an element of
     largest order first.  `core_generators` is the greedy subset of the
     generators, in their order, that still generates; the certificates check
-    their laws against it.
+    their laws against it.  `supplied_laws` is ("associativity",) for a
+    table that `_coset_tables` filled (see `_certify`), else ().
     """
+
+    _walk: Optional["_CosetWalk"] = None  # set by `_on_walk` before __init__
 
     def __init__(
         self,
@@ -211,12 +214,17 @@ class FiniteGroup:
 
         Passing all three proves a group: Light's test proves associativity,
         and an associative table with an identity in which every a has a left
-        inverse (inverse[a] a = 0) is a group.
+        inverse (inverse[a] a = 0) is a group.  The read-only table of a
+        `_coset_tables` walk proves associativity in k^2 n cells instead, if
+        its k generator rows commute; Light's test runs if they do not.
         """
         n = self.order
         t = self.table
         idx = np.arange(n)
-        self.inverse = np.argmin(t, axis=1).astype(np.int64)
+        # by blocks: argmin copies a read-only table whole
+        self.inverse = np.empty(n, dtype=np.int64)
+        for rows in _row_blocks(n, n):
+            self.inverse[rows] = t[rows].argmin(axis=1)
         bad = np.flatnonzero(t[self.inverse, idx] != 0)
         if bad.size:
             a = int(bad[0])
@@ -240,8 +248,19 @@ class FiniteGroup:
         self.core_generators = tuple(core)
         # [j, x] = x s_j for the core generators s_j, read by every certificate
         self._core_right = t[:, list(core)].T
-        self._check_associativity()
+        walk = self._walk
+        if walk is None or walk.add is not t or t.flags.writeable or not self._walk_commutes():
+            self._walk = None
+            self._check_associativity()
+        self.supplied_laws = () if self._walk is None else ("associativity",)
         self.generators = gens
+
+    def _walk_commutes(self) -> bool:
+        """Whether the generator rows of the walk that filled the table
+        commute: the proof of associativity in `_coset_tables`."""
+        rows = self.table[self._walk.closing[:, 0]]  # [l, b] = R_l(b)
+        turns = rows[:, rows]  # [l, m, b] = R_l(R_m(b))
+        return bool((turns == turns.transpose(1, 0, 2)).all())
 
     def _check_latin(self) -> None:
         """Raise if some row or column of the table is not a permutation.
@@ -993,11 +1012,31 @@ class TableIndex:
         return out
 
 
+class _CosetWalk:
+    """The read-only tables that `_coset_tables` filled, and closing[l] =
+    (g, (r - 1)g, rg) for its l-th generator g, of order r modulo the span
+    before it."""
+
+    __slots__ = ("add", "mul", "closing")
+
+    def __init__(self, add: np.ndarray, mul: np.ndarray, closing: np.ndarray):
+        self.add, self.mul, self.closing = add, mul, closing
+
+
+def _on_walk(cls, walk: _CosetWalk, *args, **kwargs):
+    """cls(*args, **kwargs) with `walk` set first, for its checks to take
+    the laws that the walk proves while their tables are the walk's own."""
+    obj = cls.__new__(cls)
+    obj._walk = walk
+    obj.__init__(*args, **kwargs)
+    return obj
+
+
 def _coset_tables(index: TableIndex, table: np.ndarray, maps: np.ndarray
-                  ) -> Tuple[np.ndarray, np.ndarray, Optional[Tuple[int, int]]]:
-    """The sum and product tables [a, b] of the members of `index`, and the
-    first pair (a, b), in row-major order, whose sum or product is no
-    member, or None.
+                  ) -> Tuple[Optional[_CosetWalk], Optional[Tuple[int, int]]]:
+    """The sum and product tables [a, b] of the members of `index`, as a
+    `_CosetWalk`, and None; or None and the first pair (a, b), in row-major
+    order, whose sum or product is no member.
 
     The members are maps into an abelian group with table `table`, member 0
     the zero map; a + b is the pointwise sum and ab is maps[a] o b, where
@@ -1018,7 +1057,7 @@ def _coset_tables(index: TableIndex, table: np.ndarray, maps: np.ndarray
     the second once add is complete.  Rows are built in the order the walk
     reaches their members and sorted into member order at the end, so that
     blocks of rows are read and written whole: with t = jg, t plus cosets
-    0..j-1 is cosets j..2j-1, up to the order of g modulo H, and t + t has
+    0..j-1 is cosets j..2j-1, up to the order r of g modulo H, and t + t has
     the rows add[t][add[t]] and add[mul[t], mul[t]].
 
     Closure needs no scan.  When every generator row is found, g + S lies in
@@ -1026,6 +1065,24 @@ def _coset_tables(index: TableIndex, table: np.ndarray, maps: np.ndarray
     under the sum, and each product xb, a sum of generator products gb, is a
     member.  When a generator row misses, `TableIndex.find_pairs` builds
     both tables to name the first missing pair.
+
+    Laws of the tables as built, whatever the lookups return.  With R and
+    P the looked-up sum and product rows of g, the member at place j < r of
+    the walk from h in H gets the rows R^j o add[h] and j P + mul[h], and is
+    named by its sum row at 0: g = R(0), (r - 1)g = R^(r - 1)(0) and rg =
+    R^r(0), which lies in H.  Once `FiniteGroup` has found the names
+    distinct, the rows, compositions of generator rows, send 0 to every
+    member.  If the generator rows commute, they generate an abelian
+    transitive, hence regular, permutation group of order n, and the n
+    rows, distinct at 0, are all of it: add[add[a, b]] = add[a] o add[b],
+    so the sum is associative and commutative.  Then a -> mul[a] is
+    additive on <H, g> iff it is on H and mul[rg] = r P = add[mul[(r -
+    1)g], P]: for j + j' >= r, jg + h plus j'g + h' is (j + j' - r)g + (rg
+    + h + h').  So the generator rows prove associativity
+    (`FiniteGroup._certify`, k^2 n cells for k generators) and the closing
+    cells (g, (r - 1)g, rg) right distributivity (`rings.FiniteRing.
+    _validate`, k n cells).  The tables are returned read-only, so that no
+    later change keeps that proof.
     """
     n = len(index.tables)
     keys = index.keys
@@ -1036,6 +1093,7 @@ def _coset_tables(index: TableIndex, table: np.ndarray, maps: np.ndarray
     reached = np.zeros(n, dtype=bool)
     reached[0] = True
     levels = []  # (blocks, product row of g) per generator g
+    closing = []  # (g, (r - 1)g, rg) per generator g
     h, g = 1, 1  # rows 0..h-1 hold the members of H; g is the least member outside
     while h < n:
         rows = index.find_keys(np.concatenate((table[keys[g], keys], maps[g, keys])))
@@ -1044,11 +1102,14 @@ def _coset_tables(index: TableIndex, table: np.ndarray, maps: np.ndarray
             mul = index.find_pairs(lambda s: maps[s][:, keys])
             missing = (add < 0) | (mul < 0)
             a = int(np.argmax(missing.any(axis=1)))
-            return add, mul, (a, int(np.argmax(missing[a])))
+            return None, (a, int(np.argmax(missing[a])))
         row = rows[:n].astype(add.dtype, copy=False)
-        r, x = 2, int(row[g])  # r: the order of g modulo H
+        # r: the order of g modulo H; names run from 0 through row
+        first = int(row[0])
+        r, last, x = 2, first, int(row[first])
         while not reached[x]:
-            r, x = r + 1, int(row[x])
+            r, last, x = r + 1, x, int(row[x])
+        closing.append((first, last, x))  # (g, (r - 1)g, rg)
         # (first row, rows) of t = jg plus cosets 0..j-1, for j = 1, 2, 4, ... below r
         blocks = [(j * h, min(j, r - j) * h)
                   for j in (1 << e for e in range((r - 1).bit_length()))]
@@ -1075,7 +1136,10 @@ def _coset_tables(index: TableIndex, table: np.ndarray, maps: np.ndarray
             shift = row * wide  # in int64, where n * n overflows the table dtype
             for s in _row_blocks(m, n):
                 flat.take(shift + mul[s], out=mul[lo + s.start:lo + s.stop], mode="clip")
-    return add, (mul if pos is None else mul[pos]), None
+    if pos is not None:
+        mul = mul[pos]
+    add.flags.writeable = mul.flags.writeable = False
+    return _CosetWalk(add, mul, np.asarray(closing, dtype=np.int64).reshape(-1, 3)), None
 
 
 def hom_make(source: FiniteGroup, target: FiniteGroup, generator_images: Sequence[int]) -> GroupHom:
@@ -1200,7 +1264,8 @@ def group_from_json(data: dict, name: str = "") -> FiniteGroup:
     labels = data.get("labels")
     if labels is not None and not isinstance(labels, list):
         raise ValidationError(f"group labels must be a list, got {labels!r}")
-    g = FiniteGroup(table, generators, labels=labels, name=name or str(data.get("name", "")))
+    loaded = _json_name(data)
+    g = FiniteGroup(table, generators, labels=labels, name=name or loaded)
     if "order" in data and _as_int(data["order"], "declared order") != g.order:
         raise ValidationError(f"declared order {data['order']} != table order {g.order}")
     return g

@@ -5,6 +5,14 @@ axioms are proved at construction for every element, by a certificate over
 the additive generators: right distributivity against each generator (k n^2
 work for k generators), left distributivity on the generator rows against
 each generator (k^2 n), then associativity on generator triples (k^3).
+
+Tables that `groups._coset_tables` filled (the crossed-homomorphism ring
+Z^1(Q,N) and the module ring End_Q(N)) take a private route: their walk
+supplies right distributivity and associativity of the sum for the tables
+as built, checked on its k generators in k n and k^2 n cells instead of the
+k n^2 sweeps.  Every other check runs as for any tables, and the ring
+records the supplied law in `supplied_laws`.  Tables from anywhere else,
+copies of walk tables included, get the full certificate.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .budgets import current_budgets
-from .errors import BudgetExceeded, ValidationError
+from .errors import BudgetExceeded, ValidationError, _json_name
 from .groups import (
     FiniteGroup,
     _as_int,
@@ -23,7 +31,9 @@ from .groups import (
     _as_table,
     _hom_rows,
     _index_table,
+    _CosetWalk,
     _integer_input,
+    _on_walk,
     _positions,
     _row_blocks,
     _in_table_dtype,
@@ -54,8 +64,13 @@ class FiniteRing:
     """A finite ring given by full addition and multiplication tables.
 
     Both tables are stored in `groups._table_dtype(order)` once range-checked;
-    add_table is the table of add_group itself, not a copy.
+    add_table is the table of add_group itself, not a copy.  `supplied_laws`
+    names the ring laws that the construction proved in place of a sweep:
+    ("right distributivity",) for tables that `groups._coset_tables` filled
+    (see `_validate`), else ().
     """
+
+    _walk: Optional[_CosetWalk] = None  # set by `groups._on_walk` before __init__
 
     def __init__(self, add_table, mul_table, one: Optional[int] = None,
                  labels: Optional[Sequence[str]] = None, name: str = ""):
@@ -67,8 +82,12 @@ class FiniteRing:
         self.name = name
         if self.order > cap:
             raise BudgetExceeded(f"ring order {self.order} exceeds check budget {cap}")
-        self.add_group = FiniteGroup(add_table, None, labels=labels,
-                                     name=f"{name}+" if name else "")
+        group_name = f"{name}+" if name else ""
+        if self._walk is None:
+            self.add_group = FiniteGroup(add_table, None, labels=labels, name=group_name)
+        else:
+            self.add_group = _on_walk(FiniteGroup, self._walk, add_table, None,
+                                      labels=labels, name=group_name)
         self.add_table = self.add_group.table
         self.labels = self.add_group.labels
         self._validate()
@@ -88,6 +107,14 @@ class FiniteRing:
         generator triples proves it on all triples.  When a distributivity
         check fails, `_distributivity_sweep` names the first failing triple
         in the order of the full sweep.
+
+        Tables that `groups._coset_tables` filled, still its read-only
+        tables, skip the k n^2 sweep of the right law: the walk built each
+        product row as a sum of generator rows, and that makes a -> ab
+        additive for all a and b once r P = mul[rg] at each closing cell of
+        the walk (`groups._coset_tables` has the proof).  That check costs
+        k n cells for k walk generators.  The left law, associativity, the
+        zero, the identity and commutativity are checked as for any tables.
         """
         n = self.order
         if self.mul_table.shape != (n, n):
@@ -95,16 +122,21 @@ class FiniteRing:
         self.mul_table = _index_table(self.mul_table, n,
                                       "multiplication table entries out of range")
         add, mul = self.add_table, self.mul_table
+        walk = self._walk
+        if walk is not None and (walk.add is not add or walk.mul is not mul
+                                 or add.flags.writeable or mul.flags.writeable):
+            walk = self._walk = None
         if not self.add_group.is_abelian():
             raise ValidationError("ring addition must be commutative")
         if (mul[0] != 0).any() or (mul[:, 0] != 0).any():
             raise ValidationError("zero must annihilate the ring on both sides")
-        gens = self.add_group.core_generators
-        k = np.asarray(gens, dtype=np.int64)
-        # [a, c]: (a+g)c against ac + gc, over blocks of rows a
-        blocks = _row_blocks(n, n)
-        right = any((mul[add[rows, g]] != add[mul[rows], mul[g]]).any()
-                    for g in gens for rows in blocks)
+        k = np.asarray(self.add_group.core_generators, dtype=np.int64)
+        if walk is None:
+            right = self._right_sweep_fails()
+        else:  # [l, b]: ((r - 1)g)b + gb against (rg)b at each closing cell
+            g, last, x = walk.closing.T
+            right = (add[mul[last], mul[g]] != mul[x]).any()
+        self.supplied_laws = () if walk is None else ("right distributivity",)
         rows = mul[k]  # [i, x] = k_i x
         ab = mul[k[:, None], k]  # [i, j] = k_i k_j
         # [i, x, j]: k_i (x + k_j) against k_i x + k_i k_j
@@ -122,6 +154,14 @@ class FiniteRing:
                 raise ValidationError(f"declared identity {e} outside the ring of order {n}")
             if not (mul[e] == np.arange(n)).all() or not (mul[:, e] == np.arange(n)).all():
                 raise ValidationError(f"declared identity {e} is not two-sided")
+
+    def _right_sweep_fails(self) -> bool:
+        """Whether (a+g)c = ac + gc fails for some a, c and core generator g
+        of the additive group: k n^2 cells, over blocks of rows a."""
+        add, mul = self.add_table, self.mul_table
+        blocks = _row_blocks(self.order, self.order)
+        return any((mul[add[rows, g]] != add[mul[rows], mul[g]]).any()
+                   for g in self.add_group.core_generators for rows in blocks)
 
     def _distributivity_sweep(self) -> None:
         """Raise the first failure of a(b+g) = ab + ag or (a+g)c = ac + gc,
@@ -488,7 +528,7 @@ def ring_from_json(data: dict) -> FiniteRing:
         mul = data["mul_table"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"ring JSON needs 'add_table' and 'mul_table': {exc}") from exc
-    ring = FiniteRing(add, mul, one=data.get("one"), name=str(data.get("name", "")))
+    ring = FiniteRing(add, mul, one=data.get("one"), name=_json_name(data))
     if "order" in data and _as_int(data["order"], "declared order") != ring.order:
         raise ValidationError(f"declared order {data['order']} != table order {ring.order}")
     return ring

@@ -252,6 +252,33 @@ def test_ring_load_json_tables(tmp_path, capsys):
     assert "ring" in data
 
 
+_NAMED_PAYLOADS = {"group": lambda: group_to_json(make_cyclic(4)),
+                   "ring": lambda: ring_to_json(zn_ring(4)),
+                   "extension": lambda: extension_to_json(dihedral_extension(3))}
+
+
+@pytest.mark.parametrize("verb", sorted(_NAMED_PAYLOADS))
+@pytest.mark.parametrize("name", [None, ["x"], {"a": 1}, 7, True, 1.5])
+def test_load_takes_a_string_name_or_none(tmp_path, capsys, verb, name):
+    """A null "name" loads as an absent one does, under the default name; any
+    other name that is no string is one error line and exit 2, never
+    written back through str() or verbatim."""
+    payload = _NAMED_PAYLOADS[verb]()
+    payload.pop("name", None)
+    path = tmp_path / "absent.json"
+    path.write_text(json.dumps(payload))
+    absent = _run(capsys, verb, "--load", str(path), "--json")
+    assert absent[0] == 0
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps(dict(payload, name=name)))
+    code, out, err = _run(capsys, verb, "--load", str(path), "--json")
+    if name is None:
+        assert (code, out, err) == absent
+    else:
+        assert (code, out) == (2, "")
+        assert err == f"error: 'name' must be a string or null, got {name!r}\n"
+
+
 def test_ring_432_json_omits_tables(capsys):
     code, out, _ = _run(capsys, "ring", "--ring432", "--json")
     assert code == 0

@@ -2,17 +2,20 @@
 name in its __all__ is one it defines or imports, every private top-level
 helper is referred to somewhere in the package, no module holds a mutable
 container at module or class level or as a default argument, every budget
-is read and documented, and JSON reaches standard output only through
-`cli._emit_json`."""
+is read and documented, JSON reaches standard output only through
+`cli._emit_json`, and the table constructors keep their signatures."""
 
 import ast
 import dataclasses
+import inspect
 import re
 from pathlib import Path
 
 import pytest
 
 from cohomoring.budgets import Budgets
+from cohomoring.groups import FiniteGroup
+from cohomoring.rings import FiniteRing
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cohomoring"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -276,3 +279,16 @@ def test_every_budget_is_read_and_documented():
     listed = {name: int(default)
               for name, default in re.findall(r"^- `(\w+)` \((\d+)\):", section, re.M)}
     assert listed == defaults
+
+
+def test_table_constructors_keep_their_signatures():
+    """`FiniteGroup` and `FiniteRing` take no parameter beyond their tables,
+    generators, identity, labels and name: the laws that a coset walk proves
+    reach them only through the private `groups._on_walk`, so no caller
+    can claim a law for a table it built by passing a flag."""
+    assert str(inspect.signature(FiniteGroup)) == (
+        "(table, generators: 'Optional[Sequence[int]]', "
+        "labels: 'Optional[Sequence[str]]' = None, name: 'str' = '')")
+    assert str(inspect.signature(FiniteRing)) == (
+        "(add_table, mul_table, one: 'Optional[int]' = None, "
+        "labels: 'Optional[Sequence[str]]' = None, name: 'str' = '')")

@@ -7,9 +7,12 @@ witness from both on mutated tables and maps, and check the helpers that
 replaced `np.unique`.
 """
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
+from collections import Counter
 from functools import lru_cache
 from pathlib import Path
 
@@ -17,13 +20,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cohomoring import ValidationError, groups
-from cohomoring.catalog import dihedral_extension
-from cohomoring.cocycles import CrossedHom, enumerate_z1
+from cohomoring import ValidationError, endo_rings, groups
+from cohomoring.catalog import default_catalog, dihedral_extension
+from cohomoring.cli import main
+from cohomoring.cocycles import CrossedHom, cocycle_ring, enumerate_z1
 from cohomoring.cohomology2 import TwoCocycle, compute_h2, inflation
+from cohomoring.endo_rings import equivariant_endo_ring
 from cohomoring.groups import (
     FiniteGroup,
     GroupHom,
+    TableIndex,
     enumerate_actions,
     enumerate_automorphisms,
     enumerate_homs,
@@ -32,9 +38,13 @@ from cohomoring.groups import (
     make_direct_product,
     mulclose,
     subgroup_from_indices,
+    trivial_action,
 )
 from cohomoring.linalg import _unique_rows, abelian_decomposition
-from cohomoring.rings import BimoduleAction, FiniteRing, RingHom, zn_ring
+from cohomoring.rings import (BimoduleAction, FiniteRing, RingHom, ring_from_json, ring_to_json,
+                              subring_from_indices, zn_ring)
+
+from ring_oracles import relabelled_extension
 
 from table_oracles import (
     _old_greedy_generators,
@@ -446,3 +456,182 @@ def test_inflated_classes_pass_the_cocycle_certificate():
         for _, rep in h2.classes():
             up = inflation(rep, ext.p, ext.g_action)
             TwoCocycle(up.q_group, up.n_group, up.action, up.values)
+
+
+# ---------------------------------------- laws supplied by the coset walk
+
+
+def _outcome_of(ring):
+    g = ring.add_group
+    return "ok", ("ok", g.generators, g.core_generators, g.inverse.tolist())
+
+
+def _coset_rings(ext):
+    """The two rings of `ext` whose tables `groups._coset_tables` fills."""
+    return (cocycle_ring(ext.g_group, ext.n_group, ext.g_action, ext.i).ring,
+            equivariant_endo_ring(ext.n_group, ext.action).ring)
+
+
+def test_every_coset_built_ring_passes_the_old_validator():
+    """The rings whose walk supplies right distributivity and associativity
+    of the sum are rings that the full sweeps accept, with the same additive
+    generators and inverses: on every default-catalog extension, on D3-D24
+    and on two seeded relabellings of each catalog extension."""
+    catalog = [e.materialize() for e in default_catalog() if e.kind == "extension"]
+    exts = catalog + [dihedral_extension(n) for n in range(3, 25)]
+    exts += [relabelled_extension(ext, seed) for ext in catalog for seed in (1, 2)]
+    for ext in exts:
+        for ring in _coset_rings(ext):
+            assert ring.supplied_laws == ("right distributivity",)
+            assert ring.add_group.supplied_laws == ("associativity",)
+            assert old_ring_outcome(ring.add_table, ring.mul_table, ring.one) == \
+                _outcome_of(ring), (ext.name, ring.name)
+
+
+def _counted(monkeypatch, owner, method):
+    """Patch owner.method to record each object it runs on; returns the list."""
+    seen = []
+    original = getattr(owner, method)
+
+    def counting(self):
+        seen.append(self)
+        return original(self)
+
+    monkeypatch.setattr(owner, method, counting)
+    return seen
+
+
+def _end_c2xc4():
+    """C2 x C4 under the trivial action of C1, and its module ring, whose
+    first walk generator 1 has order 2: closing cell (1, 1, 0)."""
+    module = make_direct_product(make_cyclic(2), make_cyclic(4))[0]
+    action = trivial_action(make_cyclic(1), module)
+    ring = equivariant_endo_ring(module, action).ring
+    assert ring._walk.closing[0].tolist() == [1, 1, 0]
+    return module, action, ring
+
+
+def _built_with_lookup(monkeypatch, module, action, corrupt, lookup=1):
+    """(outcome, walk) of `equivariant_endo_ring(module, action)` when the
+    given lookup of `_coset_tables`, the sum and product rows of a walk
+    generator side by side, is passed through `corrupt` (in place); the
+    outcome is the error text and witness, or "ok"."""
+    filling, walks = [], []
+    find_keys, coset_tables, on_walk = TableIndex.find_keys, groups._coset_tables, groups._on_walk
+
+    def corrupted(index, keys):
+        found = find_keys(index, keys)
+        if filling:
+            filling[0] += 1
+            if filling[0] == lookup:
+                corrupt(found)
+        return found
+
+    def tables(index, table, maps):
+        filling.append(0)
+        return coset_tables(index, table, maps)
+
+    def recorded(cls, walk, *args, **kwargs):
+        walks.append(walk)
+        return on_walk(cls, walk, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(TableIndex, "find_keys", corrupted)
+        m.setattr(endo_rings, "_coset_tables", tables)
+        m.setattr(endo_rings, "_on_walk", recorded)
+        try:
+            equivariant_endo_ring(module, action)
+        except ValidationError as exc:
+            return (str(exc), exc.witness), walks[0]
+    return "ok", walks[0]
+
+
+def test_a_corrupted_generator_product_row_is_refused_by_the_closing_rows(monkeypatch):
+    """A product row that the lookup in `_coset_tables` returns wrong is
+    refused for the tables as built.  The row given to generator 1 of
+    End(C2 x C4), of order 2, is the product row of a member of order 4:
+    every row stays additive, so the left law holds, and only the closing
+    row 2 P = mul[0] = 0 fails.  No right sweep runs before it; the full
+    sweep then names the triple that the public route and the old
+    validator name."""
+    module, action, true = _end_c2xc4()
+    n = true.order
+    other = int(np.flatnonzero(true.add_group.element_orders() == 4)[0])
+    swept = _counted(monkeypatch, FiniteRing, "_right_sweep_fails")
+
+    def corrupt(found):
+        found[n:] = true.mul_table[other]
+
+    out, walk = _built_with_lookup(monkeypatch, module, action, corrupt)
+    assert out[0].startswith("right distributivity fails") and swept == []
+    assert (walk.mul[1] == true.mul_table[other]).all()
+    assert out == old_ring_outcome(walk.add, walk.mul, true.one)
+    with pytest.raises(ValidationError) as public:
+        FiniteRing(walk.add.copy(), walk.mul.copy(), one=true.one)
+    assert (str(public.value), public.value.witness) == out
+
+
+def test_a_corrupted_generator_sum_row_gets_the_old_verdict(monkeypatch):
+    """The walk's proof of associativity holds for the sum table as built:
+    with two cells, one or two apart, of the sum row of walk generator 1 or
+    2 swapped (beyond the cells that name the members of the walk), each
+    build ends as the old validator ends on the tables it made.  Every one
+    is refused: where the generator rows fail to commute, Light's test runs
+    and fails, and names its triple or leaves the Latin-square check to
+    name the fault."""
+    module, action, true = _end_c2xc4()
+    n = true.order
+    outcomes = Counter()
+    for lookup, (g, _, _) in enumerate(true._walk.closing[:2].tolist(), start=1):
+        for b1 in range(g + 1, n):
+            for b2 in range(b1 + 1, min(b1 + 3, n)):
+                def corrupt(found):
+                    found[[b1, b2]] = found[[b2, b1]]
+
+                out, walk = _built_with_lookup(monkeypatch, module, action, corrupt, lookup)
+                assert out == old_ring_outcome(walk.add, walk.mul, true.one), (lookup, b1, b2)
+                outcomes[out[0].split(" at ")[0]] += 1
+    assert outcomes["associativity fails"] > 0
+
+
+def test_walk_tables_are_read_only_and_no_other_tables_keep_the_route(monkeypatch):
+    """The tables of a coset-built ring refuse writes.  Copies of them, given
+    to the public constructor or to the private route under a walk whose
+    tables are writable, get Light's test and the full right sweep."""
+    ring = _coset_rings(dihedral_extension(6))[0]
+    for table in (ring.add_table, ring.mul_table, ring.add_group.table):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0
+    swept = _counted(monkeypatch, FiniteRing, "_right_sweep_fails")
+    light = _counted(monkeypatch, FiniteGroup, "_check_associativity")
+    walk = ring._walk
+    add, mul = walk.add.copy(), walk.mul.copy()
+    public = FiniteRing(add, mul)
+    forged = groups._on_walk(FiniteRing, groups._CosetWalk(add, mul, walk.closing), add, mul)
+    assert swept == [public, forged]
+    assert light == [public.add_group, forged.add_group]
+    for copy in (public, forged):
+        assert copy.supplied_laws == copy.add_group.supplied_laws == ()
+        assert (copy.mul_table == ring.mul_table).all()
+
+
+def test_dihedral_24_sweeps_the_right_law_only_on_tables_from_outside(monkeypatch):
+    """`examples dihedral 24` runs the k n^2 right sweep, and Light's test on
+    the sum, for no ring that `_coset_tables` filled (Z1 and EquivEnd), and
+    still for `zn_ring` and `subring_from_indices` rings; `ring_from_json`
+    rings are swept too."""
+    validated = _counted(monkeypatch, FiniteRing, "_validate")
+    swept = _counted(monkeypatch, FiniteRing, "_right_sweep_fails")
+    light = _counted(monkeypatch, FiniteGroup, "_check_associativity")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["examples", "dihedral", "24", "--json"]) == 0
+    names = Counter(r.name for r in validated)
+    assert names == Counter(["Z1", "EquivEnd(C24)", "Z24", "restricted displacements"])
+    assert sorted(r.name for r in swept) == ["Z24", "restricted displacements"]
+    assert not {g.name for g in light} & {"Z1+", "EquivEnd(C24)+"}
+    assert {"Z24+", "restricted displacements+"} <= {g.name for g in light}
+    source = zn_ring(6)
+    del swept[:]
+    loaded = ring_from_json(ring_to_json(source))
+    sub = subring_from_indices(source, [0, 2, 4])[0]
+    assert swept == [loaded, sub]
