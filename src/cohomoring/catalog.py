@@ -179,7 +179,7 @@ def _verify_ring_entry(name: str, ring: FiniteRing, ideal) -> List[ExactnessRepo
     return [verify_qr_sequence(ring, arr, proj, instance=name)]
 
 
-def sweep(entries: List[CatalogEntry], check_h2g: Optional[bool] = None) -> Dict:
+def sweep(entries: List[CatalogEntry], check_h2g: bool = True) -> Dict:
     """Run every verifier on every entry; failures become summary rows.
 
     The entries share one `SweepStore`: each JSON group payload, each

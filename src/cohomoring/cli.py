@@ -389,8 +389,7 @@ def cmd_verify(args) -> int:
         entries = catalog_from_json(_load_json_file(args.catalog))
     else:
         entries = default_catalog()
-    check_h2g = False if args.skip_h2g else None
-    summary = sweep(entries, check_h2g=check_h2g)
+    summary = sweep(entries, check_h2g=not args.skip_h2g)
     if args.json:
         _emit_json(summary)
         return 0 if summary["failed"] == 0 else 1

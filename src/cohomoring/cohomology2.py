@@ -7,11 +7,18 @@ exponent) or by exhaustive enumeration of cochains; both produce the same
 interface and are cross-checked in the test suite.  A 1-cochain whose
 coboundary is a given cocycle comes from one route, the generator search of
 `coboundary_preimage`.
+
+Light's cocycle identity x.F(s, z) + F(x, sz) = F(x, s) + F(xs, z) becomes
+integer rows in one place, `_light_rows`, which reads F(x, y) as a matrix
+of linear forms in some unknowns.  The linear route takes the unknowns
+F(x, y) themselves (`_unit_forms`) and every non-identity middle s;
+`h2_order` takes the unknowns F(x, s) for s in the core generators, and
+those generators as the middles.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -446,16 +453,8 @@ class H2Group:
 
     # -- enumerative path
 
-    def _canonical(self, values: np.ndarray) -> bytes:
-        deltas = self._delta_table
-        n_add = self.n_group.table
-        cands = n_add[values[None, :, :], deltas]
-        flat = cands.reshape(cands.shape[0], -1)
-        best = min(flat[i].tobytes() for i in range(flat.shape[0]))
-        return best
-
     def _reduce_brute(self, values: np.ndarray) -> Tuple[int, ...]:
-        cid = self._canon.get(self._canonical(values))
+        cid = self._canon.get(_class_key(self.n_group.table, self._delta_table, values))
         if cid is None:
             raise ValidationError("value table is not a cocycle for this data")
         return self._class_dec.coords(cid)
@@ -465,72 +464,44 @@ def _variable_layout(q: int, c: int) -> int:
     return (q - 1) * (q - 1) * c
 
 
-def _build_equations(q_group: FiniteGroup, dec: AbelianDecomposition,
-                     mats: List[np.ndarray]) -> np.ndarray:
-    """Cocycle identity as integer rows mod the module exponent."""
-    q = q_group.order
-    c = len(dec.factors)
-    qm1 = q - 1
-    s = qm1 * qm1
-    a = s * c
+def _unit_forms(q: int, c: int, arity: int) -> np.ndarray:
+    """forms[x_1, ..., x_arity], the c x a matrix giving the module
+    coordinates of a normalized cochain's value there from its a unknowns:
+    its coordinates at the non-identity arguments, in row-major order."""
+    a = (q - 1) ** arity * c
+    forms = np.zeros((q,) * arity + (c, a), dtype=np.int64)
+    inner = (slice(1, None),) * arity
+    forms[inner] = np.eye(a, dtype=np.int64).reshape((q - 1,) * arity + (c, a))
+    return forms
+
+
+def _light_rows(forms: np.ndarray, mats: np.ndarray, tg: np.ndarray, middles: Sequence[int],
+                xs: slice, dec: AbelianDecomposition) -> np.ndarray:
+    """The nonzero rows, mod the module exponent L, of Light's equations
+    x.F(s, z) + F(x, sz) - F(x, s) - F(xs, z) = 0 for the x in xs, s in
+    `middles` and every z, in the order (x, s, z, j).
+
+    forms[x, y] is the c x a matrix giving the coordinates of F(x, y) from
+    the a unknowns, mats[x] the action of x on coordinates and tg the group
+    table.  Coordinate j lives in Z/d_j, so its rows are scaled by L / d_j
+    into Z/L; an unknown of order d may enter them only through multiples
+    of L / d.
+    """
+    factors = np.asarray(dec.factors, dtype=np.int64)
     L = dec.exponent
-    dvec = np.asarray(dec.factors, dtype=np.int64)
-    scale = L // dvec
-    tq = q_group.table
-    blocks = []
-    ys, zs = np.meshgrid(np.arange(1, q), np.arange(1, q), indexing="ij")
-    slot_yz = ((ys - 1) * qm1 + (zs - 1)).reshape(-1)
-    for x in range(1, q):
-        e = np.kron(np.eye(s, dtype=np.int64), mats[x])  # x . f(y, z) term
-        rows = np.arange(s * c).reshape(s, c)
-        # - f(xy, z)
-        xy = tq[x, ys].reshape(-1)
-        mask = xy != 0
-        slot_b = (xy[mask] - 1) * qm1 + (zs.reshape(-1)[mask] - 1)
-        for j in range(c):
-            np.add.at(e, (rows[mask, j], slot_b * c + j), -1)
-        # + f(x, yz)
-        yz = tq[ys, zs].reshape(-1)
-        mask = yz != 0
-        slot_cc = (x - 1) * qm1 + (yz[mask] - 1)
-        for j in range(c):
-            np.add.at(e, (rows[mask, j], slot_cc * c + j), 1)
-        # - f(x, y)
-        slot_d = (x - 1) * qm1 + (ys.reshape(-1) - 1)
-        for j in range(c):
-            np.add.at(e, (rows[:, j], slot_d * c + j), -1)
-        e = e.reshape(s, c, a) * scale[None, :, None]
-        blocks.append(e.reshape(s * c, a) % L)
-    return np.concatenate(blocks, axis=0)
-
-
-def _build_coboundary_columns(q_group: FiniteGroup, dec: AbelianDecomposition,
-                              mats: List[np.ndarray]) -> np.ndarray:
-    """Integer matrix of the coboundary map from 1-cochain coordinates."""
-    q = q_group.order
-    c = len(dec.factors)
-    qm1 = q - 1
-    a = qm1 * qm1 * c
-    d = np.zeros((a, qm1 * c), dtype=np.int64)
-    eye = np.eye(c, dtype=np.int64)
-    tq = q_group.table
-
-    def var_block(x: int, y: int) -> slice:
-        sl = ((x - 1) * qm1 + (y - 1)) * c
-        return slice(sl, sl + c)
-
-    def col_block(w: int) -> slice:
-        sl = (w - 1) * c
-        return slice(sl, sl + c)
-
-    for x in range(1, q):
-        for y in range(1, q):
-            d[var_block(x, y), col_block(y)] += mats[x]
-            xy = int(tq[x, y])
-            if xy != 0:
-                d[var_block(x, y), col_block(xy)] -= eye
-            d[var_block(x, y), col_block(x)] += eye
-    return d
+    a = forms.shape[-1]
+    s = np.asarray(middles, dtype=np.int64)
+    fx = forms[xs]
+    eq = np.einsum("xjl,szla->xszja", mats[xs], forms[s])  # x.F(s, z)
+    eq += fx[:, tg[s]]
+    eq -= fx[:, s, None]
+    eq -= forms[tg[xs][:, s]]
+    eq *= (L // factors)[:, None]
+    eq %= L
+    eq = eq.reshape(-1, a)
+    if (eq % (L // np.tile(factors, a // len(factors)))).any():
+        raise ValidationError("cocycle equations are not defined on module coordinates")
+    return eq[eq.any(axis=1)]
 
 
 def _h2_linear(q_group: FiniteGroup, n_group: FiniteGroup, action: ActionTable) -> H2Group:
@@ -548,11 +519,19 @@ def _h2_linear(q_group: FiniteGroup, n_group: FiniteGroup, action: ActionTable) 
         h2._qf = quotient_snf(np.zeros((a, 0), dtype=np.int64), a, 1)
         h2._kept = []
         return h2
-    mats = action_matrices(action, dec)
+    mats = np.stack(action_matrices(action, dec))
     L = dec.exponent
-    eqs = _build_equations(q_group, dec, mats)
-    kern = kernel_mod(eqs, a, L)
-    dmat = _build_coboundary_columns(q_group, dec, mats)
+    tq = q_group.table
+    # Light's rows with every non-identity middle: the whole cocycle identity.
+    # The core generators would cut out the same Z^2 with other rows, and so
+    # another elimination and other class representatives.
+    forms = _unit_forms(q, c, 2)
+    kern = kernel_mod(np.concatenate([_light_rows(forms, mats, tq, range(1, q), xs, dec)
+                                      for xs in _row_blocks(q, q * (q - 1) * c * a)]), a, L)
+    # B^2: the coboundaries x.C(y) - C(xy) + C(x) of the unit 1-cochains C
+    units = _unit_forms(q, c, 1)
+    dmat = (np.einsum("xjl,yla->xyja", mats, units) - units[tq] + units[:, None])[1:, 1:]
+    dmat = dmat.reshape(a, -1)
     lam = np.diag(np.tile(np.asarray(dec.factors, dtype=np.int64), (q - 1) * (q - 1)))
     w_cols = np.concatenate([dmat, lam], axis=1)
     y = kern.vinv @ w_cols
@@ -588,6 +567,13 @@ def _enumerate_chains(n: int, q: int) -> np.ndarray:
     return chains
 
 
+def _class_key(add: np.ndarray, deltas: np.ndarray, values: np.ndarray) -> bytes:
+    """The least of the tables values + delta, delta in `deltas`, as bytes:
+    one key per class of values modulo those coboundaries."""
+    cands = add[values[None], deltas].reshape(len(deltas), -1)
+    return min(row.tobytes() for row in cands)
+
+
 def _h2_bruteforce(q_group: FiniteGroup, n_group: FiniteGroup,
                    action: ActionTable) -> H2Group:
     limit = current_budgets().search_candidates
@@ -598,58 +584,28 @@ def _h2_bruteforce(q_group: FiniteGroup, n_group: FiniteGroup,
     if total > limit:
         raise BudgetExceeded(f"{total} candidate tables exceeds budget {limit}")
     add = n_group.table
-    tq = q_group.table
-    act = action.table
-    m = total
-    arr = np.arange(m, dtype=np.int64)
-    values = np.zeros((m, q, q), dtype=np.int64)
-    for x in range(1, q):
-        for yv in range(1, q):
-            values[:, x, yv] = arr % n
-            arr = arr // n
-    mask = np.ones(m, dtype=bool)
-    for rows in _row_blocks(m, q * q):  # Light's test, as in TwoCocycle._validate
+    values = np.zeros((total, q, q), dtype=np.int64)
+    values[:, 1:, 1:] = _enumerate_chains(n, s + 1)[:, 1:].reshape(total, q - 1, q - 1)
+    mask = np.ones(total, dtype=bool)
+    for rows in _row_blocks(total, q * q):  # Light's test, as in TwoCocycle._validate
         block = values[rows]
         mask[rows] = ~_cocycle_defects(
             q_group, n_group, action, block).reshape(len(block), -1).any(axis=1)
     cocycles = values[mask]
     chains = _enumerate_chains(n, q)
-    inv = n_group.inverse
-    # in the kernel table's dtype, like every class key read from `add`
-    deltas = np.zeros((chains.shape[0], q, q), dtype=add.dtype)
-    for x in range(q):
-        for yv in range(q):
-            xy = int(tq[x, yv])
-            deltas[:, x, yv] = add[add[act[x, chains[:, yv]], inv[chains[:, xy]]], chains[:, x]]
-    uniq = _unique_rows(deltas.reshape(deltas.shape[0], -1)).reshape(-1, q, q)
-    # canonical labelling of classes and the class group
-    canon: dict = {}
-    order_keys: List[bytes] = []
-    for i in range(cocycles.shape[0]):
-        cands = add[cocycles[i][None, :, :], uniq]
-        flat = cands.reshape(cands.shape[0], -1)
-        key = min(flat[j].tobytes() for j in range(flat.shape[0]))
-        if key not in canon:
-            canon[key] = -1
-            order_keys.append(key)
-    zero_key = min(uniq[j].tobytes() for j in range(uniq.shape[0]))
-    order_keys.sort()
-    order_keys.remove(zero_key)
-    order_keys.insert(0, zero_key)
-    for cid, key in enumerate(order_keys):
-        canon[key] = cid
+    # [b, x, y] = x.c(y) - c(xy) + c(x) for c = chains[b], in the kernel
+    # table's dtype, like every class key read from `add`
+    deltas = add[add[action.table[np.arange(q)[:, None], chains[:, None]],
+                     n_group.inverse[chains[:, q_group.table]]], chains[:, :, None]]
+    uniq = _unique_rows(deltas.reshape(len(deltas), -1)).reshape(-1, q, q)
+    # canonical labelling of classes, the zero class first, and the class group
+    zero_key = _class_key(add, uniq, np.zeros((q, q), dtype=np.int64))
+    order_keys = [zero_key] + sorted({_class_key(add, uniq, f) for f in cocycles} - {zero_key})
+    canon = {key: cid for cid, key in enumerate(order_keys)}
     reps = [np.frombuffer(key, dtype=add.dtype).reshape(q, q).copy() for key in order_keys]
-    h = len(reps)
-    table = np.zeros((h, h), dtype=np.int64)
-    for i in range(h):
-        for j in range(h):
-            summed = add[reps[i], reps[j]]
-            cands = add[summed[None, :, :], uniq]
-            flat = cands.reshape(cands.shape[0], -1)
-            key = min(flat[kk].tobytes() for kk in range(flat.shape[0]))
-            table[i, j] = canon[key]
-    gens = list(range(h))
-    class_group = FiniteGroup(table, gens, name="classes")
+    table = np.array([[canon[_class_key(add, uniq, add[r, t])] for t in reps] for r in reps],
+                     dtype=np.int64)
+    class_group = FiniteGroup(table, list(range(len(reps))), name="classes")
     class_dec = abelian_decomposition(class_group)
     h2 = H2Group(q_group, n_group, action, class_dec.factors, "bruteforce")
     h2._canon = canon
@@ -728,10 +684,10 @@ def h2_order(g_group: FiniteGroup, n_group: FiniteGroup, action: ActionTable,
     S is the core generators.  The unknowns are F(x, s) for x != e and s in
     S; F(x, ws) = F(x, w) + F(xw, s) - x.F(w, s) along the BFS words gives
     every F(x, y) as a form in them, and Light's equations
-    x.F(s, z) + F(x, sz) = F(x, s) + F(xs, z) for all x, z and s in S (the
-    test of `TwoCocycle._validate`) cut out Z^2.  The normalized 1-cochains
-    map onto B^2 with kernel Z^1, so |H^2| = |Z^2| |Z^1| / |N|^(|G|-1);
-    z1_order is |Z^1| for this action.  |Z^2| needs only the index of Z^2,
+    x.F(s, z) + F(x, sz) = F(x, s) + F(xs, z) for all x, z and s in S
+    (`_light_rows`, the test of `TwoCocycle._validate`) cut out Z^2.  The
+    normalized 1-cochains map onto B^2 with kernel Z^1, so |H^2| =
+    |Z^2| |Z^1| / |N|^(|G|-1); z1_order is |Z^1| for this action.  |Z^2| needs only the index of Z^2,
     the order of the equations' row module (`row_module_order`), which reads
     them in blocks of rows x within _SEARCH_BLOCK_CELLS cells.
     """
@@ -748,7 +704,6 @@ def h2_order(g_group: FiniteGroup, n_group: FiniteGroup, action: ActionTable,
     z2_index = 1  # [Z^a : lattice of cocycle coordinates]
     if a:
         L = dec.exponent
-        factors = np.asarray(dec.factors, dtype=np.int64)
         mats = np.stack(action_matrices(action, dec))  # [x] acts on coordinates
         tg = g_group.table
         # forms[x, y] is the c x a matrix giving F(x, y) from the unknowns
@@ -761,23 +716,9 @@ def h2_order(g_group: FiniteGroup, n_group: FiniteGroup, action: ActionTable,
             s = gens[i]
             moved = np.einsum("xjl,la->xja", mats, forms[w, s])
             forms[:, ws] = (forms[:, w] + forms[tg[:, w], s] - moved) % L
-        scale = (L // factors)[:, None]
-        # an unknown of order f may enter an equation mod L only through
-        # multiples of L / f
-        loose = L // np.tile(factors, a // c)
-
-        def equations(xs: slice) -> np.ndarray:
-            # rows (x, s, z, j) of Light's equations for the x in xs
-            eq = np.stack([np.einsum("xjl,zla->xzja", mats[xs], forms[s])
-                           + forms[xs][:, tg[s]] - forms[xs, s][:, None]
-                           - forms[tg[xs, s]] for s in gens], axis=1)
-            eq = (eq * scale % L).reshape(-1, a)
-            if (eq % loose).any():
-                raise ValidationError("cocycle equations are not defined on module coordinates")
-            return eq
-
         z2_index = row_module_order(
-            (equations(xs) for xs in _row_blocks(m, m * len(gens) * c * a)), a, L)
+            (_light_rows(forms, mats, tg, gens, xs, dec)
+             for xs in _row_blocks(m, m * len(gens) * c * a)), a, L)
     z2 = n_group.order ** ((m - 1) * len(gens)) // z2_index
     order, left = divmod(z2 * int(z1_order), n_group.order ** (m - 1))
     if left:

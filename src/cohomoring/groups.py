@@ -1082,7 +1082,9 @@ def _coset_tables(index: TableIndex, table: np.ndarray, maps: np.ndarray
     (`FiniteGroup._certify`, k^2 n cells for k generators) and the closing
     cells (g, (r - 1)g, rg) right distributivity (`rings.FiniteRing.
     _validate`, k n cells).  The tables are returned read-only, so that no
-    later change keeps that proof.
+    later change keeps that proof.  A looked-up sum row whose powers do not
+    reach H within n / h steps, which would write past row n, raises
+    `ValidationError`.
     """
     n = len(index.tables)
     keys = index.keys
@@ -1104,11 +1106,13 @@ def _coset_tables(index: TableIndex, table: np.ndarray, maps: np.ndarray
             a = int(np.argmax(missing.any(axis=1)))
             return None, (a, int(np.argmax(missing[a])))
         row = rows[:n].astype(add.dtype, copy=False)
-        # r: the order of g modulo H; names run from 0 through row
+        # r: the order of g modulo H, at most n / h; names run from 0 through row
         first = int(row[0])
         r, last, x = 2, first, int(row[first])
-        while not reached[x]:
+        while not reached[x] and h * r <= n:
             r, last, x = r + 1, x, int(row[x])
+        if h * r > n:
+            raise ValidationError(f"the sum row of member {g} is no coset walk", witness=g)
         closing.append((first, last, x))  # (g, (r - 1)g, rg)
         # (first row, rows) of t = jg plus cosets 0..j-1, for j = 1, 2, 4, ... below r
         blocks = [(j * h, min(j, r - j) * h)

@@ -289,8 +289,7 @@ def _inflation_kernel(ext: AbelianExtension, h2q: H2Group) -> set:
     return {tuple(row) for row in box[span].tolist()}
 
 
-def verify_five_term(data: ExtensionData,
-                     check_h2g: Optional[bool] = None) -> ExactnessReport:
+def verify_five_term(data: ExtensionData, check_h2g: bool = True) -> ExactnessReport:
     """Verify the five-term ring sequence of the extension.
 
     Exactness at H2(Q,N) compares the transgression image with the kernel
@@ -299,9 +298,8 @@ def verify_five_term(data: ExtensionData,
     H2(G,N) node size comes from `h2_order`.  Neither builds H^2(G,N).
     The restriction row reads `fe.res`, the `RingHom` from `fe.ring` to the
     module ring that `fiber_endo_ring` certified on additive generators.
-    check_h2g: None checks exactness and shows the node size when the middle
-    group is within `h2g_max_group_order`; True also shows it above that
-    order (raising on budget); False skips both.
+    check_h2g: True checks exactness and shows the node size when the middle
+    group is within `h2g_max_group_order`; False skips both.
     """
     ext, fe, h2q = data.ext, data.fe, data.h2q
     report = ExactnessReport("five-term endomorphism ring sequence", _instance_name(ext))
@@ -310,10 +308,8 @@ def verify_five_term(data: ExtensionData,
     ideal = set(int(k) for k in fe.ideal_indices)
     eta = data.eta
 
-    show_h2g = check_h2g or (
-        check_h2g is None and ext.g_group.order <= current_budgets().h2g_max_group_order)
     h2g_order = None
-    if show_h2g:
+    if check_h2g and ext.g_group.order <= current_budgets().h2g_max_group_order:
         # fe.ring is indexed by the displacements, which are Z^1(G,N)
         h2g_order = h2_order(ext.g_group, ext.n_group, ext.g_action, fe.ring.order)
 
@@ -354,7 +350,7 @@ def verify_five_term(data: ExtensionData,
 
     # Exactness at H2(Q,N): classes killed by inflation to the middle group
     # are exactly the transgression image.
-    if check_h2g is False:
+    if not check_h2g:
         report.skip("H2(Q,N)", "middle-group cohomology not checked")
     else:
         im_eta = {tuple(e) for e in eta.tolist()}
@@ -764,7 +760,7 @@ def verify_crossed_hom_sequence(data: ExtensionData) -> ExactnessReport:
 # --------------------------------------------------------------------- driver
 
 
-def verify_all(ext: AbelianExtension, check_h2g: Optional[bool] = None,
+def verify_all(ext: AbelianExtension, check_h2g: bool = True,
                store: Optional[SweepStore] = None) -> List[ExactnessReport]:
     """Run every sequence verifier on one extension, sharing one ExtensionData
     whose H^2(Q,N) and module ring come from `store` (a fresh one by default)."""

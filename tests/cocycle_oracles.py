@@ -14,6 +14,10 @@ the least lift.  `oracle_pushforward` checks one module map at a time, where
 the package certifies the stack.  `oracle_inflation_kernel` searches a
 coboundary preimage for the inflation of every class, where the package
 searches only the classes that the kernel found so far does not decide.
+`oracle_equations` and `oracle_coboundary_columns` build the integer system
+of `_h2_linear` the way it was built before Light's rows had one builder:
+the cocycle identity x by x through `np.kron` and `np.add.at`, and the
+coboundary map one pair (x, y) at a time.
 """
 
 import numpy as np
@@ -200,3 +204,68 @@ def oracle_inflation_kernel(ext, h2q):
     zero class first."""
     return {coeffs for coeffs, rep in h2q.classes()
             if coboundary_preimage(inflation(rep, ext.p, ext.g_action)) is not None}
+
+
+def oracle_equations(q_group, dec, mats):
+    """Cocycle identity as integer rows mod the module exponent."""
+    q = q_group.order
+    c = len(dec.factors)
+    qm1 = q - 1
+    s = qm1 * qm1
+    a = s * c
+    L = dec.exponent
+    dvec = np.asarray(dec.factors, dtype=np.int64)
+    scale = L // dvec
+    tq = q_group.table
+    blocks = []
+    ys, zs = np.meshgrid(np.arange(1, q), np.arange(1, q), indexing="ij")
+    for x in range(1, q):
+        e = np.kron(np.eye(s, dtype=np.int64), mats[x])  # x . f(y, z) term
+        rows = np.arange(s * c).reshape(s, c)
+        # - f(xy, z)
+        xy = tq[x, ys].reshape(-1)
+        mask = xy != 0
+        slot_b = (xy[mask] - 1) * qm1 + (zs.reshape(-1)[mask] - 1)
+        for j in range(c):
+            np.add.at(e, (rows[mask, j], slot_b * c + j), -1)
+        # + f(x, yz)
+        yz = tq[ys, zs].reshape(-1)
+        mask = yz != 0
+        slot_cc = (x - 1) * qm1 + (yz[mask] - 1)
+        for j in range(c):
+            np.add.at(e, (rows[mask, j], slot_cc * c + j), 1)
+        # - f(x, y)
+        slot_d = (x - 1) * qm1 + (ys.reshape(-1) - 1)
+        for j in range(c):
+            np.add.at(e, (rows[:, j], slot_d * c + j), -1)
+        e = e.reshape(s, c, a) * scale[None, :, None]
+        blocks.append(e.reshape(s * c, a) % L)
+    return np.concatenate(blocks, axis=0)
+
+
+def oracle_coboundary_columns(q_group, dec, mats):
+    """Integer matrix of the coboundary map from 1-cochain coordinates."""
+    q = q_group.order
+    c = len(dec.factors)
+    qm1 = q - 1
+    a = qm1 * qm1 * c
+    d = np.zeros((a, qm1 * c), dtype=np.int64)
+    eye = np.eye(c, dtype=np.int64)
+    tq = q_group.table
+
+    def var_block(x, y):
+        sl = ((x - 1) * qm1 + (y - 1)) * c
+        return slice(sl, sl + c)
+
+    def col_block(w):
+        sl = (w - 1) * c
+        return slice(sl, sl + c)
+
+    for x in range(1, q):
+        for y in range(1, q):
+            d[var_block(x, y), col_block(y)] += mats[x]
+            xy = int(tq[x, y])
+            if xy != 0:
+                d[var_block(x, y), col_block(xy)] -= eye
+            d[var_block(x, y), col_block(x)] += eye
+    return d

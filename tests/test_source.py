@@ -252,6 +252,67 @@ def test_json_output_has_one_writer():
         assert bool(_json_output_sites(ast.parse(source), "m")) == flagged, source
 
 
+def _own_nodes(func):
+    """The nodes of a function's body, without those of functions nested in it."""
+    todo = list(func.body)
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _light_row_builders(tree: ast.AST) -> list:
+    """Names of the functions that scale equation rows into Z/L: that
+    multiply by L // d, directly or through a name bound to it, as each
+    builder of Light's rows over module coordinates must."""
+    def is_scale(node):
+        while isinstance(node, (ast.Subscript, ast.Attribute)):
+            node = node.value
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv)
+                and isinstance(node.left, ast.Name) and node.left.id == "L")
+
+    scales = {t.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+              and is_scale(node.value) for t in node.targets if isinstance(t, ast.Name)}
+
+    def scaling(node):
+        while isinstance(node, (ast.Subscript, ast.Attribute)):
+            node = node.value
+        return is_scale(node) or (isinstance(node, ast.Name) and node.id in scales)
+
+    def scales_rows(node):
+        if isinstance(node, ast.AugAssign):
+            return isinstance(node.op, ast.Mult) and scaling(node.value)
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                and (scaling(node.left) or scaling(node.right)))
+
+    return [func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+            and any(scales_rows(n) for n in _own_nodes(func))]
+
+
+def test_light_rows_have_one_builder():
+    """`cohomology2` writes Light's cocycle identity as integer rows in one
+    function, and `_h2_linear` and `h2_order` both call it."""
+    tree = ast.parse((PACKAGE / "cohomology2.py").read_text(encoding="utf-8"))
+    [builder] = _light_row_builders(tree)
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef) and func.name in ("_h2_linear", "h2_order"):
+            calls = {n.func.id for n in ast.walk(func)
+                     if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+            assert builder in calls, func.name
+    for source, flagged in (
+            ("def f():\n    scale = L // dvec\n    e = e.reshape(s, c, a) * scale[None, :, None]",
+             ["f"]),
+            ("def f():\n    scale = (L // factors)[:, None]\n"
+             "    def g(xs):\n        return eq * scale % L\n    return g", ["g"]),
+            ("def f(eq):\n    return eq * (L // factors)[:, None] % L", ["f"]),
+            ("def f(eq):\n    eq *= (L // factors)[:, None]", ["f"]),
+            ("def f(eq):\n    eq += L // factors", []),
+            ("def f(eq):\n    return eq % (L // np.tile(factors, 3))", []),
+            ("def f():\n    return np.einsum('xjl,yla->xyja', mats, units) - units[tq]", [])):
+        assert _light_row_builders(ast.parse(source)) == flagged, source
+
+
 def test_readme_quick_start_runs(capsys):
     """The first Python block of README.md runs as written and prints what
     its comments say, so the documented API cannot drift from the package."""
