@@ -20,13 +20,12 @@ class Budgets:
     # largest ring whose tables are built and checked
     ring_check_max_order: int = 4096
     # candidates of every search: |N|^#generators for Z^1 and coboundaries, the
-    # product of the candidate counts for Hom and End, |N|^((|Q|-1)^2) for H^2
+    # product of the candidate counts for Hom, End and isomorphisms,
+    # |N|^((|Q|-1)^2) for H^2
     search_candidates: int = 1_000_000
     # second cohomology
     h2_linear_size: int = 4096  # |Q|^2 * (number of cyclic factors of N)
     h2g_max_group_order: int = 16  # largest |G| whose H^2(G,N) node size is reported
-    # isomorphism search
-    iso_search_max_order: int = 64
 
 
 DEFAULTS = Budgets()

@@ -152,14 +152,14 @@ def cmd_group(args) -> int:
         _emit_json({
             "group": group_to_json(g),
             "abelian": g.is_abelian(),
-            "exponent": max(hist),
+            "exponent": g.exponent(),
             "element_order_histogram": {str(k): v for k, v in sorted(hist.items())},
         })
         return 0
     print(f"group: {g.name or '(unnamed)'}")
     print(f"order: {g.order}")
     print(f"abelian: {'yes' if g.is_abelian() else 'no'}")
-    print(f"exponent: {max(hist)}")
+    print(f"exponent: {g.exponent()}")
     print("generators: " + " ".join(str(x) for x in g.generators))
     print("element order histogram: "
           + " ".join(f"{o}:{c}" for o, c in sorted(hist.items())))
@@ -222,7 +222,7 @@ def cmd_z1(args) -> int:
         source, module, action = ext.q_group, ext.n_group, ext.action
     else:
         source, module, action = ext.g_group, ext.n_group, ext.g_action
-    zs = sorted(enumerate_z1(source, module, action), key=lambda z: z.key())
+    zs = enumerate_z1(source, module, action)
     listed = [z.values.tolist() for z in zs[:_LIST_CAP]]
     if args.json:
         _emit_json({

@@ -17,7 +17,7 @@ import numpy as np
 from .budgets import current_budgets
 from .errors import BudgetExceeded, ValidationError
 from .groups import (ActionTable, FiniteGroup, GroupHom, TableIndex, _coset_tables,
-                     _hom_rows, _on_walk, _search_generator_images)
+                     _hom_rows, _on_walk, _proved, _search_generator_images)
 from .rings import FiniteRing
 
 __all__ = [
@@ -38,19 +38,17 @@ __all__ = [
 class CrossedHom:
     """A map phi with phi(xy) = phi(x) * (x . phi(y)) and phi(e) = e.
 
-    validate=True proves the law on all pairs by the generator certificate
+    The law on all pairs is proved by the generator certificate
     `groups._hom_rows` under the action; the full sweep of all pairs runs
     only once it has failed, to name the first failing pair.
     """
 
-    def __init__(self, source: FiniteGroup, module: FiniteGroup, action: ActionTable,
-                 values, validate: bool = True):
+    def __init__(self, source: FiniteGroup, module: FiniteGroup, action: ActionTable, values):
         self.source = source
         self.module = module
         self.action = action
         self.values = np.asarray(values, dtype=np.int64)
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self) -> None:
         s = self.source.order
@@ -180,7 +178,7 @@ def enumerate_z1(source: FiniteGroup, module: FiniteGroup,
         raise BudgetExceeded(
             f"{count} generator candidates and full scan both exceed budgets")
     cands = [np.arange(m)] * len(gens)
-    out = [CrossedHom(source, module, action, vals, validate=False)
+    out = [_proved(CrossedHom, source=source, module=module, action=action, values=vals)
            for vals in _search_generator_images(source, module, cands, action, gens=gens)]
     # lexicographic order of the value tables: lexsort keys on its last row first
     return [out[k] for k in np.lexsort(np.stack([c.values for c in out]).T[::-1])]

@@ -33,6 +33,7 @@ from .groups import (
     _hom_error,
     _hom_rows,
     _positions,
+    _proved,
     _raise_first,
     _row_blocks,
     _search_generator_images,
@@ -79,15 +80,6 @@ class TwoCocycle:
         self.action = action
         self.values = np.asarray(values, dtype=np.int64)
         self._validate()
-
-    @classmethod
-    def _proved(cls, q_group: FiniteGroup, n_group: FiniteGroup, action: ActionTable,
-                values: np.ndarray) -> "TwoCocycle":
-        """A cocycle on values that the caller has proved to be a normalized
-        2-cocycle; no test runs."""
-        f = cls.__new__(cls)
-        f.q_group, f.n_group, f.action, f.values = q_group, n_group, action, values
-        return f
 
     def _validate(self) -> None:
         _check_cocycles(self.q_group, self.n_group, self.action, self.values[None])
@@ -259,8 +251,8 @@ def inflation(cocycle: TwoCocycle, proj: GroupHom, g_action: ActionTable) -> Two
     if not (g_action.table == cocycle.action.table[proj.values]).all():
         raise ValidationError("action does not factor through the projection")
     p = proj.values
-    return TwoCocycle._proved(proj.source, cocycle.n_group, g_action,
-                              cocycle.values[p[:, None], p])
+    return _proved(TwoCocycle, q_group=proj.source, n_group=cocycle.n_group, action=g_action,
+                   values=cocycle.values[p[:, None], p])
 
 
 def connecting_values(q_group: FiniteGroup, taus, c_group: FiniteGroup, pi: GroupHom,

@@ -402,20 +402,23 @@ def _raise_first(checks: List[tuple]) -> None:
             error, witness=None if witnesses is None else witnesses[k])
 
 
+def _proved(cls, **fields):
+    """An instance of cls with these attributes and no check, for values
+    that their construction proves: composites, inverses, and the rows that
+    a generator search certified.  The public constructors always check."""
+    obj = cls.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 class GroupHom:
     """A homomorphism between table groups, stored as a value array.
 
-    validate=True proves the law on all pairs by the certificate `_hom_rows`;
-    the sweep of all pairs runs only on failure, to name the first bad pair.
+    The law on all pairs is proved by the certificate `_hom_rows`; the sweep
+    of all pairs runs only on failure, to name the first bad pair.
     """
 
-    def __init__(
-        self,
-        source: FiniteGroup,
-        target: FiniteGroup,
-        values,
-        validate: bool = True,
-    ):
+    def __init__(self, source: FiniteGroup, target: FiniteGroup, values):
         self.source = source
         self.target = target
         self.values = np.asarray(values, dtype=np.int64)
@@ -425,7 +428,7 @@ class GroupHom:
             )
         if self.values.min() < 0 or self.values.max() >= target.order:
             raise ValidationError("hom values out of range")
-        if validate and not _hom_rows(source, target, self.values[None])[0]:
+        if not _hom_rows(source, target, self.values[None])[0]:
             raise _hom_error(source, target, self.values)
 
     def apply(self, a: int) -> int:
@@ -438,7 +441,8 @@ class GroupHom:
         """self after other (self.source must be other.target)."""
         if other.target is not self.source:
             raise ValidationError("hom composition mismatch")
-        return GroupHom(other.source, self.target, self.values[other.values], validate=False)
+        return _proved(GroupHom, source=other.source, target=self.target,
+                       values=self.values[other.values])
 
     def kernel_indices(self) -> List[int]:
         return [int(a) for a in np.flatnonzero(self.values == 0)]
@@ -460,7 +464,7 @@ class GroupHom:
             raise ValidationError("only bijective homs can be inverted")
         inv = np.zeros(self.target.order, dtype=np.int64)
         inv[self.values] = np.arange(self.source.order)
-        return GroupHom(self.target, self.source, inv, validate=False)
+        return _proved(GroupHom, source=self.target, target=self.source, values=inv)
 
     def same_values(self, other: "GroupHom") -> bool:
         return bool((self.values == other.values).all())
@@ -470,7 +474,7 @@ class GroupHom:
 
 
 def identity_hom(g: FiniteGroup) -> GroupHom:
-    return GroupHom(g, g, np.arange(g.order), validate=False)
+    return _proved(GroupHom, source=g, target=g, values=np.arange(g.order, dtype=np.int64))
 
 
 class ActionTable:
@@ -478,12 +482,12 @@ class ActionTable:
 
     table[a, m] is the index of a acting on m.  The module is not required to
     be abelian here; operations that need abelian coefficients check at their
-    own boundary.  validate=True proves the action law against each core
-    generator of the actor, and certifies the rows of those generators
-    automorphisms by `_hom_rows`; together these prove both laws everywhere.
+    own boundary.  The action law is proved against each core generator of
+    the actor, and the rows of those generators are certified automorphisms
+    by `_hom_rows`; together these prove both laws everywhere.
     """
 
-    def __init__(self, actor: FiniteGroup, module: FiniteGroup, table, validate: bool = True):
+    def __init__(self, actor: FiniteGroup, module: FiniteGroup, table):
         self.actor = actor
         self.module = module
         self.table = _as_int_array(table, "action table")
@@ -491,8 +495,7 @@ class ActionTable:
             raise ValidationError(
                 f"action table must be {actor.order}x{module.order}, got {self.table.shape}"
             )
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self) -> None:
         t = self.table
@@ -633,8 +636,8 @@ def make_dihedral(n: int) -> FiniteGroup:
 
 
 def trivial_action(actor: FiniteGroup, module: FiniteGroup) -> ActionTable:
-    table = np.tile(np.arange(module.order), (actor.order, 1))
-    return ActionTable(actor, module, table, validate=False)
+    table = np.tile(np.arange(module.order, dtype=np.int64), (actor.order, 1))
+    return _proved(ActionTable, actor=actor, module=module, table=table)
 
 
 def inversion_action(c2: FiniteGroup, module: FiniteGroup) -> ActionTable:
@@ -1084,9 +1087,14 @@ def _coset_tables(index: TableIndex, table: np.ndarray, maps: np.ndarray
     _validate`, k n cells).  The tables are returned read-only, so that no
     later change keeps that proof.  A looked-up sum row whose powers do not
     reach H within n / h steps, which would write past row n, raises
-    `ValidationError`.
+    `ValidationError`.  More than `ring_check_max_order` members raise
+    `BudgetExceeded`, with `rings.FiniteRing`'s text, before any table is
+    allocated.
     """
     n = len(index.tables)
+    cap = current_budgets().ring_check_max_order
+    if n > cap:
+        raise BudgetExceeded(f"ring order {n} exceeds check budget {cap}")
     keys = index.keys
     add = np.empty((n, n), dtype=_table_dtype(n))  # row p: sum row of the member add[p, 0]
     mul = np.empty_like(add)  # row p: the product row of that member
@@ -1156,7 +1164,7 @@ def hom_make(source: FiniteGroup, target: FiniteGroup, generator_images: Sequenc
     if any(v < 0 or v >= target.order for v in images):
         raise ValidationError("generator image out of range")
     for vals in _search_generator_images(source, target, [[v] for v in images]):
-        return GroupHom(source, target, vals, validate=False)
+        return _proved(GroupHom, source=source, target=target, values=vals)
     raise ValidationError(
         f"generator images {images} are inconsistent with the relations of the source",
         witness=images,
@@ -1181,7 +1189,7 @@ def enumerate_homs(source: FiniteGroup, target: FiniteGroup) -> List[GroupHom]:
     tgt_orders = target.element_orders()
     gens = source.core_generators
     cands = [np.flatnonzero(src_orders[s] % tgt_orders == 0) for s in gens]
-    return [GroupHom(source, target, vals, validate=False)
+    return [_proved(GroupHom, source=source, target=target, values=vals)
             for vals in _gated_hom_tables(source, target, cands, gens)]
 
 
@@ -1222,23 +1230,19 @@ def enumerate_actions(actor: FiniteGroup, module: FiniteGroup) -> List[ActionTab
 
 
 def find_isomorphism(a: FiniteGroup, b: FiniteGroup) -> Optional[GroupHom]:
-    """Brute-force isomorphism search by generator images; None if not isomorphic."""
-    cap = current_budgets().iso_search_max_order
-    if max(a.order, b.order) > cap:
-        raise BudgetExceeded(f"isomorphism search capped at order {cap}")
+    """The first isomorphism a -> b, in the lexicographic order of value
+    tables, by search over the images of the core generators of a within
+    `search_candidates`; None if the groups are not isomorphic."""
     if a.order != b.order or a.is_abelian() != b.is_abelian():
         return None
-    if sorted(a.element_orders().tolist()) != sorted(b.element_orders().tolist()):
+    orders_a, orders_b = a.element_orders(), b.element_orders()
+    if sorted(orders_a.tolist()) != sorted(orders_b.tolist()):
         return None
-    orders_a = a.element_orders()
-    orders_b = b.element_orders()
-    cands = [
-        [h for h in range(b.order) if int(orders_b[h]) == int(orders_a[s])]
-        for s in a.generators
-    ]
-    for vals in _search_generator_images(a, b, cands):
+    gens = a.core_generators
+    cands = [np.flatnonzero(orders_b == orders_a[s]) for s in gens]
+    for vals in _gated_hom_tables(a, b, cands, gens):
         if _is_bijective(vals):
-            return GroupHom(a, b, vals, validate=False)
+            return _proved(GroupHom, source=a, target=b, values=vals)
     return None
 
 

@@ -741,17 +741,19 @@ def verify_crossed_hom_sequence(data: ExtensionData) -> ExactnessReport:
         ("H2(Q,N)", h2q.order),
     ]
 
-    emb = {row.tobytes() for row in cd.n_in_c.values[z1n]}
+    # the sets hold value tuples, so that a failing row's witnesses are value lists
+    emb = {tuple(row) for row in cd.n_in_c.values[z1n].tolist()}
     report.add("crossed homs into the kernel", len(emb) == len(z1n), 1, len(emb),
                detail="embedding is injective")
 
     proj = cd.pi.values[data.z1c]
-    ker_proj = {phi.tobytes() for phi, img in zip(data.z1c, proj) if not img.any()}
+    ker_proj = {tuple(phi) for phi, img in zip(data.z1c.tolist(), proj) if not img.any()}
     _set_equal(report, "crossed homs into the centralizer", ker_proj, emb,
                detail="kernel of projection vs embedded crossed homs")
 
-    ker_delta = {tau.tobytes() for tau, cls in zip(data.z1qbar, data.delta) if not cls.any()}
-    im_proj = {img.tobytes() for img in proj}
+    ker_delta = {tuple(tau) for tau, cls in zip(data.z1qbar.tolist(), data.delta)
+                 if not cls.any()}
+    im_proj = {tuple(img) for img in proj.tolist()}
     _set_equal(report, "crossed homs into the central quotient", ker_delta, im_proj,
                detail="fiber of the connecting map over zero vs projected crossed homs")
     return report

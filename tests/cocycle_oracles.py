@@ -25,7 +25,7 @@ import numpy as np
 from cohomoring import ValidationError, verify
 from cohomoring.cocycles import CrossedHom
 from cohomoring.cohomology2 import coboundary_preimage, inflation
-from cohomoring.groups import _descend, _positions
+from cohomoring.groups import _descend, _positions, _proved
 from table_oracles import old_group_hom_outcome
 
 
@@ -164,7 +164,8 @@ def _z1_full_scan(source, module, action):
         for y in range(1, s):
             law = tm[vals[:, x], act[x, vals[:, y]]]
             mask &= law == vals[:, ts[x, y]]
-    return [CrossedHom(source, module, action, row, validate=False) for row in vals[mask]]
+    return [_proved(CrossedHom, source=source, module=module, action=action, values=row)
+            for row in vals[mask]]
 
 
 def oracle_pushforward(cocycle, values):

@@ -162,7 +162,7 @@ def old_ring_outcome(add_table, mul_table, one=None):
 
 
 def old_group_hom_outcome(source, target, values):
-    """"ok" for a map the old `GroupHom(validate=True)` accepted, else
+    """"ok" for a map the old all-pairs check of `GroupHom` accepted, else
     (error text, witness)."""
     v = np.asarray(values, dtype=np.int64)
     try:
@@ -184,7 +184,7 @@ def old_group_hom_outcome(source, target, values):
 
 
 def old_crossed_hom_outcome(source, module, action, values):
-    """"ok" for a map the old `CrossedHom(validate=True)` accepted, else
+    """"ok" for a map the old all-pairs check of `CrossedHom` accepted, else
     (error text, witness)."""
     v = np.asarray(values, dtype=np.int64)
     try:

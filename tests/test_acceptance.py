@@ -570,8 +570,9 @@ def test_criterion_7_dual_route_oracles(monkeypatch):
     for locate, member, source, target in (
             (fe.locate, fe.endos[1], g, g),
             (fe.module_ring.locate, fe.module_ring.elements[1], n, n),
-            (lambda v: fe.cocycles.locate(CrossedHom(
-                g, n, fe.cocycles.elements[0].action, v, validate=False)),
+            (lambda v: fe.cocycles.locate(groups._proved(
+                CrossedHom, source=g, module=n, action=fe.cocycles.elements[0].action,
+                values=v)),
              fe.displacement(1).values, g, n)):
         assert locate(member) == 1
         off = max(set(range(source.order)) - set(source.generators))

@@ -486,7 +486,8 @@ def test_cocycle_ring_refuses_members_it_cannot_certify():
         [(c4, v4, act, emb) for act in enumerate_actions(c4, v4)
          for emb in enumerate_homs(v4, c4)],
         # not additive: C4 on itself, trivially, through maps that are no homomorphism
-        [(c4, c4, trivial, GroupHom(c4, c4, [0, x, y, z], validate=False))
+        [(c4, c4, trivial, groups._proved(GroupHom, source=c4, target=c4,
+                                          values=np.array([0, x, y, z])))
          for x in range(4) for y in range(4) for z in range(4)],
     )
     for cases in families:
@@ -782,7 +783,8 @@ def test_fiber_endo_ring_names_the_first_member_that_does_not_integrate(monkeypa
         for k in (5, 3):  # one changed value: two homs agree on a subgroup
             bad = elements[k].values.copy()
             bad[-1] = (bad[-1] + 1) % module.order
-            elements[k] = CrossedHom(source, module, action, bad, validate=False)
+            elements[k] = groups._proved(CrossedHom, source=source, module=module,
+                                         action=action, values=bad)
             tampered[k] = bad.tolist()
         return CocycleRing(cr.ring, tuple(elements), cr.index, cr.embedding)
 

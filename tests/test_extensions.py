@@ -74,7 +74,7 @@ def test_build_extension_rejects_inexact_pair():
     with pytest.raises(ValidationError):
         build_extension(i, p_bad)
     with pytest.raises(ValidationError):
-        build_extension(GroupHom(c2, c4, [0, 0], validate=False), GroupHom(c4, c2, [0, 1, 0, 1]))
+        build_extension(GroupHom(c2, c4, [0, 0]), GroupHom(c4, c2, [0, 1, 0, 1]))
 
 
 def test_split_detection():

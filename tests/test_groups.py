@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cohomoring import ValidationError, groups
+from cohomoring import BudgetExceeded, ValidationError, groups
 from cohomoring.extension import build_extension
 from cohomoring.groups import (
     FiniteGroup,
@@ -283,6 +283,22 @@ def test_find_isomorphism_positive_and_negative():
     assert iso is not None and iso.is_bijective()
     v4, _, _ = make_direct_product(make_cyclic(2), make_cyclic(2))
     assert find_isomorphism(make_cyclic(4), v4) is None
+
+
+def test_find_isomorphism_is_gated_by_candidates_not_order(monkeypatch):
+    """D40, of order 80, is found isomorphic to C40 x| C2 by search over its
+    two core generators: 41 involutions times 16 elements of order 40, 656
+    candidates, which a budget of 500 refuses."""
+    c40 = make_cyclic(40)
+    c2 = make_cyclic(2)
+    sd, _, _ = make_semidirect_group(c40, c2, inversion_action(c2, c40))
+    d40 = make_dihedral(40)
+    iso = find_isomorphism(d40, sd)
+    assert iso is not None and iso.source is d40 and iso.is_bijective()
+    assert (iso.values[d40.table] == sd.table[iso.values[:, None], iso.values]).all()
+    monkeypatch.setenv("COHOMORING_BUDGET", "0.0005")
+    with pytest.raises(BudgetExceeded, match="^hom search needs 656 candidates, budget 500$"):
+        find_isomorphism(d40, sd)
 
 
 def test_group_json_round_trip():

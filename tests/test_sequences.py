@@ -1,6 +1,7 @@
 """Sequence verifiers: every report passes on honest data and fails on broken data."""
 
 import importlib.util
+import json
 import sys
 from functools import lru_cache
 from pathlib import Path
@@ -18,6 +19,7 @@ from cohomoring.catalog import (
     dihedral_extension,
     sweep,
 )
+from cohomoring.cli import _emit_json
 from cohomoring.cocycles import enumerate_z1
 from cohomoring.cohomology2 import (
     coboundary_cocycle,
@@ -387,6 +389,24 @@ def test_displacement_missing_from_z1_fails_its_fiber_check():
                                         "invertible action-preserving quotient endos")):
         assert (found[position].status, found[position].witness) == ("fail", zero.tolist())
     assert checks[0]["connecting class is lift independent"].status == "pass"
+
+
+def test_crossed_hom_rows_name_value_lists(capsys):
+    """A crossed hom into the centralizer that goes missing fails the kernel
+    row of the crossed-homomorphism sequence with its value list as the
+    witness, in the text line and in the JSON that `verify --json` writes."""
+    data = ExtensionData(dihedral_extension(4))
+    zero = data.z1c[0]
+    assert not zero.any()
+    data.z1c = data.z1c[1:]  # the zero map goes missing from Z1(Q, C)
+    rep = verify_crossed_hom_sequence(data)
+    [check] = [c for c in rep.checks if c.position == "crossed homs into the centralizer"]
+    assert (check.status, check.witness) == ("fail", [tuple(zero.tolist())])
+    assert check.line().endswith(f"  witness={[zero.tolist()]!r}")
+    _emit_json(rep.to_json())
+    row = [c for c in json.loads(capsys.readouterr().out)["checks"]
+           if c["position"] == check.position]
+    assert row[0]["witness"] == [zero.tolist()]
 
 
 def test_qr_sequence_on_mod12():

@@ -3,7 +3,8 @@ name in its __all__ is one it defines or imports, every private top-level
 helper is referred to somewhere in the package, no module holds a mutable
 container at module or class level or as a default argument, every budget
 is read and documented, JSON reaches standard output only through
-`cli._emit_json`, and the table constructors keep their signatures."""
+`cli._emit_json`, the table constructors keep their signatures, and only
+the private routes build an object without its checks."""
 
 import ast
 import dataclasses
@@ -14,7 +15,8 @@ from pathlib import Path
 import pytest
 
 from cohomoring.budgets import Budgets
-from cohomoring.groups import FiniteGroup
+from cohomoring.cocycles import CrossedHom
+from cohomoring.groups import ActionTable, FiniteGroup, GroupHom
 from cohomoring.rings import FiniteRing
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cohomoring"
@@ -344,12 +346,44 @@ def test_every_budget_is_read_and_documented():
 
 def test_table_constructors_keep_their_signatures():
     """`FiniteGroup` and `FiniteRing` take no parameter beyond their tables,
-    generators, identity, labels and name: the laws that a coset walk proves
-    reach them only through the private `groups._on_walk`, so no caller
-    can claim a law for a table it built by passing a flag."""
+    generators, identity, labels and name, and `GroupHom`, `ActionTable` and
+    `CrossedHom` none beyond their groups and values: the laws that a coset
+    walk proves reach them only through the private `groups._on_walk`, and
+    values that a construction proves only through `groups._proved`, so no
+    caller can claim a law for a table it built by passing a flag."""
     assert str(inspect.signature(FiniteGroup)) == (
         "(table, generators: 'Optional[Sequence[int]]', "
         "labels: 'Optional[Sequence[str]]' = None, name: 'str' = '')")
     assert str(inspect.signature(FiniteRing)) == (
         "(add_table, mul_table, one: 'Optional[int]' = None, "
         "labels: 'Optional[Sequence[str]]' = None, name: 'str' = '')")
+    assert str(inspect.signature(GroupHom)) == (
+        "(source: 'FiniteGroup', target: 'FiniteGroup', values)")
+    assert str(inspect.signature(ActionTable)) == (
+        "(actor: 'FiniteGroup', module: 'FiniteGroup', table)")
+    assert str(inspect.signature(CrossedHom)) == (
+        "(source: 'FiniteGroup', module: 'FiniteGroup', action: 'ActionTable', values)")
+
+
+def _new_sites(tree: ast.AST) -> list:
+    """The names of the functions whose own body reads an attribute
+    `__new__`, and "?" for each read outside any function's own body."""
+    sites = [func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+             for node in _own_nodes(func)
+             if isinstance(node, ast.Attribute) and node.attr == "__new__"]
+    reads = sum(isinstance(node, ast.Attribute) and node.attr == "__new__"
+                for node in ast.walk(tree))
+    return sorted(sites + ["?"] * (reads - len(sites)))
+
+
+def test_objects_skip_their_checks_only_on_the_private_routes():
+    """`cls.__new__` is called only by `groups._proved` and `groups._on_walk`,
+    the two routes by which a construction supplies what it proves."""
+    found = [(m, name) for m in ALL_MODULES
+             for name in _new_sites(ast.parse((PACKAGE / m).read_text(encoding="utf-8")))]
+    assert found == [("groups.py", "_on_walk"), ("groups.py", "_proved")]
+    for source, flagged in (("def f(cls):\n    return cls.__new__(cls)", ["f"]),
+                            ("x = object.__new__(object)", ["?"]),
+                            ("def f():\n    return lambda c: c.__new__(c)", ["?"]),
+                            ("def f(cls):\n    return cls(1)", [])):
+        assert _new_sites(ast.parse(source)) == flagged, source
