@@ -1,7 +1,9 @@
 """Enumeration budgets.
 
-Every exhaustive search in the package is gated by one of these counts.  Each
-gate reads `current_budgets()` when it runs, so the environment variable
+Every exhaustive search and every order^2 table in the package is gated by
+one of these counts, and `gate` is the one function that refuses: it reads
+the budget when it runs, before the search or the table is started, and
+raises `BudgetExceeded` with the caller's text.  The environment variable
 COHOMORING_BUDGET, when set to a positive float, scales all of them uniformly
 (2.0 doubles every budget, 0.5 halves them); a value that is not a positive
 number raises ValueError at the first gate reached.
@@ -12,7 +14,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields, replace
 
-__all__ = ["Budgets", "current_budgets", "DEFAULTS"]
+from .errors import BudgetExceeded
+
+__all__ = ["Budgets", "current_budgets", "gate", "DEFAULTS"]
 
 
 @dataclass(frozen=True)
@@ -44,3 +48,11 @@ def current_budgets() -> Budgets:
         raise ValueError(f"COHOMORING_BUDGET must be positive, got {factor}")
     scaled = {f.name: max(1, int(getattr(DEFAULTS, f.name) * factor)) for f in fields(DEFAULTS)}
     return replace(DEFAULTS, **scaled)
+
+
+def gate(field: str, used: int, text: str) -> None:
+    """Raise BudgetExceeded(text.format(used=used, limit=limit)) when `used`
+    exceeds the budget named `field`."""
+    limit = getattr(current_budgets(), field)
+    if used > limit:
+        raise BudgetExceeded(text.format(used=used, limit=limit))

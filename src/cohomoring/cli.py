@@ -511,14 +511,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, BudgetExceeded, GuardExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON input ({exc})", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, BudgetExceeded, GuardExceeded, MemoryError) as exc:
+        # ValidationError is a ValueError; numpy's MemoryError names the table
+        # it could not allocate, and a bare one is named by its type
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -14,8 +14,8 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .budgets import current_budgets
-from .errors import BudgetExceeded, ValidationError
+from .budgets import gate
+from .errors import ValidationError
 from .groups import (ActionTable, FiniteGroup, GroupHom, TableIndex, _coset_tables,
                      _hom_rows, _on_walk, _proved, _search_generator_images)
 from .rings import FiniteRing
@@ -166,17 +166,14 @@ def enumerate_z1(source: FiniteGroup, module: FiniteGroup,
     `search_candidates`.  A crossed homomorphism is fixed by its
     values on generators, so nothing is missed.
     """
-    limit = current_budgets().search_candidates
     if action.actor is not source or action.module is not module:
         raise ValidationError("action must be of the source group on the module")
     m = module.order
     gens = source.core_generators
-    count = m ** len(gens)
-    if count > limit:
-        # a scan of all |module|^(|source|-1) value tables is no cheaper:
-        # the core generators are distinct non-identity elements
-        raise BudgetExceeded(
-            f"{count} generator candidates and full scan both exceed budgets")
+    # a scan of all |module|^(|source|-1) value tables is no cheaper:
+    # the core generators are distinct non-identity elements
+    gate("search_candidates", m ** len(gens),
+         "{used} generator candidates and full scan both exceed budgets")
     cands = [np.arange(m)] * len(gens)
     out = [_proved(CrossedHom, source=source, module=module, action=action, values=vals)
            for vals in _search_generator_images(source, module, cands, action, gens=gens)]

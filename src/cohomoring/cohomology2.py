@@ -22,7 +22,7 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .budgets import current_budgets
+from .budgets import gate
 from .errors import BudgetExceeded, ValidationError
 from .groups import (
     ActionTable,
@@ -452,8 +452,7 @@ class H2Group:
         return self._class_dec.coords(cid)
 
 
-def _variable_layout(q: int, c: int) -> int:
-    return (q - 1) * (q - 1) * c
+_TOO_MANY_VARIABLES = "{used} cocycle variables exceeds budget {limit}"
 
 
 def _unit_forms(q: int, c: int, arity: int) -> np.ndarray:
@@ -497,13 +496,11 @@ def _light_rows(forms: np.ndarray, mats: np.ndarray, tg: np.ndarray, middles: Se
 
 
 def _h2_linear(q_group: FiniteGroup, n_group: FiniteGroup, action: ActionTable) -> H2Group:
-    limit = current_budgets().h2_linear_size
     dec = abelian_decomposition(n_group)
     q = q_group.order
     c = len(dec.factors)
-    a = _variable_layout(q, c)
-    if a > limit:
-        raise BudgetExceeded(f"{a} cocycle variables exceeds budget {limit}")
+    a = (q - 1) * (q - 1) * c  # the coordinates of F(x, y) for x, y != e
+    gate("h2_linear_size", a, _TOO_MANY_VARIABLES)
     if c == 0 or q == 1:
         h2 = H2Group(q_group, n_group, action, (), "linear")
         h2._dec = dec
@@ -568,13 +565,11 @@ def _class_key(add: np.ndarray, deltas: np.ndarray, values: np.ndarray) -> bytes
 
 def _h2_bruteforce(q_group: FiniteGroup, n_group: FiniteGroup,
                    action: ActionTable) -> H2Group:
-    limit = current_budgets().search_candidates
     q = q_group.order
     n = n_group.order
     s = (q - 1) * (q - 1)
     total = n ** s
-    if total > limit:
-        raise BudgetExceeded(f"{total} candidate tables exceeds budget {limit}")
+    gate("search_candidates", total, "{used} candidate tables exceeds budget {limit}")
     add = n_group.table
     values = np.zeros((total, q, q), dtype=np.int64)
     values[:, 1:, 1:] = _enumerate_chains(n, s + 1)[:, 1:].reshape(total, q - 1, q - 1)
@@ -626,13 +621,11 @@ def compute_h2(q_group: FiniteGroup, n_group: FiniteGroup, action: ActionTable,
         return _h2_bruteforce(q_group, n_group, action)
     if method != "auto":
         raise ValueError(f"unknown method {method!r}")
-    budget = current_budgets()
-    dec_size = _variable_layout(q_group.order, len(abelian_decomposition(n_group).factors))
-    if dec_size <= budget.h2_linear_size:
-        return _h2_linear(q_group, n_group, action)
-    total = n_group.order ** ((q_group.order - 1) ** 2)
-    if total <= budget.search_candidates:
-        return _h2_bruteforce(q_group, n_group, action)
+    for route in (_h2_linear, _h2_bruteforce):  # each gates before any work
+        try:
+            return route(q_group, n_group, action)
+        except BudgetExceeded:
+            pass
     raise BudgetExceeded("no cohomology method fits the current budget")
 
 
@@ -643,10 +636,8 @@ def _coboundary_gate(g: FiniteGroup, n: FiniteGroup) -> None:
     """Raise BudgetExceeded when `coboundary_preimage` on cocycles of g in n
     would search more than `search_candidates` cochains: the count
     |N|^k over the k core generators of g, the same for every cocycle."""
-    limit = current_budgets().search_candidates
-    count = n.order ** len(g.core_generators)
-    if count > limit:
-        raise BudgetExceeded(f"{count} coboundary candidates exceeds budget {limit}")
+    gate("search_candidates", n.order ** len(g.core_generators),
+         "{used} coboundary candidates exceeds budget {limit}")
 
 
 def coboundary_preimage(f: TwoCocycle) -> Optional[np.ndarray]:
@@ -690,9 +681,7 @@ def h2_order(g_group: FiniteGroup, n_group: FiniteGroup, action: ActionTable,
     gens = g_group.core_generators
     c = len(dec.factors)
     a = (m - 1) * len(gens) * c
-    limit = current_budgets().h2_linear_size
-    if a > limit:
-        raise BudgetExceeded(f"{a} cocycle variables exceeds budget {limit}")
+    gate("h2_linear_size", a, _TOO_MANY_VARIABLES)
     z2_index = 1  # [Z^a : lattice of cocycle coordinates]
     if a:
         L = dec.exponent

@@ -30,8 +30,8 @@ from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequenc
 
 import numpy as np
 
-from .budgets import current_budgets
-from .errors import BudgetExceeded, ValidationError, _json_name
+from .budgets import gate
+from .errors import ValidationError, _json_name
 
 __all__ = [
     "FiniteGroup",
@@ -1035,6 +1035,11 @@ def _on_walk(cls, walk: _CosetWalk, *args, **kwargs):
     return obj
 
 
+def _ring_order_gate(n: int) -> None:
+    """Refuse a ring of n members before its n^2 tables are built."""
+    gate("ring_check_max_order", n, "ring order {used} exceeds check budget {limit}")
+
+
 def _coset_tables(index: TableIndex, table: np.ndarray, maps: np.ndarray
                   ) -> Tuple[Optional[_CosetWalk], Optional[Tuple[int, int]]]:
     """The sum and product tables [a, b] of the members of `index`, as a
@@ -1087,14 +1092,11 @@ def _coset_tables(index: TableIndex, table: np.ndarray, maps: np.ndarray
     _validate`, k n cells).  The tables are returned read-only, so that no
     later change keeps that proof.  A looked-up sum row whose powers do not
     reach H within n / h steps, which would write past row n, raises
-    `ValidationError`.  More than `ring_check_max_order` members raise
-    `BudgetExceeded`, with `rings.FiniteRing`'s text, before any table is
-    allocated.
+    `ValidationError`.  More than `ring_check_max_order` members are
+    refused by `_ring_order_gate` before any table is allocated.
     """
     n = len(index.tables)
-    cap = current_budgets().ring_check_max_order
-    if n > cap:
-        raise BudgetExceeded(f"ring order {n} exceeds check budget {cap}")
+    _ring_order_gate(n)
     keys = index.keys
     add = np.empty((n, n), dtype=_table_dtype(n))  # row p: sum row of the member add[p, 0]
     mul = np.empty_like(add)  # row p: the product row of that member
@@ -1174,10 +1176,8 @@ def hom_make(source: FiniteGroup, target: FiniteGroup, generator_images: Sequenc
 def _gated_hom_tables(source: FiniteGroup, target: FiniteGroup, cands, gens) -> List[np.ndarray]:
     """Value tables, in lexicographic order, of the homomorphisms sending the
     generating tuple gens into cands, within `search_candidates`."""
-    limit = current_budgets().search_candidates
-    total = math.prod(len(c) for c in cands)
-    if total > limit:
-        raise BudgetExceeded(f"hom search needs {total} candidates, budget {limit}")
+    gate("search_candidates", math.prod(len(c) for c in cands),
+         "hom search needs {used} candidates, budget {limit}")
     return sorted(_search_generator_images(source, target, cands, gens=gens),
                   key=lambda vals: tuple(vals.tolist()))
 

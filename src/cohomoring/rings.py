@@ -22,8 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .budgets import current_budgets
-from .errors import BudgetExceeded, ValidationError, _json_name
+from .errors import ValidationError, _json_name
 from .groups import (
     FiniteGroup,
     _as_int,
@@ -35,6 +34,7 @@ from .groups import (
     _integer_input,
     _on_walk,
     _positions,
+    _ring_order_gate,
     _row_blocks,
     _in_table_dtype,
     subgroup_from_indices,
@@ -74,14 +74,12 @@ class FiniteRing:
 
     def __init__(self, add_table, mul_table, one: Optional[int] = None,
                  labels: Optional[Sequence[str]] = None, name: str = ""):
-        cap = current_budgets().ring_check_max_order
         add_table = _as_table(add_table, "ring addition table")
         self.mul_table = _integer_input(mul_table, "ring multiplication table")
         self.order = add_table.shape[0]
         self.one = None if one is None else _as_int(one, "ring identity index")
         self.name = name
-        if self.order > cap:
-            raise BudgetExceeded(f"ring order {self.order} exceeds check budget {cap}")
+        _ring_order_gate(self.order)
         group_name = f"{name}+" if name else ""
         if self._walk is None:
             self.add_group = FiniteGroup(add_table, None, labels=labels, name=group_name)
@@ -241,6 +239,7 @@ def zn_ring(n: int, name: str = "") -> FiniteRing:
     """The ring of integers mod n."""
     if n < 1:
         raise ValidationError(f"ring of integers mod n needs n >= 1, got {n}")
+    _ring_order_gate(n)
     idx = np.arange(n, dtype=np.int64)
     add = (idx[:, None] + idx[None, :]) % n
     mul = (idx[:, None] * idx[None, :]) % n
@@ -486,6 +485,7 @@ def semidirect_ring(action: BimoduleAction, name: str = "") -> SemidirectRing:
     sg = action.s_group
     nr, ns = rr.order, sg.order
     order = ns * nr
+    _ring_order_gate(order)
     # index axes [s1, r1, s2, r2], broadcast so that no order^2 index grid is
     # built; each order^2 array is built once, in the dtype of the result
     s1 = np.arange(ns)[:, None, None, None]

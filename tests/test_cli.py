@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import cohomoring
-from cohomoring import examples, groups, linalg, rings, verify
+from cohomoring import cli, examples, groups, linalg, rings, verify
 from cohomoring.catalog import catalog_from_json, default_catalog, dihedral_extension, sweep
 from cohomoring.cli import _emit_json, main
 from cohomoring.extension import build_extension, extension_to_json
@@ -269,6 +269,27 @@ def test_ring_zn(capsys):
         code, out, err = _run(capsys, "ring", "--zn", n)
         assert code == 2
         assert err == f"error: ring of integers mod n needs n >= 1, got {n}\n"
+
+
+def test_ring_zn_refuses_before_its_tables(capsys):
+    """`ring --zn n` above `ring_check_max_order` is one line of refusal,
+    read before the n^2 tables (80 GB each for n = 100000) are built."""
+    for n in ("5000", "100000"):
+        code, out, err = _run(capsys, "ring", "--zn", n)
+        assert (code, out, err) == (2, "", f"error: ring order {n} exceeds check budget 4096\n")
+
+
+def test_out_of_memory_is_one_line_of_error(capsys, monkeypatch):
+    """A table too large to allocate ends in exit 2 and one line naming it,
+    never a traceback; a bare MemoryError is named by its type."""
+    text = ("Unable to allocate 37.3 GiB for an array with shape (100000, 100000) "
+            "and data type int32")
+    for raised, line in ((MemoryError(text), f"error: {text}\n"),
+                         (MemoryError(), "error: MemoryError\n")):
+        def refuse(*args, **kwargs):
+            raise raised
+        monkeypatch.setattr(cli, "make_cyclic", refuse)
+        assert _run(capsys, "group", "--cyclic", "100000") == (2, "", line)
 
 
 def test_ring_432(capsys):

@@ -4,7 +4,8 @@ helper is referred to somewhere in the package, no module holds a mutable
 container at module or class level or as a default argument, every budget
 is read and documented, JSON reaches standard output only through
 `cli._emit_json`, the table constructors keep their signatures, and only
-the private routes build an object without its checks."""
+the private routes build an object without its checks, and only
+`budgets.gate` refuses a count over its budget."""
 
 import ast
 import dataclasses
@@ -327,16 +328,37 @@ def test_readme_quick_start_runs(capsys):
     assert out[-1] == "(2,)"
 
 
+def _budget_gaps(trees) -> tuple:
+    """The `Budgets` fields that no tree reads, as an attribute or as the
+    first argument of a `gate` call, and the first arguments of `gate`
+    calls that name no field (None for one that is no constant)."""
+    attrs, gated = set(), []
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            attrs.add(node.attr)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "gate":
+            first = node.args[0] if node.args else None
+            gated.append(first.value if isinstance(first, ast.Constant) else None)
+    names = {f.name for f in dataclasses.fields(Budgets)}
+    return sorted(names - attrs - set(gated)), [f for f in gated if f not in names]
+
+
 def test_every_budget_is_read_and_documented():
-    """Each `Budgets` field is read as an attribute by some module other than
-    budgets.py, so none is a gate that nothing consults, and the bullet list
-    of README's "Enumeration budgets" section names every field with its
-    default and no other name."""
+    """Each `Budgets` field is read by some module other than budgets.py,
+    as an attribute or as the named field of a `budgets.gate` call, so
+    none is a gate that nothing consults; every gate call names a field;
+    and the bullet list of README's "Enumeration budgets" section names
+    every field with its default and no other name."""
     defaults = {f.name: f.default for f in dataclasses.fields(Budgets)}
-    read = {node.attr for m in ALL_MODULES if m != "budgets.py"
-            for node in ast.walk(ast.parse((PACKAGE / m).read_text(encoding="utf-8")))
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-    assert sorted(set(defaults) - read) == []
+    assert _budget_gaps([ast.parse((PACKAGE / m).read_text(encoding="utf-8"))
+                         for m in ALL_MODULES if m != "budgets.py"]) == ([], [])
+    rest = "".join(f"b.{f}\n" for f in defaults if f != "search_candidates")
+    for source, gaps in ((rest + "gate('search_candidates', n, t)", ([], [])),
+                         (rest, (["search_candidates"], [])),
+                         (rest + "gate('search_candidates', n, t)\ngate(f, n, t)", ([], [None])),
+                         (rest + "gate('search_candidate', n, t)",
+                          (["search_candidates"], ["search_candidate"]))):
+        assert _budget_gaps([ast.parse(source)]) == gaps, source
     readme = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Enumeration budgets\n", 1)[1].split("\n## ", 1)[0]
     listed = {name: int(default)
@@ -365,15 +387,17 @@ def test_table_constructors_keep_their_signatures():
         "(source: 'FiniteGroup', module: 'FiniteGroup', action: 'ActionTable', values)")
 
 
-def _new_sites(tree: ast.AST) -> list:
-    """The names of the functions whose own body reads an attribute
-    `__new__`, and "?" for each read outside any function's own body."""
+def _sites(tree: ast.AST, hit) -> list:
+    """The name of the function whose own body holds it, for each node that
+    `hit` accepts, and "?" for each outside any function's own body."""
     sites = [func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
-             for node in _own_nodes(func)
-             if isinstance(node, ast.Attribute) and node.attr == "__new__"]
-    reads = sum(isinstance(node, ast.Attribute) and node.attr == "__new__"
-                for node in ast.walk(tree))
-    return sorted(sites + ["?"] * (reads - len(sites)))
+             for node in _own_nodes(func) if hit(node)]
+    return sorted(sites + ["?"] * (sum(map(hit, ast.walk(tree))) - len(sites)))
+
+
+def _new_sites(tree: ast.AST) -> list:
+    """Where an attribute `__new__` is read."""
+    return _sites(tree, lambda node: isinstance(node, ast.Attribute) and node.attr == "__new__")
 
 
 def test_objects_skip_their_checks_only_on_the_private_routes():
@@ -387,3 +411,30 @@ def test_objects_skip_their_checks_only_on_the_private_routes():
                             ("def f():\n    return lambda c: c.__new__(c)", ["?"]),
                             ("def f(cls):\n    return cls(1)", [])):
         assert _new_sites(ast.parse(source)) == flagged, source
+
+
+def _names_budget_exceeded(node) -> bool:
+    return (getattr(node, "id", None) or getattr(node, "attr", None)) == "BudgetExceeded"
+
+
+def _refusal_sites(tree: ast.AST) -> list:
+    """Where a `BudgetExceeded` is built: called, or raised as the class."""
+    return _sites(tree, lambda node: (isinstance(node, ast.Call) and _names_budget_exceeded(node.func))
+                  or (isinstance(node, ast.Raise) and _names_budget_exceeded(node.exc)))
+
+
+def test_budgets_refuse_only_in_the_gate():
+    """`BudgetExceeded` is built only in `budgets.gate`, the one place that
+    compares a count with its budget, and in `compute_h2`'s one re-raise
+    when the gates of both its routes refuse."""
+    found = [(m, name) for m in ALL_MODULES
+             for name in _refusal_sites(ast.parse((PACKAGE / m).read_text(encoding="utf-8")))]
+    assert found == [("budgets.py", "gate"), ("cohomology2.py", "compute_h2")]
+    for source, flagged in (("def f(n):\n    raise BudgetExceeded(f'{n} > 1')", ["f"]),
+                            ("def f():\n    return errors.BudgetExceeded('x')", ["f"]),
+                            ("def f():\n    raise BudgetExceeded", ["f"]),
+                            ("error = BudgetExceeded('x')", ["?"]),
+                            ("def f():\n    return lambda: BudgetExceeded('x')", ["?"]),
+                            ("try:\n    f()\nexcept BudgetExceeded as exc:\n    raise exc", []),
+                            ("def f():\n    raise ValueError('x')", [])):
+        assert _refusal_sites(ast.parse(source)) == flagged, source
