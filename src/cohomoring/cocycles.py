@@ -10,14 +10,13 @@ additive and ring structure is only available over abelian targets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
-from .budgets import gate
 from .errors import ValidationError
 from .groups import (ActionTable, FiniteGroup, GroupHom, TableIndex, _coset_tables,
-                     _hom_rows, _on_walk, _proved, _search_generator_images)
+                     _equivariant_rows, _gated_hom_tables, _hom_rows, _on_walk, _proved)
 from .rings import FiniteRing
 
 __all__ = [
@@ -156,45 +155,47 @@ def inflate(a: CrossedHom, proj: GroupHom, source_action: ActionTable) -> Crosse
     return CrossedHom(proj.source, a.module, source_action, a.values[proj.values])
 
 
-def enumerate_z1(source: FiniteGroup, module: FiniteGroup,
-                 action: ActionTable) -> List[CrossedHom]:
-    """All crossed homomorphisms, in a deterministic order.
-
-    Candidates are the |module|^k images of the k core generators,
-    propagated and certified by the twisted law in
-    `_search_generator_images`; the count is gated by
-    `search_candidates`.  A crossed homomorphism is fixed by its
-    values on generators, so nothing is missed.
-    """
+def _z1_table(source: FiniteGroup, module: FiniteGroup, action: ActionTable) -> np.ndarray:
+    """[b, x]: the value tables of all crossed homomorphisms, in
+    lexicographic order, from the |module|^k images of the k core
+    generators, gated by `search_candidates`, propagated and certified by
+    the twisted law in `_search_generator_images`.  A crossed homomorphism
+    is fixed by its values on generators, so nothing is missed."""
     if action.actor is not source or action.module is not module:
         raise ValidationError("action must be of the source group on the module")
-    m = module.order
     gens = source.core_generators
-    # a scan of all |module|^(|source|-1) value tables is no cheaper:
-    # the core generators are distinct non-identity elements
-    gate("search_candidates", m ** len(gens),
-         "{used} generator candidates and full scan both exceed budgets")
-    cands = [np.arange(m)] * len(gens)
-    out = [_proved(CrossedHom, source=source, module=module, action=action, values=vals)
-           for vals in _search_generator_images(source, module, cands, action, gens=gens)]
-    # lexicographic order of the value tables: lexsort keys on its last row first
-    return [out[k] for k in np.lexsort(np.stack([c.values for c in out]).T[::-1])]
+    return _gated_hom_tables(source, module, [np.arange(module.order)] * len(gens), gens,
+                             action, "{used} generator candidates exceeds budget {limit}")
+
+
+def enumerate_z1(source: FiniteGroup, module: FiniteGroup,
+                 action: ActionTable) -> List[CrossedHom]:
+    """All crossed homomorphisms, the rows of `_z1_table` in its order."""
+    return [_proved(CrossedHom, source=source, module=module, action=action, values=vals)
+            for vals in _z1_table(source, module, action)]
 
 
 @dataclass
 class CocycleRing:
     """The ring of crossed homomorphisms under pointwise sum and composition.
 
-    elements[0] is the zero map; index keys each value table by its values on
-    the core generators of the source, which fix a crossed homomorphism, and
-    `locate` confirms a hit on the full table; ring is the explicit table
-    ring over these elements.
+    values[k] is the value table of member k, values[0] the zero map; index
+    keys each value table by its values on the core generators of the
+    source, which fix a crossed homomorphism, and `locate` confirms a hit on
+    the full table; ring is the explicit table ring over these members.
     """
 
     ring: FiniteRing
-    elements: Tuple[CrossedHom, ...]
+    values: np.ndarray
     index: TableIndex
     embedding: GroupHom
+    action: ActionTable
+
+    def member(self, k: int) -> CrossedHom:
+        """Member k as a crossed homomorphism, its row certified by the search."""
+        action = self.action
+        return _proved(CrossedHom, source=action.actor, module=action.module, action=action,
+                       values=self.values[k])
 
     def locate(self, a: CrossedHom) -> int:
         k = int(self.index.find(a.values))
@@ -203,45 +204,30 @@ class CocycleRing:
         return k
 
 
-def _equivariant_endo_rows(maps: np.ndarray, module: FiniteGroup,
-                           action: ActionTable) -> np.ndarray:
-    """Mask of the rows of `maps` ([k, m] = image of module element m) that
-    are additive and commute with the action.
-
-    Additivity is certified by `_hom_rows` and equivariance against the core
-    generators of the actor: the elements passing either law are closed
-    under the group operation, so they are the whole group.
-    """
-    act = action.table
-    ok = _hom_rows(module, module, maps)
-    for s in action.actor.core_generators:
-        ok &= (maps[:, act[s]] == act[s][maps]).all(axis=1)
-    return ok
-
-
 def cocycle_ring(source: FiniteGroup, module: FiniteGroup, action: ActionTable,
                  embedding: GroupHom) -> CocycleRing:
     """Build the crossed-homomorphism ring for an embedded abelian module.
 
     Every sum and product is located by its values on the core generators,
-    which is sound because each is proved crossed and `enumerate_z1` lists
+    which is sound because each is proved crossed and `_z1_table` lists
     every crossed homomorphism.  A sum is crossed because the module is
     abelian and the action is by automorphisms.  A product x -> a(i(b(x))) is
     crossed when a o i is an additive equivariant endomorphism of the module,
-    which `_equivariant_endo_rows` certifies per member; a member failing it
-    is refused.  For the conjugation action on a normal subgroup, as in
-    `fiber_endo_ring`, every member passes.  Both tables are filled coset by
-    coset from generator rows; `groups._coset_tables` holds the proof.
+    which `_hom_rows` and `_equivariant_rows` certify per member; a member
+    failing it is refused.  For the conjugation action on a normal subgroup,
+    as in `fiber_endo_ring`, every member passes.  Both tables are filled
+    coset by coset from generator rows; `groups._coset_tables` holds the
+    proof.
     """
     if not module.is_abelian():
         raise ValidationError("the crossed-homomorphism ring needs an abelian module")
-    elements = enumerate_z1(source, module, action)
-    stacked = np.stack([e.values for e in elements])
+    stacked = _z1_table(source, module, action)
     index = TableIndex(stacked, source.core_generators, module.order)
-    if elements[0].values.any():
+    if stacked[0].any():
         raise ValidationError("zero map must sort first")
     restricted = stacked[:, embedding.values]  # [a, m] = a(i(m))
-    uncertified = np.flatnonzero(~_equivariant_endo_rows(restricted, module, action))
+    certified = _hom_rows(module, module, restricted) & _equivariant_rows(restricted, action)
+    uncertified = np.flatnonzero(~certified)
     if uncertified.size:
         raise ValidationError(
             "crossed homomorphisms not closed under the ring operations: member "
@@ -254,4 +240,5 @@ def cocycle_ring(source: FiniteGroup, module: FiniteGroup, action: ActionTable,
         raise ValidationError(
             f"crossed homomorphisms not closed under the ring operations at {missing}")
     ring = _on_walk(FiniteRing, walk, walk.add, walk.mul, one=None, name="Z1")
-    return CocycleRing(ring=ring, elements=tuple(elements), index=index, embedding=embedding)
+    return CocycleRing(ring=ring, values=stacked, index=index, embedding=embedding,
+                       action=action)

@@ -508,7 +508,7 @@ def _h2_linear(q_group: FiniteGroup, n_group: FiniteGroup, action: ActionTable) 
         h2._qf = quotient_snf(np.zeros((a, 0), dtype=np.int64), a, 1)
         h2._kept = []
         return h2
-    mats = np.stack(action_matrices(action, dec))
+    mats = action_matrices(action, dec)
     L = dec.exponent
     tq = q_group.table
     # Light's rows with every non-identity middle: the whole cocycle identity.
@@ -535,12 +535,10 @@ def _h2_linear(q_group: FiniteGroup, n_group: FiniteGroup, action: ActionTable) 
     h2._kern = kern
     h2._qf = qf
     h2._kept = np.asarray(kept, dtype=np.int64)
-    reps = []
-    for t in kept:
-        vec = kern.vector(qf.representative(t))
-        reps.append(TwoCocycle(q_group, n_group, action, h2._values_from_vector(vec)))
-    h2.class_reps = tuple(reps)
-    got = h2.reduce_values(np.array([rep.values for rep in reps]).reshape(len(reps), q, q))
+    reps = np.array([h2._values_from_vector(kern.vector(qf.representative(t)))
+                     for t in kept], dtype=np.int64).reshape(len(kept), q, q)
+    h2.class_reps = tuple(TwoCocycle(q_group, n_group, action, rep) for rep in reps)
+    got = h2.reduce_values(reps)
     if not (got == np.eye(len(kept), dtype=np.int64)).all():
         raise ValidationError("class representative does not reduce to a unit coefficient")
     return h2
@@ -656,8 +654,8 @@ def coboundary_preimage(f: TwoCocycle) -> Optional[np.ndarray]:
     gens = g.core_generators
     _coboundary_gate(g, n)
     cands = [np.arange(n.order)] * len(gens)
-    return next(_search_generator_images(g, n, cands, f.action, offset=f.values, gens=gens),
-                None)
+    found = _search_generator_images(g, n, cands, f.action, offset=f.values, gens=gens)
+    return next((block[0] for block in found), None)
 
 
 def h2_order(g_group: FiniteGroup, n_group: FiniteGroup, action: ActionTable,
@@ -685,7 +683,7 @@ def h2_order(g_group: FiniteGroup, n_group: FiniteGroup, action: ActionTable,
     z2_index = 1  # [Z^a : lattice of cocycle coordinates]
     if a:
         L = dec.exponent
-        mats = np.stack(action_matrices(action, dec))  # [x] acts on coordinates
+        mats = action_matrices(action, dec)  # [x] acts on coordinates
         tg = g_group.table
         # forms[x, y] is the c x a matrix giving F(x, y) from the unknowns
         forms = np.zeros((m, m, c, a), dtype=np.int64)

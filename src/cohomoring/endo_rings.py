@@ -22,7 +22,7 @@ error a single map would.
 """
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -36,15 +36,15 @@ from .groups import (
     TableIndex,
     _coset_tables,
     _descend,
+    _equivariant_rows,
     _gated_hom_tables,
     _hom_rows,
+    _hom_tables,
     _is_bijective,
     _on_walk,
     _positions,
     _raise_first,
-    enumerate_endos,
 )
-from .linalg import _unique_rows
 from .rings import FiniteRing, RingHom, _squares_to_zero, check_ideal, quasi_regular_indices
 from .store import SweepStore
 
@@ -56,7 +56,7 @@ from .store import SweepStore
 class ModuleEndoRing:
     """All endomorphisms of an abelian group commuting with a fixed action.
 
-    elements[k] is the value table of endomorphism k on the module; the zero
+    values[k] is the value table of endomorphism k on the module; the zero
     map sits at index 0.  The ring operations are pointwise sum and
     composition, with mul(a, b) the table of x -> a(b(x)) and the identity
     map as the ring one.
@@ -65,7 +65,7 @@ class ModuleEndoRing:
     module: FiniteGroup
     action: ActionTable
     ring: FiniteRing
-    elements: Tuple[np.ndarray, ...]
+    values: np.ndarray
     index: TableIndex
 
     def locate(self, values) -> int:
@@ -89,18 +89,13 @@ def equivariant_endo_ring(module: FiniteGroup, action: ActionTable) -> ModuleEnd
         raise ValidationError("action is not an action on the given module")
     if not module.is_abelian():
         raise ValidationError("equivariant endomorphism ring needs an abelian module")
-    act = action.table
-    kept: List[np.ndarray] = []
-    for h in enumerate_endos(module):
-        v = h.values
-        if (v[act] == act[:, v]).all():
-            kept.append(v)
-    if not kept or kept[0].any():
+    endos = _hom_tables(module, module)
+    stacked = endos[_equivariant_rows(endos, action)]
+    if not len(stacked) or stacked[0].any():
         raise ValidationError("zero endomorphism missing: module enumeration is broken")
-    stacked = np.stack(kept)
     index = TableIndex(stacked, module.core_generators, module.order)
     # sums and composites of equivariant endomorphisms of an abelian group are
-    # equivariant endomorphisms, and `kept` holds them all: members by key
+    # equivariant endomorphisms, and `stacked` holds them all: members by key
     walk, missing = _coset_tables(index, module.table, stacked)
     if missing:
         raise ValidationError(
@@ -109,10 +104,10 @@ def equivariant_endo_ring(module: FiniteGroup, action: ActionTable) -> ModuleEnd
     one = int(index.find(np.arange(module.order)))
     if one < 0:
         raise ValidationError("identity map missing from the equivariant endomorphisms")
-    labels = ["end%d" % k for k in range(len(kept))]
+    labels = ["end%d" % k for k in range(len(stacked))]
     ring = _on_walk(FiniteRing, walk, walk.add, walk.mul, one=one, labels=labels,
                     name="EquivEnd(%s)" % (module.name or module.order))
-    return ModuleEndoRing(module, action, ring, tuple(kept), index)
+    return ModuleEndoRing(module, action, ring, stacked, index)
 
 
 # ------------------------------------------------- fiber-preserving endo ring
@@ -123,7 +118,7 @@ class FiberEndoRing:
     """The twisted ring of endomorphisms inducing the identity on the quotient.
 
     endos[k] is the value table on the middle group of the endomorphism whose
-    displacement is cocycles.elements[k]; index 0 is the identity map, which
+    displacement is cocycles.values[k]; index 0 is the identity map, which
     is the zero of the ring.  ideal_indices lists the members fixing the
     kernel pointwise; they form a two-sided ideal whose products all vanish.
     res is the restriction-of-displacement map into the equivariant
@@ -135,7 +130,7 @@ class FiberEndoRing:
     ext: AbelianExtension
     cocycles: CocycleRing
     ring: FiniteRing
-    endos: Tuple[np.ndarray, ...]
+    endos: np.ndarray
     index: TableIndex
     ideal_indices: np.ndarray
     module_ring: ModuleEndoRing
@@ -147,7 +142,7 @@ class FiberEndoRing:
         return len(self.endos)
 
     def displacement(self, k: int) -> CrossedHom:
-        return self.cocycles.elements[k]
+        return self.cocycles.member(k)
 
     def endo_values(self, k: int) -> np.ndarray:
         return self.endos[k]
@@ -183,6 +178,11 @@ def fiber_endo_ring(ext: AbelianExtension, store: Optional[SweepStore] = None) -
     The twisted sum alpha(x) x^-1 beta(x) and the composite of two members
     are quotient-identity endomorphisms, hence members, each located by its
     values on the core generators of the middle group.
+
+    Distinct members need no sweep: by the round trip back == disps, equal
+    endomorphisms would have equal displacements, which the cocycle ring's
+    `TableIndex` refuses, and the index built here refuses two endomorphism
+    tables that agree on the core generators, even for a repeated row.
 
     Sum: Phi(a + b) = Phi(a) (+) Phi(b) for all a.  The displacement of
     alpha_a (+) alpha_b is psi_a + psi_b, pointwise in the abelian i(N), so
@@ -222,19 +222,16 @@ def fiber_endo_ring(ext: AbelianExtension, store: Optional[SweepStore] = None) -
     ginv = g.inverse
     ivals = ext.i.values
     pv = ext.p.values
-    disps = np.stack([psi.values for psi in cring.elements])
+    disps = cring.values
     stacked = tg[ivals[disps], arange]
     back = ext._n_pos[tg[stacked, ginv]]
     _raise_first([
         (~_hom_rows(g, g, stacked), "displacement does not integrate to an endomorphism", disps),
         ((pv[stacked] != pv).any(axis=1), "integrated endomorphism moves the quotient", disps),
         (((back < 0) | (back != disps)).any(axis=1), "displacement round trip failed", disps)])
-    endos = list(stacked)
-    size = len(endos)
-    if len(_unique_rows(stacked)) != size:
-        raise ValidationError("distinct displacements produced equal endomorphisms")
+    size = len(stacked)
     index = TableIndex(stacked, g.core_generators, g.order)
-    if not (endos[0] == arange).all():
+    if not (stacked[0] == arange).all():
         raise ValidationError("zero displacement did not integrate to the identity map")
 
     ring = cring.ring
@@ -275,16 +272,16 @@ def fiber_endo_ring(ext: AbelianExtension, store: Optional[SweepStore] = None) -
         )
     ring._quasi_regular = aut
 
-    return FiberEndoRing(ext, cring, ring, tuple(endos), index, ideal,
+    return FiberEndoRing(ext, cring, ring, stacked, index, ideal,
                          module_ring, res, aut)
 
 
 # --------------------------------------------------- pointed endomorphism sets
 
 
-def kernel_fixing_endos(ext: AbelianExtension) -> List[np.ndarray]:
-    """All endomorphisms of the middle group fixing the embedded kernel
-    pointwise, in `enumerate_endos` order: the images of i(core N) are pinned,
+def kernel_fixing_endos(ext: AbelianExtension) -> np.ndarray:
+    """[b, x]: all endomorphisms of the middle group fixing the embedded
+    kernel pointwise, in lexicographic order: the images of i(core N) are pinned,
     those of the section lifts u(core Q), which with them generate G, range
     over the elements whose order divides their own."""
     g = ext.g_group
@@ -295,10 +292,15 @@ def kernel_fixing_endos(ext: AbelianExtension) -> List[np.ndarray]:
     return _gated_hom_tables(g, g, cands, kernel + lifts)
 
 
-def action_preserving_quotient_endos(ext: AbelianExtension) -> List[np.ndarray]:
-    """Endomorphisms of the quotient group that leave the kernel action unchanged."""
+def action_preserving_quotient_endos(ext: AbelianExtension) -> np.ndarray:
+    """[b, x]: the endomorphisms of the quotient leaving the kernel action
+    unchanged, in lexicographic order: x -> act[phi(x)] and x -> act[x] are
+    homomorphisms into Aut(N), equal once equal on the core generators."""
+    q = ext.q_group
     act = ext.action.table
-    return [h.values for h in enumerate_endos(ext.q_group) if (act[h.values] == act).all()]
+    core = list(q.core_generators)
+    endos = _hom_tables(q, q)
+    return endos[(act[endos[:, core]] == act[core]).all(axis=(1, 2))]
 
 
 def _crossed_layer_values(w: np.ndarray, embedding: GroupHom, action: ActionTable,

@@ -668,6 +668,17 @@ def _is_bijective(values: np.ndarray) -> np.ndarray:
     return hit.all(axis=-1)
 
 
+def _equivariant_rows(maps: np.ndarray, action: "ActionTable") -> np.ndarray:
+    """Mask of the rows of `maps` ([k, m] = image of module element m) that
+    commute with the action on the core generators of the actor: the actor
+    elements a map commutes with are closed under products."""
+    act = action.table
+    ok = np.ones(len(maps), dtype=bool)
+    for s in action.actor.core_generators:
+        ok &= (maps[:, act[s]] == act[s][maps]).all(axis=1)
+    return ok
+
+
 def _grow(table: np.ndarray, reached: np.ndarray, seeds: np.ndarray, products) -> None:
     """Add to the mask `reached`, in place, the elements in the arrays
     `products` and every element they reach by multiplying by `seeds` on
@@ -888,7 +899,8 @@ def _search_generator_images(
     words in the generators of `gens`, in blocks of at most
     _SEARCH_BLOCK_CELLS cells, each built only when the caller asks for more.
     A row is kept when it sends each gens[i] to its candidate and passes the
-    certificate `_hom_rows`, which proves the law on all pairs.
+    certificate `_hom_rows`, which proves the law on all pairs.  Each block
+    with a kept row yields them whole, one [b, x] array in candidate order.
     """
     gens = tuple(int(s) for s in (source.generators if gens is None else gens))
     cands = [np.asarray(c, dtype=np.int64) for c in cands]
@@ -922,7 +934,8 @@ def _search_generator_images(
         ok = _hom_rows(source, target, vals, action, offset)
         for s, img in zip(gens, imgs):
             ok &= vals[:, s] == img
-        yield from vals[ok]
+        if ok.any():
+            yield vals[ok]
         start += rows
 
 
@@ -1165,32 +1178,43 @@ def hom_make(source: FiniteGroup, target: FiniteGroup, generator_images: Sequenc
         )
     if any(v < 0 or v >= target.order for v in images):
         raise ValidationError("generator image out of range")
-    for vals in _search_generator_images(source, target, [[v] for v in images]):
-        return _proved(GroupHom, source=source, target=target, values=vals)
+    for block in _search_generator_images(source, target, [[v] for v in images]):
+        return _proved(GroupHom, source=source, target=target, values=block[0])
     raise ValidationError(
         f"generator images {images} are inconsistent with the relations of the source",
         witness=images,
     )
 
 
-def _gated_hom_tables(source: FiniteGroup, target: FiniteGroup, cands, gens) -> List[np.ndarray]:
-    """Value tables, in lexicographic order, of the homomorphisms sending the
-    generating tuple gens into cands, within `search_candidates`."""
-    gate("search_candidates", math.prod(len(c) for c in cands),
-         "hom search needs {used} candidates, budget {limit}")
-    return sorted(_search_generator_images(source, target, cands, gens=gens),
-                  key=lambda vals: tuple(vals.tolist()))
+def _gated_hom_tables(source: FiniteGroup, target: FiniteGroup, cands, gens,
+                      action: Optional[ActionTable] = None,
+                      refusal: str = "hom search needs {used} candidates, budget {limit}"
+                      ) -> np.ndarray:
+    """[b, x]: every table that `_search_generator_images` certifies with the
+    generating tuple gens sent into cands, homomorphisms or, under `action`,
+    crossed homomorphisms, its blocks joined, in lexicographic order.  The
+    candidate count is gated by `search_candidates`, refused with `refusal`."""
+    gate("search_candidates", math.prod(len(c) for c in cands), refusal)
+    blocks = list(_search_generator_images(source, target, cands, action, gens=gens))
+    tables = np.concatenate(blocks) if blocks else np.zeros((0, source.order), dtype=np.int64)
+    # lexsort keys on its last row first
+    return tables[np.lexsort(tables.T[::-1])]
 
 
-def enumerate_homs(source: FiniteGroup, target: FiniteGroup) -> List[GroupHom]:
-    """All homomorphisms source -> target, by search over the images of the
-    core generators."""
+def _hom_tables(source: FiniteGroup, target: FiniteGroup) -> np.ndarray:
+    """[b, x]: the value tables of all homomorphisms source -> target, in
+    lexicographic order, by search over the images of the core generators."""
     src_orders = source.element_orders()
     tgt_orders = target.element_orders()
     gens = source.core_generators
     cands = [np.flatnonzero(src_orders[s] % tgt_orders == 0) for s in gens]
+    return _gated_hom_tables(source, target, cands, gens)
+
+
+def enumerate_homs(source: FiniteGroup, target: FiniteGroup) -> List[GroupHom]:
+    """All homomorphisms source -> target, in the order of `_hom_tables`."""
     return [_proved(GroupHom, source=source, target=target, values=vals)
-            for vals in _gated_hom_tables(source, target, cands, gens)]
+            for vals in _hom_tables(source, target)]
 
 
 def enumerate_endos(g: FiniteGroup) -> List[GroupHom]:
@@ -1201,25 +1225,24 @@ def enumerate_automorphisms(g: FiniteGroup) -> List[GroupHom]:
     return [h for h in enumerate_homs(g, g) if h.is_bijective()]
 
 
-def aut_group(g: FiniteGroup) -> Tuple[FiniteGroup, List[Tuple[int, ...]]]:
+def aut_group(g: FiniteGroup) -> Tuple[FiniteGroup, np.ndarray]:
     """The automorphism group as a table group.
 
-    Returns (A, perms) where perms[k] is the value tuple of automorphism k and
-    A.table is composition: (a*b)(x) = a(b(x)).  The identity sits at index 0.
+    Returns (A, perms), perms[k] the value table of automorphism k in
+    lexicographic order, and A.table composition: (a*b)(x) = a(b(x)).
     """
-    auts = sorted(tuple(h.values.tolist()) for h in enumerate_automorphisms(g))
-    tables = np.asarray(auts, dtype=np.int64).reshape(len(auts), g.order)
+    endos = _hom_tables(g, g)
+    tables = endos[_is_bijective(endos)]
     index = TableIndex(tables, g.core_generators, g.order)
     table = np.stack([index.find(row[tables]) for row in tables])
-    grp = FiniteGroup(table, None, labels=[f"a{i}" for i in range(len(auts))],
+    grp = FiniteGroup(table, None, labels=[f"a{i}" for i in range(len(tables))],
                       name=f"Aut({g.name or g.order})")
-    return grp, auts
+    return grp, tables
 
 
 def action_from_hom(actor: FiniteGroup, module: FiniteGroup, hom_to_aut: GroupHom,
-                    perms: Sequence[Tuple[int, ...]]) -> ActionTable:
-    table = np.stack([np.asarray(perms[int(hom_to_aut.values[a])]) for a in range(actor.order)])
-    return ActionTable(actor, module, table)
+                    perms) -> ActionTable:
+    return ActionTable(actor, module, np.asarray(perms)[hom_to_aut.values])
 
 
 def enumerate_actions(actor: FiniteGroup, module: FiniteGroup) -> List[ActionTable]:
@@ -1240,10 +1263,9 @@ def find_isomorphism(a: FiniteGroup, b: FiniteGroup) -> Optional[GroupHom]:
         return None
     gens = a.core_generators
     cands = [np.flatnonzero(orders_b == orders_a[s]) for s in gens]
-    for vals in _gated_hom_tables(a, b, cands, gens):
-        if _is_bijective(vals):
-            return _proved(GroupHom, source=a, target=b, values=vals)
-    return None
+    tables = _gated_hom_tables(a, b, cands, gens)
+    hit = np.flatnonzero(_is_bijective(tables))
+    return _proved(GroupHom, source=a, target=b, values=tables[hit[0]]) if hit.size else None
 
 
 # ----------------------------------------------------------------- JSON format

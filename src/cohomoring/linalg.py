@@ -594,23 +594,18 @@ def _decompose(group) -> AbelianDecomposition:
     return dec
 
 
-def action_matrices(action, dec: AbelianDecomposition) -> List[np.ndarray]:
-    """Integer matrices of each actor element on the decomposition coordinates.
+def action_matrices(action, dec: AbelianDecomposition) -> np.ndarray:
+    """[a, i, j]: the integer matrix of actor element a on the coordinates.
 
     Matrix columns are coords(a . basis[j]); acting on a coordinate vector is
     M @ vec followed by reduction mod the factors.
     """
-    c = len(dec.factors)
-    out = []
+    ct = dec._coord_table
     fac = np.asarray(dec.factors, dtype=np.int64)
-    for a in range(action.actor.order):
-        m = np.zeros((c, c), dtype=np.int64)
-        for j, b in enumerate(dec.basis):
-            m[:, j] = dec._coord_table[action.table[a, b]]
-        # sanity: the matrix must reproduce the action on every element
-        got = (m @ dec._coord_table.T) % fac[:, None]
-        want = dec._coord_table[action.table[a]].T
-        if not (got == want).all():
-            raise ValidationError(f"action of {a} is not linear in coordinates")
-        out.append(m)
-    return out
+    mats = np.ascontiguousarray(ct[action.table[:, list(dec.basis)]].transpose(0, 2, 1))
+    # sanity: each matrix must reproduce the action on every element
+    got = np.einsum("aij,mj->aim", mats, ct) % fac[:, None]
+    bad = (got != ct[action.table].transpose(0, 2, 1)).any(axis=(1, 2))
+    if bad.any():
+        raise ValidationError(f"action of {int(np.argmax(bad))} is not linear in coordinates")
+    return mats

@@ -35,7 +35,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from .budgets import current_budgets
-from .cocycles import enumerate_z1
+from .cocycles import _z1_table
 from .cohomology2 import (
     H2Group,
     TwoCocycle,
@@ -59,7 +59,7 @@ from .endo_rings import (
     quotient_endos_from_displacements,
 )
 from .extension import AbelianExtension, CentralizerData, centralizer_extension
-from .groups import FiniteGroup, TableIndex, _descend, _is_bijective, _positions, _row_blocks
+from .groups import TableIndex, _descend, _is_bijective, _positions, _row_blocks
 from .rings import FiniteRing, RingHom, quasi_regular_indices, subring_from_indices
 from .store import SweepStore
 
@@ -197,13 +197,13 @@ class ExtensionData:
 
     @cached_property
     def b_all(self) -> np.ndarray:
-        return np.asarray(kernel_fixing_endos(self.ext))
+        return kernel_fixing_endos(self.ext)
 
     @cached_property
     def c_all(self) -> np.ndarray:
         ext = self.ext
         return self.store.q_module("QEnd", ext.action,
-                                   lambda: np.asarray(action_preserving_quotient_endos(ext)))
+                                   lambda: action_preserving_quotient_endos(ext))
 
     @cached_property
     def z1n(self) -> np.ndarray:
@@ -239,7 +239,7 @@ def _eta_coefficients(fe: FiberEndoRing, h2q: H2Group, f_ext: TwoCocycle) -> np.
     along each equivariant kernel endomorphism b, built, certified and
     reduced in blocks of stacked value tables."""
     h2q.check_data(f_ext.q_group, f_ext.n_group, f_ext.action)
-    endos = np.asarray(fe.module_ring.elements, dtype=np.int64)
+    endos = fe.module_ring.values
     return np.concatenate([h2q.reduce_values(pushforward_values(f_ext, endos[rows]))
                            for rows in _row_blocks(len(endos), f_ext.q_group.order ** 2)])
 
@@ -427,7 +427,7 @@ def verify_aut_five_term(data: ExtensionData) -> ExactnessReport:
     endos = fe.index.tables
     ai = fe.ideal_indices[_is_bijective(endos[fe.ideal_indices])]
     aut_ideal = set(ai.tolist())
-    module_aut = set(np.flatnonzero(_is_bijective(np.asarray(mr.elements))).tolist())
+    module_aut = set(np.flatnonzero(_is_bijective(mr.values)).tolist())
 
     report.nodes = [
         ("invertible kernel-and-quotient-fixing endos", len(aut_ideal)),
@@ -542,12 +542,6 @@ def _lift_witness(ext: AbelianExtension, cd: CentralizerData, h2q: H2Group,
             k = rows.start + int(np.argmax(moved))
             return c_set[owner[k]].tolist(), moves[move[k]].tolist()
     return None
-
-
-def _z1_table(source: FiniteGroup, module: FiniteGroup, action) -> np.ndarray:
-    """[b, x]: the value tables of enumerate_z1(source, module, action)."""
-    z1 = enumerate_z1(source, module, action)
-    return np.array([phi.values for phi in z1], dtype=np.int64).reshape(len(z1), source.order)
 
 
 def _first_pair(members: np.ndarray, bad: Callable[[slice], np.ndarray],

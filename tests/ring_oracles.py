@@ -63,8 +63,8 @@ def oracle_fiber_endos(ext):
     pv = ext.p.values
     gens = g.core_generators
     cands = [ext.fiber(int(pv[s])) for s in gens]
-    return [vals for vals in _search_generator_images(g, g, cands, gens=gens)
-            if (pv[vals] == pv).all()]
+    return [vals for block in _search_generator_images(g, g, cands, gens=gens)
+            for vals in block if (pv[vals] == pv).all()]
 
 
 def full_row_cocycle_tables(stacked, source, module, embedding):
@@ -78,10 +78,10 @@ def full_row_cocycle_tables(stacked, source, module, embedding):
     return add, dia
 
 
-def full_row_cocycle_outcome(elements, source, module, embedding):
-    """What the full-row construction of the crossed-homomorphism ring gives:
-    its (add, mul) tables as lists, or the text of the error it raises."""
-    stacked = np.stack([e.values for e in elements])
+def full_row_cocycle_outcome(stacked, source, module, embedding):
+    """What the full-row construction of the crossed-homomorphism ring on
+    the value tables `stacked` gives: its (add, mul) tables as lists, or the
+    text of the error it raises."""
     add, dia = full_row_cocycle_tables(stacked, source, module, embedding)
     missing = (add < 0) | (dia < 0)
     if missing.any():
@@ -116,7 +116,7 @@ def full_row_fiber_tables(fe):
 def full_row_module_tables(mr):
     """(add, mul) of the equivariant endomorphisms of a module ring, -1 where
     absent."""
-    stacked = np.stack(mr.elements)
+    stacked = mr.values
     index = TableIndex(stacked, mr.module.generators, mr.module.order)
     tm = mr.module.table
     add = np.stack([index.find(tm[va[None, :], stacked]) for va in stacked])
@@ -178,9 +178,8 @@ def assert_ring_tables_match_full_rows(ext):
     have exactly the tables of the full-row oracles."""
     fe = fiber_endo_ring(ext)
     cring = fe.cocycles
-    stacked = np.stack([e.values for e in cring.elements])
     for got, want in zip((cring.ring.add_table, cring.ring.mul_table),
-                         full_row_cocycle_tables(stacked, ext.g_group, ext.n_group, ext.i)):
+                         full_row_cocycle_tables(cring.values, ext.g_group, ext.n_group, ext.i)):
         assert (got == want).all(), ext.name
     for got, want in zip((fe.ring.add_table, fe.ring.mul_table), full_row_fiber_tables(fe)):
         assert (got == want).all(), ext.name
@@ -357,8 +356,8 @@ def oracle_pair_model(fe, model, n):
     both tables of the ring `model` (index k*n + l) onto those of the fiber
     ring, compared on every cell."""
     mem = np.full(n * n, -1, dtype=np.int64)
-    for m, psi in enumerate(fe.cocycles.elements):
-        mem[psi.values[1] * n + psi.values[2]] = m
+    for m, psi in enumerate(fe.cocycles.values):
+        mem[psi[1] * n + psi[2]] = m
     if model.order != fe.size or (mem < 0).any():
         return False
     return all((mem[model_table] == table[mem[:, None], mem[None, :]]).all()

@@ -561,7 +561,7 @@ def test_criterion_7_dual_route_oracles(monkeypatch):
             cands = [range(target.order)] * len(source.generators)
             found = groups._search_generator_images(source, target, cands, action)
             want = _brute_force_images(source, target, action)
-            assert [v.tolist() for v in found] == [v.tolist() for v in want]
+            assert [v.tolist() for block in found for v in block] == [v.tolist() for v in want]
     monkeypatch.undo()
 
     # value-table lookups confirm the full row, not just the generator values
@@ -569,9 +569,9 @@ def test_criterion_7_dual_route_oracles(monkeypatch):
     g, n = fe.ext.g_group, fe.ext.n_group
     for locate, member, source, target in (
             (fe.locate, fe.endos[1], g, g),
-            (fe.module_ring.locate, fe.module_ring.elements[1], n, n),
+            (fe.module_ring.locate, fe.module_ring.values[1], n, n),
             (lambda v: fe.cocycles.locate(groups._proved(
-                CrossedHom, source=g, module=n, action=fe.cocycles.elements[0].action,
+                CrossedHom, source=g, module=n, action=fe.cocycles.action,
                 values=v)),
              fe.displacement(1).values, g, n)):
         assert locate(member) == 1
@@ -647,7 +647,7 @@ def test_criterion_8_minimal_transgression_story():
     fe = fiber_endo_ring(ext)
     identity_endo = None
     eta_classes = []
-    for values in fe.module_ring.elements:
+    for values in fe.module_ring.values:
         cls = h2.reduce(pushforward(f_ext, values))
         eta_classes.append(cls)
         if (values == np.arange(ext.n_group.order)).all():
@@ -670,7 +670,7 @@ def test_criterion_8_minimal_transgression_story():
         h2o = compute_h2(other.q_group, other.n_group, other.action)
         f_o = other.classifying_cocycle()
         feo = fiber_endo_ring(other)
-        for values in feo.module_ring.elements:
+        for values in feo.module_ring.values:
             assert h2o.reduce(pushforward(f_o, values)) == h2o.zero()
         split_checked += 1
     assert split_checked >= 5

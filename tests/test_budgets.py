@@ -55,7 +55,7 @@ def _z5_tables():
 # At COHOMORING_BUDGET=0.001: ring_check_max_order 4, search_candidates
 # 1000, h2_linear_size 4.
 REFUSALS = [
-    ("enumerate_z1", _z1, "1024 generator candidates and full scan both exceed budgets"),
+    ("enumerate_z1", _z1, "1024 generator candidates exceeds budget 1000"),
     ("_h2_linear", lambda: compute_h2(*_pair(4, 2), method="linear"),
      "9 cocycle variables exceeds budget 4"),
     ("_h2_bruteforce", lambda: compute_h2(*_pair(3, 6), method="bruteforce"),

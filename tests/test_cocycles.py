@@ -172,11 +172,11 @@ def test_cocycle_ring_structure():
     ext, action = _dihedral_layer(3)
     cr = cocycle_ring(ext.g_group, ext.n_group, action, ext.i)
     assert cr.ring.order == 9
-    assert not cr.elements[0].values.any()
+    assert not cr.values[0].any()
     assert cr.ring.one is None
     # locate is the inverse of the element listing
-    for k, z in enumerate(cr.elements):
-        assert cr.locate(z) == k
+    for k in range(cr.ring.order):
+        assert cr.locate(cr.member(k)) == k
     foreign = z1_zero(ext.q_group, ext.n_group, ext.action)
     with pytest.raises(ValidationError):
         cr.locate(foreign)
@@ -188,7 +188,7 @@ def test_cocycle_ring_tables_match_operations():
     n = cr.ring.order
     for a in range(n):
         for b in range(n):
-            s = z1_add(cr.elements[a], cr.elements[b])
-            d = z1_diamond(cr.elements[a], cr.elements[b], ext.i)
+            s = z1_add(cr.member(a), cr.member(b))
+            d = z1_diamond(cr.member(a), cr.member(b), ext.i)
             assert cr.ring.add_table[a, b] == cr.locate(s)
             assert cr.ring.mul_table[a, b] == cr.locate(d)

@@ -107,7 +107,7 @@ def test_stacked_classes_match_the_per_object_oracle(monkeypatch, cells):
             assert _rows(base) == [_oracle_class(ext, cd, h2, t) for t in taus], name
             # pushforwards along every module endomorphism
             want = []
-            for e in fe.module_ring.elements:
+            for e in fe.module_ring.values:
                 oracle_check_cocycle(q, n, ext.action, e[f_ext.values])
                 want.append(oracle_reduce(h2, e[f_ext.values]))
             assert _rows(verify._eta_coefficients(fe, h2, f_ext)) == want, name

@@ -1,5 +1,6 @@
 """Endomorphism rings of extensions: twisted operations, ideals, restrictions."""
 
+import dataclasses
 from collections import Counter
 from math import gcd
 from types import SimpleNamespace
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from cohomoring import ValidationError, cocycles, endo_rings, groups, rings
 from cohomoring.catalog import default_catalog, dihedral_extension
-from cohomoring.cocycles import CocycleRing, CrossedHom, cocycle_ring, enumerate_z1
+from cohomoring.cocycles import CrossedHom, cocycle_ring, enumerate_z1
 from cohomoring.endo_rings import (
     action_preserving_quotient_endos,
     centralizer_displacements,
@@ -81,12 +82,12 @@ def test_equivariant_endo_ring_of_cyclic():
     mr = equivariant_endo_ring(c6, trivial_action(c1, c6))
     # endomorphisms of C6 are the six multiplication maps
     assert mr.ring.order == 6
-    assert not mr.elements[0].any()
+    assert not mr.values[0].any()
     assert mr.ring.one is not None
-    one = mr.elements[mr.ring.one]
+    one = mr.values[mr.ring.one]
     assert (one == np.arange(6)).all()
     # locate round-trips and rejects non-endomorphisms
-    for k, vals in enumerate(mr.elements):
+    for k, vals in enumerate(mr.values):
         assert mr.locate(vals) == k
     with pytest.raises(ValidationError):
         mr.locate([0, 1, 1, 0, 0, 0])
@@ -293,7 +294,7 @@ def test_restriction_is_ring_hom_into_module_ring():
     for k in range(fe.size):
         # res carries the displacement; the plain restriction is shifted by
         # the identity: alpha(m) = psi(m) + m on the kernel
-        psi_on_n = fe.module_ring.elements[int(res.values[k])]
+        psi_on_n = fe.module_ring.values[int(res.values[k])]
         disp = fe.displacement(k).values[ext.i.values]
         assert (psi_on_n == disp).all()
         plain = fe.restriction_values(k)
@@ -461,12 +462,12 @@ def test_fiber_endos_match_the_direct_fiber_search():
         assert got == sorted(v.tolist() for v in oracle_fiber_endos(ext)), ext.name
 
 
-def _first_uncertified_member(elements, module, action, embedding):
-    """First a with a o i no equivariant endomorphism of the module, checked
-    on every pair, or None."""
+def _first_uncertified_member(stacked, module, action, embedding):
+    """First a, a row of `stacked`, with a o i no equivariant endomorphism
+    of the module, checked on every pair, or None."""
     tm, act = module.table, action.table
-    for k, z in enumerate(elements):
-        f = z.values[embedding.values]
+    for k, z in enumerate(stacked):
+        f = z[embedding.values]
         if not ((f[tm] == tm[f[:, None], f[None, :]]).all()
                 and (f[act] == act[:, f]).all()):
             return k
@@ -493,11 +494,11 @@ def test_cocycle_ring_refuses_members_it_cannot_certify():
     for cases in families:
         refused = built = 0
         for source, module, action, emb in cases:
-            elements = enumerate_z1(source, module, action)
-            bad = _first_uncertified_member(elements, module, action, emb)
+            stacked = np.stack([z.values for z in enumerate_z1(source, module, action)])
+            bad = _first_uncertified_member(stacked, module, action, emb)
             if bad is None:
                 cr = cocycle_ring(source, module, action, emb)
-                want = full_row_cocycle_outcome(elements, source, module, emb)
+                want = full_row_cocycle_outcome(stacked, source, module, emb)
                 assert (cr.ring.add_table.tolist(), cr.ring.mul_table.tolist()) == want
                 built += 1
             else:
@@ -533,17 +534,17 @@ def test_closure_failures_name_the_first_missing_pair(monkeypatch):
     # with the identity embedding, the crossed homs of V4 on itself are End(V4)
     for g, n, action, emb in ((ext.g_group, ext.n_group, ext.g_action, ext.i),
                               (v4, v4, trivial_action(v4, v4), identity_hom(v4))):
-        elements = enumerate_z1(g, n, action)
-        assert len(elements) > 2
-        cases = [elements[:drop] + elements[drop + 1:] for drop in range(len(elements))]
+        table = cocycles._z1_table(g, n, action)
+        assert len(table) > 2
+        cases = [np.delete(table, drop, axis=0) for drop in range(len(table))]
         if n is v4:
-            cases.append([elements[k] for k in
-                          _span_leaving_under_its_square(cocycle_ring(g, n, action, emb).ring)])
+            cases.append(table[_span_leaving_under_its_square(
+                cocycle_ring(g, n, action, emb).ring)])
         for kept in cases:
-            monkeypatch.setattr(cocycles, "enumerate_z1", lambda *args: kept)
+            monkeypatch.setattr(cocycles, "_z1_table", lambda *args: kept)
             with pytest.raises(ValidationError) as err:
                 cocycle_ring(g, n, action, emb)
-            want = ("zero map must sort first" if kept[0] is not elements[0]
+            want = ("zero map must sort first" if kept[0].any()
                     else full_row_cocycle_outcome(kept, g, n, emb))
             assert str(err.value) == want
         monkeypatch.undo()
@@ -555,13 +556,12 @@ def test_closure_failures_name_the_first_missing_pair(monkeypatch):
             span = _span_leaving_under_its_square(equivariant_endo_ring(n, action).ring)
             cases.append([endos[k] for k in span])
         for kept in cases:
-            monkeypatch.setattr(endo_rings, "enumerate_endos",
-                                lambda *args: [GroupHom(n, n, v) for v in kept])
+            monkeypatch.setattr(endo_rings, "_hom_tables", lambda *args: np.stack(kept))
             if kept[0].any():
                 with pytest.raises(ValidationError, match="zero endomorphism missing"):
                     equivariant_endo_ring(n, action)
                 continue
-            add, mul = full_row_module_tables(SimpleNamespace(elements=kept, module=n))
+            add, mul = full_row_module_tables(SimpleNamespace(values=np.stack(kept), module=n))
             missing = (add < 0) | (mul < 0)
             with pytest.raises(ValidationError,
                                match="equivariant endomorphisms are not closed") as err:
@@ -588,8 +588,7 @@ def _tampered_cocycle_ring(tamper):
     def build(source, module, action, embedding):
         cr = cocycle_ring(source, module, action, embedding)
         add, mul = tamper(cr.ring.add_table, cr.ring.mul_table)
-        return CocycleRing(FiniteRing(add, mul, one=None, name="Z1"), cr.elements,
-                           cr.index, cr.embedding)
+        return dataclasses.replace(cr, ring=FiniteRing(add, mul, one=None, name="Z1"))
     return build
 
 
@@ -680,7 +679,7 @@ def test_fiber_certificate_refuses_exactly_where_the_full_tables_disagree(monkey
     fe = fiber_endo_ring(ext)
     add2, mul2 = full_row_fiber_tables(fe)
     genuine = (fe.ring.add_table.astype(np.int64), fe.ring.mul_table.astype(np.int64))
-    pairs = np.stack([psi.values[[1, 2]] for psi in fe.cocycles.elements])
+    pairs = fe.cocycles.values[:, [1, 2]]
     cols = fe.ring.add_group.core_generators
     assert pairs[cols[0]].tolist() == [0, 1]
     refused = []
@@ -779,20 +778,36 @@ def test_fiber_endo_ring_names_the_first_member_that_does_not_integrate(monkeypa
 
     def build(source, module, action, embedding):
         cr = cocycle_ring(source, module, action, embedding)
-        elements = list(cr.elements)
+        values = cr.values.copy()
         for k in (5, 3):  # one changed value: two homs agree on a subgroup
-            bad = elements[k].values.copy()
-            bad[-1] = (bad[-1] + 1) % module.order
-            elements[k] = groups._proved(CrossedHom, source=source, module=module,
-                                         action=action, values=bad)
-            tampered[k] = bad.tolist()
-        return CocycleRing(cr.ring, tuple(elements), cr.index, cr.embedding)
+            values[k, -1] = (values[k, -1] + 1) % module.order
+            tampered[k] = values[k].tolist()
+        return dataclasses.replace(cr, values=values)
 
     monkeypatch.setattr(endo_rings, "cocycle_ring", build)
     with pytest.raises(ValidationError,
                        match="displacement does not integrate to an endomorphism") as exc:
         fiber_endo_ring(dihedral_extension(4))
     assert exc.value.witness.tolist() == tampered[3]
+
+
+def test_fiber_endo_ring_refuses_a_repeated_displacement(monkeypatch):
+    """With no sweep for distinct members, a displacement table that lists
+    one crossed homomorphism twice is still refused: each copy integrates
+    and passes the round trip, and the index over the endomorphism tables
+    refuses the two equal keys."""
+    def build(source, module, action, embedding):
+        cr = cocycle_ring(source, module, action, embedding)
+        values = cr.values.copy()
+        values[3] = values[5]
+        return dataclasses.replace(cr, values=values)
+
+    for n in (3, 4, 6):
+        monkeypatch.setattr(endo_rings, "cocycle_ring", build)
+        with pytest.raises(ValidationError, match="indexed tables agree on every key position"):
+            fiber_endo_ring(dihedral_extension(n))
+        monkeypatch.undo()
+        fiber_endo_ring(dihedral_extension(n))
 
 
 # ------------------------------------- stacked centralizer maps vs per-map oracles

@@ -343,10 +343,9 @@ def _reindexed(fe, perm):
     read stay as they are."""
     cring = fe.cocycles
     back = np.argsort(perm)
-    elements = tuple(cring.elements[m] for m in back)
     index = TableIndex(cring.index.tables[back], cring.index.positions, cring.index.radix)
     return dataclasses.replace(
-        fe, cocycles=dataclasses.replace(cring, elements=elements, index=index))
+        fe, cocycles=dataclasses.replace(cring, values=cring.values[back], index=index))
 
 
 def _reindexed_data(perm, ext):
@@ -440,8 +439,8 @@ def _f_index(fe, n):
     """[k, l]: the member of the fiber ring of D(n) with displacement k at
     the reflection and l at the rotation."""
     f_index = np.full((n, n), -1, dtype=np.int64)
-    for m, psi in enumerate(fe.cocycles.elements):
-        f_index[psi.values[1], psi.values[2]] = m
+    for m, psi in enumerate(fe.cocycles.values):
+        f_index[psi[1], psi[2]] = m
     return f_index
 
 

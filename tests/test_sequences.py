@@ -366,11 +366,11 @@ def test_verify_all_builds_each_shared_input_once(monkeypatch):
         for module_name, module in list(sys.modules.items()):
             if module_name.startswith("cohomoring") and getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, counting(name, real))
-    for name in ("_eta_coefficients", "_base_classes", "enumerate_z1"):
+    for name in ("_eta_coefficients", "_base_classes", "_z1_table"):
         monkeypatch.setattr(verify, name, counting(name, getattr(verify, name)))
     assert all(r.ok for r in verify_all(dihedral_extension(6)))
     assert calls == {"compute_h2": 1, "fiber_endo_ring": 1, "centralizer_extension": 1,
-                     "_eta_coefficients": 1, "_base_classes": 1, "enumerate_z1": 3}
+                     "_eta_coefficients": 1, "_base_classes": 1, "_z1_table": 3}
 
 
 def test_displacement_missing_from_z1_fails_its_fiber_check():

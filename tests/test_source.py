@@ -438,3 +438,38 @@ def test_budgets_refuse_only_in_the_gate():
                             ("try:\n    f()\nexcept BudgetExceeded as exc:\n    raise exc", []),
                             ("def f():\n    raise ValueError('x')", [])):
         assert _refusal_sites(ast.parse(source)) == flagged, source
+
+
+def _restacked_values(tree: ast.AST) -> list:
+    """Lines of each `np.stack`, `np.array` or `np.asarray` call whose first
+    argument is a comprehension yielding `.values`, indexed or not: value
+    tables taken out of objects one at a time and stacked again."""
+    def yields_values(elt):
+        while isinstance(elt, ast.Subscript):
+            elt = elt.value
+        return isinstance(elt, ast.Attribute) and elt.attr == "values"
+
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and getattr(node.func.value, "id", None) == "np"
+            and node.func.attr in ("stack", "array", "asarray") and node.args
+            and isinstance(node.args[0], (ast.ListComp, ast.GeneratorExp))
+            and yields_values(node.args[0].elt)]
+
+
+def test_value_tables_are_not_restacked():
+    """No module stacks the `.values` of a list of objects: a searched table
+    stays one [b, x] array from the search to the rings, and an object is
+    built only when one member is asked for."""
+    found = [f"{m}:{line}" for m in ALL_MODULES
+             for line in _restacked_values(ast.parse((PACKAGE / m).read_text(encoding="utf-8")))]
+    assert not found, f"value tables restacked at {', '.join(found)}"
+    for source, flagged in (("t = np.stack([e.values for e in ring.elements])", [1]),
+                            ("t = np.array([z.values for z in zs], dtype=np.int64)", [1]),
+                            ("t = np.asarray(list(h.values for h in hs))", []),
+                            ("t = np.asarray(h.values for h in hs)", [1]),
+                            ("p = np.stack([psi.values[[1, 2]] for psi in cs])", [1]),
+                            ("t = [h.values for h in hs]", []),
+                            ("t = np.asarray(perms)[hom.values]", []),
+                            ("t = np.stack([index.find(row[ts]) for row in ts])", [])):
+        assert _restacked_values(ast.parse(source)) == flagged, source
