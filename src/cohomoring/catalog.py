@@ -16,7 +16,7 @@ exception.
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from .cohomology2 import TwoCocycle, compute_h2
 from .errors import BudgetExceeded, GuardExceeded, ValidationError, require_keys
@@ -179,8 +179,11 @@ def _verify_ring_entry(name: str, ring: FiniteRing, ideal) -> List[ExactnessRepo
     return [verify_qr_sequence(ring, arr, proj, instance=name)]
 
 
-def sweep(entries: List[CatalogEntry], check_h2g: bool = True) -> Dict:
-    """Run every verifier on every entry; failures become summary rows.
+def sweep(entries: List[CatalogEntry], check_h2g: bool = True,
+          plain: Callable = _jsonable) -> Dict:
+    """Run every verifier on every entry; failures become summary rows, each
+    witness passed through `plain`: by default plain JSON data, and the value
+    itself for `cli._emit_json`, which converts as it prints.
 
     The entries share one `SweepStore`: each JSON group payload, each
     H^2(Q,N) and each module ring End_Q(N) is built once per sweep, and a
@@ -199,13 +202,13 @@ def sweep(entries: List[CatalogEntry], check_h2g: bool = True) -> Dict:
                 ring, ideal = obj
                 reports = _verify_ring_entry(entry.name, ring, ideal)
             row["ok"] = all(r.ok for r in reports)
-            row["reports"] = [r.to_json() for r in reports]
+            row["reports"] = [r._json_tree(plain) for r in reports]
         except (ValidationError, BudgetExceeded, GuardExceeded) as exc:
             row["ok"] = False
             row["error"] = str(exc)
             witness = getattr(exc, "witness", None)
             if witness is not None:
-                row["witness"] = _jsonable(witness)
+                row["witness"] = plain(witness)
         if not row["ok"]:
             failed += 1
         rows.append(row)

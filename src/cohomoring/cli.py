@@ -389,10 +389,11 @@ def cmd_verify(args) -> int:
         entries = catalog_from_json(_load_json_file(args.catalog))
     else:
         entries = default_catalog()
-    summary = sweep(entries, check_h2g=not args.skip_h2g)
-    if args.json:
+    if args.json:  # `_emit_json` converts as it prints
+        summary = sweep(entries, check_h2g=not args.skip_h2g, plain=lambda value: value)
         _emit_json(summary)
         return 0 if summary["failed"] == 0 else 1
+    summary = sweep(entries, check_h2g=not args.skip_h2g)
     print(f"verifying {summary['total']} catalog entries")
     for row in summary["entries"]:
         mark = " ok " if row["ok"] else "FAIL"
@@ -424,7 +425,7 @@ def cmd_examples(args) -> int:
     else:
         report = ring432_report()
     if args.json:
-        _emit_json(report.to_json())
+        _emit_json(report._json_tree())
     else:
         for line in report.lines():
             print(line)

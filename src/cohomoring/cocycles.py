@@ -215,9 +215,9 @@ def cocycle_ring(source: FiniteGroup, module: FiniteGroup, action: ActionTable,
     crossed when a o i is an additive equivariant endomorphism of the module,
     which `_hom_rows` and `_equivariant_rows` certify per member; a member
     failing it is refused.  For the conjugation action on a normal subgroup,
-    as in `fiber_endo_ring`, every member passes.  Both tables are filled
-    coset by coset from generator rows; `groups._coset_tables` holds the
-    proof.
+    as in `fiber_endo_ring`, every member passes.  Both tables are kept as
+    the coset walk of generator rows, which composes each cell read;
+    `groups._coset_tables` holds the proof.
     """
     if not module.is_abelian():
         raise ValidationError("the crossed-homomorphism ring needs an abelian module")

@@ -83,8 +83,8 @@ class ModuleEndoRing:
 def equivariant_endo_ring(module: FiniteGroup, action: ActionTable) -> ModuleEndoRing:
     """Build the ring of action-compatible endomorphisms of an abelian group.
 
-    Both tables are filled coset by coset from generator rows;
-    `groups._coset_tables` holds the proof."""
+    Both tables are kept as the coset walk of generator rows, which
+    composes each cell read; `groups._coset_tables` holds the proof."""
     if action.module is not module:
         raise ValidationError("action is not an action on the given module")
     if not module.is_abelian():
@@ -242,7 +242,7 @@ def fiber_endo_ring(ext: AbelianExtension, store: Optional[SweepStore] = None) -
     disp = tg[stacked[:, gens], ginv[gens]]  # [a, s] = alpha_a(s) s^-1
     # [a, j]: alpha_a(x) x^-1 alpha_b(x) = i(psi_a(x) + psi_b(x)) x, a member
     summed = index.find_keys(tg[disp[:, None, :], keys[None, :, :]])
-    if not (summed == add[:, cols]).all():
+    if not (summed == ring.add_group._core_right.T).all():  # [a, j] = a + b_j
         raise ValidationError("twisted sum disagrees with displacement sum")
     # [a, j]: alpha_a o alpha_b, a quotient-identity endomorphism, a member,
     # against the circle product (ab + a) + b

@@ -12,7 +12,7 @@ residue.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -96,21 +96,29 @@ class ExampleReport:
         return out
 
     def to_json(self) -> Dict:
+        """The report as plain JSON data, every fact, witness and datum
+        converted."""
+        return self._json_tree(_jsonable)
+
+    def _json_tree(self, plain: Callable = lambda value: value) -> Dict:
+        """The report as `cli._emit_json` prints it, each fact, witness and
+        datum passed through `plain`; by default no value is copied, such
+        as the member_pairs list of D(n), n^2 pairs long."""
         return {
             "name": self.name,
-            "facts": [[label, _jsonable(value)] for label, value in self.facts],
+            "facts": [[label, plain(value)] for label, value in self.facts],
             "checks": [
                 {
                     "position": c.position,
                     "status": c.status,
                     "detail": c.detail,
-                    "witness": _jsonable(c.witness),
+                    "witness": plain(c.witness),
                 }
                 for c in self.checks
             ],
             "tables": self.tables,
-            "reports": [r.to_json() for r in self.reports],
-            "data": _jsonable(self.data),
+            "reports": [r._json_tree(plain) for r in self.reports],
+            "data": plain(self.data),
             "ok": self.ok,
         }
 
@@ -236,7 +244,7 @@ def dihedral_report(n: int) -> ExampleReport:
               detail=f"all {size * size} pairs", witness=mul_wit)
 
     line = f_index[:, 0]
-    prods = fe.ring.mul_table[np.ix_(line, line)]
+    prods = fe.ring.mul_table[line[:, None], line]
     rep.check("products of f(k,0) members all vanish",
               bool((prods == int(f_index[0, 0])).all()),
               detail=f"all {n * n} pairs on the kernel-and-quotient-fixing line")

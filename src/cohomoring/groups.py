@@ -1,4 +1,4 @@
-"""Finite groups as full multiplication tables, with 0-based element indices.
+"""Finite groups as multiplication tables, with 0-based element indices.
 
 Elements of a group of order n are the indices 0..n-1 and index 0 is always
 the identity.  Every structural claim (associativity, homomorphism laws,
@@ -16,6 +16,11 @@ one of those checks has failed, and run first there, so that every
 malformed table is refused with the error it always got.  With
 generators=None the greedy generator list is its own core: its span is
 derived once, by a closure that multiplies only the newly reached elements.
+
+The additive groups of the two rings that `_coset_tables` walks keep the
+walk instead of a table: a `_WalkTable` composes each cell read from the
+walk's generator rows, and their certificate, `FiniteGroup._certify_walk`,
+reads n cells per check plus the walk's own proof of an abelian group.
 
 Two private primitives serve every derived action, section and coset:
 `_conjugation_rows` builds the table a m a^-1 over a member list in one
@@ -156,15 +161,18 @@ def _index_table(arr: np.ndarray, order: int, error: str) -> np.ndarray:
 
 
 class FiniteGroup:
-    """A finite group given by its full multiplication table.
+    """A finite group given by its multiplication table.
 
     table[a, b] is the index of a*b, stored in `_table_dtype(order)` once
-    range-checked.  Index 0 must be the identity.
+    range-checked.  Index 0 must be the identity.  The additive group of a
+    ring that `_coset_tables` walked keeps the walk's `_WalkTable` instead:
+    it serves the cells that are read and materializes the whole table only
+    on a whole-table read.
     generators=None picks a small generating set greedily, an element of
     largest order first.  `core_generators` is the greedy subset of the
     generators, in their order, that still generates; the certificates check
     their laws against it.  `supplied_laws` is ("associativity",) for a
-    table that `_coset_tables` filled (see `_certify`), else ().
+    table that a walk proved (see `_certify`), else ().
     """
 
     _walk: Optional["_CosetWalk"] = None  # set by `_on_walk` before __init__
@@ -176,7 +184,9 @@ class FiniteGroup:
         labels: Optional[Sequence[str]] = None,
         name: str = "",
     ):
-        table = _as_table(table, "group table")
+        walked = self._walk is not None and table is self._walk.add
+        if not walked:
+            table = _as_table(table, "group table")
         self.order = n = int(table.shape[0])
         self.name = name
         self._orders: Optional[np.ndarray] = None
@@ -184,11 +194,14 @@ class FiniteGroup:
         self._bfs: Dict[Tuple[int, ...], List[Tuple[int, int, int]]] = {}  # see _bfs_words
         if n == 0:
             raise ValidationError("group must be nonempty")
-        self.table = _index_table(table, n, "group table entries must be element indices")
+        # every cell of a walk's table is a member name by construction
+        self.table = table if walked else _index_table(
+            table, n, "group table entries must be element indices")
         idx = np.arange(n)
-        if not (self.table[0] == idx).all() or not (self.table[:, 0] == idx).all():
-            bad = int(np.argmax(self.table[0] != idx)) if (self.table[0] != idx).any() else int(
-                np.argmax(self.table[:, 0] != idx)
+        first_row, first_col = self.table[0], self.table[:, 0]
+        if not (first_row == idx).all() or not (first_col == idx).all():
+            bad = int(np.argmax(first_row != idx)) if (first_row != idx).any() else int(
+                np.argmax(first_col != idx)
             )
             raise ValidationError(
                 f"element 0 must be the identity (fails at element {bad})", witness=bad
@@ -214,12 +227,17 @@ class FiniteGroup:
 
         Passing all three proves a group: Light's test proves associativity,
         and an associative table with an identity in which every a has a left
-        inverse (inverse[a] a = 0) is a group.  The read-only table of a
-        `_coset_tables` walk proves associativity in k^2 n cells instead, if
-        its k generator rows commute; Light's test runs if they do not.
+        inverse (inverse[a] a = 0) is a group.  The table of a `_coset_tables`
+        walk takes `_certify_walk` instead; where that fails, the walk is
+        dropped and its table, materialized, is checked here as any table.
         """
+        walk = self._walk
+        if walk is not None and generators is None and self.table is walk.add \
+                and self._certify_walk():
+            return
+        self._walk = None
         n = self.order
-        t = self.table
+        t = self.table = np.asarray(self.table)
         idx = np.arange(n)
         # by blocks: argmin copies a read-only table whole
         self.inverse = np.empty(n, dtype=np.int64)
@@ -245,15 +263,40 @@ class FiniteGroup:
                 raise ValidationError(
                     f"generators {gens} generate only {int(reached.sum())} of {n} elements"
                 )
+        self._set_generators(gens, core)
+        self._check_associativity()
+        self.supplied_laws = ()
+
+    def _set_generators(self, gens: Tuple[int, ...], core: Sequence[int]) -> None:
+        self.generators = gens
         self.core_generators = tuple(core)
         # [j, x] = x s_j for the core generators s_j, read by every certificate
-        self._core_right = t[:, list(core)].T
-        walk = self._walk
-        if walk is None or walk.add is not t or t.flags.writeable or not self._walk_commutes():
-            self._walk = None
-            self._check_associativity()
-        self.supplied_laws = () if self._walk is None else ("associativity",)
-        self.generators = gens
+        self._core_right = self.table[:, np.asarray(core, dtype=np.intp)].T
+
+    def _certify_walk(self) -> bool:
+        """Whether the walk's table is an abelian group, proved on its cells;
+        if so, set the inverses and the greedy generators.
+
+        The inverse of a member is the member holding its negated map, one
+        `TableIndex` lookup (`_CosetWalk.negatives`), confirmed by n cells.
+        Commuting generator rows prove associativity and commutativity
+        (`_walk_commutes`), and in an abelian group the greedy span grows by
+        coset doubling (`_coset_span`), which picks what `_greedy_span` picks.
+        """
+        n = self.order
+        inverse = self._walk.negatives()
+        if (inverse < 0).any() or self.table[inverse, np.arange(n)].any() \
+                or not self._walk_commutes():
+            return False
+        self.inverse = inverse
+        if n == 1:
+            gens = (0,)
+        else:
+            best = int(np.argmax(self.element_orders()))
+            gens = tuple(_coset_span(self._walk, np.concatenate(([best], np.arange(1, n))))[0])
+        self._set_generators(gens, [g for g in gens if g])
+        self.supplied_laws = ("associativity",)
+        return True
 
     def _walk_commutes(self) -> bool:
         """Whether the generator rows of the walk that filled the table
@@ -341,8 +384,12 @@ class FiniteGroup:
 
     def is_abelian(self) -> bool:
         """Whether each core generator commutes with every element: the
-        elements that do form a subgroup, so this is commutativity."""
-        return bool((self._core_right == self.table[list(self.core_generators)]).all())
+        elements that do form a subgroup, so this is commutativity.  A walk
+        group is abelian by the proof that `_certify_walk` checked."""
+        if self._walk is not None:
+            return True
+        core = np.asarray(self.core_generators, dtype=np.intp)
+        return bool((self._core_right == self.table[core]).all())
 
     def label(self, a: int) -> str:
         return self.labels[a]
@@ -1019,8 +1066,8 @@ class TableIndex:
         of the pairs whose a lies in the slice `rows`, shaped [len(rows),
         members, len(positions)]; the blocks of rows keep each key array
         within _SEARCH_BLOCK_CELLS cells.  It serves only the witness of a
-        failed closure in `_coset_tables`, which fills closed tables from
-        generator rows."""
+        failed closure in `_coset_tables`, which otherwise builds no n^2
+        table."""
         n = len(self.tables)
         out = np.empty((n, n), dtype=_table_dtype(n))
         for rows in _row_blocks(n, n * len(self.positions)):
@@ -1028,15 +1075,202 @@ class TableIndex:
         return out
 
 
+class _WalkTable:
+    """The sum or product table of a `_CosetWalk`, read-only.
+
+    Indexing it as a 2-d numpy array, by integers, slices and integer index
+    arrays that numpy broadcasts, composes just the cells read from the
+    walk's rows.  Any other read (`np.asarray`, `tolist`, `.T`, another
+    ndarray attribute or index) materializes the whole table once, through
+    `_fill`, and keeps it for every later read.
+    """
+
+    __slots__ = ("_cells", "shape", "dtype", "_full", "_idx")
+    ndim = 2
+
+    def __init__(self, cells, order: int, dtype: np.dtype):
+        self._cells = cells  # (rows, cols) -> the cells at those broadcast indices
+        self.shape = (order, order)
+        self.dtype = dtype
+        self._full: Optional[np.ndarray] = None
+        self._idx = np.arange(order)
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, key):
+        if self._full is None:
+            grid = _grid(key, self._idx)
+            if grid is not None:
+                return self._cells(*grid)
+        return np.asarray(self)[key]
+
+    def __setitem__(self, key, value):
+        raise ValueError("assignment destination is read-only")
+
+    def __array__(self, dtype=None, copy=None):
+        if self._full is None:
+            self._full = self._fill()
+        return self._full if dtype is None and not copy else np.array(self._full, dtype=dtype)
+
+    def _fill(self) -> np.ndarray:
+        """The whole table, read-only, composed over blocks of rows."""
+        n, idx = self.shape[0], self._idx
+        full = np.empty(self.shape, dtype=self.dtype)
+        for rows in _row_blocks(n, n):
+            full[rows] = self._cells(idx[rows, None], idx)
+        full.flags.writeable = False
+        return full
+
+    def __getattr__(self, name):
+        if name.startswith("__"):  # numpy's own probes, such as __array_interface__
+            raise AttributeError(name)
+        return getattr(np.asarray(self), name)
+
+    def __iter__(self):
+        return iter(np.asarray(self))
+
+    def __eq__(self, other):
+        return np.asarray(self) == other
+
+    def __ne__(self, other):
+        return np.asarray(self) != other
+
+
+def _grid(key, idx: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """The row and column indices that the numpy index `key` reads from a
+    table with the places `idx` = arange(n), shaped to broadcast to the
+    shape of the read; None for an index that is not one or two of
+    integers, slices and integer arrays.  Columns are read through `idx`,
+    which raises on one out of range and turns a negative one into its
+    place, as numpy does; the walk's row gathers do both for the rows."""
+    if type(key) is not tuple:
+        a, b = key, slice(None)
+    elif len(key) == 2:
+        a, b = key
+    elif len(key) == 1:
+        a, b = key[0], slice(None)
+    else:
+        return None
+    if a is None or b is None or a is Ellipsis or b is Ellipsis:
+        return None
+    rows = idx[a] if type(a) is slice else np.asarray(a)
+    cols = b if type(b) is slice else np.asarray(b)
+    if rows.dtype.kind not in "iu" or (type(b) is not slice and cols.dtype.kind not in "iu"):
+        return None
+    cols = idx[cols]
+    if type(b) is slice:  # numpy puts the sliced axis last ...
+        rows = rows[..., None]
+    elif type(a) is slice:  # ... or first, when only the rows are sliced
+        rows = rows.reshape(rows.shape + (1,) * cols.ndim)
+    return rows, cols
+
+
 class _CosetWalk:
-    """The read-only tables that `_coset_tables` filled, and closing[l] =
-    (g, (r - 1)g, rg) for its l-th generator g, of order r modulo the span
-    before it."""
+    """The sum and product tables of the members of a `TableIndex`, kept as
+    the coset walk of `_coset_tables`, which also proves their laws.
 
-    __slots__ = ("add", "mul", "closing")
+    For walk generator l, of order r_l modulo the span of those before it,
+    `_powers` holds the powers R_l^j of its looked-up sum row and
+    `_multiples` the multiples j P_l of its looked-up product row, j < r_l.
+    Member a sits at the walk place sum_l j_l(a) h_l, h_l the order of the
+    span before generator l, and `_at[l][a]` is the flat start of the rows
+    for j_l(a).  With k walk generators,
 
-    def __init__(self, add: np.ndarray, mul: np.ndarray, closing: np.ndarray):
-        self.add, self.mul, self.closing = add, mul, closing
+        add[a, b] = R_{k-1}^{j_{k-1}(a)}( ... R_0^{j_0(a)}(b))
+        mul[a, b] = j_{k-1}P_{k-1}(b) + ( ... + (j_1 P_1(b) + j_0 P_0(b)))
+
+    the sums read from add: the rows R^j o add[h] and j P + mul[h] that the
+    walk gives the member at place j of the walk from h in H.  `add` and
+    `mul` serve these cells as `_WalkTable`s, and closing[l] = (g, (r - 1)g,
+    rg) for generator g = R_l(0).
+    """
+
+    __slots__ = ("order", "closing", "add", "mul", "_at", "_powers", "_multiples",
+                 "_index", "_neg")
+
+    def __init__(self, names: np.ndarray, powers: List[np.ndarray], products: List[np.ndarray],
+                 closing: list, index: TableIndex, neg: np.ndarray):
+        self.order = n = len(names)
+        self.closing = np.array(closing, dtype=np.int64).reshape(-1, 3)
+        self._index, self._neg = index, neg
+        dt = names.dtype
+        if not powers:  # the zero ring: one generator of order 1
+            powers, products = [np.zeros((1, 1), dtype=dt)], [np.zeros(1, dtype=dt)]
+        place = np.argsort(names)  # the place of each member, as `_coset_tables` sorted its rows
+        self._powers = np.concatenate(powers).reshape(-1)
+        at, starts, span, start = [], [], 1, 0
+        for power in powers:  # the digit of each member for each generator, as a row start
+            r = len(power)
+            at.append((place // span % r + start) * n)
+            starts.append(start)
+            span, start = span * r, start + r
+        self._at = tuple(at)
+        multiples = np.zeros((start, n), dtype=dt)
+        self._multiples = multiples.reshape(-1)
+        for s, power, row in zip(starts, powers, products):
+            r = len(power)
+            if r > 1:
+                multiples[s + 1] = row
+            # with t = 2, 4, ...: (t + i)P = tP + iP for i < min(t, r - t)
+            t = 2
+            while t < r:
+                row = self.sums(row, row)
+                m = min(t, r - t)
+                multiples[s + t:s + t + m] = self.sums(row[None, :], multiples[s:s + m])
+                t *= 2
+        self.add = _WalkTable(self.sums, n, dt)
+        self.mul = _WalkTable(self.products, n, dt)
+
+    def sums(self, a, b) -> np.ndarray:
+        """add[a, b] for broadcast member indices a and b."""
+        powers = self._powers
+        for at in self._at:
+            b = powers.take(at.take(a) + b)
+        return b
+
+    def products(self, a, b) -> np.ndarray:
+        """mul[a, b] for broadcast member indices a and b: the sum, read as
+        in `sums`, of the multiples j_l P_l(b) from the last l down."""
+        powers, multiples = self._powers, self._multiples
+        first, *rest = self._at
+        x = multiples.take(first.take(a) + b)
+        for at in rest:
+            row = multiples.take(at.take(a) + b)
+            for level in self._at:
+                x = powers.take(level.take(row) + x)
+        return x
+
+    def negatives(self) -> np.ndarray:
+        """The member holding the negated map of each member, -1 where the
+        index holds none: the keys negated in the module, looked up once."""
+        return self._index.find_keys(self._neg[self._index.keys])
+
+
+def _coset_span(walk: _CosetWalk, candidates: np.ndarray) -> Tuple[List[int], np.ndarray]:
+    """`_greedy_span` in the group of `walk.add`, once it is proved abelian:
+    each pick a, the least candidate outside the span H so far, grows H to
+    H + <a> by coset doubling.  With S = H + {0, .., t - 1}a and t = 1, 2,
+    4, ..., one gather adds S + ta and gives 2ta, until 2ta lies in S: then
+    (2t - j)a lies in H for some j < 2t, so S is H + <a>."""
+    reached = np.zeros(walk.order, dtype=bool)
+    reached[0] = True
+    span = np.zeros(walk.order + 1, dtype=np.int64)  # span[:size] lists S; then ta
+    size = 1
+    kept: List[int] = []
+    while True:
+        rest = candidates[~reached[candidates]]
+        if not rest.size:
+            return kept, reached
+        step = span[size] = int(rest[0])
+        kept.append(step)
+        while not reached[step]:
+            moved = walk.sums(step, span[:size + 1])  # S + ta, then 2ta
+            fresh = moved[:size][~reached[moved[:size]]]
+            span[size:size + len(fresh)] = fresh
+            reached[fresh] = True
+            size += len(fresh)
+            step = span[size] = moved[-1]
 
 
 def _on_walk(cls, walk: _CosetWalk, *args, **kwargs):
@@ -1065,21 +1299,18 @@ def _coset_tables(index: TableIndex, table: np.ndarray, maps: np.ndarray
     maps[c].  Keys are read off the keys of a and b, under the proof
     obligation of `TableIndex.find_keys`.
 
-    The tables are filled coset by coset, as a Schreier tree spans a group
-    (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005,
-    ch. 4).  With H the subgroup spanned so far, at first {0}, the least
-    member g outside H is the next generator; only its sum and product rows
-    are looked up, `size` keys each, and each coset jg + H of H in <H, g>
-    takes its rows from rows already built:
+    The walk spans the members coset by coset, as a Schreier tree spans a
+    group (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
+    2005, ch. 4).  With H the subgroup spanned so far, at first {0}, the
+    least member g outside H is the next generator; only its sum and
+    product rows R and P are looked up, `size` keys each, and each coset jg
+    + H of H in <H, g> takes its rows from rows already built:
 
-        add[g + x] = add[g][add[x]]        ((g + x) + b = g + (x + b))
-        mul[g + x] = add[mul[g], mul[x]]   ((g + x)b = gb + xb)
+        add[jg + x] = R^j o add[x]        ((g + y) + b = g + (y + b))
+        mul[jg + x] = jP + mul[x]         ((g + y)b = gb + yb)
 
-    the second once add is complete.  Rows are built in the order the walk
-    reaches their members and sorted into member order at the end, so that
-    blocks of rows are read and written whole: with t = jg, t plus cosets
-    0..j-1 is cosets j..2j-1, up to the order r of g modulo H, and t + t has
-    the rows add[t][add[t]] and add[mul[t], mul[t]].
+    No n^2 table is built: `_CosetWalk` keeps R^j and jP for j < r, the
+    order of g modulo H, and composes each cell read from them.
 
     Closure needs no scan.  When every generator row is found, g + S lies in
     the member set S for each generator g, so S, which they span, is closed
@@ -1087,39 +1318,35 @@ def _coset_tables(index: TableIndex, table: np.ndarray, maps: np.ndarray
     member.  When a generator row misses, `TableIndex.find_pairs` builds
     both tables to name the first missing pair.
 
-    Laws of the tables as built, whatever the lookups return.  With R and
-    P the looked-up sum and product rows of g, the member at place j < r of
-    the walk from h in H gets the rows R^j o add[h] and j P + mul[h], and is
-    named by its sum row at 0: g = R(0), (r - 1)g = R^(r - 1)(0) and rg =
-    R^r(0), which lies in H.  Once `FiniteGroup` has found the names
-    distinct, the rows, compositions of generator rows, send 0 to every
-    member.  If the generator rows commute, they generate an abelian
-    transitive, hence regular, permutation group of order n, and the n
-    rows, distinct at 0, are all of it: add[add[a, b]] = add[a] o add[b],
-    so the sum is associative and commutative.  Then a -> mul[a] is
-    additive on <H, g> iff it is on H and mul[rg] = r P = add[mul[(r -
-    1)g], P]: for j + j' >= r, jg + h plus j'g + h' is (j + j' - r)g + (rg
-    + h + h').  So the generator rows prove associativity
-    (`FiniteGroup._certify`, k^2 n cells for k generators) and the closing
-    cells (g, (r - 1)g, rg) right distributivity (`rings.FiniteRing.
-    _validate`, k n cells).  The tables are returned read-only, so that no
-    later change keeps that proof.  A looked-up sum row whose powers do not
-    reach H within n / h steps, which would write past row n, raises
-    `ValidationError`.  More than `ring_check_max_order` members are
-    refused by `_ring_order_gate` before any table is allocated.
+    Laws of the tables as built, whatever the lookups return.  The member at
+    place j < r of the walk from h in H gets the rows R^j o add[h] and j P +
+    mul[h], and is named by its sum row at 0: g = R(0), (r - 1)g = R^(r -
+    1)(0) and rg = R^r(0), which lies in H.  Once `FiniteGroup` has found the
+    names distinct, the rows, compositions of generator rows, send 0 to
+    every member.  If the generator rows commute, they generate an abelian
+    transitive, hence regular, permutation group of order n, and the n rows,
+    distinct at 0, are all of it: add[add[a, b]] = add[a] o add[b], so the
+    sum is associative and commutative.  Then a -> mul[a] is additive on <H,
+    g> iff it is on H and mul[rg] = r P = add[mul[(r - 1)g], P]: for j + j'
+    >= r, jg + h plus j'g + h' is (j + j' - r)g + (rg + h + h').  So the
+    generator rows prove associativity (`FiniteGroup._certify_walk`, k^2 n
+    cells for k generators) and the closing cells (g, (r - 1)g, rg) right
+    distributivity (`rings.FiniteRing._validate`, k n cells).  The tables
+    are read-only, so that no later change keeps that proof.  A looked-up
+    sum row whose powers do not reach H within n / h steps, which would
+    write past place n, raises `ValidationError`.  More than
+    `ring_check_max_order` members are refused by `_ring_order_gate` first.
     """
     n = len(index.tables)
     _ring_order_gate(n)
     keys = index.keys
-    add = np.empty((n, n), dtype=_table_dtype(n))  # row p: sum row of the member add[p, 0]
-    mul = np.empty_like(add)  # row p: the product row of that member
-    add[0] = np.arange(n)
-    mul[0] = 0
+    dt = _table_dtype(n)
+    names = np.zeros(n, dtype=dt)  # names[p]: the member at place p of the walk
     reached = np.zeros(n, dtype=bool)
     reached[0] = True
-    levels = []  # (blocks, product row of g) per generator g
+    powers, products = [], []  # R^j for j < r, and P, per generator
     closing = []  # (g, (r - 1)g, rg) per generator g
-    h, g = 1, 1  # rows 0..h-1 hold the members of H; g is the least member outside
+    h, g = 1, 1  # places 0..h-1 hold the members of H; g is the least member outside
     while h < n:
         rows = index.find_keys(np.concatenate((table[keys[g], keys], maps[g, keys])))
         if rows.min() < 0:
@@ -1128,7 +1355,7 @@ def _coset_tables(index: TableIndex, table: np.ndarray, maps: np.ndarray
             missing = (add < 0) | (mul < 0)
             a = int(np.argmax(missing.any(axis=1)))
             return None, (a, int(np.argmax(missing[a])))
-        row = rows[:n].astype(add.dtype, copy=False)
+        row = rows[:n].astype(dt, copy=False)
         # r: the order of g modulo H, at most n / h; names run from 0 through row
         first = int(row[0])
         r, last, x = 2, first, int(row[first])
@@ -1137,36 +1364,23 @@ def _coset_tables(index: TableIndex, table: np.ndarray, maps: np.ndarray
         if h * r > n:
             raise ValidationError(f"the sum row of member {g} is no coset walk", witness=g)
         closing.append((first, last, x))  # (g, (r - 1)g, rg)
-        # (first row, rows) of t = jg plus cosets 0..j-1, for j = 1, 2, 4, ... below r
-        blocks = [(j * h, min(j, r - j) * h)
-                  for j in (1 << e for e in range((r - 1).bit_length()))]
-        for lo, m in blocks:
-            if lo > h:
-                row = row[row]  # the sum row of t = (lo / h)g
-            for s in _row_blocks(m, n):  # cells are in range: "clip" writes out unbuffered
-                row.take(add[s], out=add[lo + s.start:lo + s.stop], mode="clip")
-        levels.append((blocks, rows[n:]))
+        # with t = 2, 4, ...: R^(t + i) = R^t o R^i for i < min(t, r - t)
+        power = np.empty((r, n), dtype=dt)
+        power[0], power[1] = np.arange(n), row
+        t = 2
+        while t < r:
+            row = row[row]
+            m = min(t, r - t)
+            row.take(power[:m], out=power[t:t + m], mode="clip")  # cells are in range
+            t *= 2
+        names[h:h * r] = power[1:, names[:h]].reshape(-1)
+        powers.append(power)
+        products.append(rows[n:].astype(dt, copy=False))
         if h * r < n:
-            reached[add[h:h * r, 0]] = True
+            reached[names[h:h * r]] = True
             g = int(reached.argmin())
         h *= r
-    pos = None  # the row of each member, where the walk did not reach them in order
-    if add[:, 0].tolist() != list(range(n)):
-        pos = np.argsort(add[:, 0])
-        add = add[pos]
-    flat = add.reshape(-1)
-    wide = np.int64(n)
-    for blocks, row in levels:
-        for lo, m in blocks:
-            if lo > blocks[0][0]:
-                row = flat[shift + row]  # the product row of t = (lo / h)g
-            shift = row * wide  # in int64, where n * n overflows the table dtype
-            for s in _row_blocks(m, n):
-                flat.take(shift + mul[s], out=mul[lo + s.start:lo + s.stop], mode="clip")
-    if pos is not None:
-        mul = mul[pos]
-    add.flags.writeable = mul.flags.writeable = False
-    return _CosetWalk(add, mul, np.asarray(closing, dtype=np.int64).reshape(-1, 3)), None
+    return _CosetWalk(names, powers, products, closing, index, table.argmin(axis=1)), None
 
 
 def hom_make(source: FiniteGroup, target: FiniteGroup, generator_images: Sequence[int]) -> GroupHom:
@@ -1230,9 +1444,13 @@ def aut_group(g: FiniteGroup) -> Tuple[FiniteGroup, np.ndarray]:
 
     Returns (A, perms), perms[k] the value table of automorphism k in
     lexicographic order, and A.table composition: (a*b)(x) = a(b(x)).
+    A has an order^2 table, so its order is gated by `ring_check_max_order`,
+    the budget of every other order^2 table, before the table is built.
     """
     endos = _hom_tables(g, g)
     tables = endos[_is_bijective(endos)]
+    gate("ring_check_max_order", len(tables),
+         "automorphism group order {used} exceeds check budget {limit}")
     index = TableIndex(tables, g.core_generators, g.order)
     table = np.stack([index.find(row[tables]) for row in tables])
     grp = FiniteGroup(table, None, labels=[f"a{i}" for i in range(len(tables))],

@@ -6,13 +6,15 @@ the additive generators: right distributivity against each generator (k n^2
 work for k generators), left distributivity on the generator rows against
 each generator (k^2 n), then associativity on generator triples (k^3).
 
-Tables that `groups._coset_tables` filled (the crossed-homomorphism ring
-Z^1(Q,N) and the module ring End_Q(N)) take a private route: their walk
-supplies right distributivity and associativity of the sum for the tables
-as built, checked on its k generators in k n and k^2 n cells instead of the
-k n^2 sweeps.  Every other check runs as for any tables, and the ring
-records the supplied law in `supplied_laws`.  Tables from anywhere else,
-copies of walk tables included, get the full certificate.
+The rings that `groups._coset_tables` walks (the crossed-homomorphism ring
+Z^1(Q,N) and the module ring End_Q(N)) take a private route: they keep the
+walk, whose `groups._WalkTable`s compose the cells read and build no
+order^2 table, and the walk supplies right distributivity and
+associativity of the sum for the tables as built, checked on its k
+generators in k n and k^2 n cells instead of the k n^2 sweeps.  Every other
+check runs as for any tables, and the ring records the supplied law in
+`supplied_laws`.  Tables from anywhere else, copies of walk tables
+included, get the full certificate.
 """
 
 from __future__ import annotations
@@ -61,31 +63,41 @@ __all__ = [
 
 
 class FiniteRing:
-    """A finite ring given by full addition and multiplication tables.
+    """A finite ring given by its addition and multiplication tables.
 
     Both tables are stored in `groups._table_dtype(order)` once range-checked;
-    add_table is the table of add_group itself, not a copy.  `supplied_laws`
-    names the ring laws that the construction proved in place of a sweep:
-    ("right distributivity",) for tables that `groups._coset_tables` filled
-    (see `_validate`), else ().
+    add_table is the table of add_group itself, not a copy.  A ring that
+    `groups._coset_tables` walked keeps the walk's two `groups._WalkTable`s
+    instead, which serve the cells read and materialize a table only on a
+    whole-table read.  `supplied_laws` names the ring laws that the
+    construction proved in place of a sweep: ("right distributivity",) for
+    the tables of a walk (see `_validate`), else ().
     """
 
     _walk: Optional[_CosetWalk] = None  # set by `groups._on_walk` before __init__
 
     def __init__(self, add_table, mul_table, one: Optional[int] = None,
                  labels: Optional[Sequence[str]] = None, name: str = ""):
-        add_table = _as_table(add_table, "ring addition table")
-        self.mul_table = _integer_input(mul_table, "ring multiplication table")
+        walk = self._walk
+        if walk is not None and (add_table is not walk.add or mul_table is not walk.mul):
+            walk = self._walk = None
+        if walk is None:
+            add_table = _as_table(add_table, "ring addition table")
+            mul_table = _integer_input(mul_table, "ring multiplication table")
+        self.mul_table = mul_table
         self.order = add_table.shape[0]
         self.one = None if one is None else _as_int(one, "ring identity index")
         self.name = name
         _ring_order_gate(self.order)
         group_name = f"{name}+" if name else ""
-        if self._walk is None:
+        if walk is None:
             self.add_group = FiniteGroup(add_table, None, labels=labels, name=group_name)
         else:
-            self.add_group = _on_walk(FiniteGroup, self._walk, add_table, None,
+            self.add_group = _on_walk(FiniteGroup, walk, add_table, None,
                                       labels=labels, name=group_name)
+            if self.add_group._walk is None:  # its sum was checked as any table
+                self._walk = None
+                self.mul_table = np.asarray(mul_table)
         self.add_table = self.add_group.table
         self.labels = self.add_group.labels
         self._validate()
@@ -106,51 +118,61 @@ class FiniteRing:
         check fails, `_distributivity_sweep` names the first failing triple
         in the order of the full sweep.
 
-        Tables that `groups._coset_tables` filled, still its read-only
-        tables, skip the k n^2 sweep of the right law: the walk built each
-        product row as a sum of generator rows, and that makes a -> ab
-        additive for all a and b once r P = mul[rg] at each closing cell of
-        the walk (`groups._coset_tables` has the proof).  That check costs
-        k n cells for k walk generators.  The left law, associativity, the
-        zero, the identity and commutativity are checked as for any tables.
+        The tables of a walk skip the k n^2 sweep of the right law: the walk
+        built each product row as a sum of generator rows, and that makes a
+        -> ab additive for all a and b once r P = mul[rg] at each closing
+        cell of the walk (`groups._coset_tables` has the proof).  That check
+        costs k n cells for k walk generators, and commutativity comes with
+        the walk's proof of associativity.  The left law, associativity, the
+        zero and the identity are checked as for any tables.  The product
+        rows and columns that the checks use are read once each, and the
+        sums x + g are the additive group's `_core_right`, so that a small
+        walk ring pays for a few reads.
         """
         n = self.order
-        if self.mul_table.shape != (n, n):
-            raise ValidationError(f"multiplication table must be {n}x{n}")
-        self.mul_table = _index_table(self.mul_table, n,
-                                      "multiplication table entries out of range")
-        add, mul = self.add_table, self.mul_table
         walk = self._walk
-        if walk is not None and (walk.add is not add or walk.mul is not mul
-                                 or add.flags.writeable or mul.flags.writeable):
-            walk = self._walk = None
+        if walk is None:
+            if self.mul_table.shape != (n, n):
+                raise ValidationError(f"multiplication table must be {n}x{n}")
+            self.mul_table = _index_table(self.mul_table, n,
+                                          "multiplication table entries out of range")
+        add, mul = self.add_table, self.mul_table
         if not self.add_group.is_abelian():
             raise ValidationError("ring addition must be commutative")
-        if (mul[0] != 0).any() or (mul[:, 0] != 0).any():
+        e = self.one
+        ones = [e] if e is not None and 0 <= e < n else []
+        k = list(self.add_group.core_generators)
+        g, last, x = ([], [], []) if walk is None else walk.closing.T.tolist()
+        # one read of every product row and one of every product column used
+        rows = mul[np.array([0, *k, *g, *last, *x, *ones])]
+        cols = mul[:, np.array([0, *k, *ones])]
+        if rows[0].any() or cols[:, 0].any():
             raise ValidationError("zero must annihilate the ring on both sides")
-        k = np.asarray(self.add_group.core_generators, dtype=np.int64)
+        c, m = 1 + len(k), len(g)
+        core_rows = rows[1:c]  # [i, x] = k_i x
+        ab = core_rows[:, k]  # [i, j] = k_i k_j
         if walk is None:
             right = self._right_sweep_fails()
         else:  # [l, b]: ((r - 1)g)b + gb against (rg)b at each closing cell
-            g, last, x = walk.closing.T
-            right = (add[mul[last], mul[g]] != mul[x]).any()
+            right = (add[rows[c + m:c + 2 * m], rows[c:c + m]] != rows[c + 2 * m:c + 3 * m]).any()
         self.supplied_laws = () if walk is None else ("right distributivity",)
-        rows = mul[k]  # [i, x] = k_i x
-        ab = mul[k[:, None], k]  # [i, j] = k_i k_j
-        # [i, x, j]: k_i (x + k_j) against k_i x + k_i k_j
-        left = rows[:, add[:, k]] != add[rows[:, :, None], ab[:, None, :]]
+        # [i, x, j]: k_i (x + k_j) against k_i x + k_i k_j; the sums x + k_j
+        # are the additive group's own certificate rows
+        shifted = self.add_group._core_right.T
+        left = core_rows[:, shifted] != add[core_rows[:, :, None], ab[:, None, :]]
         if right or left.any():
             self._distributivity_sweep()
-        bad = mul[ab[:, :, None], k[None, None, :]] != mul[k[:, None, None], ab[None, :, :]]
+        # [i, j, l]: (k_i k_j) k_l against k_i (k_j k_l)
+        bad = cols[:, 1:c][ab] != core_rows[:, ab]
         if bad.any():
             a, b, c = (int(k[i]) for i in np.argwhere(bad)[0])
             raise ValidationError(
                 f"multiplication not associative at ({a}, {b}, {c})", witness=(a, b, c))
-        if self.one is not None:
-            e = self.one
-            if not 0 <= e < n:
+        if e is not None:
+            if not ones:
                 raise ValidationError(f"declared identity {e} outside the ring of order {n}")
-            if not (mul[e] == np.arange(n)).all() or not (mul[:, e] == np.arange(n)).all():
+            idx = np.arange(n)
+            if not (rows[-1] == idx).all() or not (cols[:, -1] == idx).all():
                 raise ValidationError(f"declared identity {e} is not two-sided")
 
     def _right_sweep_fails(self) -> bool:
@@ -222,7 +244,7 @@ class RingHom:
         if not _hom_rows(source.add_group, target.add_group, v[None])[0]:
             raise ValidationError("ring map is not additive")
         k = np.asarray(source.add_group.core_generators, dtype=np.int64)
-        if not (v[source.mul_table[np.ix_(k, k)]] == target.mul_table[np.ix_(v[k], v[k])]).all():
+        if not (v[source.mul_table[k[:, None], k]] == target.mul_table[v[k][:, None], v[k]]).all():
             raise ValidationError("ring map is not multiplicative")
 
     def __call__(self, a: int) -> int:
@@ -254,8 +276,8 @@ def subring_from_indices(ring: FiniteRing, indices, name: str = "") -> Tuple[Fin
         raise ValidationError("a subring must contain 0")
     arr = np.asarray(idx, dtype=np.int64)
     pos = _positions(ring.order, arr)
-    sub_add = pos[ring.add_table[np.ix_(arr, arr)]]
-    sub_mul = pos[ring.mul_table[np.ix_(arr, arr)]]
+    sub_add = pos[ring.add_table[arr[:, None], arr]]
+    sub_mul = pos[ring.mul_table[arr[:, None], arr]]
     for t, what in ((sub_add, "addition"), (sub_mul, "multiplication")):
         if (t < 0).any():
             a, b = map(int, np.argwhere(t < 0)[0])
@@ -282,7 +304,7 @@ def check_ideal(ring: FiniteRing, indices) -> np.ndarray:
     arr = np.asarray(idx, dtype=np.int64)
     member = np.zeros(ring.order, dtype=bool)
     member[arr] = True
-    if not member[ring.add_table[np.ix_(arr, arr)]].all():
+    if not member[ring.add_table[arr[:, None], arr]].all():
         raise ValidationError("subset not closed under addition")
     if not member[ring.mul_table[:, arr]].all():
         raise ValidationError("subset does not absorb left multiplication")
@@ -303,7 +325,7 @@ def is_square_zero_ideal(ring: FiniteRing, indices) -> bool:
 def _squares_to_zero(ring: FiniteRing, arr: np.ndarray) -> bool:
     """Whether all products within the ideal that `check_ideal` returned as
     arr vanish: one |I|^2 gather."""
-    return bool((ring.mul_table[np.ix_(arr, arr)] == 0).all())
+    return bool((ring.mul_table[arr[:, None], arr] == 0).all())
 
 
 def quotient_ring(ring: FiniteRing, ideal_indices) -> Tuple[FiniteRing, RingHom]:
@@ -339,9 +361,10 @@ def _quotient_by_ideal(ring: FiniteRing, arr: np.ndarray) -> Tuple[FiniteRing, R
 
 def star_table(ring: FiniteRing) -> np.ndarray:
     """Full table of the circle operation a + b + ab, in the dtype of the
-    ring's tables, gathered over blocks of rows a."""
+    ring's tables, gathered over blocks of rows a, cell by cell from the
+    tables of a walk ring."""
     add, mul = ring.add_table, ring.mul_table
-    star = np.empty_like(add)
+    star = np.empty(add.shape, dtype=add.dtype)
     for rows in _row_blocks(ring.order, ring.order):
         star[rows] = add[add[rows], mul[rows]]
     return star

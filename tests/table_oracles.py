@@ -10,12 +10,15 @@ generators.  These functions
 run every check in the old order, on all pairs, with the old breadth-first
 closure, so that a test can require the same outcome, error text and
 witness from both.
+
+`eager_coset_tables` is the coset walk as it was when it filled both n^2
+tables, kept as the oracle of the walk that now serves their cells.
 """
 
 import numpy as np
 
 from cohomoring import ValidationError
-from cohomoring.groups import _as_int, _as_int_array, _as_table
+from cohomoring.groups import _as_int, _as_int_array, _as_table, _row_blocks, _table_dtype
 
 
 def _old_closure(table, seeds):
@@ -254,3 +257,56 @@ def old_bimodule_outcome(r_ring, s_group, left, right):
     except ValidationError as exc:
         return str(exc), exc.witness
     return "ok"
+
+
+def eager_coset_tables(index, table, maps):
+    """(add, mul, closing) as the coset walk filled them, row by row into two
+    n^2 tables, for the members of `index`, maps into the abelian group of
+    `table` read through `maps`; None when a generator row has a member
+    missing.  The walk must be a walk: rows that write past place n raise
+    IndexError here, where the package refuses them first."""
+    n = len(index.tables)
+    keys = index.keys
+    add = np.empty((n, n), dtype=_table_dtype(n))  # row p: sum row of the member add[p, 0]
+    mul = np.empty_like(add)  # row p: the product row of that member
+    add[0] = np.arange(n)
+    mul[0] = 0
+    reached = np.zeros(n, dtype=bool)
+    reached[0] = True
+    levels = []  # (blocks, product row of g) per generator g
+    closing = []  # (g, (r - 1)g, rg) per generator g
+    h, g = 1, 1  # rows 0..h-1 hold the members of H; g is the least member outside
+    while h < n:
+        rows = index.find_keys(np.concatenate((table[keys[g], keys], maps[g, keys])))
+        if rows.min() < 0:
+            return None
+        row = rows[:n].astype(add.dtype, copy=False)
+        first = int(row[0])
+        r, last, x = 2, first, int(row[first])
+        while not reached[x]:
+            r, last, x = r + 1, x, int(row[x])
+        closing.append((first, last, x))
+        # (first row, rows) of t = jg plus cosets 0..j-1, for j = 1, 2, 4, ... below r
+        blocks = [(j * h, min(j, r - j) * h)
+                  for j in (1 << e for e in range((r - 1).bit_length()))]
+        for lo, m in blocks:
+            if lo > h:
+                row = row[row]  # the sum row of t = (lo / h)g
+            add[lo:lo + m] = row[add[:m]]
+        levels.append((blocks, rows[n:]))
+        if h * r < n:
+            reached[add[h:h * r, 0]] = True
+            g = int(reached.argmin())
+        h *= r
+    pos = np.argsort(add[:, 0])
+    add = add[pos]
+    flat = add.reshape(-1)
+    wide = np.int64(n)
+    for blocks, row in levels:
+        for lo, m in blocks:
+            if lo > blocks[0][0]:
+                row = flat[shift + row]  # the product row of t = (lo / h)g
+            shift = row * wide  # in int64, where n * n overflows the table dtype
+            for s in _row_blocks(m, n):
+                mul[lo + s.start:lo + s.stop] = flat[shift + mul[s]]
+    return add, mul[pos], np.asarray(closing, dtype=np.int64).reshape(-1, 3)

@@ -694,15 +694,17 @@ def test_criterion_9_dihedral_48():
 DIHEDRAL_48_MAX_RSS_MIB = 125.0
 
 
-def _child_peak_mib(*args: str) -> float:
+def _child_peak_mib(*args: str, **extra_env: str) -> float:
     """Peak RSS in MiB of `python *args`, read as the ru_maxrss of the
     children of an intermediate interpreter, which keeps pytest and its
-    earlier children out of the reading."""
+    earlier children out of the reading; `extra_env` is added to the
+    environment of both."""
     code = ("import resource, subprocess, sys\n"
             f"subprocess.run([sys.executable, *{list(args)!r}], stdout=subprocess.DEVNULL,"
             " check=True)\n"
             "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+               **extra_env)
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120)
     assert run.returncode == 0, run.stderr
@@ -714,6 +716,22 @@ def test_dihedral_48_peak_rss_gate():
     assert peak < DIHEDRAL_48_MAX_RSS_MIB, (
         f"examples dihedral 48 peaked at {peak:.1f} MiB, bound is {DIHEDRAL_48_MAX_RSS_MIB} MiB")
     print(f"[PASS] dihedral instance n=48 peak RSS {peak:.1f} MiB < {DIHEDRAL_48_MAX_RSS_MIB} MiB")
+
+
+# Peak RSS bound for `examples dihedral 64 --json`, the largest instance the
+# CLI accepts: 69.8 MiB measured (Linux, 2 CPUs, Python 3.11, numpy 2.4)
+# plus an 8 MiB margin.  The child runs under PYTHONDONTWRITEBYTECODE, so the
+# bound includes compiling all of src/.  It held 128 MiB when the coset-walk
+# rings kept two n^2 tables each.  Set once; never loosen it.
+DIHEDRAL_64_MAX_RSS_MIB = 78.0
+
+
+def test_dihedral_64_peak_rss_gate():
+    peak = _child_peak_mib("-m", "cohomoring.cli", "examples", "dihedral", "64", "--json",
+                           PYTHONDONTWRITEBYTECODE="1")
+    assert peak < DIHEDRAL_64_MAX_RSS_MIB, (
+        f"examples dihedral 64 peaked at {peak:.1f} MiB, bound is {DIHEDRAL_64_MAX_RSS_MIB} MiB")
+    print(f"[PASS] dihedral instance n=64 peak RSS {peak:.1f} MiB < {DIHEDRAL_64_MAX_RSS_MIB} MiB")
 
 
 # Peak RSS bound for h2_order on dihedral_extension(64), the H2(G,N) node at

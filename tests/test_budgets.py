@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from cohomoring import BudgetExceeded, rings
+from cohomoring.catalog import catalog_from_json, sweep
 from cohomoring.cocycles import enumerate_z1
 from cohomoring.cohomology2 import TwoCocycle, coboundary_preimage, compute_h2, h2_order
 from cohomoring.endo_rings import equivariant_endo_ring
-from cohomoring.groups import enumerate_endos, make_cyclic, make_direct_product, trivial_action
+from cohomoring.groups import (aut_group, enumerate_endos, group_to_json, make_cyclic,
+                               make_direct_product, trivial_action)
 from cohomoring.rings import BimoduleAction, FiniteRing, semidirect_ring, zn_ring
 
 
@@ -69,6 +71,7 @@ REFUSALS = [
      lambda: enumerate_endos(make_direct_product(_v4(), _v4())[0]),
      "hom search needs 65536 candidates, budget 1000"),
     ("FiniteRing", _z5_tables, "ring order 5 exceeds check budget 4"),
+    ("aut_group", lambda: aut_group(_v4()), "automorphism group order 6 exceeds check budget 4"),
     ("zn_ring", lambda: zn_ring(5), "ring order 5 exceeds check budget 4"),
     ("semidirect_ring", lambda: semidirect_ring(_semidirect_action()),
      "ring order 9 exceeds check budget 4"),
@@ -104,3 +107,19 @@ def test_order_squared_constructions_refuse_before_their_tables(monkeypatch):
     with pytest.raises(BudgetExceeded, match="^ring order 9 exceeds check budget 4$"):
         semidirect_ring(action)
     assert built == []
+
+
+def test_a_c2_4_kernel_gives_one_failed_row_before_its_automorphism_table(monkeypatch):
+    """A catalog quadruple whose kernel is C2^4 reaches `aut_group` through
+    `enumerate_actions`; its 20160-element table would take tens of seconds
+    and gigabytes, and at the default budget `ring_check_max_order` refuses
+    it first, as one failed row."""
+    monkeypatch.delenv("COHOMORING_BUDGET", raising=False)
+    kernel = _v4()
+    kernel = make_direct_product(kernel, kernel)[0]
+    quad = {"quotient_group": group_to_json(make_cyclic(1)), "kernel_group": group_to_json(kernel),
+            "action": [list(range(16))], "cocycle": [[0]]}
+    doc = {"entries": [{"name": "C2^4 by C1", "kind": "extension", "quadruple": quad}]}
+    assert sweep(catalog_from_json(doc))["entries"] == [
+        {"name": "C2^4 by C1", "kind": "extension", "ok": False,
+         "error": "automorphism group order 20160 exceeds check budget 4096"}]

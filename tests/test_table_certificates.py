@@ -49,6 +49,7 @@ from ring_oracles import relabelled_extension
 
 from table_oracles import (
     _old_greedy_generators,
+    eager_coset_tables,
     old_bimodule_outcome,
     old_crossed_hom_outcome,
     old_group_hom_outcome,
@@ -489,6 +490,49 @@ def test_every_coset_built_ring_passes_the_old_validator():
                 _outcome_of(ring), (ext.name, ring.name)
 
 
+def test_every_coset_built_ring_serves_the_cells_of_the_eager_fill():
+    """The walk that keeps a coset-built ring serves, cell for cell, the two
+    tables that the coset walk once filled, with the same closing cells: on
+    the rings of the test above."""
+    catalog = [e.materialize() for e in default_catalog() if e.kind == "extension"]
+    exts = catalog + [dihedral_extension(n) for n in range(3, 25)]
+    exts += [relabelled_extension(ext, seed) for ext in catalog for seed in (1, 2)]
+    for ext in exts:
+        cring = cocycle_ring(ext.g_group, ext.n_group, ext.g_action, ext.i)
+        mring = equivariant_endo_ring(ext.n_group, ext.action)
+        for ring, index, maps in ((cring.ring, cring.index, cring.values[:, ext.i.values]),
+                                  (mring.ring, mring.index, mring.values)):
+            add, mul, closing = eager_coset_tables(index, ext.n_group.table, maps)
+            assert isinstance(ring.mul_table, groups._WalkTable), (ext.name, ring.name)
+            assert (np.asarray(ring.add_table) == add).all(), (ext.name, ring.name)
+            assert (np.asarray(ring.mul_table) == mul).all(), (ext.name, ring.name)
+            assert (ring._walk.closing == closing).all(), (ext.name, ring.name)
+
+
+def test_examples_and_verify_materialize_no_walk_table_above_64_members(monkeypatch):
+    """`examples dihedral 24 --json` and `verify --json` read every walk ring
+    of more than 64 members cell by cell: no reader of theirs materializes
+    its n^2 table, and a reader that did would fail here."""
+    built, filled = [], []
+    init, fill = groups._CosetWalk.__init__, groups._WalkTable._fill
+
+    def counted_init(walk, names, *args):
+        built.append(len(names))
+        init(walk, names, *args)
+
+    def counted_fill(table):
+        filled.append(table.shape[0])
+        return fill(table)
+
+    monkeypatch.setattr(groups._CosetWalk, "__init__", counted_init)
+    monkeypatch.setattr(groups._WalkTable, "_fill", counted_fill)
+    for argv in (["examples", "dihedral", "24", "--json"], ["verify", "--json"]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+    assert 576 in built and max(built) > 64
+    assert max(filled, default=0) <= 64, sorted(filled)
+
+
 def _counted(monkeypatch, owner, method):
     """Patch owner.method to record each object it runs on; returns the list."""
     seen = []
@@ -625,8 +669,9 @@ def test_every_swap_in_a_walk_generator_sum_row_is_refused_or_accepted(monkeypat
 
 def test_walk_tables_are_read_only_and_no_other_tables_keep_the_route(monkeypatch):
     """The tables of a coset-built ring refuse writes.  Copies of them, given
-    to the public constructor or to the private route under a walk whose
-    tables are writable, get Light's test and the full right sweep."""
+    to the public constructor or to the private route under the walk they
+    were copied from, get Light's test and the full right sweep: only the
+    walk's own tables keep its route."""
     ring = _coset_rings(dihedral_extension(6))[0]
     for table in (ring.add_table, ring.mul_table, ring.add_group.table):
         with pytest.raises(ValueError, match="read-only"):
@@ -636,12 +681,36 @@ def test_walk_tables_are_read_only_and_no_other_tables_keep_the_route(monkeypatc
     walk = ring._walk
     add, mul = walk.add.copy(), walk.mul.copy()
     public = FiniteRing(add, mul)
-    forged = groups._on_walk(FiniteRing, groups._CosetWalk(add, mul, walk.closing), add, mul)
+    forged = groups._on_walk(FiniteRing, walk, add, mul)
     assert swept == [public, forged]
     assert light == [public.add_group, forged.add_group]
     for copy in (public, forged):
         assert copy.supplied_laws == copy.add_group.supplied_laws == ()
         assert (copy.mul_table == ring.mul_table).all()
+
+
+def test_walk_tables_serve_every_numpy_read_of_the_full_table():
+    """A read of a walk table by integers, slices, lists and integer arrays,
+    negative places included, gives the cells and shape of the same read of
+    the materialized table without materializing it; a place out of range
+    raises IndexError, as numpy does."""
+    ring = _coset_rings(dihedral_extension(6))[0]
+    n = ring.order
+    rng = np.random.default_rng(0)
+    rows, cols = rng.integers(-n, n, (3, 4)), rng.integers(-n, n, 4)
+    reads = [3, -1, (2, 5), (-1, -2), slice(2, 9, 3), (slice(None), 4), (slice(1, 5), cols),
+             (rows, cols), (rows, slice(None, None, -7)), ([1, 2], [3, -4]),
+             (rows[:, :, None], cols), (np.int16(3),), (np.uint8(4), slice(3)),
+             (slice(2), rows)]
+    for table in (ring.add_table, ring.mul_table):
+        full = table._fill()
+        for key in reads:
+            got = table[key]
+            assert np.shape(got) == full[key].shape and (got == full[key]).all(), key
+        for key in (n, (0, n), (n, 0), (-n - 1, 0), (0, -n - 1)):
+            with pytest.raises(IndexError):
+                table[key]
+        assert table._full is None
 
 
 def test_dihedral_24_sweeps_the_right_law_only_on_tables_from_outside(monkeypatch):
